@@ -26,7 +26,7 @@ from .graph import (
     split_cycle,
 )
 from .milp import MilpModel, build_dcots, lp_text, write_lp
-from .network import Bus, Line, Network, line_weight, load_network, serialize_network
+from .network import Bus, Line, Network, load_network, serialize_network
 from .oracle import (
     CertificateReport,
     Claim,

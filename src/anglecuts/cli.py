@@ -72,6 +72,10 @@ def _load_point(path: str, net) -> FractionalPoint:
             raise ParseError(f"point file: malformed JSON: {exc}") from exc
     if not isinstance(doc, dict) or "theta" not in doc or "y" not in doc:
         raise ParseError("point file must be an object with 'theta' and 'y'")
+    for name in ("theta", "y", "f"):
+        value = doc.get(name)
+        if not isinstance(value, dict) and not (name == "f" and value is None):
+            raise ParseError(f"point file: {name!r} must be an object")
     theta = {}
     for bus, value in doc["theta"].items():
         if bus not in net.bus_index:
@@ -86,7 +90,7 @@ def _load_point(path: str, net) -> FractionalPoint:
         if not 0 <= y[idx] <= 1:
             raise ParseError(f"point file: y[{key}] outside [0, 1]")
     flows = None
-    if "f" in doc and doc["f"] is not None:
+    if doc.get("f") is not None:
         flows = {}
         for key, value in doc["f"].items():
             idx = int(key)
@@ -156,7 +160,7 @@ def cmd_emit(args) -> int:
     cpvis, cvis = [], []
     if args.cuts:
         with open(args.cuts, "r", encoding="utf-8") as handle:
-            for raw in handle:
+            for number, raw in enumerate(handle, 1):
                 raw = raw.strip()
                 if not raw:
                     continue
@@ -164,6 +168,8 @@ def cmd_emit(args) -> int:
                     obj = json.loads(raw)
                 except json.JSONDecodeError as exc:
                     raise ParseError(f"cuts file: malformed JSON line: {exc}") from exc
+                if not isinstance(obj, dict):
+                    raise ParseError(f"cuts file: line {number} is not a JSON object")
                 if obj.get("kind") == "cpvi":
                     cpvis.append(cpvi_from_json(net, obj))
                 elif obj.get("kind") == "cvi":
@@ -201,20 +207,20 @@ def cmd_certify(args) -> int:
                 pair = split_cycle(net, cycle, buses[i], buses[j])
                 cut = build_cpvi(pair, big_m)
                 checks = [
-                    ("validity", None, cpvi_validity_certificate(net, cut)),
-                    ("facet_rank", None, facet_certificate(net, cut)),
-                    ("full_dimension", None, full_dimension_certificate(net, pair, big_m)),
-                    ("local_ideal", None, local_idealness_certificate(net, build_extended(pair, big_m))),
+                    (None, cpvi_validity_certificate(net, cut)),
+                    (None, facet_certificate(net, cut)),
+                    (None, full_dimension_certificate(net, pair, big_m)),
+                    (None, local_idealness_certificate(net, build_extended(pair, big_m))),
                 ]
                 if args.strict_theorem2:
                     candidate = candidate_hull(net, pair, big_m, include_fallback=False)
-                    checks.append(("hull_equality", "cpvi_only", hull_equality(net, pair, big_m, candidate)))
+                    checks.append(("cpvi_only", hull_equality(net, pair, big_m, candidate)))
                 else:
                     candidate = candidate_hull(net, pair, big_m, include_fallback=True)
-                    checks.append(("hull_equality", "cpvi_with_fallback", hull_equality(net, pair, big_m, candidate)))
+                    checks.append(("cpvi_with_fallback", hull_equality(net, pair, big_m, candidate)))
                     completed = candidate_hull(net, pair, big_m, complete=True)
-                    checks.append(("hull_equality", "completed_projection", hull_equality(net, pair, big_m, completed)))
-                for _name, variant, report in checks:
+                    checks.append(("completed_projection", hull_equality(net, pair, big_m, completed)))
+                for variant, report in checks:
                     entry = report.to_json()
                     entry["cycle"] = c_idx
                     entry["pair"] = list(pair.pair)

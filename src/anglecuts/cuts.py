@@ -22,6 +22,7 @@ from typing import Iterable, Mapping, Sequence
 from .errors import (
     InvalidBigMError,
     MissingVariableError,
+    ParseError,
     SubsetNotInCycleError,
 )
 from .graph import Cycle, CyclePathPair, cycle_orientation_signs, split_cycle
@@ -45,6 +46,20 @@ __all__ = [
     "cvi_from_json",
 ]
 
+# cycles with more lines than this get only their two-arc partitions
+# as flow-space cut subsets, not every subset
+CVI_EXHAUSTIVE_CAP = 12
+
+
+def _rhs_at(cut: CutCPVI | CutCVI, y: Mapping[int, Fraction]) -> Fraction:
+    """constant + sum of y_coeffs * y; every cycle line needs a y value."""
+    total = cut.constant
+    for line, coeff in cut.y_coeffs:
+        if line not in y:
+            raise MissingVariableError(f"point has no y value for line {line}")
+        total += coeff * y[line]
+    return total
+
 
 @dataclass(frozen=True, eq=True)
 class CutCPVI:
@@ -60,11 +75,7 @@ class CutCPVI:
     def coeff_map(self) -> dict[int, Fraction]:
         return dict(self.y_coeffs)
 
-    def rhs_at(self, y: Mapping[int, Fraction]) -> Fraction:
-        total = self.constant
-        for line, coeff in self.y_coeffs:
-            total += coeff * y[line]
-        return total
+    rhs_at = _rhs_at
 
 
 @dataclass(frozen=True, eq=True)
@@ -78,11 +89,7 @@ class CutCVI:
     constant: Fraction
     y_coeffs: tuple[tuple[int, Fraction], ...]
 
-    def rhs_at(self, y: Mapping[int, Fraction]) -> Fraction:
-        total = self.constant
-        for line, coeff in self.y_coeffs:
-            total += coeff * y[line]
-        return total
+    rhs_at = _rhs_at
 
 
 @dataclass(frozen=True)
@@ -98,7 +105,6 @@ class FractionalPoint:
 class SeparationConfig:
     tolerance: Fraction = Fraction(0)
     fractional_cycles_only: bool = False
-    fractional_eps: Fraction = Fraction(0)
 
 
 def build_cpvi(pair: CyclePathPair, big_m: Fraction) -> CutCPVI:
@@ -176,9 +182,6 @@ def _angle_difference(cut: CutCPVI, pt: FractionalPoint) -> Fraction:
 def cpvi_violation(cut: CutCPVI, pt: FractionalPoint) -> Fraction:
     """|angle difference| minus the cut's right-hand side; positive means violated."""
     diff = _angle_difference(cut, pt)
-    for line, _ in cut.y_coeffs:
-        if line not in pt.y:
-            raise MissingVariableError(f"point has no y value for line {line}")
     return abs(diff) - cut.rhs_at(pt.y)
 
 
@@ -191,16 +194,13 @@ def cvi_violation(net: Network, cut: CutCVI, pt: FractionalPoint) -> Fraction:
         if line not in pt.f:
             raise MissingVariableError(f"point has no flow for line {line}")
         lhs += sign * pt.f[line] * net.lines[line].reactance
-    for line, _ in cut.y_coeffs:
-        if line not in pt.y:
-            raise MissingVariableError(f"point has no y value for line {line}")
     return abs(lhs) - cut.rhs_at(pt.y)
 
 
-def _cycle_is_promising(cycle: Cycle, pt: FractionalPoint, eps: Fraction) -> bool:
+def _cycle_is_promising(cycle: Cycle, pt: FractionalPoint) -> bool:
     for line in cycle.lines:
         value = pt.y.get(line)
-        if value is not None and eps < value < 1 - eps:
+        if value is not None and 0 < value < 1:
             return True
     return False
 
@@ -235,9 +235,7 @@ def separate_cpvi(
     big_m = global_big_m(net)
     found: dict[tuple, tuple[CutCPVI, Fraction]] = {}
     for cycle in cycles:
-        if config.fractional_cycles_only and not _cycle_is_promising(
-            cycle, pt, config.fractional_eps
-        ):
+        if config.fractional_cycles_only and not _cycle_is_promising(cycle, pt):
             continue
         half = cycle.total_weight / 2
         size = len(cycle.buses)
@@ -268,9 +266,9 @@ def separate_cpvi(
     return sorted(found.values(), key=_sort_key)
 
 
-def _cvi_subsets(net: Network, cycle: Cycle, exhaustive_cap: int = 12) -> Iterable[frozenset[int]]:
+def _cvi_subsets(net: Network, cycle: Cycle) -> Iterable[frozenset[int]]:
     size = len(cycle.lines)
-    if size <= exhaustive_cap:
+    if size <= CVI_EXHAUSTIVE_CAP:
         for r in range(1, size + 1):
             for combo in itertools.combinations(cycle.lines, r):
                 yield frozenset(combo)
@@ -295,9 +293,7 @@ def separate_cvi(
     """Find violated flow-space cuts at a fractional point carrying flows."""
     found: dict[tuple, tuple[CutCVI, Fraction]] = {}
     for cycle in cycles:
-        if config.fractional_cycles_only and not _cycle_is_promising(
-            cycle, pt, config.fractional_eps
-        ):
+        if config.fractional_cycles_only and not _cycle_is_promising(cycle, pt):
             continue
         for subset in _cvi_subsets(net, cycle):
             cut = build_cvi(net, cycle, subset)
@@ -344,6 +340,12 @@ def cvi_to_json(net: Network, cut: CutCVI, violation: Fraction | None = None) ->
     return obj
 
 
+def _require_fields(obj: dict, kind: str, fields: Sequence[str]) -> None:
+    for name in fields:
+        if name not in obj:
+            raise ParseError(f"{kind} cut has no {name!r} field")
+
+
 def _rebuild_cycle(net: Network, obj: dict) -> Cycle:
     lines = tuple(int(i) for i in obj["cycle_lines"])
     buses = tuple(obj["cycle_buses"])
@@ -353,6 +355,7 @@ def _rebuild_cycle(net: Network, obj: dict) -> Cycle:
 
 def cpvi_from_json(net: Network, obj: dict) -> CutCPVI:
     """Rebuild a path-based cut from its provenance; re-derives and verifies."""
+    _require_fields(obj, "cpvi", ("cycle_lines", "cycle_buses", "pair", "big_m", "y_coeffs", "constant"))
     cycle = _rebuild_cycle(net, obj)
     m, n = obj["pair"]
     pair = split_cycle(net, cycle, m, n)
@@ -364,6 +367,7 @@ def cpvi_from_json(net: Network, obj: dict) -> CutCPVI:
 
 
 def cvi_from_json(net: Network, obj: dict) -> CutCVI:
+    _require_fields(obj, "cvi", ("cycle_lines", "cycle_buses", "subset", "constant"))
     cycle = _rebuild_cycle(net, obj)
     cut = build_cvi(net, cycle, [int(i) for i in obj["subset"]])
     if cut is None:

@@ -20,6 +20,7 @@ from typing import NamedTuple
 from .cuts import CutCPVI
 from .errors import InvalidBigMError
 from .graph import CyclePathPair
+from .rational import dense_row
 
 __all__ = ["LinearRow", "ExtendedSystem", "build_extended", "project_to_cpvi"]
 
@@ -57,11 +58,9 @@ class ExtendedSystem:
         out = [(row.coeffs, row.rhs) for row in self.rows]
         for j, (lo, hi) in enumerate(self.boxes):
             if hi is not None:
-                coeffs = tuple(Fraction(1) if k == j else Fraction(0) for k in range(self.dim))
-                out.append((coeffs, hi))
+                out.append(dense_row(self.dim, {j: 1}, hi))
             if lo is not None:
-                coeffs = tuple(Fraction(-1) if k == j else Fraction(0) for k in range(self.dim))
-                out.append((coeffs, -lo))
+                out.append(dense_row(self.dim, {j: -1}, -lo))
         return out
 
 
@@ -85,10 +84,7 @@ def build_extended(pair: CyclePathPair, big_m: Fraction) -> ExtendedSystem:
     pos = {name: j for j, name in enumerate(var_names)}
 
     def row(name: str, entries: dict[str, Fraction], rhs: Fraction) -> LinearRow:
-        coeffs = [Fraction(0)] * dim
-        for var, value in entries.items():
-            coeffs[pos[var]] = Fraction(value)
-        return LinearRow(name, tuple(coeffs), Fraction(rhs))
+        return LinearRow(name, *dense_row(dim, {pos[var]: value for var, value in entries.items()}, rhs))
 
     rows: list[LinearRow] = []
     for line in pair.shorter.lines:

@@ -264,7 +264,6 @@ def split_cycle(net: Network, cycle: Cycle, m: str, n: str) -> CyclePathPair:
 def cycle_orientation_signs(net: Network, cycle: Cycle) -> dict[int, int]:
     """+1 where a line's stored direction agrees with the cycle traversal."""
     signs: dict[int, int] = {}
-    n = len(cycle.buses)
     for k, idx in enumerate(cycle.lines):
         tail = cycle.buses[k]
         signs[idx] = 1 if net.lines[idx].from_bus == tail else -1

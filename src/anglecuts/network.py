@@ -21,7 +21,6 @@ __all__ = [
     "Line",
     "Network",
     "load_network",
-    "line_weight",
     "network_to_json",
     "serialize_network",
 ]
@@ -79,14 +78,6 @@ class Network:
     def with_all_lines_fixed(self) -> "Network":
         """Copy with every line non-switchable (y fixed to 1)."""
         return Network(self.buses, tuple(replace(ln, switchable=False) for ln in self.lines))
-
-    def with_all_lines_switchable(self) -> "Network":
-        return Network(self.buses, tuple(replace(ln, switchable=True) for ln in self.lines))
-
-
-def line_weight(line: Line) -> Fraction:
-    """Exact product capacity * reactance."""
-    return line.weight
 
 
 def _validate(buses: tuple[Bus, ...], lines: tuple[Line, ...]) -> None:

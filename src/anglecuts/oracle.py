@@ -24,8 +24,8 @@ from .errors import (
 from .extended import ExtendedSystem
 from .graph import CyclePathPair
 from .network import Network
-from .rational import dot, format_rational, matrix_rank
-from .simplex import solve_linear_program
+from .rational import dense_row, dot, format_rational, matrix_rank
+from .simplex import Row, solve_linear_program
 
 __all__ = [
     "HPolytope",
@@ -176,17 +176,6 @@ def _propagated_box(p: HPolytope) -> tuple[list[Fraction | None], list[Fraction 
     return lows, highs
 
 
-def _lp_bound(p: HPolytope, j: int, maximize: bool) -> Fraction:
-    objective = [Fraction(0)] * p.dim
-    objective[j] = Fraction(1)
-    result = solve_linear_program(p.dim, p.rows, [], objective, minimize=not maximize)
-    if result.status == "infeasible":
-        raise InfeasibleError("polytope is empty")
-    if result.status == "unbounded":
-        raise UnboundedError(f"polytope is unbounded in coordinate {j}")
-    return result.value
-
-
 def enumerate_vertices(p: HPolytope) -> list[tuple[Fraction, ...]]:
     """All vertices of a bounded polytope, exactly.
 
@@ -204,22 +193,22 @@ def enumerate_vertices(p: HPolytope) -> list[tuple[Fraction, ...]]:
     lows, highs = _propagated_box(p)
     try:
         for j in range(p.dim):
+            unit, _ = dense_row(p.dim, {j: 1})
             if lows[j] is None:
-                lows[j] = _lp_bound(p, j, maximize=False)
+                lows[j] = rational_simplex(p, unit, "min")[0]
             if highs[j] is None:
-                highs[j] = _lp_bound(p, j, maximize=True)
+                highs[j] = rational_simplex(p, unit, "max")[0]
     except InfeasibleError:
         return []
+    except UnboundedError as exc:
+        raise UnboundedError(f"polytope is unbounded in coordinate {j}") from exc
 
     # seed simplex strictly containing the box, so its rows are never
     # tight at a true vertex
     lo = [v - 1 for v in lows]
     reach = sum((h - l for h, l in zip(highs, lo)), Fraction(0)) + 1
-    seed_rows: list[tuple[tuple[Fraction, ...], Fraction]] = []
-    for j in range(p.dim):
-        coeffs = tuple(Fraction(-1) if k == j else Fraction(0) for k in range(p.dim))
-        seed_rows.append((coeffs, -lo[j]))
-    seed_rows.append((tuple(Fraction(1) for _ in range(p.dim)), sum(lo, Fraction(0)) + reach))
+    seed_rows = [dense_row(p.dim, {j: -1}, -lo[j]) for j in range(p.dim)]
+    seed_rows.append(dense_row(p.dim, dict.fromkeys(range(p.dim), 1), sum(lo, Fraction(0)) + reach))
 
     corner = tuple(lo)
     vertices: dict[tuple[Fraction, ...], int] = {}
@@ -234,7 +223,7 @@ def enumerate_vertices(p: HPolytope) -> list[tuple[Fraction, ...]]:
 
     vertices[corner] = tight_mask(corner)
     for j in range(p.dim):
-        spike = tuple(lo[k] + (reach if k == j else 0) for k in range(p.dim))
+        spike = (*lo[:j], lo[j] + reach, *lo[j + 1:])
         vertices[spike] = tight_mask(spike)
 
     for coeffs, b in p.rows:
@@ -303,54 +292,41 @@ def rational_simplex(p: HPolytope, objective: Sequence[Fraction], sense: str = "
 # certificates
 
 
-def pair_relaxation_rows(net: Network, pair: CyclePathPair, big_m: Fraction) -> list[tuple[tuple[Fraction, ...], Fraction]]:
+def _pair_row(pair: CyclePathPair, angle: int, y: Mapping[int, Fraction | int], rhs: Fraction | int) -> Row:
+    """angle * (angle difference) + sum of y[line] * y_line <= rhs, over
+    the pair space: the angle difference first, then y in cycle-line order."""
+    lines = pair.cycle.lines
+    entries = {k + 1: y[line] for k, line in enumerate(lines) if line in y}
+    entries[0] = angle
+    return dense_row(len(lines) + 1, entries, rhs)
+
+
+def pair_relaxation_rows(net: Network, pair: CyclePathPair, big_m: Fraction) -> list[Row]:
     """H-rows of the per-pair relaxation over (angle difference, y).
 
     Both path rows and the fallback big-M row, absolute values expanded;
     the y box is not included.
     """
-    size = len(pair.cycle.lines)
-    pos = {line: k + 1 for k, line in enumerate(pair.cycle.lines)}
     rows = []
     for sign in (1, -1):
         for path in (pair.shorter, pair.longer):
-            coeffs = [Fraction(0)] * (size + 1)
-            coeffs[0] = Fraction(sign)
-            rhs = path.total_weight
-            for line in path.lines:
-                slope = big_m - net.lines[line].weight
-                coeffs[pos[line]] = slope
-                rhs += slope
-            rows.append((tuple(coeffs), rhs))
-        coeffs = [Fraction(0)] * (size + 1)
-        coeffs[0] = Fraction(sign)
-        rows.append((tuple(coeffs), big_m))
+            slopes = {line: big_m - net.lines[line].weight for line in path.lines}
+            rows.append(_pair_row(pair, sign, slopes, path.total_weight + sum(slopes.values(), Fraction(0))))
+        rows.append(_pair_row(pair, sign, {}, big_m))
     return rows
 
 
-def _y_box_rows(size: int) -> list[tuple[tuple[Fraction, ...], Fraction]]:
+def _y_box_rows(pair: CyclePathPair) -> list[Row]:
     rows = []
-    for k in range(size):
-        up = [Fraction(0)] * (size + 1)
-        up[k + 1] = Fraction(1)
-        rows.append((tuple(up), Fraction(1)))
-        down = [Fraction(0)] * (size + 1)
-        down[k + 1] = Fraction(-1)
-        rows.append((tuple(down), Fraction(0)))
+    for line in pair.cycle.lines:
+        rows.append(_pair_row(pair, 0, {line: 1}, 1))
+        rows.append(_pair_row(pair, 0, {line: -1}, 0))
     return rows
 
 
-def _cpvi_rows(cut: CutCPVI) -> list[tuple[tuple[Fraction, ...], Fraction]]:
-    size = len(cut.pair.cycle.lines)
-    pos = {line: k + 1 for k, line in enumerate(cut.pair.cycle.lines)}
-    rows = []
-    for sign in (1, -1):
-        coeffs = [Fraction(0)] * (size + 1)
-        coeffs[0] = Fraction(sign)
-        for line, coeff in cut.y_coeffs:
-            coeffs[pos[line]] = -coeff
-        rows.append((tuple(coeffs), cut.constant))
-    return rows
+def _cpvi_rows(cut: CutCPVI) -> list[Row]:
+    slopes = {line: -coeff for line, coeff in cut.y_coeffs}
+    return [_pair_row(cut.pair, sign, slopes, cut.constant) for sign in (1, -1)]
 
 
 def candidate_hull(
@@ -375,24 +351,16 @@ def candidate_hull(
     """
     from .cuts import build_cpvi
 
-    size = len(pair.cycle.lines)
-    pos = {line: k + 1 for k, line in enumerate(pair.cycle.lines)}
-    rows = _y_box_rows(size) + _cpvi_rows(build_cpvi(pair, big_m))
+    rows = _y_box_rows(pair) + _cpvi_rows(build_cpvi(pair, big_m))
     if complete:
         for sign in (1, -1):
             for path in (pair.shorter, pair.longer):
                 slope = big_m - path.total_weight
-                coeffs = [Fraction(0)] * (size + 1)
-                coeffs[0] = Fraction(sign)
-                for line in path.lines:
-                    coeffs[pos[line]] = slope
-                rows.append((tuple(coeffs), path.total_weight + slope * len(path.lines)))
+                rows.append(_pair_row(pair, sign, dict.fromkeys(path.lines, slope),
+                                      path.total_weight + slope * len(path.lines)))
     if include_fallback or complete:
-        for sign in (1, -1):
-            coeffs = [Fraction(0)] * (size + 1)
-            coeffs[0] = Fraction(sign)
-            rows.append((tuple(coeffs), big_m))
-    return HPolytope(tuple(rows), size + 1)
+        rows.extend(_pair_row(pair, sign, {}, big_m) for sign in (1, -1))
+    return HPolytope(tuple(rows), len(pair.cycle.lines) + 1)
 
 
 def extended_polytope(sys: ExtendedSystem) -> HPolytope:
@@ -420,7 +388,7 @@ def full_dimension_certificate(net: Network, pair: CyclePathPair, big_m: Fractio
     """Strict interior point (0, 1/2, ..., 1/2) plus coordinate
     perturbations of affine rank |C| + 1."""
     size = len(pair.cycle.lines)
-    rows = pair_relaxation_rows(net, pair, big_m) + _y_box_rows(size)
+    rows = pair_relaxation_rows(net, pair, big_m) + _y_box_rows(pair)
     center = tuple([Fraction(0)] + [Fraction(1, 2)] * size)
     slacks = [b - dot(coeffs, center) for coeffs, b in rows]
     if any(s <= 0 for s in slacks):
@@ -581,80 +549,57 @@ def _pattern_lp(net: Network, active: Mapping[int, int], big_m: Fraction,
     separately so callers can append them lazily."""
     ids = [bus.id for bus in net.buses]
     ref = ids[0]
-    theta_col = {bus: None for bus in ids}
-    cols: list[str] = []
-    for bus in ids:
-        cols.append(f"g::{bus}")
-    for bus in ids[1:]:
-        theta_col[bus] = len(cols)
-        cols.append(f"t::{bus}")
-    n = len(cols)
+    # columns: the generation at every bus, then the angle at every bus
+    # but the reference, whose angle is fixed to zero
+    theta_col = {bus: len(ids) + k - 1 if k else None for k, bus in enumerate(ids)}
+    n = 2 * len(ids) - 1
 
-    def theta_coeff(row: list[Fraction], bus: str, value: Fraction) -> None:
-        col = theta_col[bus]
-        if col is not None:
-            row[col] += value
+    def row(gen: Mapping[int, int], drops: Iterable[tuple[str, str, Fraction | int]], rhs: Fraction | int) -> Row:
+        """Generation terms plus value * (theta_from - theta_to) per angle drop."""
+        entries: dict[int, Fraction | int] = dict(gen)
+        for from_bus, to_bus, value in drops:
+            for bus, coeff in ((from_bus, value), (to_bus, -value)):
+                col = theta_col[bus]
+                if col is not None:
+                    entries[col] = entries.get(col, 0) + coeff
+        return dense_row(n, entries, rhs)
 
-    ineqs: list[tuple[list[Fraction], Fraction]] = []
-    eqs: list[tuple[list[Fraction], Fraction]] = []
-
-    for k, bus in enumerate(ids):
-        row = [Fraction(0)] * n
-        row[k] = Fraction(1)
-        ineqs.append((row, net.buses[k].gen_max))  # g <= gmax
-        row = [Fraction(0)] * n
-        row[k] = Fraction(-1)
-        ineqs.append((row, Fraction(0)))  # g >= 0
+    ineqs: list[Row] = []
+    for k, bus in enumerate(net.buses):
+        ineqs.append(row({k: 1}, (), bus.gen_max))  # g <= gmax
+        ineqs.append(row({k: -1}, (), 0))  # g >= 0
 
     for idx, line in enumerate(net.lines):
         limit = line.weight if active[idx] else big_m
         for sign in (1, -1):
-            row = [Fraction(0)] * n
-            theta_coeff(row, line.from_bus, Fraction(sign))
-            theta_coeff(row, line.to_bus, Fraction(-sign))
-            ineqs.append((row, limit))
+            ineqs.append(row({}, [(line.from_bus, line.to_bus, sign)], limit))
 
-    for k, bus in enumerate(ids):
-        row = [Fraction(0)] * n
-        row[k] = Fraction(1)
-        for idx in net.adjacency[bus]:
-            if not active[idx]:
-                continue
-            line = net.lines[idx]
-            inv = 1 / line.reactance
-            # flow from->to equals (theta_from - theta_to)/x; it enters
-            # the balance positively at 'to' and negatively at 'from'
-            orient = Fraction(1) if line.to_bus == bus else Fraction(-1)
-            theta_coeff(row, line.from_bus, orient * inv)
-            theta_coeff(row, line.to_bus, -orient * inv)
-        eqs.append((row, net.buses[k].demand))
+    eqs: list[Row] = []
+    for k, bus in enumerate(net.buses):
+        # flow from->to equals (theta_from - theta_to)/x; it enters
+        # the balance positively at 'to' and negatively at 'from'
+        drops = [
+            (line.from_bus, line.to_bus, (1 if line.to_bus == bus.id else -1) / line.reactance)
+            for line in (net.lines[idx] for idx in net.adjacency[bus.id] if active[idx])
+        ]
+        eqs.append(row({k: 1}, drops, bus.demand))
 
-    cut_rows: list[tuple[list[Fraction], Fraction]] = []
+    cut_rows: list[Row] = []
     for cut in cpvis:
         m, nn = cut.pair.pair
         rhs = cut.rhs_at({line: Fraction(active[line]) for line, _ in cut.y_coeffs})
         for sign in (1, -1):
-            row = [Fraction(0)] * n
-            theta_coeff(row, nn, Fraction(sign))
-            theta_coeff(row, m, Fraction(-sign))
-            cut_rows.append((row, rhs))
+            cut_rows.append(row({}, [(nn, m, sign)], rhs))
 
     for cut in cvis:
         rhs = cut.rhs_at({line: Fraction(active[line]) for line, _ in cut.y_coeffs})
-        base = [Fraction(0)] * n
-        for line_idx, sign in cut.flow_signs:
-            if not active[line_idx]:
-                continue  # the flow is fixed to zero
-            line = net.lines[line_idx]
-            # f*x on an active line equals the oriented angle drop
-            theta_coeff(base, line.from_bus, Fraction(sign))
-            theta_coeff(base, line.to_bus, Fraction(-sign))
-        cut_rows.append((list(base), rhs))
-        cut_rows.append(([-v for v in base], rhs))
+        # f*x on an active line equals the oriented angle drop; the flow
+        # of a switched-off line is fixed to zero
+        drops = [(net.lines[idx].from_bus, net.lines[idx].to_bus, s) for idx, s in cut.flow_signs if active[idx]]
+        for sign in (1, -1):
+            cut_rows.append(row({}, [(a, b, sign * s) for a, b, s in drops], rhs))
 
-    objective = [Fraction(0)] * n
-    for k, bus in enumerate(net.buses):
-        objective[k] = bus.gen_cost
+    objective, _ = dense_row(n, {k: bus.gen_cost for k, bus in enumerate(net.buses)})
     return ids, ref, theta_col, ineqs, eqs, objective, cut_rows
 
 

@@ -9,7 +9,7 @@ oracles.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence
+from typing import Mapping, Sequence
 
 
 def parse_rational(value: object, where: str = "value") -> Fraction:
@@ -40,6 +40,16 @@ def format_rational(value: Fraction) -> str:
     if value.denominator == 1:
         return str(value.numerator)
     return f"{value.numerator}/{value.denominator}"
+
+
+def dense_row(dim: int, entries: Mapping[int, Fraction | int], rhs: Fraction | int = 0) -> tuple[tuple[Fraction, ...], Fraction]:
+    """Dense (coeffs, rhs) of the row sum of entries[j] * x_j against rhs;
+    every coefficient not in entries is zero.  The one row constructor of
+    the exact layer."""
+    coeffs = [Fraction(0)] * dim
+    for j, value in entries.items():
+        coeffs[j] = Fraction(value)
+    return tuple(coeffs), Fraction(rhs)
 
 
 def dot(coeffs: Sequence[Fraction], point: Sequence[Fraction]) -> Fraction:
@@ -74,21 +84,3 @@ def matrix_rank(rows: Sequence[Sequence[Fraction]]) -> int:
         if row == len(work):
             break
     return rank
-
-
-def solve_square(matrix: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]):
-    """Solve a square exact system; returns None when the matrix is singular."""
-    n = len(matrix)
-    work = [list(row) + [rhs[i]] for i, row in enumerate(matrix)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if work[r][col] != 0), None)
-        if pivot is None:
-            return None
-        work[col], work[pivot] = work[pivot], work[col]
-        inv = work[col][col]
-        work[col] = [v / inv for v in work[col]]
-        for r in range(n):
-            if r != col and work[r][col] != 0:
-                factor = work[r][col]
-                work[r] = [a - factor * b for a, b in zip(work[r], work[col])]
-    return [work[i][n] for i in range(n)]

@@ -83,75 +83,36 @@ def solve_linear_program(
     def expand(coeffs: Sequence[Fraction]) -> list[Fraction]:
         if nonneg:
             return [Fraction(c) for c in coeffs]
-        out = []
-        for c in coeffs:
-            out.append(Fraction(c))
-        for c in coeffs:
-            out.append(Fraction(-c))
-        return out
+        return [Fraction(c) for c in coeffs] + [Fraction(-c) for c in coeffs]
 
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
-    senses: list[str] = []
-    for coeffs, b in ineqs:
-        rows.append(expand(coeffs))
-        rhs.append(Fraction(b))
-        senses.append("<=")
-    for coeffs, b in eqs:
-        rows.append(expand(coeffs))
-        rhs.append(Fraction(b))
-        senses.append("==")
-
-    m = len(rows)
-    n_slack = sum(1 for s in senses if s == "<=")
-    slack_base = width
+    # columns: structural, one slack per inequality, one artificial per row
+    # whose slack cannot start basic (an equality, or a negative rhs)
+    n_slack = len(ineqs)
+    rows = [(coeffs, Fraction(b), i < n_slack) for i, (coeffs, b) in enumerate((*ineqs, *eqs))]
     total_structural = width + n_slack
-
-    body: list[list[Fraction]] = []
-    slack_col = 0
-    slack_of_row: list[int | None] = []
-    for i in range(m):
-        row = rows[i] + [Fraction(0)] * n_slack
-        if senses[i] == "<=":
-            row[slack_base + slack_col] = Fraction(1)
-            slack_of_row.append(slack_base + slack_col)
-            slack_col += 1
-        else:
-            slack_of_row.append(None)
-        if rhs[i] < 0:
-            row = [-v for v in row]
-            rhs[i] = -rhs[i]
-        body.append(row)
-
-    # artificials for rows whose slack is absent or was negated
-    basis: list[int] = []
-    art_cols: list[int] = []
-    tableau: list[list[Fraction]] = []
-    next_art = total_structural
-    for i in range(m):
-        row = body[i]
-        sc = slack_of_row[i]
-        if sc is not None and row[sc] == 1:
-            basis.append(sc)
-            tableau.append(row + [rhs[i]])
-        else:
-            art_cols.append(next_art)
-            basis.append(next_art)
-            tableau.append(row + [rhs[i]])
-            next_art += 1
-    n_art = len(art_cols)
+    n_art = sum(1 for _, b, is_ineq in rows if b < 0 or not is_ineq)
     total = total_structural + n_art
-    for i in range(m):
-        pad = [Fraction(0)] * n_art
-        if basis[i] >= total_structural:
-            pad[basis[i] - total_structural] = Fraction(1)
-        tableau[i] = tableau[i][:-1] + pad + [tableau[i][-1]]
+    tableau: list[list[Fraction]] = []
+    basis: list[int] = []
+    next_art = total_structural
+    for i, (coeffs, b, is_ineq) in enumerate(rows):
+        row = expand(coeffs) + [Fraction(0)] * (total - width) + [b]
+        if is_ineq:
+            row[width + i] = Fraction(1)
+        if b < 0:
+            row = [-v for v in row]
+        if is_ineq and b >= 0:
+            basis.append(width + i)
+        else:
+            row[next_art] = Fraction(1)
+            basis.append(next_art)
+            next_art += 1
+        tableau.append(row)
+    m = len(rows)
 
     if n_art:
         # phase 1: drive the artificial sum to zero
-        cost = [Fraction(0)] * (total + 1)
-        for c in art_cols:
-            cost[c] = Fraction(1)
+        cost = [Fraction(0)] * total_structural + [Fraction(1)] * n_art + [Fraction(0)]
         for i in range(m):
             if basis[i] >= total_structural:
                 cost = [a - b for a, b in zip(cost, tableau[i])]
@@ -172,22 +133,17 @@ def solve_linear_program(
         m = len(basis)
 
     # phase 2 cost row: reduced costs of the real objective
-    full_cost = expand(obj) + [Fraction(0)] * (len(tableau[0]) - width if tableau else 1)
-    if tableau:
-        full_cost = full_cost[: len(tableau[0])]
-    else:
-        full_cost = expand(obj) + [Fraction(0)]
+    full_cost = expand(obj) + [Fraction(0)] * (total + 1 - width)
     cost = list(full_cost)
     for i in range(m):
         cb = full_cost[basis[i]]
         if cb:
             cost = [a - cb * b for a, b in zip(cost, tableau[i])]
     tableau.append(cost)
-    status = _run(tableau, basis, total_structural if m else width)
-    if status == "unbounded":
+    if _run(tableau, basis, total_structural) == "unbounded":
         return LPResult("unbounded")
 
-    values = [Fraction(0)] * (len(tableau[0]) - 1)
+    values = [Fraction(0)] * total
     for i in range(m):
         values[basis[i]] = tableau[i][-1]
     if nonneg:

@@ -1,9 +1,12 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import anglecuts
 from anglecuts.cli import main
 from anglecuts.network import serialize_network
 
@@ -173,6 +176,24 @@ def test_cuts_bad_point_exit_2(capsys, tmp_path):
     assert code == 2 and "unknown bus" in err
 
 
+@pytest.mark.parametrize(
+    "command, name, text, message",
+    [
+        ("emit", "cuts.jsonl", "[1, 2]\n", "not a JSON object"),
+        ("emit", "cuts.jsonl", '{"kind": "cpvi"}\n', "cycle_lines"),
+        ("cuts", "pt.json", '{"theta": ["0"], "y": {}}', "'theta'"),
+    ],
+    ids=["cut-line-array", "cut-missing-field", "point-theta-list"],
+)
+def test_malformed_input_exit_2(capsys, tmp_path, command, name, text, message):
+    path = tmp_path / name
+    path.write_text(text)
+    flag = "--cuts" if command == "emit" else "--point"
+    code, _, err = run(capsys, command, FIG1, flag, str(path))
+    assert code == 2
+    assert "input error" in err and message in err
+
+
 # -- emit ---------------------------------------------------------------------
 
 
@@ -199,6 +220,13 @@ def test_emit_with_cuts_roundtrip(capsys, tmp_path):
 def test_emit_embed_extended(capsys):
     code, out, _ = run(capsys, "emit", FIG1, "--embed-extended")
     assert code == 0 and "ext_0_0_1_z_long_only" in out
+
+
+def test_emit_embed_extended_matches_golden(capsys, small_ring, tmp_path):
+    out_path = tmp_path / "ring3.lp"
+    code, _, _ = run(capsys, "emit", small_ring, "--embed-extended", "--out", str(out_path))
+    assert code == 0
+    assert out_path.read_bytes() == (DATA / "ring3_embed_extended.lp").read_bytes()
 
 
 def test_emit_bounds_strategy(capsys, tmp_path, fig1_fixed):
@@ -235,6 +263,18 @@ def test_certify_reports_all_claims(capsys, small_ring, tmp_path):
     assert all(not e["passed"] for e in with_fallback)
     assert all(e["passed"] for e in completed)
     assert code == 1  # honest: one reported claim fails
+
+
+@pytest.mark.parametrize(
+    "flags, golden",
+    [((), "ring3_certify.json"), (("--strict-theorem2",), "ring3_certify_strict.json")],
+    ids=["default", "strict"],
+)
+def test_certify_matches_golden(capsys, small_ring, tmp_path, flags, golden):
+    report_path = tmp_path / "report.json"
+    code, _, _ = run(capsys, "certify", small_ring, *flags, "--report", str(report_path))
+    assert code == 1
+    assert report_path.read_bytes() == (DATA / golden).read_bytes()
 
 
 def test_certify_strict_theorem2(capsys, small_ring):
@@ -278,10 +318,15 @@ def test_outputs_byte_identical_across_runs(capsys, tmp_path):
 
 
 def test_module_entry_point():
+    # the child process imports the package from where this one found it,
+    # installed or not
+    src = str(Path(anglecuts.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
         [sys.executable, "-m", "anglecuts", "validate", FIG1],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["buses"] == 6

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from anglecuts.errors import DisconnectedError, ParseError, ValidationError
-from anglecuts.network import Line, line_weight, load_network, network_to_json, serialize_network
+from anglecuts.network import Line, load_network, network_to_json, serialize_network
 
 from conftest import make_net
 
@@ -20,8 +20,8 @@ def test_weight_is_exact_rational_product():
 
 
 def test_line_weight_examples():
-    assert line_weight(Line("a", "b", F(1), F(1))) == 1
-    assert line_weight(Line("a", "b", F(3, 7), F(14))) == 6
+    assert Line("a", "b", F(1), F(1)).weight == 1
+    assert Line("a", "b", F(3, 7), F(14)).weight == 6
 
 
 def test_singleton_network_is_valid():

@@ -11,6 +11,7 @@ from anglecuts.extended import build_extended
 from anglecuts.graph import fundamental_cycle_basis, split_cycle
 from anglecuts.oracle import (
     Claim,
+    DcotsResult,
     HPolytope,
     affine_rank,
     brute_force_dcots,
@@ -295,6 +296,31 @@ def test_brute_force_switching_strictly_helps(triangle):
     assert switched.cost == 6 and fixed.cost == 33
     assert switched.cost < fixed.cost
     assert switched.y == {0: 1, 1: 1, 2: 0}
+
+
+PINNED_DCOTS = {
+    "triangle": dict(
+        cost=F(6),
+        generation={"a": F(6), "b": F(0), "c": F(0)},
+        flows={0: F(6), 1: F(6), 2: F(0)},
+        angles={"a": F(0), "b": F(-6), "c": F(-12)},
+        y={0: 1, 1: 1, 2: 0},
+    ),
+    "fig1": dict(
+        cost=F(5),
+        generation={"i0": F(1), "i1": F(0), "i2": F(0), "i3": F(0), "i4": F(0), "i5": F(0)},
+        flows={0: F(1, 2), 1: F(1, 2), 2: F(1, 2), 3: F(-1, 2), 4: F(-1, 2), 5: F(1, 2)},
+        angles={"i0": F(0), "i1": F(-1, 2), "i2": F(-1), "i3": F(-3, 2), "i4": F(-1), "i5": F(-1, 2)},
+        y={k: 1 for k in range(6)},
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_DCOTS))
+def test_brute_force_full_result_pinned(request, name):
+    # the optimal point depends on the simplex pivot path, so this pins it
+    result = brute_force_dcots(request.getfixturevalue(name))
+    assert result == DcotsResult(**PINNED_DCOTS[name])
 
 
 def test_brute_force_all_infeasible():
