@@ -1,7 +1,7 @@
 """Angle-difference bound tightening and cycle cut generation for
 DC optimal transmission switching MILPs."""
 
-from .bounds import BoundReport, BoundSource, bound_report, global_big_m, pair_bound
+from .bounds import BoundReport, BoundSource, bound_report, global_big_m, pair_bound, pair_bounds
 from .cuts import (
     CutCPVI,
     CutCVI,
@@ -22,6 +22,7 @@ from .graph import (
     all_simple_cycles,
     fundamental_cycle_basis,
     shortest_path_bound,
+    shortest_path_lengths,
     spanning_tree,
     split_cycle,
 )

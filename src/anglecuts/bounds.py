@@ -8,14 +8,18 @@ the sum of all line weights.
 from __future__ import annotations
 
 import enum
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
-from .graph import shortest_path_bound
+from .errors import UnknownBusError
+# shortest_path_bound is unused here but stays a module attribute: bench/layers.py wraps it by this name
+from .graph import shortest_path_bound, shortest_path_lengths  # noqa: F401
 from .network import Network
 from .rational import format_rational
 
-__all__ = ["BoundSource", "PairBound", "BoundReport", "global_big_m", "pair_bound", "bound_report"]
+__all__ = ["BoundSource", "PairBound", "BoundReport", "global_big_m", "pair_bound", "pair_bounds", "bound_report"]
 
 
 class BoundSource(enum.Enum):
@@ -56,26 +60,44 @@ def global_big_m(net: Network) -> Fraction:
     return sum((line.weight for line in net.lines), Fraction(0))
 
 
-def pair_bound(net: Network, m: str, n: str) -> tuple[Fraction, BoundSource]:
-    """Tightest bound on the angle difference of a pair valid for every topology.
+def pair_bounds(net: Network, pairs: Sequence[tuple[str, str]]) -> list[tuple[Fraction, BoundSource]]:
+    """Tightest bound on the angle difference of each pair valid for every topology.
 
     Uses the shortest path over non-switchable lines when one exists;
     such a path is active under every switching decision, so the
     telescoped bound always applies.  Otherwise falls back to the global M.
+    Every pair is checked before any search; then one search over the
+    fixed lines runs per distinct first bus and answers all its pairs.
     """
-    fixed = [i for i, line in enumerate(net.lines) if not line.switchable]
-    sp = shortest_path_bound(net, m, n, active_lines=fixed)
-    if sp is not None:
-        return sp, BoundSource.SHORTEST_PATH_ACTIVE
-    return global_big_m(net), BoundSource.TRIVIAL_M
+    by_source: dict[str, list[int]] = {}
+    for k, (m, n) in enumerate(pairs):
+        for bus in (m, n):
+            if bus not in net.bus_index:
+                raise UnknownBusError(f"unknown bus {bus!r}")
+        if m == n:
+            raise ValueError("a pair bound requires two distinct buses")
+        by_source.setdefault(m, []).append(k)
+    fixed = frozenset(i for i, line in enumerate(net.lines) if not line.switchable)
+    big = global_big_m(net)
+    out: dict[int, tuple[Fraction, BoundSource]] = {}
+    for m, ks in by_source.items():
+        dist = shortest_path_lengths(net, m, fixed)
+        for k in ks:
+            sp = dist.get(pairs[k][1])
+            if sp is not None:
+                out[k] = (sp, BoundSource.SHORTEST_PATH_ACTIVE)
+            else:
+                out[k] = (big, BoundSource.TRIVIAL_M)
+    return [out[k] for k in range(len(pairs))]
+
+
+def pair_bound(net: Network, m: str, n: str) -> tuple[Fraction, BoundSource]:
+    """The bound of one pair; see pair_bounds."""
+    return pair_bounds(net, [(m, n)])[0]
 
 
 def bound_report(net: Network) -> BoundReport:
     """Bounds for every unordered bus pair, in network bus order."""
-    pairs = []
-    ids = [bus.id for bus in net.buses]
-    for i in range(len(ids)):
-        for j in range(i + 1, len(ids)):
-            bound, source = pair_bound(net, ids[i], ids[j])
-            pairs.append(PairBound(ids[i], ids[j], bound, source))
-    return BoundReport(global_big_m(net), tuple(pairs))
+    keys = list(itertools.combinations([bus.id for bus in net.buses], 2))
+    bounds = pair_bounds(net, keys)
+    return BoundReport(global_big_m(net), tuple(PairBound(m, n, *b) for (m, n), b in zip(keys, bounds)))

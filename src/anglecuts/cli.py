@@ -125,9 +125,9 @@ def cmd_validate(args) -> int:
 
 def cmd_bounds(args) -> int:
     net = _load_net(args.network)
-    report = bound_report(net)
-    _emit(json.dumps(report.to_json(), indent=2), args.out)
-    _say(f"global M = {report.to_json()['global_M']}; {len(report.pairs)} pair bounds")
+    doc = bound_report(net).to_json()
+    _emit(json.dumps(doc, indent=2), args.out)
+    _say(f"global M = {doc['global_M']}; {len(doc['pairs'])} pair bounds")
     return EXIT_OK
 
 

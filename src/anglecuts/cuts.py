@@ -346,21 +346,66 @@ def _require_fields(obj: dict, kind: str, fields: Sequence[str]) -> None:
             raise ParseError(f"{kind} cut has no {name!r} field")
 
 
-def _rebuild_cycle(net: Network, obj: dict) -> Cycle:
-    lines = tuple(int(i) for i in obj["cycle_lines"])
-    buses = tuple(obj["cycle_buses"])
+def _line_list(net: Network, obj: dict, kind: str, name: str) -> tuple[int, ...]:
+    """A nonempty JSON list of distinct in-range line indices."""
+    value = obj[name]
+    if not isinstance(value, list) or not value:
+        raise ParseError(f"{kind} cut: {name!r} must be a nonempty list of line indices")
+    for idx in value:
+        if not isinstance(idx, int) or isinstance(idx, bool):
+            raise ParseError(f"{kind} cut: {name!r} entry {idx!r} is not a line index")
+        if not 0 <= idx < len(net.lines):
+            raise ParseError(f"{kind} cut: {name!r} line index {idx} out of range")
+    if len(set(value)) != len(value):
+        raise ParseError(f"{kind} cut: {name!r} repeats a line")
+    return tuple(value)
+
+
+def _rebuild_cycle(net: Network, obj: dict, kind: str) -> Cycle:
+    """The stored cycle, checked to be a closed walk of the network:
+    cycle_lines[k] joins cycle_buses[k] and the next bus, the last line
+    returning to the first bus."""
+    lines = _line_list(net, obj, kind, "cycle_lines")
+    buses = obj["cycle_buses"]
+    if not isinstance(buses, list) or len(buses) != len(lines) or len(lines) < 2:
+        raise ParseError(f"{kind} cut: 'cycle_buses' must list one bus per cycle line, at least two")
+    if not all(isinstance(b, str) for b in buses) or len(set(buses)) != len(buses):
+        raise ParseError(f"{kind} cut: 'cycle_buses' must be distinct bus ids")
+    for k, idx in enumerate(lines):
+        here, after = buses[k], buses[(k + 1) % len(buses)]
+        if net.lines[idx].endpoints() != {here, after}:
+            raise ParseError(f"{kind} cut: 'cycle_lines' line {idx} does not join cycle_buses {here!r} and {after!r}")
     total = sum((net.lines[i].weight for i in lines), Fraction(0))
-    return Cycle(lines, buses, total)
+    return Cycle(lines, tuple(buses), total)
+
+
+def _y_coeffs(obj: dict, kind: str) -> dict[int, Fraction]:
+    value = obj["y_coeffs"]
+    if not isinstance(value, dict):
+        raise ParseError(f"{kind} cut: 'y_coeffs' must be an object of line index to coefficient")
+    out = {}
+    for key, coeff in value.items():
+        if not (key.isascii() and key.isdigit()):
+            raise ParseError(f"{kind} cut: 'y_coeffs' key {key!r} is not a line index")
+        out[int(key)] = parse_rational(coeff, f"y_coeffs[{key}]")
+    return out
 
 
 def cpvi_from_json(net: Network, obj: dict) -> CutCPVI:
     """Rebuild a path-based cut from its provenance; re-derives and verifies."""
     _require_fields(obj, "cpvi", ("cycle_lines", "cycle_buses", "pair", "big_m", "y_coeffs", "constant"))
-    cycle = _rebuild_cycle(net, obj)
-    m, n = obj["pair"]
-    pair = split_cycle(net, cycle, m, n)
+    cycle = _rebuild_cycle(net, obj, "cpvi")
+    ends = obj["pair"]
+    if not (
+        isinstance(ends, list)
+        and len(ends) == 2
+        and all(isinstance(b, str) and b in cycle.buses for b in ends)
+        and ends[0] != ends[1]
+    ):
+        raise ParseError("cpvi cut: 'pair' must list two distinct buses of 'cycle_buses'")
+    pair = split_cycle(net, cycle, *ends)
     cut = build_cpvi(pair, parse_rational(obj["big_m"], "big_m"))
-    expect = {int(k): parse_rational(v, "y_coeffs") for k, v in obj["y_coeffs"].items()}
+    expect = _y_coeffs(obj, "cpvi")
     if cut.coeff_map() != expect or cut.constant != parse_rational(obj["constant"], "constant"):
         raise ValueError("stored cut coefficients do not match its provenance")
     return cut
@@ -368,8 +413,11 @@ def cpvi_from_json(net: Network, obj: dict) -> CutCPVI:
 
 def cvi_from_json(net: Network, obj: dict) -> CutCVI:
     _require_fields(obj, "cvi", ("cycle_lines", "cycle_buses", "subset", "constant"))
-    cycle = _rebuild_cycle(net, obj)
-    cut = build_cvi(net, cycle, [int(i) for i in obj["subset"]])
+    cycle = _rebuild_cycle(net, obj, "cvi")
+    subset = _line_list(net, obj, "cvi", "subset")
+    if not set(subset) <= set(cycle.lines):
+        raise ParseError("cvi cut: 'subset' lists a line that is not on the cycle")
+    cut = build_cvi(net, cycle, subset)
     if cut is None:
         raise ValueError("stored subset yields a trivial cut")
     if cut.constant != parse_rational(obj["constant"], "constant"):

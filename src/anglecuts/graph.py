@@ -22,6 +22,7 @@ __all__ = [
     "CyclePathPair",
     "spanning_tree",
     "fundamental_cycle_basis",
+    "shortest_path_lengths",
     "shortest_path_bound",
     "split_cycle",
     "all_simple_cycles",
@@ -188,37 +189,51 @@ def fundamental_cycle_basis(net: Network) -> list[Cycle]:
     return cycles
 
 
+def shortest_path_lengths(
+    net: Network, source: str, active_lines: Iterable[int] | None = None
+) -> dict[str, Fraction]:
+    """Minimum total weight from source to every bus it reaches inside
+    the given line subset, source itself at 0.
+
+    With active_lines None the whole line set is used; a set or frozenset
+    is used as is, so a caller searching from many sources builds it
+    once.  Label-setting search; comparisons are exact.
+    """
+    _check_bus(net, source)
+    if active_lines is not None and not isinstance(active_lines, (set, frozenset)):
+        active_lines = frozenset(active_lines)
+    dist: dict[str, Fraction] = {source: Fraction(0)}
+    done: dict[str, Fraction] = {}
+    heap: list[tuple[Fraction, int, str]] = [(Fraction(0), net.bus_index[source], source)]
+    while heap:
+        d, _, bus = heapq.heappop(heap)
+        if bus in done:
+            continue
+        done[bus] = d
+        for idx in net.adjacency[bus]:
+            if active_lines is not None and idx not in active_lines:
+                continue
+            other = net.lines[idx].other(bus)
+            if other in done:
+                continue
+            nd = d + net.lines[idx].weight
+            if other not in dist or nd < dist[other]:
+                dist[other] = nd
+                heapq.heappush(heap, (nd, net.bus_index[other], other))
+    return done
+
+
 def shortest_path_bound(net: Network, m: str, n: str, active_lines: Iterable[int] | None = None):
     """Minimum total weight over paths m..n inside the given line subset.
 
     Returns None when the pair is unreachable in that subgraph.  With
-    active_lines None the whole line set is used.  Label-setting search;
-    comparisons are exact.
+    active_lines None the whole line set is used.
     """
     _check_bus(net, m)
     _check_bus(net, n)
     if m == n:
         raise ValueError("shortest_path_bound requires two distinct buses")
-    allowed = set(range(len(net.lines))) if active_lines is None else set(active_lines)
-    dist: dict[str, Fraction] = {m: Fraction(0)}
-    done: set[str] = set()
-    heap: list[tuple[Fraction, int, str]] = [(Fraction(0), net.bus_index[m], m)]
-    while heap:
-        d, _, bus = heapq.heappop(heap)
-        if bus in done:
-            continue
-        if bus == n:
-            return d
-        done.add(bus)
-        for idx in net.adjacency[bus]:
-            if idx not in allowed:
-                continue
-            other = net.lines[idx].other(bus)
-            nd = d + net.lines[idx].weight
-            if other not in dist or nd < dist[other]:
-                dist[other] = nd
-                heapq.heappush(heap, (nd, net.bus_index[other], other))
-    return None
+    return shortest_path_lengths(net, m, active_lines).get(n)
 
 
 def _arc_path(net: Network, cycle: Cycle, start: int, stop: int) -> Path:

@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .bounds import global_big_m, pair_bound
+# pair_bound is unused here but stays a module attribute: bench/layers.py wraps it by this name
+from .bounds import global_big_m, pair_bound, pair_bounds  # noqa: F401
 from .cuts import CutCPVI, CutCVI
 from .extended import ExtendedSystem
 from .network import Network, parallel_ordinals
@@ -58,20 +59,28 @@ class MilpModel:
     constraints: list[MilpConstraint] = field(default_factory=list)
     objective: list[tuple[str, Fraction]] = field(default_factory=list)
     comments: list[str] = field(default_factory=list)
+    # name indices, kept in step with the two lists by the add_* methods
+    _var_names: set[str] = field(default_factory=set, init=False, repr=False, compare=False)
+    _con_names: set[str] = field(default_factory=set, init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self._var_names.update(v.name for v in self.variables)
+        self._con_names.update(c.name for c in self.constraints)
 
     def add_variable(self, name: str, kind: str, lower, upper) -> None:
-        if any(v.name == name for v in self.variables):
+        if name in self._var_names:
             raise ValueError(f"duplicate variable name {name!r}")
+        self._var_names.add(name)
         self.variables.append(MilpVariable(name, kind, lower, upper))
 
     def add_constraint(self, name: str, coeffs: Iterable[tuple[str, Fraction]], sense: str, rhs: Fraction) -> None:
-        known = {v.name for v in self.variables}
         pairs = tuple((var, Fraction(c)) for var, c in coeffs if c != 0)
         for var, _ in pairs:
-            if var not in known:
+            if var not in self._var_names:
                 raise ValueError(f"constraint {name!r} references undeclared variable {var!r}")
-        if any(c.name == name for c in self.constraints):
+        if name in self._con_names:
             raise ValueError(f"duplicate constraint name {name!r}")
+        self._con_names.add(name)
         self.constraints.append(MilpConstraint(name, pairs, sense, Fraction(rhs)))
 
 
@@ -98,7 +107,10 @@ def build_dcots(
         raise ValueError("bigm must be 'global' or 'bounds'")
     model = MilpModel()
     ordinals = parallel_ordinals(net)
-    big = global_big_m(net)
+    if bigm == "bounds":
+        m_lines = [bound for bound, _source in pair_bounds(net, [(ln.from_bus, ln.to_bus) for ln in net.lines])]
+    else:
+        m_lines = [global_big_m(net)] * len(net.lines)
 
     g_name = {bus.id: f"g_{_safe(bus.id)}" for bus in net.buses}
     t_name = {bus.id: f"theta_{_safe(bus.id)}" for bus in net.buses}
@@ -145,11 +157,7 @@ def build_dcots(
             "<=",
             Fraction(0),
         )
-        if bigm == "bounds":
-            bound, _source = pair_bound(net, line.from_bus, line.to_bus)
-            m_line = bound
-        else:
-            m_line = big
+        m_line = m_lines[idx]
         model.add_constraint(
             f"ohm_hi_{tag}",
             [

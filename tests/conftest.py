@@ -1,4 +1,5 @@
 import json
+import random
 from fractions import Fraction
 from pathlib import Path
 
@@ -97,3 +98,22 @@ def triangle():
         [("a", 0, 10, 1), ("b", 0, 10, 10), ("c", 6)],
         [("a", "b", 1, 10), ("b", "c", 1, 10), ("a", "c", 1, 3)],
     )
+
+
+def random_net(seed: int, max_buses: int = 7):
+    """A seeded connected network with mixed switchable lines.
+
+    A random spanning tree plus a few extra lines, parallel ones
+    included; each line is switchable with probability 1/2, so the
+    fixed subgraph is often disconnected.  Weights are small rationals.
+    """
+    rng = random.Random(seed)
+    n = rng.randint(3, max_buses)
+    ids = [f"v{k}" for k in range(n)]
+    ends = [(ids[rng.randrange(k)], ids[k]) for k in range(1, n)]
+    ends += [tuple(rng.sample(ids, 2)) for _ in range(rng.randint(1, n))]
+    lines = [
+        (a, b, Fraction(1, rng.randint(1, 4)), rng.randint(1, 6), rng.random() < 0.5)
+        for a, b in ends
+    ]
+    return make_net([(bus,) for bus in ids], lines)

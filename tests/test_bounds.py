@@ -4,13 +4,14 @@ from fractions import Fraction as F
 
 import pytest
 
-from anglecuts.bounds import BoundSource, bound_report, global_big_m, pair_bound
+from anglecuts.bounds import BoundSource, PairBound, bound_report, global_big_m, pair_bound, pair_bounds
 from anglecuts.errors import UnknownBusError
 from anglecuts.milp import build_dcots
 from anglecuts.network import Network
 from anglecuts.simplex import solve_linear_program
 
-from conftest import make_net
+from _brute import brute_shortest_path
+from conftest import make_net, random_net
 
 
 def test_global_big_m_examples(fig1):
@@ -40,6 +41,48 @@ def test_pair_bound_fig1_fixed(fig1_fixed):
 def test_pair_bound_unknown_bus(fig1):
     with pytest.raises(UnknownBusError):
         pair_bound(fig1, "i0", "zz")
+    with pytest.raises(UnknownBusError):
+        pair_bound(fig1, "zz", "i0")
+    with pytest.raises(ValueError):
+        pair_bound(fig1, "i0", "i0")
+
+
+def reference_report(net):
+    """Pair by pair: exhaustive paths over the fixed lines, else the line-weight sum."""
+    fixed = [i for i, line in enumerate(net.lines) if not line.switchable]
+    total = sum((line.weight for line in net.lines), F(0))
+    ids = [bus.id for bus in net.buses]
+    pairs = []
+    for i in range(len(ids)):
+        for j in range(i + 1, len(ids)):
+            sp = brute_shortest_path(net, ids[i], ids[j], fixed)
+            if sp is None:
+                pairs.append(PairBound(ids[i], ids[j], total, BoundSource.TRIVIAL_M))
+            else:
+                pairs.append(PairBound(ids[i], ids[j], sp, BoundSource.SHORTEST_PATH_ACTIVE))
+    return total, tuple(pairs)
+
+
+def test_bound_report_matches_pair_by_pair_reference():
+    sources = set()
+    for seed in range(40):
+        net = random_net(seed)
+        report = bound_report(net)
+        assert (report.global_m, report.pairs) == reference_report(net)
+        for pb in report.pairs:
+            assert pair_bound(net, pb.m, pb.n) == pair_bound(net, pb.n, pb.m) == (pb.bound, pb.source)
+        sources |= {pb.source for pb in report.pairs}
+    # the seeds cover fixed subgraphs that leave pairs unreached
+    assert sources == set(BoundSource)
+
+
+def test_pair_bounds_any_order_and_repeats():
+    net = random_net(5)
+    report = bound_report(net)
+    keys = [(pb.n, pb.m) for pb in reversed(report.pairs)] * 2
+    expect = [(pb.bound, pb.source) for pb in reversed(report.pairs)] * 2
+    assert pair_bounds(net, keys) == expect
+    assert pair_bounds(net, []) == []
 
 
 def test_bound_report_examples():

@@ -7,12 +7,16 @@ from pathlib import Path
 import pytest
 
 import anglecuts
+from anglecuts.bounds import global_big_m
 from anglecuts.cli import main
-from anglecuts.network import serialize_network
+from anglecuts.cuts import build_cpvi, build_cvi, cpvi_to_json, cvi_to_json
+from anglecuts.graph import Cycle, fundamental_cycle_basis, split_cycle
+from anglecuts.network import load_network, serialize_network
 
 from conftest import DATA, make_net, ring_net
 
 FIG1 = str(DATA / "fig1.json")
+MIXED6 = str(DATA / "mixed6.json")
 
 
 def run(capsys, *argv):
@@ -176,14 +180,66 @@ def test_cuts_bad_point_exit_2(capsys, tmp_path):
     assert code == 2 and "unknown bus" in err
 
 
+def fig1_cut(kind, **fields):
+    """A cut line on fig1's six-cycle with some fields replaced."""
+    net = load_network((DATA / "fig1.json").read_bytes())
+    cycle = fundamental_cycle_basis(net)[0]
+    if kind == "cpvi":
+        obj = cpvi_to_json(net, build_cpvi(split_cycle(net, cycle, "i0", "i3"), global_big_m(net)))
+    else:
+        obj = cvi_to_json(net, build_cvi(net, cycle, [1, 2, 4, 5]))
+    obj.update(fields)
+    return json.dumps(obj) + "\n"
+
+
+def fake_reordered_cut():
+    """fig1's cycle lines with the buses reordered i0,i3,i1,i4,i2,i5: the
+    claimed shorter arc from i0 to i3 is line 0 alone, which cuts off the
+    plain optimum (|theta_i3 - theta_i0| = 3/2 against a right-hand side of 1)."""
+    net = load_network((DATA / "fig1.json").read_bytes())
+    fake = Cycle(tuple(range(6)), ("i0", "i3", "i1", "i4", "i2", "i5"), 6)
+    return json.dumps(cpvi_to_json(net, build_cpvi(split_cycle(net, fake, "i0", "i3"), global_big_m(net)))) + "\n"
+
+
 @pytest.mark.parametrize(
     "command, name, text, message",
     [
         ("emit", "cuts.jsonl", "[1, 2]\n", "not a JSON object"),
         ("emit", "cuts.jsonl", '{"kind": "cpvi"}\n', "cycle_lines"),
         ("cuts", "pt.json", '{"theta": ["0"], "y": {}}', "'theta'"),
+        ("emit", "cuts.jsonl", fig1_cut("cpvi", y_coeffs=[]), "'y_coeffs'"),
+        ("emit", "cuts.jsonl", fig1_cut("cpvi", y_coeffs={"x": "1"}), "'y_coeffs'"),
+        ("emit", "cuts.jsonl", fig1_cut("cpvi", cycle_lines=[99, 1, 2, 3, 4, 5]), "'cycle_lines'"),
+        ("emit", "cuts.jsonl", fig1_cut("cvi", cycle_lines=[0, 1, 2, 3, 4, -1]), "'cycle_lines'"),
+        ("emit", "cuts.jsonl", fig1_cut("cpvi", cycle_lines=[0, 0, 2, 3, 4, 5]), "'cycle_lines'"),
+        ("emit", "cuts.jsonl", fig1_cut("cpvi", cycle_lines=["0", 1, 2, 3, 4, 5]), "'cycle_lines'"),
+        ("emit", "cuts.jsonl", fig1_cut("cpvi", cycle_buses=["i0", "i1"]), "'cycle_buses'"),
+        ("emit", "cuts.jsonl", fig1_cut("cpvi", cycle_lines=[0, 1, 2, 3, 4],
+                                        cycle_buses=["i0", "i1", "i2", "i3", "i4"]), "'cycle_lines'"),
+        ("emit", "cuts.jsonl", fake_reordered_cut(), "'cycle_lines'"),
+        ("emit", "cuts.jsonl", fig1_cut("cvi", subset=3), "'subset'"),
+        ("emit", "cuts.jsonl", fig1_cut("cvi", subset=[1, 2, 4, 99]), "'subset'"),
+        ("emit", "cuts.jsonl", fig1_cut("cpvi", pair="ab"), "'pair'"),
+        ("emit", "cuts.jsonl", fig1_cut("cpvi", pair=["i0", "zz"]), "'pair'"),
     ],
-    ids=["cut-line-array", "cut-missing-field", "point-theta-list"],
+    ids=[
+        "cut-line-array",
+        "cut-missing-field",
+        "point-theta-list",
+        "cut-y-coeffs-list",
+        "cut-y-coeffs-key",
+        "cut-line-out-of-range",
+        "cut-line-negative",
+        "cut-line-repeated",
+        "cut-line-string",
+        "cut-buses-short",
+        "cut-cycle-open",
+        "cut-buses-reordered",
+        "cut-subset-int",
+        "cut-subset-out-of-range",
+        "cut-pair-string",
+        "cut-pair-off-cycle",
+    ],
 )
 def test_malformed_input_exit_2(capsys, tmp_path, command, name, text, message):
     path = tmp_path / name
@@ -227,6 +283,23 @@ def test_emit_embed_extended_matches_golden(capsys, small_ring, tmp_path):
     code, _, _ = run(capsys, "emit", small_ring, "--embed-extended", "--out", str(out_path))
     assert code == 0
     assert out_path.read_bytes() == (DATA / "ring3_embed_extended.lp").read_bytes()
+
+
+def test_mixed6_golden_reports_both_sources():
+    sources = {p["source"] for p in json.loads((DATA / "mixed6_bounds.json").read_text())["pairs"]}
+    assert sources == {"shortest_path_active", "trivial_m"}
+
+
+@pytest.mark.parametrize(
+    "argv, golden",
+    [(("bounds",), "mixed6_bounds.json"), (("emit", "--bigm", "bounds"), "mixed6_bounds.lp")],
+    ids=["bounds", "emit-bigm-bounds"],
+)
+def test_mixed6_matches_golden(capsys, tmp_path, argv, golden):
+    out_path = tmp_path / golden
+    code, _, _ = run(capsys, argv[0], MIXED6, *argv[1:], "--out", str(out_path))
+    assert code == 0
+    assert out_path.read_bytes() == (DATA / golden).read_bytes()
 
 
 def test_emit_bounds_strategy(capsys, tmp_path, fig1_fixed):

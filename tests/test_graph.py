@@ -10,12 +10,13 @@ from anglecuts.graph import (
     cycle_orientation_signs,
     fundamental_cycle_basis,
     shortest_path_bound,
+    shortest_path_lengths,
     spanning_tree,
     split_cycle,
 )
 
 from _brute import brute_shortest_path
-from conftest import make_net, ring_net
+from conftest import make_net, random_net, ring_net
 
 
 @pytest.fixture(scope="module")
@@ -178,3 +179,26 @@ def test_shortest_path_brute_force_on_mesh():
     ids = [b.id for b in net.buses]
     for m, n in itertools.combinations(ids, 2):
         assert shortest_path_bound(net, m, n) == brute_shortest_path(net, m, n)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_shortest_path_lengths_match_brute_force_on_random_networks(seed):
+    net = random_net(seed)
+    ids = [b.id for b in net.buses]
+    fixed = [i for i, line in enumerate(net.lines) if not line.switchable]
+    for active in (None, fixed):
+        for source in ids:
+            brute = {t: brute_shortest_path(net, source, t, active) for t in ids}
+            expect = {t: d for t, d in brute.items() if d is not None}
+            assert shortest_path_lengths(net, source, active) == expect
+            for target in ids:
+                if target != source:
+                    assert shortest_path_bound(net, source, target, active) == brute[target]
+
+
+def test_shortest_path_lengths_checks(fig1):
+    assert shortest_path_lengths(fig1, "i0", active_lines=[0, 1]) == {"i0": 0, "i1": 1, "i2": 2}
+    with pytest.raises(UnknownBusError):
+        shortest_path_lengths(fig1, "nope")
+    with pytest.raises(ValueError):
+        shortest_path_bound(fig1, "i0", "i0")

@@ -8,12 +8,21 @@ from anglecuts.bounds import global_big_m
 from anglecuts.cuts import build_cpvi, build_cvi
 from anglecuts.extended import build_extended
 from anglecuts.graph import fundamental_cycle_basis, split_cycle
-from anglecuts.milp import build_dcots, extended_model, lp_text, merge_models, write_lp
+from anglecuts.milp import (
+    MilpConstraint,
+    MilpModel,
+    MilpVariable,
+    build_dcots,
+    extended_model,
+    lp_text,
+    merge_models,
+    write_lp,
+)
 from anglecuts.oracle import brute_force_dcots
 from anglecuts.simplex import solve_linear_program
 
-from conftest import DATA, make_net
-from test_bounds import milp_as_lp
+from conftest import DATA, make_net, random_net
+from test_bounds import milp_as_lp, reference_report
 
 
 def test_two_bus_row_and_variable_counts():
@@ -99,10 +108,62 @@ def test_nonterminating_objective_flagged():
 def test_duplicate_names_rejected():
     net = make_net([("a",), ("b",)], [("a", "b", 1, 1)])
     model = build_dcots(net)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="duplicate variable name 'g_a'"):
         model.add_variable("g_a", "continuous", F(0), F(1))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="duplicate constraint name 'kcl_a'"):
         model.add_constraint("kcl_a", [("g_a", F(1))], "=", F(0))
+    sizes = (len(model.variables), len(model.constraints))
+    # a rejected row registers nothing: its name stays free
+    with pytest.raises(ValueError, match="undeclared variable 'nope'"):
+        model.add_constraint("fresh", [("nope", F(1))], "<=", F(0))
+    model.add_variable("nope", "continuous", None, None)
+    model.add_constraint("fresh", [("nope", F(1))], "<=", F(0))
+    assert (len(model.variables), len(model.constraints)) == (sizes[0] + 1, sizes[1] + 1)
+    with pytest.raises(ValueError, match="duplicate constraint name 'fresh'"):
+        model.add_constraint("fresh", [("nope", F(1))], "<=", F(0))
+
+
+def test_duplicate_names_rejected_on_models_built_from_lists():
+    model = MilpModel(
+        variables=[MilpVariable("x", "continuous", None, None)],
+        constraints=[MilpConstraint("row", (("x", F(1)),), "<=", F(1))],
+    )
+    with pytest.raises(ValueError, match="duplicate variable name 'x'"):
+        model.add_variable("x", "binary", F(0), F(1))
+    with pytest.raises(ValueError, match="duplicate constraint name 'row'"):
+        model.add_constraint("row", [("x", F(2))], "<=", F(0))
+    model.add_constraint("row2", [("x", F(2))], "<=", F(0))
+
+
+def test_merge_models_rejects_duplicate_names(fig1):
+    pair = split_cycle(fig1, fundamental_cycle_basis(fig1)[0], "i0", "i4")
+    ext = extended_model(build_extended(pair, F(6)), "ext")
+    base = build_dcots(fig1)
+    merge_models(base, ext)
+    with pytest.raises(ValueError, match="duplicate variable name 'ext_dtheta'"):
+        merge_models(base, ext)
+    # same variables under a fresh prefix, one constraint name already taken
+    clash = MilpModel()
+    clash.add_variable("z", "continuous", None, None)
+    clash.add_constraint(ext.constraints[0].name, [("z", F(1))], "<=", F(0))
+    with pytest.raises(ValueError, match=f"duplicate constraint name '{ext.constraints[0].name}'"):
+        merge_models(base, clash)
+
+
+def test_bounds_strategy_ohm_rows_carry_endpoint_bounds():
+    for seed in range(40):
+        net = random_net(seed)
+        total, pairs = reference_report(net)
+        bound = {frozenset((pb.m, pb.n)): pb.bound for pb in pairs}
+        for bigm in ("bounds", "global"):
+            rows = [c for c in build_dcots(net, bigm=bigm).constraints if c.name.startswith("ohm_")]
+            assert len(rows) == 2 * len(net.lines)  # hi then lo, in line order
+            for idx, line in enumerate(net.lines):
+                expect = bound[line.endpoints()] if bigm == "bounds" else total
+                for con, side in zip(rows[2 * idx : 2 * idx + 2], ("hi", "lo")):
+                    tag = con.name[len(f"ohm_{side}_") :]
+                    assert con.name == f"ohm_{side}_{tag}"
+                    assert con.rhs == dict(con.coeffs)[f"y_{tag}"] == expect
 
 
 def test_undeclared_variable_rejected():
