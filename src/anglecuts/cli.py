@@ -13,7 +13,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .bounds import bound_report, global_big_m
+from .bounds import bound_report, global_big_m, pair_bound
 from .cuts import (
     FractionalPoint,
     SeparationConfig,
@@ -37,7 +37,7 @@ from .oracle import (
     hull_equality,
     local_idealness_certificate,
 )
-from .rational import parse_rational
+from .rational import format_rational, parse_rational
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -64,6 +64,18 @@ def _load_net(path: str):
         return load_network(handle)
 
 
+def _line_values(doc: dict, name: str, net) -> dict[int, Fraction]:
+    """A point-file object keyed by line index, such as 'y' or 'f'."""
+    values = {}
+    for key, value in doc[name].items():
+        if not (key.isascii() and key.isdigit()):
+            raise ParseError(f"point file: {name!r} key {key!r} is not a line index")
+        if int(key) >= len(net.lines):
+            raise ParseError(f"point file: {name!r} line index {key} out of range")
+        values[int(key)] = parse_rational(value, f"{name}[{key}]")
+    return values
+
+
 def _load_point(path: str, net) -> FractionalPoint:
     with open(path, "r", encoding="utf-8") as handle:
         try:
@@ -81,22 +93,11 @@ def _load_point(path: str, net) -> FractionalPoint:
         if bus not in net.bus_index:
             raise ParseError(f"point file: unknown bus {bus!r}")
         theta[bus] = parse_rational(value, f"theta[{bus}]")
-    y = {}
-    for key, value in doc["y"].items():
-        idx = int(key)
-        if not 0 <= idx < len(net.lines):
-            raise ParseError(f"point file: line index {idx} out of range")
-        y[idx] = parse_rational(value, f"y[{key}]")
-        if not 0 <= y[idx] <= 1:
+    y = _line_values(doc, "y", net)
+    for key, value in y.items():
+        if not 0 <= value <= 1:
             raise ParseError(f"point file: y[{key}] outside [0, 1]")
-    flows = None
-    if doc.get("f") is not None:
-        flows = {}
-        for key, value in doc["f"].items():
-            idx = int(key)
-            if not 0 <= idx < len(net.lines):
-                raise ParseError(f"point file: line index {idx} out of range")
-            flows[idx] = parse_rational(value, f"f[{key}]")
+    flows = None if doc.get("f") is None else _line_values(doc, "f", net)
     return FractionalPoint(theta=theta, y=y, f=flows)
 
 
@@ -159,6 +160,7 @@ def cmd_emit(args) -> int:
     net = _load_net(args.network)
     cpvis, cvis = [], []
     if args.cuts:
+        global_m = global_big_m(net)
         with open(args.cuts, "r", encoding="utf-8") as handle:
             for number, raw in enumerate(handle, 1):
                 raw = raw.strip()
@@ -171,7 +173,17 @@ def cmd_emit(args) -> int:
                 if not isinstance(obj, dict):
                     raise ParseError(f"cuts file: line {number} is not a JSON object")
                 if obj.get("kind") == "cpvi":
-                    cpvis.append(cpvi_from_json(net, obj))
+                    cut = cpvi_from_json(net, obj)
+                    # below the global M, the stored big_m must still bound
+                    # the pair's angle difference under every topology
+                    if cut.big_m < global_m:
+                        floor = pair_bound(net, *cut.pair.pair)[0]
+                        if cut.big_m < floor:
+                            raise ParseError(
+                                f"cuts file: line {number}: 'big_m' {format_rational(cut.big_m)} is below "
+                                f"the bound {format_rational(floor)} on pair {'-'.join(cut.pair.pair)}"
+                            )
+                    cpvis.append(cut)
                 elif obj.get("kind") == "cvi":
                     cvis.append(cvi_from_json(net, obj))
                 else:

@@ -204,63 +204,55 @@ def enumerate_vertices(p: HPolytope) -> list[tuple[Fraction, ...]]:
         raise UnboundedError(f"polytope is unbounded in coordinate {j}") from exc
 
     # seed simplex strictly containing the box, so its rows are never
-    # tight at a true vertex
+    # tight at a true vertex: bit j is the row x_j >= lo_j, bit dim the
+    # row sum(x) <= sum(lo) + reach.  The corner is tight on every lower
+    # row; spike j trades lower row j for the sum row.  Every tight mask
+    # after these is derived from an edge, never by re-dotting the rows.
     lo = [v - 1 for v in lows]
     reach = sum((h - l for h, l in zip(highs, lo)), Fraction(0)) + 1
-    seed_rows = [dense_row(p.dim, {j: -1}, -lo[j]) for j in range(p.dim)]
-    seed_rows.append(dense_row(p.dim, dict.fromkeys(range(p.dim), 1), sum(lo, Fraction(0)) + reach))
-
-    corner = tuple(lo)
-    vertices: dict[tuple[Fraction, ...], int] = {}
-    all_rows: list[tuple[tuple[Fraction, ...], Fraction]] = list(seed_rows)
-
-    def tight_mask(point: tuple[Fraction, ...]) -> int:
-        mask = 0
-        for k, (coeffs, b) in enumerate(all_rows):
-            if dot(coeffs, point) == b:
-                mask |= 1 << k
-        return mask
-
-    vertices[corner] = tight_mask(corner)
+    lower = (1 << p.dim) - 1
+    # keyed by tight mask: a vertex is the one point its tight rows fix,
+    # so distinct vertices have distinct masks and no Fraction is hashed
+    vertices: dict[int, tuple[Fraction, ...]] = {lower: tuple(lo)}
     for j in range(p.dim):
-        spike = (*lo[:j], lo[j] + reach, *lo[j + 1:])
-        vertices[spike] = tight_mask(spike)
+        vertices[lower & ~(1 << j) | 1 << p.dim] = (*lo[:j], lo[j] + reach, *lo[j + 1:])
 
-    for coeffs, b in p.rows:
-        all_rows.append((coeffs, b))
-        bit = 1 << (len(all_rows) - 1)
+    for k, (coeffs, b) in enumerate(p.rows):
+        bit = 1 << (p.dim + 1 + k)
+        support = [(j, c) for j, c in enumerate(coeffs) if c]
         plus: list[tuple[tuple[Fraction, ...], int, Fraction]] = []
         minus: list[tuple[tuple[Fraction, ...], int, Fraction]] = []
-        kept: dict[tuple[Fraction, ...], int] = {}
-        for point, mask in vertices.items():
-            slack = b - dot(coeffs, point)
+        kept: dict[int, tuple[Fraction, ...]] = {}
+        for mask, point in vertices.items():
+            slack = b - sum((c * point[j] for j, c in support), Fraction(0))
             if slack > 0:
                 plus.append((point, mask, slack))
-                kept[point] = mask
+                kept[mask] = point
             elif slack == 0:
-                kept[point] = mask | bit
+                kept[mask | bit] = point
             else:
                 minus.append((point, mask, slack))
         if not minus:
             vertices = kept
             continue
-        masks = list(vertices.values())
+        masks = list(vertices)
         need = p.dim - 1
         for u, mu, su in plus:
             for v, mv, sv in minus:
                 common = mu & mv
                 if common.bit_count() < need:
                     continue
-                if any(w & common == common for w in masks if w != mu and w != mv):
+                if any(w & common == common and w != mu and w != mv for w in masks):
                     continue
+                # a row feasible at both ends and tight inside the segment
+                # is tight along all of it, so the new vertex is tight
+                # exactly on common and the new row
                 t = su / (su - sv)
-                point = tuple(a + t * (c - a) for a, c in zip(u, v))
-                if point not in kept:
-                    kept[point] = tight_mask(point)
+                kept[common | bit] = tuple(a if a == c else a + t * (c - a) for a, c in zip(u, v))
         vertices = kept
         if not vertices:
             return []
-    return sorted(vertices)
+    return sorted(vertices.values())
 
 
 def affine_rank(points: Sequence[Sequence[Fraction]]) -> int:

@@ -1,9 +1,11 @@
 """Exact two-phase simplex over the rationals.
 
 Dense tableau, Bland's smallest-index pivoting rule, so every run
-terminates and every comparison is exact.  Built for desk-scale linear
-programs (tens of rows); all the polyhedral certificates and the
-brute-force switching enumeration sit on top of it.
+terminates and every comparison is exact.  A pivot updates only the
+columns where the pivot row is nonzero, which leaves every tableau
+entry, and so the pivot path, as a full-row update would.  Built for
+desk-scale linear programs (tens of rows); all the polyhedral
+certificates and the brute-force switching enumeration sit on top of it.
 """
 
 from __future__ import annotations
@@ -25,16 +27,19 @@ class LPResult:
 
 
 def _pivot(tableau: list[list[Fraction]], basis: list[int], row: int, col: int) -> None:
+    """Pivot on (row, col), updating only the pivot row's nonzero columns."""
     pivot_row = tableau[row]
     inv = pivot_row[col]
-    if inv != 1:
-        tableau[row] = pivot_row = [v / inv for v in pivot_row]
+    nonzero = [(j, v / inv) for j, v in enumerate(pivot_row) if v]
+    for j, v in nonzero:
+        pivot_row[j] = v
     for r, other in enumerate(tableau):
         if r == row:
             continue
         factor = other[col]
         if factor:
-            tableau[r] = [a - factor * b for a, b in zip(other, pivot_row)]
+            for j, v in nonzero:
+                other[j] -= factor * v
     basis[row] = col
 
 

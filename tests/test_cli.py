@@ -180,12 +180,13 @@ def test_cuts_bad_point_exit_2(capsys, tmp_path):
     assert code == 2 and "unknown bus" in err
 
 
-def fig1_cut(kind, **fields):
-    """A cut line on fig1's six-cycle with some fields replaced."""
+def fig1_cut(kind, big_m=None, **fields):
+    """A cut line on fig1's six-cycle with some fields replaced; a cpvi
+    for (i0, i3), built with global M unless big_m is given."""
     net = load_network((DATA / "fig1.json").read_bytes())
     cycle = fundamental_cycle_basis(net)[0]
     if kind == "cpvi":
-        obj = cpvi_to_json(net, build_cpvi(split_cycle(net, cycle, "i0", "i3"), global_big_m(net)))
+        obj = cpvi_to_json(net, build_cpvi(split_cycle(net, cycle, "i0", "i3"), big_m or global_big_m(net)))
     else:
         obj = cvi_to_json(net, build_cvi(net, cycle, [1, 2, 4, 5]))
     obj.update(fields)
@@ -221,6 +222,12 @@ def fake_reordered_cut():
         ("emit", "cuts.jsonl", fig1_cut("cvi", subset=[1, 2, 4, 99]), "'subset'"),
         ("emit", "cuts.jsonl", fig1_cut("cpvi", pair="ab"), "'pair'"),
         ("emit", "cuts.jsonl", fig1_cut("cpvi", pair=["i0", "zz"]), "'pair'"),
+        # the longer arc's weight, below global M and the pair bound (both 6)
+        ("emit", "cuts.jsonl", fig1_cut("cpvi", big_m=3), "'big_m' 3 is below the bound 6 on pair i0-i3"),
+        ("cuts", "pt.json", '{"theta": {}, "y": {"x": "1"}}', "'y' key 'x'"),
+        ("cuts", "pt.json", '{"theta": {}, "y": {"-1": "1"}}', "'y' key '-1'"),
+        ("cuts", "pt.json", '{"theta": {}, "y": {"6": "1"}}', "'y' line index 6 out of range"),
+        ("cuts", "pt.json", '{"theta": {}, "y": {}, "f": {"x": "1"}}', "'f' key 'x'"),
     ],
     ids=[
         "cut-line-array",
@@ -239,6 +246,11 @@ def fake_reordered_cut():
         "cut-subset-out-of-range",
         "cut-pair-string",
         "cut-pair-off-cycle",
+        "cut-big-m-below-pair-bound",
+        "point-y-key-name",
+        "point-y-key-negative",
+        "point-y-key-out-of-range",
+        "point-f-key-name",
     ],
 )
 def test_malformed_input_exit_2(capsys, tmp_path, command, name, text, message):
@@ -248,6 +260,14 @@ def test_malformed_input_exit_2(capsys, tmp_path, command, name, text, message):
     code, _, err = run(capsys, command, FIG1, flag, str(path))
     assert code == 2
     assert "input error" in err and message in err
+
+
+def test_emit_accepts_big_m_at_the_pair_bound(capsys, tmp_path, fig1_fixed):
+    # with every line fixed, the pair bound of (i0, i3) is the path weight 3
+    cut = fig1_cut("cpvi", big_m=3)
+    (tmp_path / "cuts.jsonl").write_text(cut)
+    code, out, _ = run(capsys, "emit", write_net(tmp_path, fig1_fixed), "--cuts", str(tmp_path / "cuts.jsonl"))
+    assert code == 0 and "cpvi_0_i0_i3_hi" in out
 
 
 # -- emit ---------------------------------------------------------------------

@@ -1,9 +1,12 @@
+import hashlib
 import itertools
+import json
 import random
 from fractions import Fraction as F
 
 import pytest
 
+from anglecuts import simplex
 from anglecuts.bounds import global_big_m
 from anglecuts.cuts import build_cpvi, build_cvi
 from anglecuts.errors import AllPatternsInfeasibleError, CapExceededError, UnboundedError
@@ -28,6 +31,7 @@ from anglecuts.oracle import (
     point_in_hull,
     rational_simplex,
 )
+from anglecuts.rational import dot
 
 from _brute import brute_vertices
 from conftest import make_net, ring_net
@@ -129,6 +133,44 @@ def test_vertices_match_basis_enumeration_oracle():
         assert enumerate_vertices(poly) == brute_vertices(rows, dim)
 
 
+def _degenerate_rows(rng, dim):
+    """A random box-bounded polytope made degenerate on purpose: repeated
+    and scaled rows, rows through a vertex that cut the polytope, and
+    redundant rows through a vertex (the sum of two rows tight there)."""
+    rows = _box_rows(dim, hi=rng.randint(1, 3))
+    for _ in range(rng.randint(1, 3)):
+        rows.append((tuple(F(rng.randint(-2, 3)) for _ in range(dim)), F(rng.randint(-1, 5))))
+    for _ in range(rng.randint(2, 4)):
+        vertices = brute_vertices(rows, dim)
+        kind = rng.randrange(4)
+        if kind == 0:
+            rows.append(rng.choice(rows))
+        elif kind == 1:
+            coeffs, b = rng.choice(rows)
+            rows.append((tuple(2 * c for c in coeffs), 2 * b))
+        elif vertices and kind == 2:
+            v = rng.choice(vertices)
+            coeffs = tuple(F(rng.randint(-2, 2)) for _ in range(dim))
+            rows.append((coeffs, dot(coeffs, v)))
+        elif vertices:
+            v = rng.choice(vertices)
+            tight = [row for row in rows if dot(row[0], v) == row[1]]
+            (a, b), (c, d) = rng.sample(tight, 2) if len(tight) > 1 else tight * 2
+            rows.append((tuple(x + y for x, y in zip(a, c)), b + d))
+    rng.shuffle(rows)
+    return rows
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_vertices_match_oracle_on_degenerate_polytopes(seed):
+    # a vertex with more than dim tight rows is where deriving a new
+    # vertex's tight set from its edge, not from the rows, has to hold
+    rng = random.Random(seed)
+    dim = 1 + seed % 4
+    rows = _degenerate_rows(rng, dim)
+    assert enumerate_vertices(HPolytope(tuple(rows), dim)) == brute_vertices(rows, dim)
+
+
 def test_extended_two_cycle_vertices_binary():
     net = ring_net([1, 3])
     pair = split_cycle(net, fundamental_cycle_basis(net)[0], "r0", "r1")
@@ -137,6 +179,16 @@ def test_extended_two_cycle_vertices_binary():
     assert vertices == brute_vertices(list(poly.rows), poly.dim)
     for vertex in vertices:
         assert all(v in (0, 1) for v in vertex[1:])
+
+
+@pytest.mark.parametrize("weights, ends, big_m, count", [
+    ([1, 3], ("r0", "r1"), F(4), 8),
+    ([1] * 6, ("r0", "r4"), F(6), 128),
+], ids=["two-cycle-ring", "unit-six-ring"])
+def test_extended_vertex_count_pinned(weights, ends, big_m, count):
+    net = ring_net(weights)
+    pair = split_cycle(net, fundamental_cycle_basis(net)[0], *ends)
+    assert len(enumerate_vertices(extended_polytope(build_extended(pair, big_m)))) == count
 
 
 # -- affine rank ------------------------------------------------------------
@@ -321,6 +373,30 @@ def test_brute_force_full_result_pinned(request, name):
     # the optimal point depends on the simplex pivot path, so this pins it
     result = brute_force_dcots(request.getfixturevalue(name))
     assert result == DcotsResult(**PINNED_DCOTS[name])
+
+
+# (pivot count, sha256 of the JSON list of (row, col) pivots) over every
+# pattern LP, the path the dense reference kernel in _brute also takes
+PINNED_PIVOTS = {
+    "fig1": (701, "e209fdc6136db7ef57684cfbf257933b52ffa113115b426f9f6c6da23980cf35"),
+    "triangle": (43, "2a27b03c428f0be664f0a219edf7b74664d0ca43c7840f397629204d4cb4702e"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_PIVOTS))
+def test_brute_force_pivot_path_pinned(request, monkeypatch, name):
+    # a kernel change that moves a single Bland pivot fails here
+    pivots = []
+    kernel = simplex._pivot
+
+    def record(tableau, basis, row, col):
+        pivots.append((row, col))
+        kernel(tableau, basis, row, col)
+
+    monkeypatch.setattr(simplex, "_pivot", record)
+    brute_force_dcots(request.getfixturevalue(name))
+    digest = hashlib.sha256(json.dumps(pivots).encode()).hexdigest()
+    assert (len(pivots), digest) == PINNED_PIVOTS[name]
 
 
 def test_brute_force_all_infeasible():

@@ -1,7 +1,12 @@
 import random
 from fractions import Fraction as F
 
-from anglecuts.simplex import solve_linear_program
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
+
+from anglecuts.simplex import _pivot, solve_linear_program
+
+from _brute import dense_pivot, dense_solve_linear_program
 
 
 def test_min_with_lower_bound():
@@ -86,3 +91,59 @@ def test_random_lps_match_vertex_enumeration():
         value, point = rational_simplex(poly, objective, "min")
         assert value == min(dot(objective, v) for v in vertices)
         assert poly.contains(point)
+
+
+# -- the sparse pivot against the dense reference kernel -----------------------
+
+# mostly zeros, as in the switching LPs, with a few non-integers
+ENTRY = st.sampled_from([F(0)] * 4 + [F(1), F(-1), F(2), F(-3), F(1, 2), F(-2, 3)])
+
+
+@st.composite
+def tableaux(draw):
+    rows, cols = draw(st.integers(1, 5)), draw(st.integers(2, 7))
+    tableau = [draw(st.lists(ENTRY, min_size=cols, max_size=cols)) for _ in range(rows)]
+    cells = [(r, c) for r in range(rows) for c in range(cols) if tableau[r][c]]
+    assume(cells)
+    return tableau, draw(st.sampled_from(cells))
+
+
+@given(tableaux())
+def test_sparse_pivot_matches_dense_pivot(case):
+    tableau, (row, col) = case
+    sparse, dense = [list(r) for r in tableau], [list(r) for r in tableau]
+    sparse_basis, dense_basis = list(range(len(tableau))), list(range(len(tableau)))
+    _pivot(sparse, sparse_basis, row, col)
+    dense_pivot(dense, dense_basis, row, col)
+    assert (sparse, sparse_basis) == (dense, dense_basis)
+
+
+@st.composite
+def linear_programs(draw):
+    n = draw(st.integers(1, 4))
+    rhs = st.integers(-3, 6).map(F)
+
+    def rows(most):
+        return draw(st.lists(st.tuples(st.lists(ENTRY, min_size=n, max_size=n), rhs), max_size=most))
+
+    return dict(
+        n_vars=n,
+        ineqs=rows(6),
+        eqs=rows(2),
+        objective=draw(st.lists(ENTRY, min_size=n, max_size=n)),
+        minimize=draw(st.booleans()),
+        nonneg=draw(st.booleans()),
+    )
+
+
+@settings(max_examples=300)
+@given(linear_programs())
+# one fixed case per status, with a negative right-hand side and an equality
+@example(dict(n_vars=2, ineqs=[([F(-1), F(-1)], F(-2)), ([F(1), F(0)], F(3)), ([F(0), F(1)], F(3))],
+              eqs=[([F(1), F(-1)], F(1, 2))], objective=[F(1), F(2)], minimize=True, nonneg=False))
+@example(dict(n_vars=1, ineqs=[([F(1)], F(0)), ([F(-1)], F(-1))], eqs=[], objective=[F(1)],
+              minimize=True, nonneg=False))
+@example(dict(n_vars=2, ineqs=[([F(1), F(-1)], F(1))], eqs=[], objective=[F(1), F(0)],
+              minimize=False, nonneg=True))
+def test_solver_matches_dense_reference(lp):
+    assert solve_linear_program(**lp) == dense_solve_linear_program(**lp)
