@@ -26,7 +26,7 @@ from .graph import (
     spanning_tree,
     split_cycle,
 )
-from .milp import MilpModel, build_dcots, lp_text, write_lp
+from .milp import MilpModel, build_dcots, lp_text
 from .network import Bus, Line, Network, load_network, serialize_network
 from .oracle import (
     CertificateReport,

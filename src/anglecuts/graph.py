@@ -300,18 +300,8 @@ def all_simple_cycles(net: Network, max_cycles: int = 10000) -> list[Cycle]:
             if len(found) > max_cycles:
                 raise CapExceededError(f"more than {max_cycles} simple cycles")
 
-    # 2-cycles from parallel lines
-    by_pair: dict[frozenset[str], list[int]] = {}
-    for idx, line in enumerate(net.lines):
-        by_pair.setdefault(line.endpoints(), []).append(idx)
-    for pair_key, idxs in by_pair.items():
-        for i in range(len(idxs)):
-            for j in range(i + 1, len(idxs)):
-                a = net.lines[idxs[i]].from_bus
-                b = net.lines[idxs[i]].to_bus
-                record([idxs[i], idxs[j]], [a, b])
-
-    # longer cycles: DFS anchored at the smallest-index bus of the cycle
+    # DFS anchored at the smallest-index bus of the cycle; a path never
+    # reuses a line, so closing over a parallel line gives a 2-cycle
     order = net.bus_index
     for start_bus in [b.id for b in net.buses]:
         stack: list[tuple[str, list[int], list[str]]] = [(start_bus, [], [start_bus])]
@@ -324,8 +314,7 @@ def all_simple_cycles(net: Network, max_cycles: int = 10000) -> list[Cycle]:
                 if order[other] < order[start_bus]:
                     continue
                 if other == start_bus:
-                    if len(line_seq) >= 2:
-                        record(line_seq + [idx], list(bus_seq))
+                    record(line_seq + [idx], list(bus_seq))
                     continue
                 if other in bus_seq:
                     continue

@@ -3,9 +3,10 @@
 One balance row per bus, two capacity and two disjunctive angle rows per
 line, a binary status variable per switchable line, a reference bus
 pinned to zero, and optional generated cut rows.  Serialization is
-byte-deterministic; coefficients whose decimal expansion does not
-terminate are handled by exact integer row scaling so the written file
-never cuts off a feasible point of the exact model.
+byte-deterministic and exact: a row or the objective is written in plain
+decimals or, when one of its values has no short exact decimal, scaled
+to integers by the lcm of its denominators with the scale noted; a
+variable bound with no exact decimal is refused.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import io
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Sequence
 
 # pair_bound is unused here but stays a module attribute: bench/layers.py wraps it by this name
@@ -29,7 +31,6 @@ __all__ = [
     "MilpConstraint",
     "MilpModel",
     "build_dcots",
-    "write_lp",
     "lp_text",
     "extended_model",
 ]
@@ -239,109 +240,90 @@ def merge_models(target: MilpModel, other: MilpModel) -> None:
         target.add_constraint(con.name, con.coeffs, con.sense, con.rhs)
 
 
-def _terminating(value: Fraction) -> bool:
-    den = value.denominator
-    for p in (2, 5):
-        while den % p == 0:
-            den //= p
-    return den == 1
-
-
-def _plain(value: Fraction) -> str:
-    """Shortest exact decimal for a terminating rational."""
-    if value.denominator == 1:
-        return str(value.numerator)
+def _plain(value: Fraction) -> str | None:
+    """The exact decimal of value, or None when it does not terminate."""
     num, den = value.numerator, value.denominator
+    if den == 1:
+        return str(num)
     twos = fives = 0
-    d = den
-    while d % 2 == 0:
-        d //= 2
+    while den % 2 == 0:
+        den //= 2
         twos += 1
-    while d % 5 == 0:
-        d //= 5
+    while den % 5 == 0:
+        den //= 5
         fives += 1
+    if den != 1:
+        return None
+    # a reduced fraction over 2^twos 5^fives has exactly shift decimals
     shift = max(twos, fives)
-    scaled = num * 10**shift // den
-    text = str(abs(scaled)).rjust(shift + 1, "0")
-    sign = "-" if scaled < 0 else ""
-    out = f"{sign}{text[:-shift]}.{text[-shift:]}".rstrip("0")
-    return out[:-1] if out.endswith(".") else out
+    text = str(abs(num * 10**shift // value.denominator)).rjust(shift + 1, "0")
+    return f"{'-' if num < 0 else ''}{text[:-shift]}.{text[-shift:]}"
 
 
-def _digits(value: Fraction) -> int:
-    return len(_plain(value).lstrip("-").replace(".", "").lstrip("0") or "0")
+def _render(values: Sequence[Fraction]) -> tuple[list[str], int | None]:
+    """One linear expression's values as exact LP numbers.
+
+    Plain decimals when each has one of at most MAX_PLAIN_DIGITS
+    significant digits; otherwise the integers value * N, with N the lcm
+    of the denominators, returned alongside.  Scaling a row or the
+    objective by a positive N keeps its feasible set or minimizers.
+    """
+    texts = [_plain(v) for v in values]
+    if all(t is not None and len(t.lstrip("-").replace(".", "").lstrip("0")) <= MAX_PLAIN_DIGITS for t in texts):
+        return texts, None
+    scale = lcm(*(v.denominator for v in values))
+    return [str(v.numerator * (scale // v.denominator)) for v in values], scale
 
 
-def _row_renderable(con: MilpConstraint) -> bool:
-    values = [c for _, c in con.coeffs] + [con.rhs]
-    return all(_terminating(v) and _digits(v) <= MAX_PLAIN_DIGITS for v in values)
-
-
-def _scaled_row(con: MilpConstraint) -> tuple[MilpConstraint, int]:
-    """Clear denominators exactly; scaling by a positive integer keeps
-    the row's feasible set unchanged."""
-    from math import lcm
-
-    scale = 1
-    for _, c in con.coeffs:
-        scale = lcm(scale, c.denominator)
-    scale = lcm(scale, con.rhs.denominator)
-    coeffs = tuple((var, c * scale) for var, c in con.coeffs)
-    return MilpConstraint(con.name, coeffs, con.sense, con.rhs * scale), scale
-
-
-def _expr(coeffs: Sequence[tuple[str, Fraction]]) -> str:
+def _expr(names: Sequence[str], texts: Sequence[str]) -> str:
     parts = []
-    for var, c in coeffs:
-        if c < 0:
-            parts.append(f"- {_plain(-c)} {var}")
+    for var, text in zip(names, texts):
+        if text.startswith("-"):
+            parts.append(f"- {text[1:]} {var}")
         elif parts:
-            parts.append(f"+ {_plain(c)} {var}")
+            parts.append(f"+ {text} {var}")
         else:
-            parts.append(f"{_plain(c)} {var}")
-    return " ".join(parts) if parts else "0 " + "x"
+            parts.append(f"{text} {var}")
+    return " ".join(parts) if parts else "0 x"
+
+
+def _bound(var: MilpVariable, value: Fraction) -> str:
+    # a bound cannot be scaled, so it is written exactly or not at all
+    text = _plain(value)
+    if text is None:
+        raise ValueError(f"variable {var.name!r} bound {format_rational(value)} has no exact decimal form")
+    return text
 
 
 def lp_text(model: MilpModel) -> str:
+    """The model in LP text format; byte-identical for identical models."""
     out = io.StringIO()
     for comment in model.comments:
         out.write(f"\\ {comment}\n")
     out.write("Minimize\n")
-    obj_terms = [(var, c) for var, c in model.objective if c != 0]
-    flagged = [(var, c) for var, c in obj_terms if not (_terminating(c) and _digits(c) <= MAX_PLAIN_DIGITS)]
-    if flagged:
-        for var, c in flagged:
-            out.write(f"\\ objective coefficient rounded; exact {var} = {format_rational(c)}\n")
-    if obj_terms:
-        rendered = []
-        for var, c in obj_terms:
-            if (var, c) in flagged:
-                approx = Fraction(f"{float(c):.17g}")
-                rendered.append((var, approx))
-            else:
-                rendered.append((var, c))
-        out.write(f" obj: {_expr(rendered)}\n")
+    terms = [(var, c) for var, c in model.objective if c != 0]
+    if terms:
+        texts, scale = _render([c for _, c in terms])
+        if scale is not None:
+            out.write(f"\\ objective scaled by {scale}\n")
+        out.write(f" obj: {_expr([var for var, _ in terms], texts)}\n")
     else:
         first = model.variables[0].name if model.variables else "x"
         out.write(f" obj: 0 {first}\n")
     out.write("Subject To\n")
     for con in model.constraints:
-        row = con
-        note = ""
-        if not _row_renderable(con):
-            row, scale = _scaled_row(con)
-            note = f"  \\ scaled by {scale}"
-        sense = {"<=": "<=", ">=": ">=", "=": "="}[row.sense]
-        out.write(f" {row.name}: {_expr(row.coeffs)} {sense} {_plain(row.rhs)}{note}\n")
+        texts, scale = _render([c for _, c in con.coeffs] + [con.rhs])
+        note = "" if scale is None else f"  \\ scaled by {scale}"
+        out.write(f" {con.name}: {_expr([var for var, _ in con.coeffs], texts)} {con.sense} {texts[-1]}{note}\n")
     out.write("Bounds\n")
     for var in model.variables:
         if var.lower is None and var.upper is None:
             out.write(f" {var.name} free\n")
         elif var.lower is not None and var.upper is not None and var.lower == var.upper:
-            out.write(f" {var.name} = {_plain(var.lower)}\n")
+            out.write(f" {var.name} = {_bound(var, var.lower)}\n")
         else:
-            lo = "-inf" if var.lower is None else _plain(var.lower)
-            hi = "+inf" if var.upper is None else _plain(var.upper)
+            lo = "-inf" if var.lower is None else _bound(var, var.lower)
+            hi = "+inf" if var.upper is None else _bound(var, var.upper)
             out.write(f" {lo} <= {var.name} <= {hi}\n")
     binaries = [var.name for var in model.variables if var.kind == "binary"]
     if binaries:
@@ -350,17 +332,3 @@ def lp_text(model: MilpModel) -> str:
             out.write(f" {name}\n")
     out.write("End\n")
     return out.getvalue()
-
-
-def write_lp(model: MilpModel, sink) -> None:
-    """Serialize to the LP text format; byte-identical for identical models."""
-    text = lp_text(model)
-    if hasattr(sink, "write"):
-        data = text
-        try:
-            sink.write(data)
-        except TypeError:
-            sink.write(data.encode("utf-8"))
-    else:
-        with open(sink, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(text)

@@ -42,7 +42,7 @@ class Line:
     capacity: Fraction
     switchable: bool = True
 
-    @property
+    @cached_property
     def weight(self) -> Fraction:
         # capacity * reactance, exactly; the tightest angle bound across
         # this line while it is in service
@@ -105,21 +105,20 @@ def _validate(buses: tuple[Bus, ...], lines: tuple[Line, ...]) -> None:
         if line.capacity <= 0:
             raise ValidationError(f"{label}: capacity must be > 0")
     # connectivity over the full graph, switchable lines included
-    if buses:
-        adj: dict[str, list[str]] = {bus.id: [] for bus in buses}
-        for line in lines:
-            adj[line.from_bus].append(line.to_bus)
-            adj[line.to_bus].append(line.from_bus)
-        reached = {buses[0].id}
-        stack = [buses[0].id]
-        while stack:
-            for nxt in adj[stack.pop()]:
-                if nxt not in reached:
-                    reached.add(nxt)
-                    stack.append(nxt)
-        for bus in buses:
-            if bus.id not in reached:
-                raise DisconnectedError(f"bus {bus.id!r} is not connected to bus {buses[0].id!r}")
+    adj: dict[str, list[str]] = {bus.id: [] for bus in buses}
+    for line in lines:
+        adj[line.from_bus].append(line.to_bus)
+        adj[line.to_bus].append(line.from_bus)
+    reached = {buses[0].id}
+    stack = [buses[0].id]
+    while stack:
+        for nxt in adj[stack.pop()]:
+            if nxt not in reached:
+                reached.add(nxt)
+                stack.append(nxt)
+    for bus in buses:
+        if bus.id not in reached:
+            raise DisconnectedError(f"bus {bus.id!r} is not connected to bus {buses[0].id!r}")
 
 
 def _read_source(source) -> str:
@@ -149,8 +148,8 @@ def load_network(source) -> Network:
 
     raw_buses = doc.get("buses")
     raw_lines = doc.get("lines", [])
-    if not isinstance(raw_buses, list) or not isinstance(raw_lines, list):
-        raise ParseError("'buses' must be a list and 'lines', when present, a list")
+    if not isinstance(raw_buses, list) or not raw_buses or not isinstance(raw_lines, list):
+        raise ParseError("'buses' must be a nonempty list and 'lines', when present, a list")
 
     buses = []
     for i, obj in enumerate(raw_buses):

@@ -10,6 +10,7 @@ updates every column of every pivot.
 from __future__ import annotations
 
 import itertools
+import re
 from fractions import Fraction
 from typing import Sequence
 
@@ -39,6 +40,99 @@ def brute_shortest_path(net, m, n, active=None):
 
     walk(m, {m}, Fraction(0))
     return best[0]
+
+
+def brute_cycles(net):
+    """Every simple cycle as a sorted tuple of line indices: each line
+    subset in which every bus has degree 0 or 2 and whose lines are
+    connected, by trying all subsets."""
+    found = []
+    for size in range(2, len(net.lines) + 1):
+        for subset in itertools.combinations(range(len(net.lines)), size):
+            degree: dict[str, int] = {}
+            for idx in subset:
+                for bus in (net.lines[idx].from_bus, net.lines[idx].to_bus):
+                    degree[bus] = degree.get(bus, 0) + 1
+            if any(d != 2 for d in degree.values()):
+                continue
+            reached = {net.lines[subset[0]].from_bus}
+            grew = True
+            while grew:
+                grew = False
+                for idx in subset:
+                    ends = {net.lines[idx].from_bus, net.lines[idx].to_bus}
+                    if ends & reached and not ends <= reached:
+                        reached |= ends
+                        grew = True
+            if reached == set(degree):
+                found.append(subset)
+    return sorted(found)
+
+
+def _lp_terms(tokens: Sequence[str]) -> list[tuple[str, Fraction]]:
+    """`[+|-] number name` terms, zero placeholders dropped."""
+    terms = []
+    k = 0
+    while k < len(tokens):
+        sign = 1
+        if tokens[k] in ("+", "-"):
+            sign = -1 if tokens[k] == "-" else 1
+            k += 1
+        value = sign * Fraction(tokens[k])
+        if value != 0:
+            terms.append((tokens[k + 1], value))
+        k += 2
+    return terms
+
+
+def read_lp_text(text: str) -> dict:
+    """Read LP text back into exact values, by splitting lines and tokens.
+
+    A scale noted on a row (`\\ scaled by N`) or before the objective
+    (`\\ objective scaled by N`) is returned as N, else None; the
+    written numbers are the model's times N.  Bounds map each variable
+    to (lower, upper) with None for an infinite side.
+    """
+    lp: dict = {"objective": [], "objective_scale": None, "rows": [], "bounds": {}, "binaries": []}
+    section = None
+    for line in text.splitlines():
+        if line in ("Minimize", "Subject To", "Bounds", "Binary", "End"):
+            section = line
+            continue
+        if line.startswith("\\"):
+            match = re.fullmatch(r"\\ objective scaled by (\d+)", line)
+            if match:
+                assert section == "Minimize"
+                lp["objective_scale"] = int(match[1])
+            continue
+        if section == "Minimize":
+            assert line.startswith(" obj: ")
+            lp["objective"] = _lp_terms(line[len(" obj: ") :].split())
+        elif section == "Subject To":
+            body, _, note = line.partition("  \\ scaled by ")
+            name, _, expr = body.strip().partition(": ")
+            tokens = expr.split()
+            scale = int(note) if note else None
+            lp["rows"].append((name, _lp_terms(tokens[:-2]), tokens[-2], Fraction(tokens[-1]), scale))
+        elif section == "Bounds":
+            tokens = line.split()
+            if len(tokens) == 2 and tokens[1] == "free":
+                lp["bounds"][tokens[0]] = (None, None)
+            elif len(tokens) == 3 and tokens[1] == "=":
+                lp["bounds"][tokens[0]] = (Fraction(tokens[2]), Fraction(tokens[2]))
+            else:
+                lo, le1, name, le2, hi = tokens
+                assert le1 == le2 == "<="
+                lp["bounds"][name] = (
+                    None if lo == "-inf" else Fraction(lo),
+                    None if hi == "+inf" else Fraction(hi),
+                )
+        elif section == "Binary":
+            lp["binaries"].append(line.strip())
+        else:
+            raise AssertionError(f"unexpected LP line {line!r}")
+    assert section == "End"
+    return lp
 
 
 def _solve(matrix, rhs):

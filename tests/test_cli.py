@@ -1,10 +1,14 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import anglecuts
 from anglecuts.bounds import global_big_m
@@ -202,62 +206,69 @@ def fake_reordered_cut():
     return json.dumps(cpvi_to_json(net, build_cpvi(split_cycle(net, fake, "i0", "i3"), global_big_m(net)))) + "\n"
 
 
-@pytest.mark.parametrize(
-    "command, name, text, message",
-    [
-        ("emit", "cuts.jsonl", "[1, 2]\n", "not a JSON object"),
-        ("emit", "cuts.jsonl", '{"kind": "cpvi"}\n', "cycle_lines"),
-        ("cuts", "pt.json", '{"theta": ["0"], "y": {}}', "'theta'"),
-        ("emit", "cuts.jsonl", fig1_cut("cpvi", y_coeffs=[]), "'y_coeffs'"),
-        ("emit", "cuts.jsonl", fig1_cut("cpvi", y_coeffs={"x": "1"}), "'y_coeffs'"),
-        ("emit", "cuts.jsonl", fig1_cut("cpvi", cycle_lines=[99, 1, 2, 3, 4, 5]), "'cycle_lines'"),
-        ("emit", "cuts.jsonl", fig1_cut("cvi", cycle_lines=[0, 1, 2, 3, 4, -1]), "'cycle_lines'"),
-        ("emit", "cuts.jsonl", fig1_cut("cpvi", cycle_lines=[0, 0, 2, 3, 4, 5]), "'cycle_lines'"),
-        ("emit", "cuts.jsonl", fig1_cut("cpvi", cycle_lines=["0", 1, 2, 3, 4, 5]), "'cycle_lines'"),
-        ("emit", "cuts.jsonl", fig1_cut("cpvi", cycle_buses=["i0", "i1"]), "'cycle_buses'"),
-        ("emit", "cuts.jsonl", fig1_cut("cpvi", cycle_lines=[0, 1, 2, 3, 4],
-                                        cycle_buses=["i0", "i1", "i2", "i3", "i4"]), "'cycle_lines'"),
-        ("emit", "cuts.jsonl", fake_reordered_cut(), "'cycle_lines'"),
-        ("emit", "cuts.jsonl", fig1_cut("cvi", subset=3), "'subset'"),
-        ("emit", "cuts.jsonl", fig1_cut("cvi", subset=[1, 2, 4, 99]), "'subset'"),
-        ("emit", "cuts.jsonl", fig1_cut("cpvi", pair="ab"), "'pair'"),
-        ("emit", "cuts.jsonl", fig1_cut("cpvi", pair=["i0", "zz"]), "'pair'"),
-        # the longer arc's weight, below global M and the pair bound (both 6)
-        ("emit", "cuts.jsonl", fig1_cut("cpvi", big_m=3), "'big_m' 3 is below the bound 6 on pair i0-i3"),
-        ("cuts", "pt.json", '{"theta": {}, "y": {"x": "1"}}', "'y' key 'x'"),
-        ("cuts", "pt.json", '{"theta": {}, "y": {"-1": "1"}}', "'y' key '-1'"),
-        ("cuts", "pt.json", '{"theta": {}, "y": {"6": "1"}}', "'y' line index 6 out of range"),
-        ("cuts", "pt.json", '{"theta": {}, "y": {}, "f": {"x": "1"}}', "'f' key 'x'"),
-    ],
-    ids=[
-        "cut-line-array",
-        "cut-missing-field",
-        "point-theta-list",
-        "cut-y-coeffs-list",
-        "cut-y-coeffs-key",
-        "cut-line-out-of-range",
-        "cut-line-negative",
-        "cut-line-repeated",
-        "cut-line-string",
-        "cut-buses-short",
-        "cut-cycle-open",
-        "cut-buses-reordered",
-        "cut-subset-int",
-        "cut-subset-out-of-range",
-        "cut-pair-string",
-        "cut-pair-off-cycle",
-        "cut-big-m-below-pair-bound",
-        "point-y-key-name",
-        "point-y-key-negative",
-        "point-y-key-out-of-range",
-        "point-f-key-name",
-    ],
-)
+MALFORMED_CASES = [
+    ("emit", "cuts.jsonl", "[1, 2]\n", "not a JSON object"),
+    ("emit", "cuts.jsonl", '{"kind": "cpvi"}\n', "cycle_lines"),
+    ("cuts", "pt.json", '{"theta": ["0"], "y": {}}', "'theta'"),
+    ("emit", "cuts.jsonl", fig1_cut("cpvi", y_coeffs=[]), "'y_coeffs'"),
+    ("emit", "cuts.jsonl", fig1_cut("cpvi", y_coeffs={"x": "1"}), "'y_coeffs'"),
+    ("emit", "cuts.jsonl", fig1_cut("cpvi", cycle_lines=[99, 1, 2, 3, 4, 5]), "'cycle_lines'"),
+    ("emit", "cuts.jsonl", fig1_cut("cvi", cycle_lines=[0, 1, 2, 3, 4, -1]), "'cycle_lines'"),
+    ("emit", "cuts.jsonl", fig1_cut("cpvi", cycle_lines=[0, 0, 2, 3, 4, 5]), "'cycle_lines'"),
+    ("emit", "cuts.jsonl", fig1_cut("cpvi", cycle_lines=["0", 1, 2, 3, 4, 5]), "'cycle_lines'"),
+    ("emit", "cuts.jsonl", fig1_cut("cpvi", cycle_buses=["i0", "i1"]), "'cycle_buses'"),
+    ("emit", "cuts.jsonl", fig1_cut("cpvi", cycle_lines=[0, 1, 2, 3, 4],
+                                    cycle_buses=["i0", "i1", "i2", "i3", "i4"]), "'cycle_lines'"),
+    ("emit", "cuts.jsonl", fake_reordered_cut(), "'cycle_lines'"),
+    ("emit", "cuts.jsonl", fig1_cut("cvi", subset=3), "'subset'"),
+    ("emit", "cuts.jsonl", fig1_cut("cvi", subset=[1, 2, 4, 99]), "'subset'"),
+    ("emit", "cuts.jsonl", fig1_cut("cpvi", pair="ab"), "'pair'"),
+    ("emit", "cuts.jsonl", fig1_cut("cpvi", pair=["i0", "zz"]), "'pair'"),
+    # the longer arc's weight, below global M and the pair bound (both 6)
+    ("emit", "cuts.jsonl", fig1_cut("cpvi", big_m=3), "'big_m' 3 is below the bound 6 on pair i0-i3"),
+    ("cuts", "pt.json", '{"theta": {}, "y": {"x": "1"}}', "'y' key 'x'"),
+    ("cuts", "pt.json", '{"theta": {}, "y": {"-1": "1"}}', "'y' key '-1'"),
+    ("cuts", "pt.json", '{"theta": {}, "y": {"6": "1"}}', "'y' line index 6 out of range"),
+    ("cuts", "pt.json", '{"theta": {}, "y": {}, "f": {"x": "1"}}', "'f' key 'x'"),
+    ("emit", "net.json", '{"buses": []}', "'buses' must be a nonempty list"),
+    ("certify", "net.json", '{"buses": []}', "'buses' must be a nonempty list"),
+]
+MALFORMED_IDS = [
+    "cut-line-array",
+    "cut-missing-field",
+    "point-theta-list",
+    "cut-y-coeffs-list",
+    "cut-y-coeffs-key",
+    "cut-line-out-of-range",
+    "cut-line-negative",
+    "cut-line-repeated",
+    "cut-line-string",
+    "cut-buses-short",
+    "cut-cycle-open",
+    "cut-buses-reordered",
+    "cut-subset-int",
+    "cut-subset-out-of-range",
+    "cut-pair-string",
+    "cut-pair-off-cycle",
+    "cut-big-m-below-pair-bound",
+    "point-y-key-name",
+    "point-y-key-negative",
+    "point-y-key-out-of-range",
+    "point-f-key-name",
+    "network-no-buses-emit",
+    "network-no-buses-certify",
+]
+
+
+@pytest.mark.parametrize("command, name, text, message", MALFORMED_CASES, ids=MALFORMED_IDS)
 def test_malformed_input_exit_2(capsys, tmp_path, command, name, text, message):
     path = tmp_path / name
     path.write_text(text)
-    flag = "--cuts" if command == "emit" else "--point"
-    code, _, err = run(capsys, command, FIG1, flag, str(path))
+    if name == "net.json":
+        code, _, err = run(capsys, command, str(path))
+    else:
+        flag = "--cuts" if command == "emit" else "--point"
+        code, _, err = run(capsys, command, FIG1, flag, str(path))
     assert code == 2
     assert "input error" in err and message in err
 
@@ -330,6 +341,34 @@ def test_emit_bounds_strategy(capsys, tmp_path, fig1_fixed):
     assert row.strip().endswith("<= 1")  # adjacent fixed line weight, not 6
 
 
+def fig1_bus(bus, **fields):
+    """fig1's network text with some fields of one bus replaced."""
+    doc = json.loads((DATA / "fig1.json").read_text())
+    next(b for b in doc["buses"] if b["id"] == bus).update(fields)
+    return json.dumps(doc)
+
+
+def test_emit_objective_is_exact(capsys, tmp_path):
+    path = tmp_path / "net.json"
+    path.write_text(fig1_bus("i4", gen_cost="1/3"))
+    code, out, _ = run(capsys, "emit", str(path))
+    assert code == 0
+    assert "Minimize\n\\ objective scaled by 3\n obj: 15 g_i0 + 1 g_i4\nSubject To\n" in out
+    path.write_text(fig1_bus("i4", gen_cost=str(10**400)))
+    code, out, _ = run(capsys, "emit", str(path))
+    assert code == 0
+    assert f"Minimize\n\\ objective scaled by 1\n obj: 5 g_i0 + {10**400} g_i4\nSubject To\n" in out
+
+
+@pytest.mark.parametrize("gen_max", ["7/3", "1/3"])
+def test_emit_refuses_a_bound_with_no_exact_decimal(capsys, tmp_path, gen_max):
+    path = tmp_path / "net.json"
+    path.write_text(fig1_bus("i0", gen_max=gen_max))
+    code, out, err = run(capsys, "emit", str(path))
+    assert code == 2 and out == ""
+    assert f"input error: variable 'g_i0' bound {gen_max} has no exact decimal form" in err
+
+
 # -- certify ------------------------------------------------------------------
 
 
@@ -392,6 +431,122 @@ def test_certify_skips_oversized_cycles(capsys, tmp_path):
     code, out, err = run(capsys, "certify", path, "--max-cycle", "5")
     assert code == 0 and json.loads(out) == []
     assert "nothing certified" in err
+
+
+# -- fuzz -----------------------------------------------------------------------
+
+FUZZ_POINT = {
+    "theta": {"i0": "0", "i1": "1/2", "i3": "2", "i4": "2", "i5": "1"},
+    "y": {str(k): "1/2" for k in range(6)},
+    "f": {str(k): "1/3" for k in range(6)},
+}
+FUZZ_LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 10**30),
+    st.floats(),
+    st.sampled_from(["", "0", "1/3", "7/3", "-1", "1/0", "0.5", "1e400", str(10**400), "i0", "i5", "zz"]),
+    st.text(max_size=4),
+)
+FUZZ_KEYS = st.sampled_from(["id", "from", "to", "kind", "pair", "subset", "cycle_lines", "y", "0", "7"]) | st.text(max_size=3)
+FUZZ_VALUES = st.recursive(
+    FUZZ_LEAVES,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(FUZZ_KEYS, inner, max_size=3),
+    max_leaves=6,
+)
+# walk a path (each step taken modulo the node's children), then set or delete there
+FUZZ_EDITS = st.lists(
+    st.tuples(st.lists(st.integers(0, 12), max_size=4), st.sampled_from(["set", "delete"]), FUZZ_VALUES),
+    max_size=3,
+)
+
+
+def _edited(doc, edits):
+    doc = json.loads(json.dumps(doc))
+    for steps, action, value in edits:
+        parent, key, node = None, None, doc
+        for step in steps:
+            if isinstance(node, list):
+                keys = list(range(len(node)))
+            else:
+                keys = list(node) if isinstance(node, dict) else []
+            if not keys:
+                break
+            parent, key = node, keys[step % len(keys)]
+            node = node[key]
+        if parent is None:
+            doc = value if action == "set" else doc
+        elif action == "delete":
+            del parent[key]
+        else:
+            parent[key] = value
+    return doc
+
+
+def fuzz_file(doc, lines=False):
+    """Texts of `doc` with a few edits, sometimes cut short."""
+
+    def text(edits, cut):
+        edited = _edited(doc, edits)
+        if lines and isinstance(edited, list):
+            body = "".join(json.dumps(item) + "\n" for item in edited)
+        else:
+            body = json.dumps(edited)
+        return body if cut is None else body[:cut]
+
+    return st.builds(text, FUZZ_EDITS, st.none() | st.integers(0, 300))
+
+
+FUZZ_NETWORK = (DATA / "fig1.json").read_text()
+FUZZ_CUTS = fig1_cut("cpvi") + fig1_cut("cvi")
+FUZZ_CORPUS = [
+    {"network": FUZZ_NETWORK, "point": json.dumps(FUZZ_POINT), "cuts": FUZZ_CUTS},
+    {"network": fig1_bus("i4", gen_cost=str(10**400)), "point": json.dumps(FUZZ_POINT), "cuts": FUZZ_CUTS},
+    {"network": fig1_bus("i0", gen_max="7/3"), "point": json.dumps(FUZZ_POINT), "cuts": FUZZ_CUTS},
+    {"network": fig1_bus("i0", gen_max="1/3"), "point": json.dumps(FUZZ_POINT), "cuts": FUZZ_CUTS},
+] + [
+    {
+        "network": text if name == "net.json" else FUZZ_NETWORK,
+        "point": text if name == "pt.json" else json.dumps(FUZZ_POINT),
+        "cuts": text if name == "cuts.jsonl" else FUZZ_CUTS,
+    }
+    for _command, name, text, _message in MALFORMED_CASES
+]
+
+
+def _seed_corpus(test):
+    for case in FUZZ_CORPUS:
+        test = example(**case)(test)
+    return test
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(
+    network=fuzz_file(json.loads(FUZZ_NETWORK)),
+    point=fuzz_file(FUZZ_POINT),
+    cuts=fuzz_file([json.loads(line) for line in FUZZ_CUTS.splitlines()], lines=True),
+)
+@_seed_corpus
+def test_cli_exit_codes_on_mutated_inputs(network, point, cuts):
+    """Whatever the files hold, every subcommand returns 0, 1, 2 or 3."""
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {}
+        for name, text in (("net.json", network), ("pt.json", point), ("cuts.jsonl", cuts)):
+            paths[name] = os.path.join(tmp, name)
+            with open(paths[name], "w", encoding="utf-8") as handle:
+                handle.write(text)
+        net, pt, cut_file = paths["net.json"], paths["pt.json"], paths["cuts.jsonl"]
+        for argv in (
+            ["validate", net],
+            ["bounds", net],
+            ["cuts", net, "--point", pt, "--kind", "both", "--all-cycles"],
+            ["emit", net, "--bigm", "global", "--cuts", cut_file],
+            ["emit", net, "--bigm", "bounds", "--cuts", cut_file],
+            ["certify", net, "--max-cycle", "3"],
+        ):
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                code = main(argv)
+            assert code in (0, 1, 2, 3), argv
 
 
 # -- determinism and process entry -------------------------------------------

@@ -15,7 +15,7 @@ from anglecuts.graph import (
     split_cycle,
 )
 
-from _brute import brute_shortest_path
+from _brute import brute_cycles, brute_shortest_path
 from conftest import make_net, random_net, ring_net
 
 
@@ -135,6 +135,19 @@ def test_all_simple_cycles(two_triangles):
     cycles = all_simple_cycles(two_triangles)
     assert len(cycles) == 3
     assert {len(c.lines) for c in cycles} == {3, 4}
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_all_simple_cycles_match_brute_force_on_random_networks(seed):
+    net = random_net(seed)
+    cycles = all_simple_cycles(net)
+    assert [tuple(sorted(c.lines)) for c in cycles] == brute_cycles(net)
+    for cycle in cycles:
+        size = len(cycle.lines)
+        assert cycle.buses[0] == min(cycle.buses, key=net.bus_index.__getitem__)
+        for k, idx in enumerate(cycle.lines):
+            assert net.lines[idx].endpoints() == {cycle.buses[k], cycle.buses[(k + 1) % size]}
+        assert cycle.total_weight == sum(net.lines[idx].weight for idx in cycle.lines)
 
 
 weights = st.lists(

@@ -1,5 +1,6 @@
-import io
 import itertools
+import random
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -16,11 +17,12 @@ from anglecuts.milp import (
     extended_model,
     lp_text,
     merge_models,
-    write_lp,
 )
+from anglecuts.network import Network, load_network
 from anglecuts.oracle import brute_force_dcots
 from anglecuts.simplex import solve_linear_program
 
+from _brute import read_lp_text
 from conftest import DATA, make_net, random_net
 from test_bounds import milp_as_lp, reference_report
 
@@ -82,15 +84,6 @@ def test_golden_file_byte_identical(fig1):
     assert runs[0] == runs[1] == runs[2] == golden
 
 
-def test_write_lp_to_stream_and_path(tmp_path, fig1):
-    model = build_dcots(fig1)
-    buffer = io.StringIO()
-    write_lp(model, buffer)
-    target = tmp_path / "out.lp"
-    write_lp(model, target)
-    assert buffer.getvalue() == target.read_text()
-
-
 def test_nonterminating_coefficient_row_is_scaled():
     net = make_net([("a",), ("b",)], [("a", "b", F(1, 3), 1)])
     text = lp_text(build_dcots(net))
@@ -99,10 +92,89 @@ def test_nonterminating_coefficient_row_is_scaled():
     assert "0.333" not in line  # exact integers, no rounding
 
 
-def test_nonterminating_objective_flagged():
-    net = make_net([("a", 0, 1, F(1, 3)), ("b", 1)], [("a", "b", 1, 2)])
+def test_nonterminating_objective_is_scaled():
+    net = make_net([("a", 0, 1, F(1, 3)), ("b", 1, 1, F(5, 2))], [("a", "b", 1, 2)])
     text = lp_text(build_dcots(net))
-    assert "exact g_a = 1/3" in text
+    assert "Minimize\n\\ objective scaled by 6\n obj: 2 g_a + 15 g_b\nSubject To\n" in text
+    assert "0.333" not in text and "rounded" not in text
+
+
+def all_cuts(net):
+    """A cpvi for every bus pair and a cvi for every nontrivial line
+    subset of each fundamental cycle, under the global big-M."""
+    big = global_big_m(net)
+    cpvis, cvis = [], []
+    for cycle in fundamental_cycle_basis(net):
+        for m, n in itertools.combinations(cycle.buses, 2):
+            cpvis.append(build_cpvi(split_cycle(net, cycle, m, n), big))
+        for size in range(1, len(cycle.lines) + 1):
+            for subset in itertools.combinations(cycle.lines, size):
+                cut = build_cvi(net, cycle, subset)
+                if cut is not None:
+                    cvis.append(cut)
+    return cpvis, cvis
+
+
+# demand and cost may need scaling; a bound must have an exact decimal
+AWKWARD = [F(0), F(1, 3), F(2, 7), F(5, 2), F(10**20 + 1), F(10**19 + 7, 3), F(123456789012345678901, 1000)]
+AWKWARD_MAX = [F(0), F(3), F(5, 2), F(10**20 + 1), F(123456789012345678901, 1000)]
+
+
+def priced_net(seed: int) -> Network:
+    """conftest.random_net(seed) with seeded demands, costs and capacities
+    drawn from values that need scaling or have more than 18 digits."""
+    net = random_net(seed)
+    rng = random.Random(seed)
+    buses = tuple(
+        replace(bus, demand=rng.choice(AWKWARD), gen_max=rng.choice(AWKWARD_MAX), gen_cost=rng.choice(AWKWARD))
+        for bus in net.buses
+    )
+    return Network(buses, net.lines)
+
+
+def assert_reads_back(model: MilpModel) -> None:
+    lp = read_lp_text(lp_text(model))
+    scale = lp["objective_scale"]
+    objective = [(var, c) for var, c in model.objective if c != 0]
+    assert [(var, c / (scale or 1)) for var, c in lp["objective"]] == objective
+    if scale is not None:
+        assert scale > 0 and all(c.denominator == 1 for _, c in lp["objective"])
+    assert len(lp["rows"]) == len(model.constraints)
+    for (name, coeffs, sense, rhs, scale), con in zip(lp["rows"], model.constraints):
+        assert (name, sense) == (con.name, con.sense)
+        assert [(var, c / (scale or 1)) for var, c in coeffs] == list(con.coeffs)
+        assert rhs / (scale or 1) == con.rhs
+        if scale is not None:
+            assert scale > 0 and all(c.denominator == 1 for _, c in coeffs) and rhs.denominator == 1
+    assert lp["bounds"] == {var.name: (var.lower, var.upper) for var in model.variables}
+    assert lp["binaries"] == [var.name for var in model.variables if var.kind == "binary"]
+
+
+def test_lp_text_reads_back_exactly(fig1, triangle):
+    mixed6 = load_network((DATA / "mixed6.json").read_bytes())
+    for net in (fig1, triangle, mixed6):
+        cpvis, cvis = all_cuts(net)
+        assert cpvis and cvis
+        for bigm in ("global", "bounds"):
+            assert_reads_back(build_dcots(net, bigm=bigm))
+            assert_reads_back(build_dcots(net, bigm=bigm, cpvis=cpvis, cvis=cvis))
+        big = global_big_m(net)
+        for cycle in fundamental_cycle_basis(net):
+            for m, n in itertools.combinations(cycle.buses, 2):
+                assert_reads_back(extended_model(build_extended(split_cycle(net, cycle, m, n), big), "ext"))
+    scaled = 0
+    for seed in range(40):
+        net = priced_net(seed)
+        for bigm in ("global", "bounds"):
+            model = build_dcots(net, bigm=bigm)
+            assert_reads_back(model)
+            scaled += "scaled by" in lp_text(model)
+        gen_max = F(7, 3) if seed % 2 else F(1, 3)
+        awkward = Network((replace(net.buses[0], gen_max=gen_max),) + net.buses[1:], net.lines)
+        name = f"g_{net.buses[0].id}"
+        with pytest.raises(ValueError, match=f"variable '{name}' bound {gen_max} has no exact decimal form"):
+            lp_text(build_dcots(awkward))
+    assert scaled == 80  # every seed needs a scaled row or objective
 
 
 def test_duplicate_names_rejected():

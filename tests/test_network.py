@@ -29,6 +29,11 @@ def test_singleton_network_is_valid():
     assert len(net.buses) == 1 and not net.lines
 
 
+def test_empty_bus_list_is_parse_error():
+    with pytest.raises(ParseError, match="'buses' must be a nonempty list"):
+        load_network(doc([], []))
+
+
 def test_disconnected_rejected_with_bus_name():
     payload = doc(
         [{"id": "a"}, {"id": "b"}, {"id": "c"}],
