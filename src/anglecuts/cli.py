@@ -30,6 +30,7 @@ from .graph import all_simple_cycles, fundamental_cycle_basis, split_cycle
 from .milp import build_dcots, extended_model, lp_text, merge_models
 from .network import load_network
 from .oracle import (
+    HULL_CANDIDATES,
     candidate_hull,
     cpvi_validity_certificate,
     facet_certificate,
@@ -132,10 +133,6 @@ def cmd_bounds(args) -> int:
     return EXIT_OK
 
 
-def _cycles_for(net, use_all: bool):
-    return all_simple_cycles(net) if use_all else fundamental_cycle_basis(net)
-
-
 def cmd_cuts(args) -> int:
     net = _load_net(args.network)
     point = _load_point(args.point, net)
@@ -143,7 +140,7 @@ def cmd_cuts(args) -> int:
         tolerance=parse_rational(args.tolerance, "tolerance"),
         fractional_cycles_only=args.fractional_only,
     )
-    cycles = _cycles_for(net, args.all_cycles)
+    cycles = all_simple_cycles(net) if args.all_cycles else fundamental_cycle_basis(net)
     lines = []
     if args.kind in ("cpvi", "both"):
         for cut, violation in separate_cpvi(net, cycles, point, config):
@@ -224,14 +221,9 @@ def cmd_certify(args) -> int:
                     (None, full_dimension_certificate(net, pair, big_m)),
                     (None, local_idealness_certificate(net, build_extended(pair, big_m))),
                 ]
-                if args.strict_theorem2:
-                    candidate = candidate_hull(net, pair, big_m, include_fallback=False)
-                    checks.append(("cpvi_only", hull_equality(net, pair, big_m, candidate)))
-                else:
-                    candidate = candidate_hull(net, pair, big_m, include_fallback=True)
-                    checks.append(("cpvi_with_fallback", hull_equality(net, pair, big_m, candidate)))
-                    completed = candidate_hull(net, pair, big_m, complete=True)
-                    checks.append(("completed_projection", hull_equality(net, pair, big_m, completed)))
+                for name in HULL_CANDIDATES[:1] if args.strict_theorem2 else HULL_CANDIDATES[1:]:
+                    candidate = candidate_hull(net, pair, big_m, name)
+                    checks.append((name, hull_equality(net, pair, big_m, candidate)))
                 for variant, report in checks:
                     entry = report.to_json()
                     entry["cycle"] = c_idx

@@ -72,9 +72,6 @@ class CutCPVI:
     constant: Fraction
     y_coeffs: tuple[tuple[int, Fraction], ...]  # (line index, coefficient), sorted
 
-    def coeff_map(self) -> dict[int, Fraction]:
-        return dict(self.y_coeffs)
-
     rhs_at = _rhs_at
 
 
@@ -379,16 +376,24 @@ def _rebuild_cycle(net: Network, obj: dict, kind: str) -> Cycle:
     return Cycle(lines, tuple(buses), total)
 
 
-def _y_coeffs(obj: dict, kind: str) -> dict[int, Fraction]:
-    value = obj["y_coeffs"]
+def _line_keyed(obj: dict, kind: str, name: str) -> dict[int, object]:
+    """A JSON object keyed by line index, such as 'y_coeffs' or 'flow_signs'."""
+    value = obj[name]
     if not isinstance(value, dict):
-        raise ParseError(f"{kind} cut: 'y_coeffs' must be an object of line index to coefficient")
-    out = {}
-    for key, coeff in value.items():
+        raise ParseError(f"{kind} cut: {name!r} must be an object keyed by line index")
+    for key in value:
         if not (key.isascii() and key.isdigit()):
-            raise ParseError(f"{kind} cut: 'y_coeffs' key {key!r} is not a line index")
-        out[int(key)] = parse_rational(coeff, f"y_coeffs[{key}]")
-    return out
+            raise ParseError(f"{kind} cut: {name!r} key {key!r} is not a line index")
+    return {int(key): entry for key, entry in value.items()}
+
+
+def _y_coeffs(obj: dict, kind: str) -> dict[int, Fraction]:
+    return {line: parse_rational(c, f"y_coeffs[{line}]") for line, c in _line_keyed(obj, kind, "y_coeffs").items()}
+
+
+def _check_stored(kind: str, name: str, stored: object, rebuilt: object) -> None:
+    if stored != rebuilt:
+        raise ParseError(f"{kind} cut: {name!r} does not match the cut rebuilt from its provenance")
 
 
 def cpvi_from_json(net: Network, obj: dict) -> CutCPVI:
@@ -405,14 +410,14 @@ def cpvi_from_json(net: Network, obj: dict) -> CutCPVI:
         raise ParseError("cpvi cut: 'pair' must list two distinct buses of 'cycle_buses'")
     pair = split_cycle(net, cycle, *ends)
     cut = build_cpvi(pair, parse_rational(obj["big_m"], "big_m"))
-    expect = _y_coeffs(obj, "cpvi")
-    if cut.coeff_map() != expect or cut.constant != parse_rational(obj["constant"], "constant"):
-        raise ValueError("stored cut coefficients do not match its provenance")
+    _check_stored("cpvi", "y_coeffs", _y_coeffs(obj, "cpvi"), dict(cut.y_coeffs))
+    _check_stored("cpvi", "constant", parse_rational(obj["constant"], "constant"), cut.constant)
     return cut
 
 
 def cvi_from_json(net: Network, obj: dict) -> CutCVI:
-    _require_fields(obj, "cvi", ("cycle_lines", "cycle_buses", "subset", "constant"))
+    """Rebuild a flow-space cut from its provenance; re-derives and verifies."""
+    _require_fields(obj, "cvi", ("cycle_lines", "cycle_buses", "subset", "flow_signs", "y_coeffs", "constant"))
     cycle = _rebuild_cycle(net, obj, "cvi")
     subset = _line_list(net, obj, "cvi", "subset")
     if not set(subset) <= set(cycle.lines):
@@ -420,6 +425,9 @@ def cvi_from_json(net: Network, obj: dict) -> CutCVI:
     cut = build_cvi(net, cycle, subset)
     if cut is None:
         raise ValueError("stored subset yields a trivial cut")
-    if cut.constant != parse_rational(obj["constant"], "constant"):
-        raise ValueError("stored cut coefficients do not match its provenance")
+    # a sign is an int: JSON true or 1.0 compare equal to 1 but are not signs
+    signs = {line: s if type(s) is int else None for line, s in _line_keyed(obj, "cvi", "flow_signs").items()}
+    _check_stored("cvi", "flow_signs", signs, dict(cut.flow_signs))
+    _check_stored("cvi", "y_coeffs", _y_coeffs(obj, "cvi"), dict(cut.y_coeffs))
+    _check_stored("cvi", "constant", parse_rational(obj["constant"], "constant"), cut.constant)
     return cut

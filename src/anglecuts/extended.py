@@ -53,16 +53,6 @@ class ExtendedSystem:
     def var(self, name: str) -> int:
         return self.var_names.index(name)
 
-    def all_rows(self) -> list[tuple[tuple[Fraction, ...], Fraction]]:
-        """Structural rows plus box rows, as plain (coeffs, rhs) pairs."""
-        out = [(row.coeffs, row.rhs) for row in self.rows]
-        for j, (lo, hi) in enumerate(self.boxes):
-            if hi is not None:
-                out.append(dense_row(self.dim, {j: 1}, hi))
-            if lo is not None:
-                out.append(dense_row(self.dim, {j: -1}, -lo))
-        return out
-
 
 def build_extended(pair: CyclePathPair, big_m: Fraction) -> ExtendedSystem:
     """Construct the lifted system; requires big_m >= the longer arc weight."""

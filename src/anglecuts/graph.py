@@ -68,64 +68,35 @@ def _check_bus(net: Network, bus: str) -> None:
         raise UnknownBusError(f"unknown bus {bus!r}")
 
 
-def _allowed(net: Network, active_only: bool) -> Iterable[int]:
-    for idx, line in enumerate(net.lines):
-        if active_only and line.switchable:
-            continue
-        yield idx
+def _bfs_parents(net: Network) -> dict[str, tuple[str, int]]:
+    """Map each non-root bus to (parent bus, connecting line) in the BFS
+    tree rooted at the lowest-index bus; deterministic.
 
-
-def spanning_tree(net: Network, active_only: bool = False) -> frozenset[int]:
-    """BFS spanning tree rooted at the lowest-index bus, deterministic.
-
-    With active_only, only non-switchable lines are eligible; raises
-    DisconnectedError when the eligible subgraph does not reach every bus.
+    Raises DisconnectedError when the search does not reach every bus.
     """
-    if not net.buses:
-        return frozenset()
-    allowed = set(_allowed(net, active_only))
     root = net.buses[0].id
+    parents: dict[str, tuple[str, int]] = {}
     reached = {root}
-    tree: list[int] = []
     frontier = [root]
     while frontier:
         nxt: list[str] = []
         for bus in frontier:
             for idx in net.adjacency[bus]:
-                if idx not in allowed:
-                    continue
                 other = net.lines[idx].other(bus)
                 if other not in reached:
                     reached.add(other)
-                    tree.append(idx)
+                    parents[other] = (bus, idx)
                     nxt.append(other)
         frontier = nxt
     for bus in net.buses:
         if bus.id not in reached:
-            raise DisconnectedError(
-                f"bus {bus.id!r} unreachable from {root!r}"
-                + (" over non-switchable lines" if active_only else "")
-            )
-    return frozenset(tree)
-
-
-def _tree_parents(net: Network, tree: frozenset[int]) -> dict[str, tuple[str, int]]:
-    """Map each non-root bus to (parent bus, connecting tree line)."""
-    root = net.buses[0].id
-    parents: dict[str, tuple[str, int]] = {}
-    stack = [root]
-    seen = {root}
-    while stack:
-        bus = stack.pop()
-        for idx in net.adjacency[bus]:
-            if idx not in tree:
-                continue
-            other = net.lines[idx].other(bus)
-            if other not in seen:
-                seen.add(other)
-                parents[other] = (bus, idx)
-                stack.append(other)
+            raise DisconnectedError(f"bus {bus.id!r} unreachable from {root!r}")
     return parents
+
+
+def spanning_tree(net: Network) -> frozenset[int]:
+    """Lines of the BFS spanning tree rooted at the lowest-index bus."""
+    return frozenset(idx for _, idx in _bfs_parents(net).values())
 
 
 def _canonical_cycle(net: Network, line_seq: Sequence[int], bus_seq: Sequence[str]) -> Cycle:
@@ -153,18 +124,17 @@ def fundamental_cycle_basis(net: Network) -> list[Cycle]:
     deterministic (BFS tree from the lowest-index bus, non-tree lines in
     index order).
     """
-    tree = spanning_tree(net)
-    parents = _tree_parents(net, tree)
-    root = net.buses[0].id
+    parents = _bfs_parents(net)
+    tree = {idx for _, idx in parents.values()}
 
     def chain(bus: str) -> tuple[list[tuple[str, int]], list[str]]:
         """Edges (child, tree line) and buses visited walking up to the root."""
         edges = []
-        while bus != root:
+        while bus in parents:
             parent, idx = parents[bus]
             edges.append((bus, idx))
             bus = parent
-        return edges, [child for child, _ in edges] + [root]
+        return edges, [child for child, _ in edges] + [bus]
 
     cycles = []
     for idx, line in enumerate(net.lines):

@@ -59,7 +59,6 @@ class MilpModel:
     variables: list[MilpVariable] = field(default_factory=list)
     constraints: list[MilpConstraint] = field(default_factory=list)
     objective: list[tuple[str, Fraction]] = field(default_factory=list)
-    comments: list[str] = field(default_factory=list)
     # name indices, kept in step with the two lists by the add_* methods
     _var_names: set[str] = field(default_factory=set, init=False, repr=False, compare=False)
     _con_names: set[str] = field(default_factory=set, init=False, repr=False, compare=False)
@@ -298,8 +297,6 @@ def _bound(var: MilpVariable, value: Fraction) -> str:
 def lp_text(model: MilpModel) -> str:
     """The model in LP text format; byte-identical for identical models."""
     out = io.StringIO()
-    for comment in model.comments:
-        out.write(f"\\ {comment}\n")
     out.write("Minimize\n")
     terms = [(var, c) for var, c in model.objective if c != 0]
     if terms:

@@ -72,9 +72,6 @@ class Network:
             adj[line.to_bus].append(idx)
         return {bus: tuple(idxs) for bus, idxs in adj.items()}
 
-    def bus(self, bus_id: str) -> Bus:
-        return self.buses[self.bus_index[bus_id]]
-
     def with_all_lines_fixed(self) -> "Network":
         """Copy with every line non-switchable (y fixed to 1)."""
         return Network(self.buses, tuple(replace(ln, switchable=False) for ln in self.lines))

@@ -41,6 +41,7 @@ __all__ = [
     "local_idealness_certificate",
     "cpvi_validity_certificate",
     "pair_relaxation_rows",
+    "HULL_CANDIDATES",
     "candidate_hull",
     "extended_polytope",
     "point_in_hull",
@@ -53,6 +54,9 @@ VERTEX_ROW_CAP = 40
 INTEGER_POINT_CAP = 20
 HULL_CYCLE_CAP = 6
 BRUTE_FORCE_CAP = 12
+
+# the hull candidates by the names certify prints: --strict-theorem2 runs the first, a default run the rest
+HULL_CANDIDATES = ("cpvi_only", "cpvi_with_fallback", "completed_projection")
 
 
 @dataclass(frozen=True)
@@ -68,7 +72,7 @@ class HPolytope:
                 raise ValueError("row width does not match the polytope dimension")
 
     def contains(self, point: Sequence[Fraction]) -> bool:
-        return all(dot(coeffs, point) <= b for coeffs, b in self.rows)
+        return self.first_violated(point) is None
 
     def first_violated(self, point: Sequence[Fraction]):
         for k, (coeffs, b) in enumerate(self.rows):
@@ -107,33 +111,22 @@ def _point_json(point: Iterable[Fraction]) -> list[str]:
 # integer points of the per-pair relaxation
 
 
-def implied_angle_bound(net: Network, pair: CyclePathPair, big_m: Fraction, y: Mapping[int, int]) -> Fraction:
-    """Tightest of the three row families at a fixed activity pattern."""
-    short = pair.shorter.total_weight + sum(
-        ((big_m - net.lines[e].weight) * (1 - y[e]) for e in pair.shorter.lines), Fraction(0)
-    )
-    long_ = pair.longer.total_weight + sum(
-        ((big_m - net.lines[e].weight) * (1 - y[e]) for e in pair.longer.lines), Fraction(0)
-    )
-    return min(short, long_, big_m)
-
-
 def integer_points(net: Network, pair: CyclePathPair, big_m: Fraction) -> list[tuple[Fraction, tuple[int, ...]]]:
     """All integer-feasible extremes: per activity pattern, the exact
     implied bound at both signs plus an interior point at zero.
 
-    Points are (angle difference, activity bits in cycle-line order).
+    The bound is the least right-hand side of the relaxation's upper
+    angle rows with y fixed to the pattern.  Points are (angle
+    difference, activity bits in cycle-line order).
     """
     size = len(pair.cycle.lines)
     if size > INTEGER_POINT_CAP:
         raise CapExceededError(f"cycle size {size} exceeds the integer enumeration cap {INTEGER_POINT_CAP}")
+    upper = [(coeffs[1:], b) for coeffs, b in pair_relaxation_rows(net, pair, big_m) if coeffs[0] == 1]
     points = []
     for bits in itertools.product((0, 1), repeat=size):
-        y = dict(zip(pair.cycle.lines, bits))
-        bound = implied_angle_bound(net, pair, big_m, y)
-        points.append((bound, bits))
-        points.append((-bound, bits))
-        points.append((Fraction(0), bits))
+        bound = min(b - dot(slopes, bits) for slopes, b in upper)
+        points += [(bound, bits), (-bound, bits), (Fraction(0), bits)]
     return points
 
 
@@ -321,53 +314,50 @@ def _cpvi_rows(cut: CutCPVI) -> list[Row]:
     return [_pair_row(cut.pair, sign, slopes, cut.constant) for sign in (1, -1)]
 
 
-def candidate_hull(
-    net: Network,
-    pair: CyclePathPair,
-    big_m: Fraction,
-    include_fallback: bool = True,
-    complete: bool = False,
-) -> HPolytope:
-    """A hull description to adjudicate over (angle difference, y).
+def candidate_hull(net: Network, pair: CyclePathPair, big_m: Fraction, name: str) -> HPolytope:
+    """The named hull description to adjudicate over (angle difference, y).
 
-    The base candidate is the y box and both signs of the path-based
-    cut; include_fallback adds the |angle| <= M rows.  With complete,
-    the two aggregated single-path rows produced by the zero branches of
-    the indicator elimination are added as well:
+    Each holds the y box and both signs of the path-based cut;
+    "cpvi_with_fallback" adds the |angle| <= M rows, and
+    "completed_projection" adds before those the aggregated single-path
+    rows from the zero branches of the indicator elimination, per arc:
 
         |angle| <= w(path) + (M - w(path)) * (len(path) - sum of path y)
 
-    for each arc.  The oracle certifies that only this completed
-    description closes the hull; the base candidate (with or without
-    the fallback) admits vertices outside it.
+    The oracle certifies that only the completed one closes the hull.
     """
     from .cuts import build_cpvi
 
+    if name not in HULL_CANDIDATES:
+        raise ValueError(f"unknown hull candidate {name!r}; expected one of {', '.join(HULL_CANDIDATES)}")
     rows = _y_box_rows(pair) + _cpvi_rows(build_cpvi(pair, big_m))
-    if complete:
+    if name == "completed_projection":
         for sign in (1, -1):
             for path in (pair.shorter, pair.longer):
                 slope = big_m - path.total_weight
                 rows.append(_pair_row(pair, sign, dict.fromkeys(path.lines, slope),
                                       path.total_weight + slope * len(path.lines)))
-    if include_fallback or complete:
+    if name != "cpvi_only":
         rows.extend(_pair_row(pair, sign, {}, big_m) for sign in (1, -1))
     return HPolytope(tuple(rows), len(pair.cycle.lines) + 1)
 
 
 def extended_polytope(sys: ExtendedSystem) -> HPolytope:
-    return HPolytope(tuple(sys.all_rows()), sys.dim)
+    """The lifted system's structural rows, then a row per finite box side."""
+    rows = [(row.coeffs, row.rhs) for row in sys.rows]
+    for j, (lo, hi) in enumerate(sys.boxes):
+        if hi is not None:
+            rows.append(dense_row(sys.dim, {j: 1}, hi))
+        if lo is not None:
+            rows.append(dense_row(sys.dim, {j: -1}, -lo))
+    return HPolytope(tuple(rows), sys.dim)
 
 
 def cpvi_validity_certificate(net: Network, cut: CutCPVI) -> CertificateReport:
     """Every integer-feasible extreme satisfies the cut."""
     pair = cut.pair
-    coeff = cut.coeff_map()
     for dtheta, bits in integer_points(net, pair, cut.big_m):
-        rhs = cut.constant
-        for line, value in zip(pair.cycle.lines, bits):
-            rhs += coeff[line] * value
-        if abs(dtheta) > rhs:
+        if abs(dtheta) > cut.rhs_at(dict(zip(pair.cycle.lines, bits))):
             return CertificateReport(
                 Claim.VALIDITY,
                 False,
@@ -416,14 +406,9 @@ def facet_certificate(net: Network, cut: CutCPVI) -> CertificateReport:
     pair = cut.pair
     big_m = cut.big_m
     size = len(pair.cycle.lines)
-    pos = {line: k for k, line in enumerate(pair.cycle.lines)}
-    ones = [1] * size
 
     def make_point(dtheta: Fraction, off: Sequence[int]) -> tuple[Fraction, tuple[int, ...]]:
-        bits = list(ones)
-        for line in off:
-            bits[pos[line]] = 0
-        return (dtheta, tuple(bits))
+        return (dtheta, tuple(0 if line in off else 1 for line in pair.cycle.lines))
 
     points = [make_point(pair.shorter.total_weight, [])]
     for line in pair.shorter.lines:
@@ -432,10 +417,7 @@ def facet_certificate(net: Network, cut: CutCPVI) -> CertificateReport:
     for line in pair.longer.lines:
         points.append(make_point(big_m, [first_short, line]))
 
-    member = set()
-    for dtheta, bits in integer_points(net, pair, big_m):
-        member.add((dtheta, bits))
-    coeff = cut.coeff_map()
+    member = set(integer_points(net, pair, big_m))
     for dtheta, bits in points:
         if (dtheta, bits) not in member:
             return CertificateReport(
@@ -443,9 +425,7 @@ def facet_certificate(net: Network, cut: CutCPVI) -> CertificateReport:
                 False,
                 {"not_integer_feasible": {"dtheta": format_rational(dtheta), "y": list(bits)}},
             )
-        rhs = cut.constant + sum(
-            (coeff[line] * value for line, value in zip(pair.cycle.lines, bits)), Fraction(0)
-        )
+        rhs = cut.rhs_at(dict(zip(pair.cycle.lines, bits)))
         if abs(dtheta) != rhs:
             return CertificateReport(
                 Claim.FACET_RANK,

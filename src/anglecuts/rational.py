@@ -8,30 +8,47 @@ oracles.
 
 from __future__ import annotations
 
+import re
+import sys
 from fractions import Fraction
 from typing import Mapping, Sequence
+
+# the decimal exponent of a rational string, read before Fraction expands it
+_EXPONENT = re.compile(r"[eE][-+]?([0-9][0-9_]*)\s*\Z")
 
 
 def parse_rational(value: object, where: str = "value") -> Fraction:
     """Parse a rational from an int or a string like ``"3"``, ``"-1/2"``, ``"0.25"``.
 
     Floats are rejected: they carry binary rounding error and would poison
-    exact tightness and rank tests downstream.
+    exact tightness and rank tests downstream.  So is a numerator or
+    denominator with more digits than ``sys.get_int_max_str_digits()``,
+    a decimal exponent before ``Fraction`` expands it.
     """
+    limit = sys.get_int_max_str_digits()
     if isinstance(value, bool):
         raise ValueError(f"{where}: expected a rational, got a boolean")
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, Fraction):
-        return value
     if isinstance(value, float):
         raise ValueError(f"{where}: floats are not exact; use a decimal or p/q string")
     if isinstance(value, str):
+        if limit and ("e" in value or "E" in value) and (exponent := _EXPONENT.search(value)):
+            # 10**e alone has e + 1 digits; int() reads only an exponent short enough to print
+            digits = exponent[1].replace("_", "")
+            if len(digits) >= limit or int(digits) >= limit:
+                raise ValueError(f"{where}: decimal exponent in {value[:40]!r} gives more than {limit} digits")
         try:
-            return Fraction(value.strip())
+            value = Fraction(value.strip())
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"{where}: not a rational string: {value!r}") from exc
-    raise ValueError(f"{where}: expected a rational string or integer, got {type(value).__name__}")
+    elif isinstance(value, int):
+        value = Fraction(value)
+    elif not isinstance(value, Fraction):
+        raise ValueError(f"{where}: expected a rational string or integer, got {type(value).__name__}")
+    num, den = value.numerator, value.denominator
+    # a part has fewer bits than 3 per digit, so only a long one pays for 10**limit
+    if limit and (num.bit_length() > 3 * limit or den.bit_length() > 3 * limit) and max(-num, num, den) >= 10**limit:
+        raise ValueError(f"{where}: a numerator or denominator has more than {limit} digits")
+    return value
 
 
 def format_rational(value: Fraction) -> str:

@@ -12,12 +12,12 @@ from __future__ import annotations
 import itertools
 import re
 from fractions import Fraction
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from anglecuts.bounds import global_big_m
 from anglecuts.cuts import build_cpvi, cpvi_violation
 from anglecuts.graph import split_cycle
-from anglecuts.simplex import LPResult, Row
+from anglecuts.simplex import LPResult, Row, solve_linear_program
 
 
 def brute_shortest_path(net, m, n, active=None):
@@ -133,6 +133,52 @@ def read_lp_text(text: str) -> dict:
             raise AssertionError(f"unexpected LP line {line!r}")
     assert section == "End"
     return lp
+
+
+def fixed_binary_lp(model, fixed: Mapping[str, int]) -> LPResult:
+    """The exact LP of a MilpModel with the named variables fixed.
+
+    Each fixed variable is substituted into the rows and the objective;
+    every other variable's finite bounds become rows.  A fixed value
+    outside its variable's bounds makes the LP infeasible.
+    """
+    for var in model.variables:
+        if var.name in fixed and not (
+            (var.lower is None or var.lower <= fixed[var.name])
+            and (var.upper is None or fixed[var.name] <= var.upper)
+        ):
+            return LPResult("infeasible")
+    free = [var for var in model.variables if var.name not in fixed]
+    col = {var.name: k for k, var in enumerate(free)}
+
+    def row(terms, rhs):
+        coeffs = [Fraction(0)] * len(free)
+        for name, c in terms:
+            if name in fixed:
+                rhs -= c * fixed[name]
+            else:
+                coeffs[col[name]] += c
+        return coeffs, rhs
+
+    ineqs, eqs = [], []
+    for con in model.constraints:
+        coeffs, rhs = row(con.coeffs, con.rhs)
+        if con.sense == "=":
+            eqs.append((coeffs, rhs))
+        elif con.sense == "<=":
+            ineqs.append((coeffs, rhs))
+        else:
+            ineqs.append(([-c for c in coeffs], -rhs))
+    for var in free:
+        if var.upper is not None:
+            ineqs.append(row([(var.name, 1)], var.upper))
+        if var.lower is not None:
+            ineqs.append(row([(var.name, -1)], -var.lower))
+    objective, shift = row(model.objective, Fraction(0))
+    result = solve_linear_program(len(free), ineqs, eqs, objective)
+    if result.status != "optimal":
+        return result
+    return LPResult("optimal", result.value - shift, result.point)
 
 
 def _solve(matrix, rhs):

@@ -222,6 +222,11 @@ MALFORMED_CASES = [
     ("emit", "cuts.jsonl", fake_reordered_cut(), "'cycle_lines'"),
     ("emit", "cuts.jsonl", fig1_cut("cvi", subset=3), "'subset'"),
     ("emit", "cuts.jsonl", fig1_cut("cvi", subset=[1, 2, 4, 99]), "'subset'"),
+    ("emit", "cuts.jsonl", fig1_cut("cvi", y_coeffs={str(k): "999" for k in range(6)}),
+     "cvi cut: 'y_coeffs' does not match the cut rebuilt from its provenance"),
+    # JSON true equals 1 in Python, so a bool sign must be refused by type
+    ("emit", "cuts.jsonl", fig1_cut("cvi", flow_signs={"1": True, "2": 1, "4": 1, "5": -1}),
+     "cvi cut: 'flow_signs' does not match the cut rebuilt from its provenance"),
     ("emit", "cuts.jsonl", fig1_cut("cpvi", pair="ab"), "'pair'"),
     ("emit", "cuts.jsonl", fig1_cut("cpvi", pair=["i0", "zz"]), "'pair'"),
     # the longer arc's weight, below global M and the pair bound (both 6)
@@ -248,6 +253,8 @@ MALFORMED_IDS = [
     "cut-buses-reordered",
     "cut-subset-int",
     "cut-subset-out-of-range",
+    "cut-cvi-y-coeffs-tampered",
+    "cut-cvi-flow-signs-tampered",
     "cut-pair-string",
     "cut-pair-off-cycle",
     "cut-big-m-below-pair-bound",
@@ -367,6 +374,25 @@ def test_emit_refuses_a_bound_with_no_exact_decimal(capsys, tmp_path, gen_max):
     code, out, err = run(capsys, "emit", str(path))
     assert code == 2 and out == ""
     assert f"input error: variable 'g_i0' bound {gen_max} has no exact decimal form" in err
+
+
+def fig1_line(k, **fields):
+    """fig1's network text with some fields of line k replaced."""
+    doc = json.loads((DATA / "fig1.json").read_text())
+    doc["lines"][k].update(fields)
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("command, text, message", [
+    ("validate", fig1_bus("i4", gen_cost="1e5000"), "parse error: bus 'i4' gen_cost: decimal exponent in '1e5000'"),
+    ("emit", fig1_bus("i0", demand="1e5000"), "input error: bus 'i0' demand: decimal exponent in '1e5000'"),
+    ("bounds", fig1_line(0, reactance="1e5000"), "input error: line #0 reactance: decimal exponent in '1e5000'"),
+], ids=["validate", "emit", "bounds"])
+def test_number_too_long_to_print_exit_2(capsys, tmp_path, command, text, message):
+    path = tmp_path / "net.json"
+    path.write_text(text)
+    code, _, err = run(capsys, command, str(path))
+    assert code == 2 and message in err
 
 
 # -- certify ------------------------------------------------------------------
@@ -504,6 +530,7 @@ FUZZ_CORPUS = [
     {"network": fig1_bus("i4", gen_cost=str(10**400)), "point": json.dumps(FUZZ_POINT), "cuts": FUZZ_CUTS},
     {"network": fig1_bus("i0", gen_max="7/3"), "point": json.dumps(FUZZ_POINT), "cuts": FUZZ_CUTS},
     {"network": fig1_bus("i0", gen_max="1/3"), "point": json.dumps(FUZZ_POINT), "cuts": FUZZ_CUTS},
+    {"network": fig1_line(0, reactance="1e5000"), "point": json.dumps(FUZZ_POINT), "cuts": FUZZ_CUTS},
 ] + [
     {
         "network": text if name == "net.json" else FUZZ_NETWORK,

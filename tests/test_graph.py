@@ -14,6 +14,7 @@ from anglecuts.graph import (
     spanning_tree,
     split_cycle,
 )
+from anglecuts.network import Bus, Line, Network
 
 from _brute import brute_cycles, brute_shortest_path
 from conftest import make_net, random_net, ring_net
@@ -34,14 +35,12 @@ def test_spanning_tree_sizes(fig1, two_triangles):
     assert spanning_tree(tree) == frozenset({0, 1})
 
 
-def test_spanning_tree_active_only_disconnected(fig1):
-    with pytest.raises(DisconnectedError):
-        spanning_tree(fig1, active_only=True)  # every line is switchable
-
-
-def test_spanning_tree_active_only_over_fixed_lines(fig1_fixed):
-    tree = spanning_tree(fig1_fixed, active_only=True)
-    assert len(tree) == 5 and tree <= set(range(6))
+def test_spanning_tree_names_an_unreached_bus():
+    net = Network((Bus("a"), Bus("b"), Bus("c")), (Line("a", "b", F(1), F(1)),))
+    with pytest.raises(DisconnectedError, match="bus 'c' unreachable from 'a'"):
+        spanning_tree(net)
+    with pytest.raises(DisconnectedError, match="bus 'c'"):
+        fundamental_cycle_basis(net)
 
 
 def test_cycle_basis_counts(fig1, two_triangles):

@@ -22,7 +22,7 @@ from anglecuts.network import Network, load_network
 from anglecuts.oracle import brute_force_dcots
 from anglecuts.simplex import solve_linear_program
 
-from _brute import read_lp_text
+from _brute import fixed_binary_lp, read_lp_text
 from conftest import DATA, make_net, random_net
 from test_bounds import milp_as_lp, reference_report
 
@@ -279,3 +279,45 @@ def test_optimum_preserved_with_cuts_via_milp_route(triangle):
     plain = brute_force_dcots(triangle)
     cut = brute_force_dcots(triangle, cpvis=cpvis)
     assert plain.cost == cut.cost == 6
+
+
+def congested_net(seed):
+    """4-6 buses and at most 7 lines of capacity 1-4, mostly switchable;
+    a cheap and a dear generator, demand at every other bus."""
+    rng = random.Random(seed)
+    n = rng.randint(4, 6)
+    ids = [f"v{k}" for k in range(n)]
+    ends = [(ids[rng.randrange(k)], ids[k]) for k in range(1, n)]
+    ends += [tuple(rng.sample(ids, 2)) for _ in range(rng.randint(1, 8 - n))]
+    cheap, dear = rng.sample(ids, 2)
+    buses = [(b, 0, 6, 1) if b == cheap else (b, 0, 6, 4) if b == dear else (b, rng.randint(1, 2)) for b in ids]
+    lines = [(a, b, F(1, rng.randint(1, 3)), rng.randint(1, 4), rng.random() < 0.8) for a, b in ends]
+    return make_net(buses, lines)
+
+
+def model_optimum(model):
+    """Least fixed-binary LP value over every binary pattern within the
+    bounds, or None when no pattern is feasible."""
+    binaries = [var for var in model.variables if var.kind == "binary"]
+    values = [range(int(var.lower), int(var.upper) + 1) for var in binaries]
+    best = None
+    for bits in itertools.product(*values):
+        result = fixed_binary_lp(model, {var.name: bit for var, bit in zip(binaries, bits)})
+        if result.status == "optimal" and (best is None or result.value < best):
+            best = result.value
+    return best
+
+
+@pytest.mark.parametrize("name", ["fig1", "mixed6", "congested1", "congested2", "congested3"])
+def test_emitted_model_solves_to_the_brute_force_optimum(fig1, name):
+    """The MILP under either big-M, solved exactly pattern by pattern, has
+    the optimum that brute-force switching finds in angle space.  On
+    congested1 switching lowers the cost; congested3 is infeasible with
+    every line in service."""
+    if name.startswith("congested"):
+        net = congested_net(int(name[-1]))
+    else:
+        net = fig1 if name == "fig1" else load_network((DATA / "mixed6.json").read_bytes())
+    expected = brute_force_dcots(net).cost
+    for bigm in ("global", "bounds"):
+        assert model_optimum(build_dcots(net, bigm=bigm)) == expected, bigm

@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from anglecuts.errors import DisconnectedError, ParseError, ValidationError
 from anglecuts.network import Line, load_network, network_to_json, serialize_network
+from anglecuts.rational import parse_rational
 
 from conftest import make_net
 
@@ -90,6 +91,35 @@ def test_malformed_json_is_parse_error():
 def test_float_values_rejected_as_parse_error():
     with pytest.raises(ParseError, match="exact"):
         load_network(doc([{"id": "a", "demand": 0.5}], []))
+
+
+@pytest.mark.parametrize("demand, message", [
+    ("1e5000", "decimal exponent in '1e5000' gives more than"),
+    ("1e-4300", "decimal exponent in '1e-4300' gives more than"),
+    ("1e" + "9" * 5000, "decimal exponent in '1e999"),
+    ("99e4299", "a numerator or denominator has more than"),
+], ids=["exponent", "negative-exponent", "long-exponent", "numerator"])
+def test_numbers_too_long_to_print_rejected(demand, message):
+    """10**e has e + 1 digits, past Python's 4300-digit printing limit
+    from e = 4300 on; the refusal names the field."""
+    with pytest.raises(ParseError, match=f"bus 'a' demand: {message}"):
+        load_network(doc([{"id": "a", "demand": demand}], []))
+
+
+def test_exponent_without_digits_is_not_a_rational():
+    with pytest.raises(ValueError, match="x: not a rational string: '1e_'"):
+        parse_rational("1e_", "x")
+
+
+def test_long_values_from_code_rejected():
+    for value in (10**4300, F(1, 10**4300)):
+        with pytest.raises(ValueError, match="x: a numerator or denominator has more than"):
+            parse_rational(value, "x")
+
+
+def test_longest_printable_numbers_accepted():
+    net = load_network(doc([{"id": "a", "demand": "1e4299", "gen_max": "15e-4299"}], []))
+    assert net.buses[0].demand == 10**4299 and net.buses[0].gen_max == F(15, 10**4299)
 
 
 def test_missing_line_field_is_parse_error():

@@ -245,7 +245,7 @@ def test_local_idealness_fig1(fig1, fig1_pair):
 
 
 def test_hull_equality_strict_fails_with_zero_pattern_witness(fig1, fig1_pair):
-    candidate = candidate_hull(fig1, fig1_pair, F(6), include_fallback=False)
+    candidate = candidate_hull(fig1, fig1_pair, F(6), "cpvi_only")
     report = hull_equality(fig1, fig1_pair, F(6), candidate)
     assert not report.passed
     witness = report.witness["infeasible_vertex"]
@@ -256,7 +256,7 @@ def test_hull_equality_strict_fails_with_zero_pattern_witness(fig1, fig1_pair):
 def test_hull_equality_fallback_candidate_still_leaks(fig1, fig1_pair):
     """The y box, the cut, and the fallback bound do not close the hull:
     a vertex with the shorter path active sits above the shorter-path row."""
-    candidate = candidate_hull(fig1, fig1_pair, F(6), include_fallback=True)
+    candidate = candidate_hull(fig1, fig1_pair, F(6), "cpvi_with_fallback")
     report = hull_equality(fig1, fig1_pair, F(6), candidate)
     assert not report.passed
     key = "infeasible_vertex" if "infeasible_vertex" in report.witness else "fractional_vertex"
@@ -270,8 +270,13 @@ def test_hull_equality_fallback_candidate_still_leaks(fig1, fig1_pair):
 
 
 def test_hull_equality_completed_projection_passes(fig1, fig1_pair):
-    candidate = candidate_hull(fig1, fig1_pair, F(6), complete=True)
+    candidate = candidate_hull(fig1, fig1_pair, F(6), "completed_projection")
     assert hull_equality(fig1, fig1_pair, F(6), candidate).passed
+
+
+def test_candidate_hull_rejects_an_unknown_name(fig1, fig1_pair):
+    with pytest.raises(ValueError, match="unknown hull candidate 'complete'"):
+        candidate_hull(fig1, fig1_pair, F(6), "complete")
 
 
 def test_hull_equality_trivial_box_fails(fig1, fig1_pair):
@@ -296,7 +301,7 @@ def test_hull_equality_cap(fig1):
     net = ring_net([1] * 7)
     pair = split_cycle(net, fundamental_cycle_basis(net)[0], "r0", "r3")
     with pytest.raises(CapExceededError):
-        hull_equality(net, pair, F(7), candidate_hull(net, pair, F(7)))
+        hull_equality(net, pair, F(7), candidate_hull(net, pair, F(7), "cpvi_with_fallback"))
 
 
 def test_completed_hull_on_random_cycles():
@@ -308,7 +313,7 @@ def test_completed_hull_on_random_cycles():
         cycle = fundamental_cycle_basis(net)[0]
         m, n = rng.sample(list(cycle.buses), 2)
         pair = split_cycle(net, cycle, m, n)
-        candidate = candidate_hull(net, pair, cycle.total_weight, complete=True)
+        candidate = candidate_hull(net, pair, cycle.total_weight, "completed_projection")
         assert hull_equality(net, pair, cycle.total_weight, candidate).passed
 
 
