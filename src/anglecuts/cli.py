@@ -27,7 +27,7 @@ from .cuts import (
 from .errors import AngleCutsError, CapExceededError, ParseError, ValidationError
 from .extended import build_extended
 from .graph import all_simple_cycles, fundamental_cycle_basis, split_cycle
-from .milp import build_dcots, extended_model, lp_text, merge_models
+from .milp import build_dcots, lp_text, merge_models
 from .network import load_network
 from .oracle import (
     HULL_CANDIDATES,
@@ -193,8 +193,7 @@ def cmd_emit(args) -> int:
             for i in range(len(buses)):
                 for j in range(i + 1, len(buses)):
                     pair = split_cycle(net, cycle, buses[i], buses[j])
-                    sys_ = build_extended(pair, big_m)
-                    merge_models(model, extended_model(sys_, f"ext_{c_idx}_{i}_{j}"))
+                    merge_models(model, build_extended(pair, big_m).model, f"ext_{c_idx}_{i}_{j}")
     _emit(lp_text(model), args.out)
     _say(f"{len(model.variables)} variables, {len(model.constraints)} rows")
     return EXIT_OK

@@ -412,6 +412,13 @@ def cpvi_from_json(net: Network, obj: dict) -> CutCPVI:
     cut = build_cpvi(pair, parse_rational(obj["big_m"], "big_m"))
     _check_stored("cpvi", "y_coeffs", _y_coeffs(obj, "cpvi"), dict(cut.y_coeffs))
     _check_stored("cpvi", "constant", parse_rational(obj["constant"], "constant"), cut.constant)
+    # derived fields are optional, but checked when present
+    for name, value in (("delta_rho", cut.delta_rho), ("delta_m", cut.delta_m)):
+        if name in obj:
+            _check_stored("cpvi", name, parse_rational(obj[name], name), value)
+    for name, path in (("shorter_lines", pair.shorter), ("longer_lines", pair.longer)):
+        if name in obj:
+            _check_stored("cpvi", name, _line_list(net, obj, "cpvi", name), path.lines)
     return cut
 
 
@@ -430,4 +437,6 @@ def cvi_from_json(net: Network, obj: dict) -> CutCVI:
     _check_stored("cvi", "flow_signs", signs, dict(cut.flow_signs))
     _check_stored("cvi", "y_coeffs", _y_coeffs(obj, "cvi"), dict(cut.y_coeffs))
     _check_stored("cvi", "constant", parse_rational(obj["constant"], "constant"), cut.constant)
+    if "delta_s" in obj:
+        _check_stored("cvi", "delta_s", parse_rational(obj["delta_s"], "delta_s"), cut.delta_s)
     return cut

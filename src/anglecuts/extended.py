@@ -15,47 +15,34 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple
 
 from .cuts import CutCPVI
 from .errors import InvalidBigMError
 from .graph import CyclePathPair
-from .rational import dense_row
+from .milp import MilpModel
 
-__all__ = ["LinearRow", "ExtendedSystem", "build_extended", "project_to_cpvi"]
-
-
-class LinearRow(NamedTuple):
-    name: str
-    coeffs: tuple[Fraction, ...]
-    rhs: Fraction
+__all__ = ["ExtendedSystem", "build_extended", "project_to_cpvi"]
 
 
 @dataclass(frozen=True)
 class ExtendedSystem:
-    """Structural rows plus variable boxes, over a fixed variable order.
+    """The lifted system of a pair as a model of ``<=`` rows.
 
-    Variables: the pair's angle difference first, then one activity
-    variable per cycle line (cycle order), then the two path indicators
-    and the longer-only product variable.
+    Variables: the pair's angle difference first (free), then one
+    activity variable per cycle line (cycle order), then the two path
+    indicators and the longer-only product variable, each in [0, 1].
     """
 
     pair: CyclePathPair
     big_m: Fraction
-    var_names: tuple[str, ...]
-    rows: tuple[LinearRow, ...]
-    boxes: tuple[tuple[Fraction | None, Fraction | None], ...]
-
-    @property
-    def dim(self) -> int:
-        return len(self.var_names)
-
-    def var(self, name: str) -> int:
-        return self.var_names.index(name)
+    model: MilpModel
 
 
 def build_extended(pair: CyclePathPair, big_m: Fraction) -> ExtendedSystem:
-    """Construct the lifted system; requires big_m >= the longer arc weight."""
+    """Construct the lifted system; requires big_m >= the longer arc weight.
+
+    Each row lists its terms in variable order.
+    """
     w_short = pair.shorter.total_weight
     w_long = pair.longer.total_weight
     if big_m < w_long:
@@ -63,59 +50,31 @@ def build_extended(pair: CyclePathPair, big_m: Fraction) -> ExtendedSystem:
             f"big-M {big_m} is below the longer-path weight {w_long} for pair {pair.pair}"
         )
     cycle_lines = pair.cycle.lines
-    var_names = (
-        "dtheta",
-        *[f"y_{line}" for line in cycle_lines],
-        "z_short",
-        "z_long",
-        "z_long_only",
-    )
-    dim = len(var_names)
-    pos = {name: j for j, name in enumerate(var_names)}
+    model = MilpModel()
+    model.add_variable("dtheta", "continuous", None, None)
+    for name in (*[f"y_{line}" for line in cycle_lines], "z_short", "z_long", "z_long_only"):
+        model.add_variable(name, "continuous", Fraction(0), Fraction(1))
 
-    def row(name: str, entries: dict[str, Fraction], rhs: Fraction) -> LinearRow:
-        return LinearRow(name, *dense_row(dim, {pos[var]: value for var, value in entries.items()}, rhs))
+    def row(name: str, terms: list[tuple[str, Fraction | int]], rhs: Fraction | int) -> None:
+        model.add_constraint(name, terms, "<=", rhs)
 
-    rows: list[LinearRow] = []
-    for line in pair.shorter.lines:
-        rows.append(row(f"short_link_{line}", {"z_short": 1, f"y_{line}": -1}, 0))
-    rows.append(
+    for arc, path in (("short", pair.shorter), ("long", pair.longer)):
+        z = f"z_{arc}"
+        for line in path.lines:
+            row(f"{arc}_link_{line}", [(f"y_{line}", -1), (z, 1)], 0)
         row(
-            "short_closure",
-            {**{f"y_{line}": Fraction(1) for line in pair.shorter.lines}, "z_short": -1},
-            len(pair.shorter.lines) - 1,
+            f"{arc}_closure",
+            [*[(f"y_{line}", 1) for line in cycle_lines if line in path.lines], (z, -1)],
+            len(path.lines) - 1,
         )
-    )
-    for line in pair.longer.lines:
-        rows.append(row(f"long_link_{line}", {"z_long": 1, f"y_{line}": -1}, 0))
-    rows.append(
-        row(
-            "long_closure",
-            {**{f"y_{line}": Fraction(1) for line in pair.longer.lines}, "z_long": -1},
-            len(pair.longer.lines) - 1,
-        )
-    )
     # product-variable hull: z_long_only = z_long * (1 - z_short) at binaries
-    rows.append(row("product_le_long", {"z_long_only": 1, "z_long": -1}, 0))
-    rows.append(row("product_le_not_short", {"z_long_only": 1, "z_short": 1}, 1))
-    rows.append(row("product_ge_diff", {"z_long": 1, "z_short": -1, "z_long_only": -1}, 0))
+    row("product_le_long", [("z_long", -1), ("z_long_only", 1)], 0)
+    row("product_le_not_short", [("z_short", 1), ("z_long_only", 1)], 1)
+    row("product_ge_diff", [("z_short", -1), ("z_long", 1), ("z_long_only", -1)], 0)
     # angle bound as a convex combination of the three candidate bounds
     for sign, name in ((1, "angle_hi"), (-1, "angle_lo")):
-        rows.append(
-            row(
-                name,
-                {
-                    "dtheta": sign,
-                    "z_short": big_m - w_short,
-                    "z_long_only": big_m - w_long,
-                },
-                big_m,
-            )
-        )
-
-    boxes: list[tuple[Fraction | None, Fraction | None]] = [(None, None)]  # dtheta free
-    boxes.extend([(Fraction(0), Fraction(1))] * (dim - 1))
-    return ExtendedSystem(pair, big_m, var_names, tuple(rows), tuple(boxes))
+        row(name, [("dtheta", sign), ("z_short", big_m - w_short), ("z_long_only", big_m - w_long)], big_m)
+    return ExtendedSystem(pair, big_m, model)
 
 
 def project_to_cpvi(sys: ExtendedSystem) -> CutCPVI:

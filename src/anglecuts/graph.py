@@ -29,6 +29,9 @@ __all__ = [
     "cycle_orientation_signs",
 ]
 
+# all_simple_cycles refuses a network with more simple cycles than this
+SIMPLE_CYCLE_CAP = 10000
+
 
 @dataclass(frozen=True)
 class Path:
@@ -255,11 +258,11 @@ def cycle_orientation_signs(net: Network, cycle: Cycle) -> dict[int, int]:
     return signs
 
 
-def all_simple_cycles(net: Network, max_cycles: int = 10000) -> list[Cycle]:
+def all_simple_cycles(net: Network) -> list[Cycle]:
     """Every simple cycle of the network, canonicalized and deduplicated.
 
     Parallel line pairs count as 2-cycles.  Intended for desk-scale
-    graphs; raises CapExceededError past max_cycles.
+    graphs; raises CapExceededError past SIMPLE_CYCLE_CAP.
     """
     found: dict[frozenset[int], Cycle] = {}
 
@@ -267,8 +270,8 @@ def all_simple_cycles(net: Network, max_cycles: int = 10000) -> list[Cycle]:
         key = frozenset(line_seq)
         if key not in found:
             found[key] = _canonical_cycle(net, line_seq, bus_seq)
-            if len(found) > max_cycles:
-                raise CapExceededError(f"more than {max_cycles} simple cycles")
+            if len(found) > SIMPLE_CYCLE_CAP:
+                raise CapExceededError(f"more than {SIMPLE_CYCLE_CAP} simple cycles")
 
     # DFS anchored at the smallest-index bus of the cycle; a path never
     # reuses a line, so closing over a parallel line gives a 2-cycle

@@ -22,7 +22,6 @@ from typing import Iterable, Sequence
 # pair_bound is unused here but stays a module attribute: bench/layers.py wraps it by this name
 from .bounds import global_big_m, pair_bound, pair_bounds  # noqa: F401
 from .cuts import CutCPVI, CutCVI
-from .extended import ExtendedSystem
 from .network import Network, parallel_ordinals
 from .rational import format_rational
 
@@ -32,7 +31,7 @@ __all__ = [
     "MilpModel",
     "build_dcots",
     "lp_text",
-    "extended_model",
+    "merge_models",
 ]
 
 MAX_PLAIN_DIGITS = 18
@@ -143,43 +142,22 @@ def build_dcots(
             coeffs[f_name[idx]] = coeffs.get(f_name[idx], Fraction(0)) + sign
         model.add_constraint(f"kcl_{_safe(bus.id)}", coeffs.items(), "=", bus.demand)
 
+    def add_two_sided(hi: str, lo: str, lhs: list[tuple[str, Fraction]],
+                      rest: list[tuple[str, Fraction]], rhs: Fraction) -> None:
+        """lhs + rest <= rhs as row hi, and -lhs + rest <= rhs as row lo."""
+        model.add_constraint(hi, [*lhs, *rest], "<=", rhs)
+        model.add_constraint(lo, [*((var, -c) for var, c in lhs), *rest], "<=", rhs)
+
     for idx, line in enumerate(net.lines):
         tag = f"{_safe(line.from_bus)}_{_safe(line.to_bus)}_{ordinals[idx]}"
-        model.add_constraint(
-            f"cap_hi_{tag}",
-            [(f_name[idx], Fraction(1)), (y_name[idx], -line.capacity)],
-            "<=",
-            Fraction(0),
-        )
-        model.add_constraint(
-            f"cap_lo_{tag}",
-            [(f_name[idx], Fraction(-1)), (y_name[idx], -line.capacity)],
-            "<=",
-            Fraction(0),
-        )
-        m_line = m_lines[idx]
-        model.add_constraint(
-            f"ohm_hi_{tag}",
-            [
-                (f_name[idx], line.reactance),
-                (t_name[line.from_bus], Fraction(-1)),
-                (t_name[line.to_bus], Fraction(1)),
-                (y_name[idx], m_line),
-            ],
-            "<=",
-            m_line,
-        )
-        model.add_constraint(
-            f"ohm_lo_{tag}",
-            [
-                (f_name[idx], -line.reactance),
-                (t_name[line.from_bus], Fraction(1)),
-                (t_name[line.to_bus], Fraction(-1)),
-                (y_name[idx], m_line),
-            ],
-            "<=",
-            m_line,
-        )
+        flow = [(f_name[idx], Fraction(1))]
+        add_two_sided(f"cap_hi_{tag}", f"cap_lo_{tag}", flow, [(y_name[idx], -line.capacity)], Fraction(0))
+        ohm = [
+            (f_name[idx], line.reactance),
+            (t_name[line.from_bus], Fraction(-1)),
+            (t_name[line.to_bus], Fraction(1)),
+        ]
+        add_two_sided(f"ohm_hi_{tag}", f"ohm_lo_{tag}", ohm, [(y_name[idx], m_lines[idx])], m_lines[idx])
 
     # reference angle: only relative angles matter, pin the first bus
     model.add_constraint(f"ref_{_safe(net.buses[0].id)}", [(t_name[net.buses[0].id], Fraction(1))], "=", Fraction(0))
@@ -194,49 +172,28 @@ def build_dcots(
     for cut in cpvis:
         c = cycle_tag(cut.pair.cycle.lines)
         m, n = cut.pair.pair
-        base = {t_name[n]: Fraction(1), t_name[m]: Fraction(-1)}
-        for line, coeff in cut.y_coeffs:
-            base[y_name[line]] = -coeff
-        model.add_constraint(f"cpvi_{c}_{_safe(m)}_{_safe(n)}_hi", base.items(), "<=", cut.constant)
-        flipped = dict(base)
-        flipped[t_name[n]] = Fraction(-1)
-        flipped[t_name[m]] = Fraction(1)
-        model.add_constraint(f"cpvi_{c}_{_safe(m)}_{_safe(n)}_lo", flipped.items(), "<=", cut.constant)
+        name = f"cpvi_{c}_{_safe(m)}_{_safe(n)}"
+        angle = [(t_name[n], Fraction(1)), (t_name[m], Fraction(-1))]
+        y_terms = [(y_name[line], -coeff) for line, coeff in cut.y_coeffs]
+        add_two_sided(f"{name}_hi", f"{name}_lo", angle, y_terms, cut.constant)
 
     for cut in cvis:
         c = cycle_tag(cut.cycle.lines)
         digest = hashlib.sha256(",".join(map(str, cut.subset)).encode()).hexdigest()[:8]
-        base = {}
-        for line, sign in cut.flow_signs:
-            base[f_name[line]] = sign * net.lines[line].reactance
-        for line, coeff in cut.y_coeffs:
-            base[y_name[line]] = base.get(y_name[line], Fraction(0)) - coeff
-        model.add_constraint(f"cvi_{c}_{digest}_hi", base.items(), "<=", cut.constant)
-        flipped = dict(base)
-        for line, sign in cut.flow_signs:
-            flipped[f_name[line]] = -sign * net.lines[line].reactance
-        model.add_constraint(f"cvi_{c}_{digest}_lo", flipped.items(), "<=", cut.constant)
+        flows = [(f_name[line], sign * net.lines[line].reactance) for line, sign in cut.flow_signs]
+        y_terms = [(y_name[line], -coeff) for line, coeff in cut.y_coeffs]
+        add_two_sided(f"cvi_{c}_{digest}_hi", f"cvi_{c}_{digest}_lo", flows, y_terms, cut.constant)
 
     return model
 
 
-def extended_model(sys: ExtendedSystem, prefix: str) -> MilpModel:
-    """The lifted per-pair system as a standalone model, for inspection."""
-    model = MilpModel()
-    names = [f"{prefix}_{name}" for name in sys.var_names]
-    for name, (lo, hi) in zip(names, sys.boxes):
-        model.add_variable(name, "continuous", lo, hi)
-    for row in sys.rows:
-        coeffs = [(names[j], c) for j, c in enumerate(row.coeffs) if c != 0]
-        model.add_constraint(f"{prefix}_{row.name}", coeffs, "<=", row.rhs)
-    return model
-
-
-def merge_models(target: MilpModel, other: MilpModel) -> None:
+def merge_models(target: MilpModel, other: MilpModel, prefix: str) -> None:
+    """Add other's variables and rows to target, every name as prefix_name."""
     for var in other.variables:
-        target.add_variable(var.name, var.kind, var.lower, var.upper)
+        target.add_variable(f"{prefix}_{var.name}", var.kind, var.lower, var.upper)
     for con in other.constraints:
-        target.add_constraint(con.name, con.coeffs, con.sense, con.rhs)
+        coeffs = [(f"{prefix}_{var}", c) for var, c in con.coeffs]
+        target.add_constraint(f"{prefix}_{con.name}", coeffs, con.sense, con.rhs)
 
 
 def _plain(value: Fraction) -> str | None:

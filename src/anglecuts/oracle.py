@@ -23,6 +23,7 @@ from .errors import (
 )
 from .extended import ExtendedSystem
 from .graph import CyclePathPair
+from .milp import MilpModel
 from .network import Network
 from .rational import dense_row, dot, format_rational, matrix_rank
 from .simplex import Row, solve_linear_program
@@ -43,7 +44,7 @@ __all__ = [
     "pair_relaxation_rows",
     "HULL_CANDIDATES",
     "candidate_hull",
-    "extended_polytope",
+    "model_polytope",
     "point_in_hull",
     "brute_force_dcots",
     "DcotsResult",
@@ -342,15 +343,23 @@ def candidate_hull(net: Network, pair: CyclePathPair, big_m: Fraction, name: str
     return HPolytope(tuple(rows), len(pair.cycle.lines) + 1)
 
 
-def extended_polytope(sys: ExtendedSystem) -> HPolytope:
-    """The lifted system's structural rows, then a row per finite box side."""
-    rows = [(row.coeffs, row.rhs) for row in sys.rows]
-    for j, (lo, hi) in enumerate(sys.boxes):
-        if hi is not None:
-            rows.append(dense_row(sys.dim, {j: 1}, hi))
-        if lo is not None:
-            rows.append(dense_row(sys.dim, {j: -1}, -lo))
-    return HPolytope(tuple(rows), sys.dim)
+def model_polytope(model: MilpModel) -> HPolytope:
+    """The LP relaxation of a model of ``<=`` rows, dense over its variable
+    order: its rows in model order, then per variable an upper and then a
+    lower row for each finite bound."""
+    col = {var.name: j for j, var in enumerate(model.variables)}
+    dim = len(col)
+    rows = []
+    for con in model.constraints:
+        if con.sense != "<=":
+            raise ValueError(f"row {con.name!r} has sense {con.sense!r}; only '<=' rows are read")
+        rows.append(dense_row(dim, {col[var]: c for var, c in con.coeffs}, con.rhs))
+    for j, var in enumerate(model.variables):
+        if var.upper is not None:
+            rows.append(dense_row(dim, {j: 1}, var.upper))
+        if var.lower is not None:
+            rows.append(dense_row(dim, {j: -1}, -var.lower))
+    return HPolytope(tuple(rows), dim)
 
 
 def cpvi_validity_certificate(net: Network, cut: CutCPVI) -> CertificateReport:
@@ -444,15 +453,14 @@ def facet_certificate(net: Network, cut: CutCPVI) -> CertificateReport:
 
 def local_idealness_certificate(net: Network, sys: ExtendedSystem) -> CertificateReport:
     """Every vertex of the lifted system is binary in all 0/1 variables."""
-    poly = extended_polytope(sys)
-    binary_coords = range(1, sys.dim)  # everything but the angle difference
-    for vertex in enumerate_vertices(poly):
-        for j in binary_coords:
+    names = [var.name for var in sys.model.variables]
+    for vertex in enumerate_vertices(model_polytope(sys.model)):
+        for j in range(1, len(names)):  # everything but the angle difference
             if vertex[j] != 0 and vertex[j] != 1:
                 return CertificateReport(
                     Claim.LOCAL_IDEAL,
                     False,
-                    {"vertex": _point_json(vertex), "fractional_var": sys.var_names[j]},
+                    {"vertex": _point_json(vertex), "fractional_var": names[j]},
                 )
     return CertificateReport(Claim.LOCAL_IDEAL, True)
 

@@ -26,10 +26,10 @@ from anglecuts.oracle import (
     candidate_hull,
     cpvi_validity_certificate,
     enumerate_vertices,
-    extended_polytope,
     facet_certificate,
     hull_equality,
     integer_points,
+    model_polytope,
     point_in_hull,
 )
 from anglecuts.simplex import solve_linear_program
@@ -108,7 +108,7 @@ def test_criterion_3_lifted_vertices_binary():
     bad = []
     for trial, (net, cycle, pair) in enumerate(_criterion3_instances()):
         system = build_extended(pair, cycle.total_weight)
-        for vertex in enumerate_vertices(extended_polytope(system)):
+        for vertex in enumerate_vertices(model_polytope(system.model)):
             if any(value not in (0, 1) for value in vertex[1:]):
                 bad.append((trial, vertex))
                 break

@@ -72,6 +72,14 @@ def test_validate_malformed_exit_2(capsys, tmp_path):
     assert code == 2
 
 
+def test_validate_integer_literal_too_long_exit_2(capsys, tmp_path):
+    path = tmp_path / "long.json"
+    path.write_text('{"buses": [{"id": "a", "gen_cost": ' + "9" * 5000 + "}]}")
+    code, out, _ = run(capsys, "validate", str(path))
+    assert code == 2
+    assert json.loads(out)["error"] == "parse"
+
+
 def test_missing_file_exit_2(capsys):
     code, _, _ = run(capsys, "validate", "/nonexistent/net.json")
     assert code == 2
@@ -227,6 +235,16 @@ MALFORMED_CASES = [
     # JSON true equals 1 in Python, so a bool sign must be refused by type
     ("emit", "cuts.jsonl", fig1_cut("cvi", flow_signs={"1": True, "2": 1, "4": 1, "5": -1}),
      "cvi cut: 'flow_signs' does not match the cut rebuilt from its provenance"),
+    # derived fields emit does not use are still checked when present
+    ("emit", "cuts.jsonl", fig1_cut("cpvi", delta_rho="12345"),
+     "cpvi cut: 'delta_rho' does not match the cut rebuilt from its provenance"),
+    ("emit", "cuts.jsonl", fig1_cut("cpvi", delta_m="12345"),
+     "cpvi cut: 'delta_m' does not match the cut rebuilt from its provenance"),
+    ("emit", "cuts.jsonl", fig1_cut("cpvi", shorter_lines=[5], longer_lines=[0]),
+     "cpvi cut: 'shorter_lines' does not match the cut rebuilt from its provenance"),
+    ("emit", "cuts.jsonl", fig1_cut("cpvi", shorter_lines=[0, True, 2]), "'shorter_lines' entry True is not a line index"),
+    ("emit", "cuts.jsonl", fig1_cut("cvi", delta_s="12345"),
+     "cvi cut: 'delta_s' does not match the cut rebuilt from its provenance"),
     ("emit", "cuts.jsonl", fig1_cut("cpvi", pair="ab"), "'pair'"),
     ("emit", "cuts.jsonl", fig1_cut("cpvi", pair=["i0", "zz"]), "'pair'"),
     # the longer arc's weight, below global M and the pair bound (both 6)
@@ -255,6 +273,11 @@ MALFORMED_IDS = [
     "cut-subset-out-of-range",
     "cut-cvi-y-coeffs-tampered",
     "cut-cvi-flow-signs-tampered",
+    "cut-cpvi-delta-rho-tampered",
+    "cut-cpvi-delta-m-tampered",
+    "cut-cpvi-arcs-tampered",
+    "cut-cpvi-arc-bool-entry",
+    "cut-cvi-delta-s-tampered",
     "cut-pair-string",
     "cut-pair-off-cycle",
     "cut-big-m-below-pair-bound",

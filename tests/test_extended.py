@@ -1,15 +1,20 @@
+import itertools
 import random
 from fractions import Fraction as F
 
 import pytest
 
+from anglecuts.bounds import global_big_m
 from anglecuts.cuts import build_cpvi
 from anglecuts.errors import InvalidBigMError
 from anglecuts.extended import build_extended, project_to_cpvi
 from anglecuts.graph import fundamental_cycle_basis, split_cycle
-from anglecuts.oracle import enumerate_vertices, extended_polytope, integer_points, point_in_hull
+from anglecuts.milp import MilpModel, build_dcots, lp_text, merge_models
+from anglecuts.network import load_network
+from anglecuts.oracle import enumerate_vertices, integer_points, model_polytope, point_in_hull
 
-from conftest import ring_net
+from _brute import read_lp_text
+from conftest import DATA, ring_net
 
 
 @pytest.fixture(scope="module")
@@ -20,16 +25,17 @@ def fig1_pair(fig1):
 def test_structural_row_count_fig1(fig1_pair):
     sys_ = build_extended(fig1_pair, F(6))
     # per-line links plus closures, three product rows, two angle rows
-    assert len(sys_.rows) == 13
-    assert sys_.var_names[0] == "dtheta"
-    assert sys_.var_names[-3:] == ("z_short", "z_long", "z_long_only")
+    assert len(sys_.model.constraints) == 13
+    names = tuple(var.name for var in sys_.model.variables)
+    assert names[0] == "dtheta"
+    assert names[-3:] == ("z_short", "z_long", "z_long_only")
 
 
 def test_structural_row_count_two_cycle():
     net = ring_net([1, 3])
     pair = split_cycle(net, fundamental_cycle_basis(net)[0], "r0", "r1")
     sys_ = build_extended(pair, F(4))
-    assert len(sys_.rows) == 9
+    assert len(sys_.model.constraints) == 9
 
 
 def test_big_m_boundary_is_valid(fig1_pair):
@@ -66,8 +72,51 @@ def test_projection_tie_and_boundary_degeneracies():
     assert cut.rhs_at({line: F(0) for line in cycle.lines}) == 2
 
 
+def _rows_from_lp_text(text):
+    """Dense rows, then an upper and a lower row per finite bound, read
+    off LP text of '<=' rows over the variables in Bounds order."""
+    lp = read_lp_text(text)
+    col = {name: j for j, name in enumerate(lp["bounds"])}
+
+    def dense(entries, rhs):
+        coeffs = [F(0)] * len(col)
+        for j, value in entries:
+            coeffs[j] = value
+        return tuple(coeffs), rhs
+
+    rows = []
+    for _name, terms, sense, rhs, scale in lp["rows"]:
+        assert sense == "<="
+        rows.append(dense([(col[var], c / (scale or 1)) for var, c in terms], rhs / (scale or 1)))
+    for j, (lower, upper) in enumerate(lp["bounds"].values()):
+        if upper is not None:
+            rows.append(dense([(j, F(1))], upper))
+        if lower is not None:
+            rows.append(dense([(j, F(-1))], -lower))
+    return rows
+
+
+def test_certified_polytope_is_the_emitted_system(fig1):
+    """What certify adjudicates, model_polytope of the lifted model, is
+    the system emit --embed-extended writes for every basis pair."""
+    mixed6 = load_network((DATA / "mixed6.json").read_bytes())
+    for net in (fig1, mixed6, ring_net([1, 2, 3])):
+        big_m = global_big_m(net)
+        for cycle in fundamental_cycle_basis(net):
+            for m, n in itertools.combinations(cycle.buses, 2):
+                lifted = build_extended(split_cycle(net, cycle, m, n), big_m).model
+                emitted = MilpModel()
+                merge_models(emitted, lifted, "ext")
+                assert _rows_from_lp_text(lp_text(emitted)) == list(model_polytope(lifted).rows)
+
+
+def test_model_polytope_reads_only_le_rows(fig1):
+    with pytest.raises(ValueError, match="row 'kcl_i0' has sense '='"):
+        model_polytope(build_dcots(fig1))
+
+
 def _vertices(net, pair, big_m):
-    return enumerate_vertices(extended_polytope(build_extended(pair, big_m)))
+    return enumerate_vertices(model_polytope(build_extended(pair, big_m).model))
 
 
 def test_vertices_binary_in_lifted_variables(fig1, fig1_pair):
@@ -77,17 +126,18 @@ def test_vertices_binary_in_lifted_variables(fig1, fig1_pair):
 
 def test_mccormick_product_exact_at_vertices(fig1, fig1_pair):
     sys_ = build_extended(fig1_pair, F(6))
-    zs = sys_.var("z_short")
-    zl = sys_.var("z_long")
-    zo = sys_.var("z_long_only")
-    for vertex in enumerate_vertices(extended_polytope(sys_)):
+    names = [var.name for var in sys_.model.variables]
+    zs = names.index("z_short")
+    zl = names.index("z_long")
+    zo = names.index("z_long_only")
+    for vertex in enumerate_vertices(model_polytope(sys_.model)):
         assert vertex[zo] == vertex[zl] * (1 - vertex[zs])
 
 
 def test_path_indicators_track_line_status(fig1, fig1_pair):
     sys_ = build_extended(fig1_pair, F(6))
-    names = sys_.var_names
-    for vertex in enumerate_vertices(extended_polytope(sys_)):
+    names = [var.name for var in sys_.model.variables]
+    for vertex in enumerate_vertices(model_polytope(sys_.model)):
         values = dict(zip(names, vertex))
         short_on = all(values[f"y_{line}"] == 1 for line in fig1_pair.shorter.lines)
         long_on = all(values[f"y_{line}"] == 1 for line in fig1_pair.longer.lines)
@@ -118,7 +168,7 @@ def test_sharpness_projection_equals_integer_hull(size):
     pair = split_cycle(net, cycle, m, n)
     big_m = cycle.total_weight
     sys_ = build_extended(pair, big_m)
-    lifted = enumerate_vertices(extended_polytope(sys_))
+    lifted = enumerate_vertices(model_polytope(sys_.model))
     projected = sorted({vertex[: size + 1] for vertex in lifted})
     integer = [(d, *[F(b) for b in bits]) for d, bits in integer_points(net, pair, big_m)]
     for point in projected:

@@ -14,7 +14,6 @@ from anglecuts.milp import (
     MilpModel,
     MilpVariable,
     build_dcots,
-    extended_model,
     lp_text,
     merge_models,
 )
@@ -132,6 +131,13 @@ def priced_net(seed: int) -> Network:
     return Network(buses, net.lines)
 
 
+def lifted_model(pair, big_m) -> MilpModel:
+    """The pair's lifted system merged into an empty model under prefix 'ext'."""
+    model = MilpModel()
+    merge_models(model, build_extended(pair, big_m).model, "ext")
+    return model
+
+
 def assert_reads_back(model: MilpModel) -> None:
     lp = read_lp_text(lp_text(model))
     scale = lp["objective_scale"]
@@ -161,7 +167,7 @@ def test_lp_text_reads_back_exactly(fig1, triangle):
         big = global_big_m(net)
         for cycle in fundamental_cycle_basis(net):
             for m, n in itertools.combinations(cycle.buses, 2):
-                assert_reads_back(extended_model(build_extended(split_cycle(net, cycle, m, n), big), "ext"))
+                assert_reads_back(lifted_model(split_cycle(net, cycle, m, n), big))
     scaled = 0
     for seed in range(40):
         net = priced_net(seed)
@@ -209,17 +215,17 @@ def test_duplicate_names_rejected_on_models_built_from_lists():
 
 def test_merge_models_rejects_duplicate_names(fig1):
     pair = split_cycle(fig1, fundamental_cycle_basis(fig1)[0], "i0", "i4")
-    ext = extended_model(build_extended(pair, F(6)), "ext")
+    ext = build_extended(pair, F(6)).model
     base = build_dcots(fig1)
-    merge_models(base, ext)
+    merge_models(base, ext, "ext")
     with pytest.raises(ValueError, match="duplicate variable name 'ext_dtheta'"):
-        merge_models(base, ext)
-    # same variables under a fresh prefix, one constraint name already taken
+        merge_models(base, ext, "ext")
+    # a fresh variable under the same prefix, one constraint name already taken
     clash = MilpModel()
     clash.add_variable("z", "continuous", None, None)
     clash.add_constraint(ext.constraints[0].name, [("z", F(1))], "<=", F(0))
-    with pytest.raises(ValueError, match=f"duplicate constraint name '{ext.constraints[0].name}'"):
-        merge_models(base, clash)
+    with pytest.raises(ValueError, match=f"duplicate constraint name 'ext_{ext.constraints[0].name}'"):
+        merge_models(base, clash, "ext")
 
 
 def test_bounds_strategy_ohm_rows_carry_endpoint_bounds():
@@ -247,11 +253,11 @@ def test_undeclared_variable_rejected():
 
 def test_extended_model_serializes(fig1):
     pair = split_cycle(fig1, fundamental_cycle_basis(fig1)[0], "i0", "i4")
-    model = extended_model(build_extended(pair, F(6)), "ext")
+    model = lifted_model(pair, F(6))
     text = lp_text(model)
     assert "ext_angle_hi" in text and "ext_z_long_only" in text
     base = build_dcots(fig1)
-    merge_models(base, model)
+    merge_models(base, build_extended(pair, F(6)).model, "ext")
     assert any(v.name == "ext_dtheta" for v in base.variables)
 
 

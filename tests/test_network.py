@@ -88,6 +88,12 @@ def test_malformed_json_is_parse_error():
         load_network(b"{not json")
 
 
+def test_integer_literal_too_long_to_read_is_parse_error():
+    # json.loads itself refuses an int literal past Python's digit limit
+    with pytest.raises(ParseError, match="malformed JSON"):
+        load_network('{"buses": [{"id": "a", "gen_cost": ' + "9" * 5000 + "}]}")
+
+
 def test_float_values_rejected_as_parse_error():
     with pytest.raises(ParseError, match="exact"):
         load_network(doc([{"id": "a", "demand": 0.5}], []))

@@ -21,12 +21,12 @@ from anglecuts.oracle import (
     candidate_hull,
     cpvi_validity_certificate,
     enumerate_vertices,
-    extended_polytope,
     facet_certificate,
     full_dimension_certificate,
     hull_equality,
     integer_points,
     local_idealness_certificate,
+    model_polytope,
     pair_relaxation_rows,
     point_in_hull,
     rational_simplex,
@@ -174,7 +174,7 @@ def test_vertices_match_oracle_on_degenerate_polytopes(seed):
 def test_extended_two_cycle_vertices_binary():
     net = ring_net([1, 3])
     pair = split_cycle(net, fundamental_cycle_basis(net)[0], "r0", "r1")
-    poly = extended_polytope(build_extended(pair, F(4)))
+    poly = model_polytope(build_extended(pair, F(4)).model)
     vertices = enumerate_vertices(poly)
     assert vertices == brute_vertices(list(poly.rows), poly.dim)
     for vertex in vertices:
@@ -188,7 +188,7 @@ def test_extended_two_cycle_vertices_binary():
 def test_extended_vertex_count_pinned(weights, ends, big_m, count):
     net = ring_net(weights)
     pair = split_cycle(net, fundamental_cycle_basis(net)[0], *ends)
-    assert len(enumerate_vertices(extended_polytope(build_extended(pair, big_m)))) == count
+    assert len(enumerate_vertices(model_polytope(build_extended(pair, big_m).model))) == count
 
 
 # -- affine rank ------------------------------------------------------------
@@ -325,7 +325,7 @@ def test_rational_simplex_examples(fig1, fig1_pair):
     value, point = rational_simplex(poly, [F(1)], "min")
     assert value == F(1, 3)
 
-    system = extended_polytope(build_extended(fig1_pair, F(6)))
+    system = model_polytope(build_extended(fig1_pair, F(6)).model)
     value, _ = rational_simplex(system, [F(1)] + [F(0)] * (system.dim - 1), "max")
     assert value == 6  # the unlinked big-M bound is attainable
 
