@@ -81,7 +81,7 @@ def _load_point(path: str, net) -> FractionalPoint:
     with open(path, "r", encoding="utf-8") as handle:
         try:
             doc = json.load(handle)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, or an integer literal too long to read
             raise ParseError(f"point file: malformed JSON: {exc}") from exc
     if not isinstance(doc, dict) or "theta" not in doc or "y" not in doc:
         raise ParseError("point file must be an object with 'theta' and 'y'")
@@ -144,10 +144,10 @@ def cmd_cuts(args) -> int:
     lines = []
     if args.kind in ("cpvi", "both"):
         for cut, violation in separate_cpvi(net, cycles, point, config):
-            lines.append(json.dumps(cpvi_to_json(net, cut, violation)))
+            lines.append(json.dumps(cpvi_to_json(cut, violation)))
     if args.kind in ("cvi", "both"):
         for cut, violation in separate_cvi(net, cycles, point, config):
-            lines.append(json.dumps(cvi_to_json(net, cut, violation)))
+            lines.append(json.dumps(cvi_to_json(cut, violation)))
     _emit("\n".join(lines) + ("\n" if lines else ""), args.out)
     _say(f"{len(lines)} violated cut(s)")
     return EXIT_OK
@@ -165,8 +165,8 @@ def cmd_emit(args) -> int:
                     continue
                 try:
                     obj = json.loads(raw)
-                except json.JSONDecodeError as exc:
-                    raise ParseError(f"cuts file: malformed JSON line: {exc}") from exc
+                except ValueError as exc:  # JSONDecodeError, or an integer literal too long to read
+                    raise ParseError(f"cuts file: line {number}: malformed JSON: {exc}") from exc
                 if not isinstance(obj, dict):
                     raise ParseError(f"cuts file: line {number} is not a JSON object")
                 if obj.get("kind") == "cpvi":

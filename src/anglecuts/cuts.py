@@ -302,7 +302,7 @@ def separate_cvi(
     return sorted(found.values(), key=_sort_key)
 
 
-def cpvi_to_json(net: Network, cut: CutCPVI, violation: Fraction | None = None) -> dict:
+def cpvi_to_json(cut: CutCPVI, violation: Fraction | None = None) -> dict:
     obj = {
         "kind": "cpvi",
         "cycle_lines": list(cut.pair.cycle.lines),
@@ -321,7 +321,7 @@ def cpvi_to_json(net: Network, cut: CutCPVI, violation: Fraction | None = None) 
     return obj
 
 
-def cvi_to_json(net: Network, cut: CutCVI, violation: Fraction | None = None) -> dict:
+def cvi_to_json(cut: CutCVI, violation: Fraction | None = None) -> dict:
     obj = {
         "kind": "cvi",
         "cycle_lines": list(cut.cycle.lines),

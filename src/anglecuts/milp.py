@@ -17,7 +17,7 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 # pair_bound is unused here but stays a module attribute: bench/layers.py wraps it by this name
 from .bounds import global_big_m, pair_bound, pair_bounds  # noqa: F401
@@ -29,7 +29,10 @@ __all__ = [
     "MilpVariable",
     "MilpConstraint",
     "MilpModel",
+    "DcotsNames",
     "build_dcots",
+    "dcots_names",
+    "fixed_topology",
     "lp_text",
     "merge_models",
 ]
@@ -90,6 +93,39 @@ def _safe(name: str) -> str:
     return _SAFE.sub("_", name)
 
 
+class DcotsNames(NamedTuple):
+    """build_dcots's variable names by bus id (g, theta) and line index (f, y, row-name tag)."""
+
+    g: dict[str, str]
+    theta: dict[str, str]
+    f: list[str]
+    y: list[str]
+    tags: list[str]
+
+
+def dcots_names(net: Network) -> DcotsNames:
+    tags = [f"{_safe(line.from_bus)}_{_safe(line.to_bus)}_{k}" for line, k in zip(net.lines, parallel_ordinals(net))]
+    return DcotsNames({bus.id: f"g_{_safe(bus.id)}" for bus in net.buses},
+                      {bus.id: f"theta_{_safe(bus.id)}" for bus in net.buses},
+                      [f"f_{tag}" for tag in tags], [f"y_{tag}" for tag in tags], tags)
+
+
+def fixed_topology(net: Network, active: Mapping[int, int]) -> dict[str, tuple[dict[str, Fraction], Fraction]]:
+    """What the rows of build_dcots force once active fixes each y, opening
+    only switchable lines, as (terms, constant) over the free variables: a
+    flow is (theta_from - theta_to) / x on a closed line, by the ohm rows,
+    and 0 on an open one, by the cap rows; the reference angle is 0."""
+    names = dcots_names(net)
+    ref = net.buses[0].id
+    fixed = {names.theta[ref]: ({}, Fraction(0))}
+    for idx, line in enumerate(net.lines):
+        ends = ((line.from_bus, 1), (line.to_bus, -1)) if active[idx] else ()
+        drop = {names.theta[bus]: sign / line.reactance for bus, sign in ends if bus != ref}
+        fixed[names.f[idx]] = (drop, Fraction(0))
+        fixed[names.y[idx]] = ({}, Fraction(active[idx]))
+    return fixed
+
+
 def build_dcots(
     net: Network,
     bigm: str = "global",
@@ -105,20 +141,12 @@ def build_dcots(
     if bigm not in ("global", "bounds"):
         raise ValueError("bigm must be 'global' or 'bounds'")
     model = MilpModel()
-    ordinals = parallel_ordinals(net)
     if bigm == "bounds":
         m_lines = [bound for bound, _source in pair_bounds(net, [(ln.from_bus, ln.to_bus) for ln in net.lines])]
     else:
         m_lines = [global_big_m(net)] * len(net.lines)
 
-    g_name = {bus.id: f"g_{_safe(bus.id)}" for bus in net.buses}
-    t_name = {bus.id: f"theta_{_safe(bus.id)}" for bus in net.buses}
-    f_name = {}
-    y_name = {}
-    for idx, line in enumerate(net.lines):
-        tag = f"{_safe(line.from_bus)}_{_safe(line.to_bus)}_{ordinals[idx]}"
-        f_name[idx] = f"f_{tag}"
-        y_name[idx] = f"y_{tag}"
+    g_name, t_name, f_name, y_name, tags = dcots_names(net)
 
     for bus in net.buses:
         model.add_variable(g_name[bus.id], "continuous", Fraction(0), bus.gen_max)
@@ -148,8 +176,7 @@ def build_dcots(
         model.add_constraint(hi, [*lhs, *rest], "<=", rhs)
         model.add_constraint(lo, [*((var, -c) for var, c in lhs), *rest], "<=", rhs)
 
-    for idx, line in enumerate(net.lines):
-        tag = f"{_safe(line.from_bus)}_{_safe(line.to_bus)}_{ordinals[idx]}"
+    for idx, (line, tag) in enumerate(zip(net.lines, tags)):
         flow = [(f_name[idx], Fraction(1))]
         add_two_sided(f"cap_hi_{tag}", f"cap_lo_{tag}", flow, [(y_name[idx], -line.capacity)], Fraction(0))
         ohm = [

@@ -12,7 +12,7 @@ import enum
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Container, Iterable, Iterator, Mapping, Sequence
 
 from .cuts import CutCPVI, CutCVI
 from .errors import (
@@ -23,7 +23,7 @@ from .errors import (
 )
 from .extended import ExtendedSystem
 from .graph import CyclePathPair
-from .milp import MilpModel
+from .milp import MilpConstraint, MilpModel, build_dcots, dcots_names, fixed_topology
 from .network import Network
 from .rational import dense_row, dot, format_rational, matrix_rank
 from .simplex import Row, solve_linear_program
@@ -44,6 +44,7 @@ __all__ = [
     "pair_relaxation_rows",
     "HULL_CANDIDATES",
     "candidate_hull",
+    "ModelLP",
     "model_polytope",
     "point_in_hull",
     "brute_force_dcots",
@@ -343,23 +344,58 @@ def candidate_hull(net: Network, pair: CyclePathPair, big_m: Fraction, name: str
     return HPolytope(tuple(rows), len(pair.cycle.lines) + 1)
 
 
+class ModelLP:
+    """The exact LP of a MilpModel over the variables a substitution leaves,
+    in model order.  The columns, their bound rows (an upper, then a lower
+    row per variable) and the objective are read once; ``rows`` reads rows
+    under a substitution: variable -> (terms, constant) over the columns,
+    which must keep the variable's bounds and stay out of the objective."""
+
+    def __init__(self, model: MilpModel, substituted: Container[str] = ()):
+        kept = [var for var in model.variables if var.name not in substituted]
+        self.columns = {var.name: j for j, var in enumerate(kept)}  # name -> index, in model order
+        self.bounds = [dense_row(len(kept), {j: sign}, sign * bound) for j, var in enumerate(kept)
+                       for sign, bound in ((1, var.upper), (-1, var.lower)) if bound is not None]
+        self.objective = dense_row(len(kept), {self.columns[var]: c for var, c in model.objective})[0]
+
+    def rows(self, constraints: Iterable[MilpConstraint], subst: Mapping) -> tuple[list[Row], list[Row]]:
+        """The '<=' rows and the '=' rows among constraints under subst, each
+        scaled to a leading coefficient of 1 or -1.  A row left with no term
+        is dropped when it holds; one that fails stays, so the LP is
+        infeasible."""
+        ineqs, eqs = [], []
+        for con in constraints:
+            if con.sense not in ("<=", "="):
+                raise ValueError(f"row {con.name!r} has sense {con.sense!r}; only '<=' and '=' rows are read")
+            entries: dict[int, Fraction] = {}
+            rhs = con.rhs
+            for var, c in con.coeffs:
+                if var in subst:
+                    terms, value = subst[var]
+                    if value:
+                        rhs -= c * value
+                    terms = [(self.columns[name], c * d) for name, d in terms.items()]
+                else:
+                    terms = [(self.columns[var], c)]
+                for j, v in terms:
+                    entries[j] = entries[j] + v if j in entries else v
+            entries = {j: v for j, v in entries.items() if v}
+            if entries and (lead := abs(entries[min(entries)])) != 1:
+                entries = {j: v / lead for j, v in entries.items()}
+                rhs /= lead
+            if entries or rhs < 0 or (rhs != 0 and con.sense == "="):
+                (eqs if con.sense == "=" else ineqs).append(dense_row(len(self.columns), entries, rhs))
+        return ineqs, eqs
+
+
 def model_polytope(model: MilpModel) -> HPolytope:
-    """The LP relaxation of a model of ``<=`` rows, dense over its variable
-    order: its rows in model order, then per variable an upper and then a
-    lower row for each finite bound."""
-    col = {var.name: j for j, var in enumerate(model.variables)}
-    dim = len(col)
-    rows = []
-    for con in model.constraints:
-        if con.sense != "<=":
-            raise ValueError(f"row {con.name!r} has sense {con.sense!r}; only '<=' rows are read")
-        rows.append(dense_row(dim, {col[var]: c for var, c in con.coeffs}, con.rhs))
-    for j, var in enumerate(model.variables):
-        if var.upper is not None:
-            rows.append(dense_row(dim, {j: 1}, var.upper))
-        if var.lower is not None:
-            rows.append(dense_row(dim, {j: -1}, -var.lower))
-    return HPolytope(tuple(rows), dim)
+    """The LP relaxation of a model of ``<=`` rows: its rows in model order,
+    which for the lifted systems already lead with 1 or -1, then its bounds."""
+    if wrong := next((con for con in model.constraints if con.sense != "<="), None):
+        raise ValueError(f"row {wrong.name!r} has sense {wrong.sense!r}; only '<=' rows are read")
+    lp = ModelLP(model)
+    ineqs, _ = lp.rows(model.constraints, {})
+    return HPolytope(tuple(ineqs + lp.bounds), len(lp.columns))
 
 
 def cpvi_validity_certificate(net: Network, cut: CutCPVI) -> CertificateReport:
@@ -522,111 +558,47 @@ class DcotsResult:
     y: dict[int, int]
 
 
-def _pattern_lp(net: Network, active: Mapping[int, int], big_m: Fraction,
-                cpvis: Sequence[CutCPVI], cvis: Sequence[CutCVI]):
-    """Angle-space LP of one topology: flows on active lines substituted
-    by angle differences over reactance, exactly.  Cut rows are returned
-    separately so callers can append them lazily."""
-    ids = [bus.id for bus in net.buses]
-    ref = ids[0]
-    # columns: the generation at every bus, then the angle at every bus
-    # but the reference, whose angle is fixed to zero
-    theta_col = {bus: len(ids) + k - 1 if k else None for k, bus in enumerate(ids)}
-    n = 2 * len(ids) - 1
+def _pattern_optima(net: Network, cpvis: Sequence[CutCPVI], cvis: Sequence[CutCVI]) -> Iterator[DcotsResult]:
+    """The optimum of each switching pattern that has one.
 
-    def row(gen: Mapping[int, int], drops: Iterable[tuple[str, str, Fraction | int]], rhs: Fraction | int) -> Row:
-        """Generation terms plus value * (theta_from - theta_to) per angle drop."""
-        entries: dict[int, Fraction | int] = dict(gen)
-        for from_bus, to_bus, value in drops:
-            for bus, coeff in ((from_bus, value), (to_bus, -value)):
-                col = theta_col[bus]
-                if col is not None:
-                    entries[col] = entries.get(col, 0) + coeff
-        return dense_row(n, entries, rhs)
-
-    ineqs: list[Row] = []
-    for k, bus in enumerate(net.buses):
-        ineqs.append(row({k: 1}, (), bus.gen_max))  # g <= gmax
-        ineqs.append(row({k: -1}, (), 0))  # g >= 0
-
-    for idx, line in enumerate(net.lines):
-        limit = line.weight if active[idx] else big_m
-        for sign in (1, -1):
-            ineqs.append(row({}, [(line.from_bus, line.to_bus, sign)], limit))
-
-    eqs: list[Row] = []
-    for k, bus in enumerate(net.buses):
-        # flow from->to equals (theta_from - theta_to)/x; it enters
-        # the balance positively at 'to' and negatively at 'from'
-        drops = [
-            (line.from_bus, line.to_bus, (1 if line.to_bus == bus.id else -1) / line.reactance)
-            for line in (net.lines[idx] for idx in net.adjacency[bus.id] if active[idx])
-        ]
-        eqs.append(row({k: 1}, drops, bus.demand))
-
-    cut_rows: list[Row] = []
-    for cut in cpvis:
-        m, nn = cut.pair.pair
-        rhs = cut.rhs_at({line: Fraction(active[line]) for line, _ in cut.y_coeffs})
-        for sign in (1, -1):
-            cut_rows.append(row({}, [(nn, m, sign)], rhs))
-
-    for cut in cvis:
-        rhs = cut.rhs_at({line: Fraction(active[line]) for line, _ in cut.y_coeffs})
-        # f*x on an active line equals the oriented angle drop; the flow
-        # of a switched-off line is fixed to zero
-        drops = [(net.lines[idx].from_bus, net.lines[idx].to_bus, s) for idx, s in cut.flow_signs if active[idx]]
-        for sign in (1, -1):
-            cut_rows.append(row({}, [(a, b, sign * s) for a, b, s in drops], rhs))
-
-    objective, _ = dense_row(n, {k: bus.gen_cost for k, bus in enumerate(net.buses)})
-    return ids, ref, theta_col, ineqs, eqs, objective, cut_rows
+    A pattern's LP is the bound rows, then the rows of the model that emit
+    writes, build_dcots(net, "global", cpvis, cvis), with what the pattern
+    forces substituted; the cut rows are appended only when they bind."""
+    switchable = [i for i, line in enumerate(net.lines) if line.switchable]
+    if len(switchable) > BRUTE_FORCE_CAP:
+        raise CapExceededError(f"{len(switchable)} switchable lines exceed the enumeration cap {BRUTE_FORCE_CAP}")
+    model = build_dcots(net, "global", cpvis, cvis)
+    names = dcots_names(net)
+    # build_dcots writes the two rows of each cut last
+    split = len(model.constraints) - 2 * (len(cpvis) + len(cvis))
+    rows, cut_rows = model.constraints[:split], model.constraints[split:]
+    lp = ModelLP(model, fixed_topology(net, dict.fromkeys(range(len(net.lines)), 1)))
+    for bits in itertools.product((1, 0), repeat=len(switchable)):
+        active = dict.fromkeys(range(len(net.lines)), 1)
+        active.update(zip(switchable, bits))
+        fixed = fixed_topology(net, active)
+        ineqs, eqs = lp.rows(rows, fixed)
+        cuts, _ = lp.rows(cut_rows, fixed)
+        result = solve_linear_program(len(lp.columns), lp.bounds + ineqs, eqs, lp.objective)
+        if result.status == "optimal" and not all(dot(coeffs, result.point) <= rhs for coeffs, rhs in cuts):
+            # the base optimizer violates an appended row, so the rows do
+            # bind for this pattern; re-solve with them in place
+            result = solve_linear_program(len(lp.columns), lp.bounds + ineqs + cuts, eqs, lp.objective)
+        if result.status == "optimal":
+            values = dict(zip(lp.columns, result.point))
+            values.update({var: value + sum((d * values[name] for name, d in terms.items()), Fraction(0))
+                           for var, (terms, value) in fixed.items()})
+            yield DcotsResult(result.value, {bus: values[name] for bus, name in names.g.items()},
+                              {idx: values[name] for idx, name in enumerate(names.f)},
+                              {bus: values[name] for bus, name in names.theta.items()}, active)
 
 
 def brute_force_dcots(net: Network, cpvis: Sequence[CutCPVI] = (), cvis: Sequence[CutCVI] = ()) -> DcotsResult:
-    """Exact optimum over every switching pattern, one LP per topology.
-
-    Appended cut rows never change the reported optimum when the cuts
-    are valid; the invariant tests rely on exactly that.
-    """
-    from .bounds import global_big_m
-
-    switchable = [i for i, line in enumerate(net.lines) if line.switchable]
-    if len(switchable) > BRUTE_FORCE_CAP:
-        raise CapExceededError(
-            f"{len(switchable)} switchable lines exceed the enumeration cap {BRUTE_FORCE_CAP}"
-        )
-    big_m = global_big_m(net)
-    best: DcotsResult | None = None
-    for bits in itertools.product((1, 0), repeat=len(switchable)):
-        active = {i: 1 for i in range(len(net.lines))}
-        for i, bit in zip(switchable, bits):
-            active[i] = bit
-        ids, ref, theta_col, ineqs, eqs, objective, cut_rows = _pattern_lp(net, active, big_m, cpvis, cvis)
-        result = solve_linear_program(len(objective), ineqs, eqs, objective)
-        if result.status == "optimal" and cut_rows and not all(
-            dot(coeffs, result.point) <= rhs for coeffs, rhs in cut_rows
-        ):
-            # the base optimizer violates an appended row, so the rows do
-            # bind for this pattern; re-solve with them in place
-            result = solve_linear_program(len(objective), ineqs + cut_rows, eqs, objective)
-        if result.status != "optimal":
-            continue
-        point = result.point
-        angles = {ref: Fraction(0)}
-        for bus, col in theta_col.items():
-            if col is not None:
-                angles[bus] = point[col]
-        flows = {}
-        for idx, line in enumerate(net.lines):
-            if active[idx]:
-                flows[idx] = (angles[line.from_bus] - angles[line.to_bus]) / line.reactance
-            else:
-                flows[idx] = Fraction(0)
-        generation = {bus: point[k] for k, bus in enumerate(ids)}
-        candidate = DcotsResult(result.value, generation, flows, angles, dict(active))
-        if best is None or candidate.cost < best.cost:
-            best = candidate
-    if best is None:
+    """Exact optimum over every switching pattern of the model that emit
+    writes, one LP per topology; the first pattern to reach it wins.
+    Appended cut rows never change the reported optimum when the cuts are
+    valid; the invariant tests rely on exactly that."""
+    optima = list(_pattern_optima(net, cpvis, cvis))
+    if not optima:
         raise AllPatternsInfeasibleError("no switching pattern admits a feasible dispatch")
-    return best
+    return min(optima, key=lambda result: result.cost)

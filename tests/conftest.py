@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -6,6 +7,9 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, settings
 
+from anglecuts.bounds import global_big_m
+from anglecuts.cuts import build_cpvi, build_cvi
+from anglecuts.graph import fundamental_cycle_basis, split_cycle
 from anglecuts.network import load_network
 
 settings.register_profile(
@@ -117,3 +121,19 @@ def random_net(seed: int, max_buses: int = 7):
         for a, b in ends
     ]
     return make_net([(bus,) for bus in ids], lines)
+
+
+def basis_cuts(net):
+    """Every cpvi (under the global M) and every cvi of the fundamental
+    cycle basis: all pairs of a cycle's buses, all subsets of its lines."""
+    big_m = global_big_m(net)
+    cpvis, cvis = [], []
+    for cycle in fundamental_cycle_basis(net):
+        for m, n in itertools.combinations(cycle.buses, 2):
+            cpvis.append(build_cpvi(split_cycle(net, cycle, m, n), big_m))
+        for r in range(1, len(cycle.lines) + 1):
+            for subset in itertools.combinations(cycle.lines, r):
+                cut = build_cvi(net, cycle, subset)
+                if cut is not None:
+                    cvis.append(cut)
+    return cpvis, cvis

@@ -198,9 +198,9 @@ def fig1_cut(kind, big_m=None, **fields):
     net = load_network((DATA / "fig1.json").read_bytes())
     cycle = fundamental_cycle_basis(net)[0]
     if kind == "cpvi":
-        obj = cpvi_to_json(net, build_cpvi(split_cycle(net, cycle, "i0", "i3"), big_m or global_big_m(net)))
+        obj = cpvi_to_json(build_cpvi(split_cycle(net, cycle, "i0", "i3"), big_m or global_big_m(net)))
     else:
-        obj = cvi_to_json(net, build_cvi(net, cycle, [1, 2, 4, 5]))
+        obj = cvi_to_json(build_cvi(net, cycle, [1, 2, 4, 5]))
     obj.update(fields)
     return json.dumps(obj) + "\n"
 
@@ -211,7 +211,7 @@ def fake_reordered_cut():
     plain optimum (|theta_i3 - theta_i0| = 3/2 against a right-hand side of 1)."""
     net = load_network((DATA / "fig1.json").read_bytes())
     fake = Cycle(tuple(range(6)), ("i0", "i3", "i1", "i4", "i2", "i5"), 6)
-    return json.dumps(cpvi_to_json(net, build_cpvi(split_cycle(net, fake, "i0", "i3"), global_big_m(net)))) + "\n"
+    return json.dumps(cpvi_to_json(build_cpvi(split_cycle(net, fake, "i0", "i3"), global_big_m(net)))) + "\n"
 
 
 MALFORMED_CASES = [
@@ -255,6 +255,10 @@ MALFORMED_CASES = [
     ("cuts", "pt.json", '{"theta": {}, "y": {}, "f": {"x": "1"}}', "'f' key 'x'"),
     ("emit", "net.json", '{"buses": []}', "'buses' must be a nonempty list"),
     ("certify", "net.json", '{"buses": []}', "'buses' must be a nonempty list"),
+    # a JSON integer literal past Python's 4300-digit limit on reading integers
+    ("cuts", "pt.json", '{"theta": {"i0": %s}, "y": {}}' % ("1" * 5001), "point file: malformed JSON"),
+    ("emit", "cuts.jsonl", fig1_cut("cpvi").replace('"big_m": "6"', '"big_m": ' + "1" * 5001),
+     "cuts file: line 1: malformed JSON"),
 ]
 MALFORMED_IDS = [
     "cut-line-array",
@@ -287,6 +291,8 @@ MALFORMED_IDS = [
     "point-f-key-name",
     "network-no-buses-emit",
     "network-no-buses-certify",
+    "point-theta-long-integer",
+    "cut-big-m-long-integer",
 ]
 
 

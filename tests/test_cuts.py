@@ -242,12 +242,12 @@ def test_separate_cvi_finds_violations(fig1):
 
 
 def test_cut_json_round_trip(fig1, fig1_cut):
-    obj = cpvi_to_json(fig1, fig1_cut, F(1))
+    obj = cpvi_to_json(fig1_cut, F(1))
     assert obj["constant"] == "14" and obj["violation"] == "1"
     again = cpvi_from_json(fig1, obj)
     assert again == fig1_cut
 
     cycle = fundamental_cycle_basis(fig1)[0]
     cvi = build_cvi(fig1, cycle, [5, 4, 1, 2])
-    back = cvi_from_json(fig1, cvi_to_json(fig1, cvi))
+    back = cvi_from_json(fig1, cvi_to_json(cvi))
     assert back == cvi

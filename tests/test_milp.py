@@ -18,11 +18,11 @@ from anglecuts.milp import (
     merge_models,
 )
 from anglecuts.network import Network, load_network
-from anglecuts.oracle import brute_force_dcots
+from anglecuts.oracle import _pattern_optima, brute_force_dcots
 from anglecuts.simplex import solve_linear_program
 
 from _brute import fixed_binary_lp, read_lp_text
-from conftest import DATA, make_net, random_net
+from conftest import DATA, basis_cuts, make_net, random_net
 from test_bounds import milp_as_lp, reference_report
 
 
@@ -327,3 +327,22 @@ def test_emitted_model_solves_to_the_brute_force_optimum(fig1, name):
     expected = brute_force_dcots(net).cost
     for bigm in ("global", "bounds"):
         assert model_optimum(build_dcots(net, bigm=bigm)) == expected, bigm
+
+
+@pytest.mark.parametrize("name", ["fig1", "triangle", "congested1", "congested2", "congested3"])
+def test_pattern_lp_matches_the_fixed_binary_lp(request, name):
+    """Brute force's LP of each topology, with the flows, the statuses and
+    the reference angle substituted, has the value of the emitted model's
+    LP with only y fixed and every flow a column, plain and with every
+    basis cut."""
+    net = congested_net(int(name[-1])) if name.startswith("congested") else request.getfixturevalue(name)
+    switchable = [idx for idx, line in enumerate(net.lines) if line.switchable]
+    for cpvis, cvis in (((), ()), basis_cuts(net)):
+        model = build_dcots(net, "global", cpvis, cvis)
+        y_names = [var.name for var in model.variables if var.kind == "binary"]  # in line order
+        optima = {tuple(result.y.values()): result.cost for result in _pattern_optima(net, cpvis, cvis)}
+        for bits in itertools.product((1, 0), repeat=len(switchable)):
+            active = dict.fromkeys(range(len(net.lines)), 1)
+            active.update(zip(switchable, bits))
+            expected = fixed_binary_lp(model, dict(zip(y_names, active.values())))
+            assert optima.get(tuple(active.values())) == (expected.value if expected.status == "optimal" else None)

@@ -1,5 +1,4 @@
 import hashlib
-import itertools
 import json
 import random
 from fractions import Fraction as F
@@ -7,15 +6,16 @@ from fractions import Fraction as F
 import pytest
 
 from anglecuts import simplex
-from anglecuts.bounds import global_big_m
-from anglecuts.cuts import build_cpvi, build_cvi
+from anglecuts.cuts import build_cpvi, cpvi_from_json, cpvi_to_json, cvi_from_json, cvi_to_json
 from anglecuts.errors import AllPatternsInfeasibleError, CapExceededError, UnboundedError
 from anglecuts.extended import build_extended
 from anglecuts.graph import fundamental_cycle_basis, split_cycle
+from anglecuts.milp import MilpModel
 from anglecuts.oracle import (
     Claim,
     DcotsResult,
     HPolytope,
+    ModelLP,
     affine_rank,
     brute_force_dcots,
     candidate_hull,
@@ -34,7 +34,7 @@ from anglecuts.oracle import (
 from anglecuts.rational import dot
 
 from _brute import brute_vertices
-from conftest import make_net, ring_net
+from conftest import basis_cuts, make_net, ring_net
 
 
 @pytest.fixture(scope="module")
@@ -333,6 +333,20 @@ def test_rational_simplex_examples(fig1, fig1_pair):
 # -- brute-force switching enumeration --------------------------------------
 
 
+def test_model_lp_scales_rows_and_keeps_an_emptied_row_only_when_it_fails():
+    model = MilpModel()
+    model.add_variable("x", "continuous", F(0), None)
+    model.add_variable("y", "binary", F(0), F(1))
+    model.add_constraint("c", [("x", 2), ("y", 1)], "<=", F(3))
+    model.add_constraint("d", [("y", 1)], "<=", F(0))
+    lp = ModelLP(model, {"y"})
+    assert lp.bounds == [((F(-1),), F(0))]
+    # y = 0: 2x <= 3 is read as x <= 3/2, and 0 <= 0 is dropped
+    assert lp.rows(model.constraints, {"y": ({}, F(0))}) == ([((F(1),), F(3, 2))], [])
+    # y = 1: 0 <= -1 stays, so the LP is infeasible
+    assert lp.rows(model.constraints, {"y": ({}, F(1))}) == ([((F(1),), F(1)), ((F(0),), F(-1))], [])
+
+
 def test_brute_force_single_bus():
     net = make_net([("solo",)], [])
     result = brute_force_dcots(net)
@@ -429,22 +443,13 @@ def test_brute_force_kcl_holds_at_optimum(triangle):
 
 def test_cuts_never_change_optimum(fig1, triangle):
     for net in (triangle, fig1):
-        cycles = fundamental_cycle_basis(net)
-        big = global_big_m(net)
-        cpvis, cvis = [], []
-        for cycle in cycles:
-            buses = list(cycle.buses)
-            for i in range(len(buses)):
-                for j in range(i + 1, len(buses)):
-                    cpvis.append(build_cpvi(split_cycle(net, cycle, buses[i], buses[j]), big))
-            for r in range(1, len(cycle.lines) + 1):
-                for subset in itertools.combinations(cycle.lines, r):
-                    cut = build_cvi(net, cycle, subset)
-                    if cut is not None:
-                        cvis.append(cut)
+        cpvis, cvis = basis_cuts(net)
+        # the same cuts as emit --cuts reads them back from their JSON lines
+        read_cpvis = [cpvi_from_json(net, json.loads(json.dumps(cpvi_to_json(cut)))) for cut in cpvis]
+        read_cvis = [cvi_from_json(net, json.loads(json.dumps(cvi_to_json(cut)))) for cut in cvis]
         plain = brute_force_dcots(net)
-        with_cuts = brute_force_dcots(net, cpvis=cpvis, cvis=cvis)
-        assert plain.cost == with_cuts.cost
+        for cuts in ((cpvis, cvis), (read_cpvis, read_cvis)):
+            assert brute_force_dcots(net, *cuts).cost == plain.cost
 
 
 def test_point_in_hull_basics():
