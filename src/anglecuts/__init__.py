@@ -14,7 +14,7 @@ from .cuts import (
     separate_cpvi,
     separate_cvi,
 )
-from .extended import ExtendedSystem, build_extended, project_to_cpvi
+from .extended import build_extended, project_to_cpvi
 from .graph import (
     Cycle,
     CyclePathPair,

@@ -193,7 +193,7 @@ def cmd_emit(args) -> int:
             for i in range(len(buses)):
                 for j in range(i + 1, len(buses)):
                     pair = split_cycle(net, cycle, buses[i], buses[j])
-                    merge_models(model, build_extended(pair, big_m).model, f"ext_{c_idx}_{i}_{j}")
+                    merge_models(model, build_extended(pair, big_m), f"ext_{c_idx}_{i}_{j}")
     _emit(lp_text(model), args.out)
     _say(f"{len(model.variables)} variables, {len(model.constraints)} rows")
     return EXIT_OK
@@ -218,7 +218,7 @@ def cmd_certify(args) -> int:
                     (None, cpvi_validity_certificate(net, cut)),
                     (None, facet_certificate(net, cut)),
                     (None, full_dimension_certificate(net, pair, big_m)),
-                    (None, local_idealness_certificate(net, build_extended(pair, big_m))),
+                    (None, local_idealness_certificate(build_extended(pair, big_m))),
                 ]
                 for name in HULL_CANDIDATES[:1] if args.strict_theorem2 else HULL_CANDIDATES[1:]:
                     candidate = candidate_hull(net, pair, big_m, name)

@@ -6,41 +6,35 @@ variable selecting the longer arc only when the shorter one is broken,
 and a single angle-difference bound written as a convex combination of
 the three candidate bounds (shorter weight, longer weight, big-M).
 
-Projecting the angle row through the indicators' lower bounds reproduces
-the path-based cut exactly; both derivations are kept and compared in
-tests.
+``eliminate`` projects the model: a Fourier-Motzkin step on its angle
+row through each lifted variable's linking row or its bound 0.  All
+linking rows give the path-based cut; the zero branches give the
+aggregated single-arc rows that complete the hull description.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import Container
 
 from .cuts import CutCPVI
 from .errors import InvalidBigMError
 from .graph import CyclePathPair
 from .milp import MilpModel
 
-__all__ = ["ExtendedSystem", "build_extended", "project_to_cpvi"]
+__all__ = ["build_extended", "eliminate", "project_to_cpvi"]
+
+# each lifted variable in elimination order, with its linking row terms - z <= rhs
+LINKS = (("z_long_only", "product_ge_diff"), ("z_short", "short_closure"), ("z_long", "long_closure"))
 
 
-@dataclass(frozen=True)
-class ExtendedSystem:
-    """The lifted system of a pair as a model of ``<=`` rows.
+def build_extended(pair: CyclePathPair, big_m: Fraction) -> MilpModel:
+    """The lifted system of a pair as a model of ``<=`` rows; requires
+    big_m >= the longer arc weight.
 
     Variables: the pair's angle difference first (free), then one
     activity variable per cycle line (cycle order), then the two path
     indicators and the longer-only product variable, each in [0, 1].
-    """
-
-    pair: CyclePathPair
-    big_m: Fraction
-    model: MilpModel
-
-
-def build_extended(pair: CyclePathPair, big_m: Fraction) -> ExtendedSystem:
-    """Construct the lifted system; requires big_m >= the longer arc weight.
-
     Each row lists its terms in variable order.
     """
     w_short = pair.shorter.total_weight
@@ -74,60 +68,45 @@ def build_extended(pair: CyclePathPair, big_m: Fraction) -> ExtendedSystem:
     # angle bound as a convex combination of the three candidate bounds
     for sign, name in ((1, "angle_hi"), (-1, "angle_lo")):
         row(name, [("dtheta", sign), ("z_short", big_m - w_short), ("z_long_only", big_m - w_long)], big_m)
-    return ExtendedSystem(pair, big_m, model)
+    return model
 
 
-def project_to_cpvi(sys: ExtendedSystem) -> CutCPVI:
-    """Eliminate the lifted variables from the angle row, symbolically.
+def eliminate(pair: CyclePathPair, model: MilpModel, linked: Container[str]) -> tuple[dict[int, Fraction], Fraction]:
+    """The model's angle_hi row with the lifted variables eliminated in
+    LINKS order: each by the lower bound its linking row gives when it is
+    in linked, else by its lower bound 0.
 
-    Each lifted variable carries a nonpositive coefficient in the angle
-    bound, so replacing it by its linking lower bound preserves validity
-    and yields the tightest projected inequality.  The result is the
-    path-based cut in the original variables.
+    Each lifted variable has a nonnegative slope in the row by then, so
+    either bound keeps the row valid.  Returns the slope of every cycle
+    line's y and the right-hand side of  dtheta + slopes . y <= rhs.
     """
-    pair = sys.pair
-    w_short = pair.shorter.total_weight
-    w_long = pair.longer.total_weight
-    big_m = sys.big_m
+    rows = {con.name: con for con in model.constraints}
+    terms = dict(rows["angle_hi"].coeffs)
+    rhs = rows["angle_hi"].rhs
+    for z, link in LINKS:
+        slope = terms.pop(z, Fraction(0))  # a zero slope is not stored
+        assert slope >= 0, "substituting a lower bound is only valid for a nonnegative slope"
+        if z in linked:
+            for var, c in rows[link].coeffs:
+                if var != z:
+                    terms[var] = terms.get(var, Fraction(0)) + slope * c
+            rhs += slope * rows[link].rhs
+    return {line: terms.get(f"y_{line}", Fraction(0)) for line in pair.cycle.lines}, rhs
 
-    # right-hand side of dtheta <= ..., as a linear expression
-    expr: dict[str, Fraction] = {
-        "const": big_m,
-        "z_short": -(big_m - w_short),
-        "z_long_only": -(big_m - w_long),
-    }
 
-    def substitute(var: str, replacement: dict[str, Fraction]) -> None:
-        coeff = expr.pop(var, Fraction(0))
-        assert coeff <= 0, "substituting a lower bound is only valid for nonpositive coefficients"
-        for term, value in replacement.items():
-            expr[term] = expr.get(term, Fraction(0)) + coeff * value
-
-    substitute("z_long_only", {"z_long": Fraction(1), "z_short": Fraction(-1)})
-    substitute(
-        "z_short",
-        {
-            **{f"y_{line}": Fraction(1) for line in pair.shorter.lines},
-            "const": Fraction(1 - len(pair.shorter.lines)),
-        },
-    )
-    substitute(
-        "z_long",
-        {
-            **{f"y_{line}": Fraction(1) for line in pair.longer.lines},
-            "const": Fraction(1 - len(pair.longer.lines)),
-        },
-    )
-
-    coeffs = {
-        line: expr.get(f"y_{line}", Fraction(0))
-        for line in pair.cycle.lines
-    }
+def project_to_cpvi(pair: CyclePathPair, model: MilpModel) -> CutCPVI:
+    """The path-based cut as the projection of the lifted model: every
+    lifted variable eliminated through its linking row, and big-M and the
+    two slope gaps read off the angle row."""
+    angle = next(con for con in model.constraints if con.name == "angle_hi")
+    slope = dict(angle.coeffs)
+    delta_m = slope.get("z_long_only", Fraction(0))
+    slopes, constant = eliminate(pair, model, ("z_long_only", "z_short", "z_long"))
     return CutCPVI(
         pair=pair,
-        big_m=big_m,
-        delta_rho=w_long - w_short,
-        delta_m=big_m - w_long,
-        constant=expr["const"],
-        y_coeffs=tuple(sorted(coeffs.items())),
+        big_m=angle.rhs,
+        delta_rho=slope.get("z_short", Fraction(0)) - delta_m,
+        delta_m=delta_m,
+        constant=constant,
+        y_coeffs=tuple(sorted((line, -value) for line, value in slopes.items())),
     )

@@ -22,6 +22,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 # pair_bound is unused here but stays a module attribute: bench/layers.py wraps it by this name
 from .bounds import global_big_m, pair_bound, pair_bounds  # noqa: F401
 from .cuts import CutCPVI, CutCVI
+from .errors import ValidationError
 from .network import Network, parallel_ordinals
 from .rational import format_rational
 
@@ -147,6 +148,13 @@ def build_dcots(
         m_lines = [global_big_m(net)] * len(net.lines)
 
     g_name, t_name, f_name, y_name, tags = dcots_names(net)
+    # names map other characters to '_' and join line ends with it, so two elements may get one name
+    line_labels = [f"{k} ({ln.from_bus!r}-{ln.to_bus!r})" for k, ln in enumerate(net.lines)]
+    for kind, labels, names in (("buses", map(repr, g_name), g_name.values()), ("lines", line_labels, f_name)):
+        first: dict[str, str] = {}
+        for label, name in zip(labels, names):
+            if first.setdefault(name, label) != label:
+                raise ValidationError(f"{kind} {first[name]} and {label} share the LP name {name!r}")
 
     for bus in net.buses:
         model.add_variable(g_name[bus.id], "continuous", Fraction(0), bus.gen_max)

@@ -21,7 +21,7 @@ from .errors import (
     InfeasibleError,
     UnboundedError,
 )
-from .extended import ExtendedSystem
+from .extended import build_extended, eliminate
 from .graph import CyclePathPair
 from .milp import MilpConstraint, MilpModel, build_dcots, dcots_names, fixed_topology
 from .network import Network
@@ -321,12 +321,11 @@ def candidate_hull(net: Network, pair: CyclePathPair, big_m: Fraction, name: str
 
     Each holds the y box and both signs of the path-based cut;
     "cpvi_with_fallback" adds the |angle| <= M rows, and
-    "completed_projection" adds before those the aggregated single-path
-    rows from the zero branches of the indicator elimination, per arc:
-
-        |angle| <= w(path) + (M - w(path)) * (len(path) - sum of path y)
-
-    The oracle certifies that only the completed one closes the hull.
+    "completed_projection" adds before those the aggregated single-arc
+    rows: the lifted model's angle row with the indicators eliminated
+    through the zero branches that keep the shorter arc alone, then the
+    longer arc alone.  The oracle certifies that only the completed one
+    closes the hull.
     """
     from .cuts import build_cpvi
 
@@ -334,11 +333,9 @@ def candidate_hull(net: Network, pair: CyclePathPair, big_m: Fraction, name: str
         raise ValueError(f"unknown hull candidate {name!r}; expected one of {', '.join(HULL_CANDIDATES)}")
     rows = _y_box_rows(pair) + _cpvi_rows(build_cpvi(pair, big_m))
     if name == "completed_projection":
-        for sign in (1, -1):
-            for path in (pair.shorter, pair.longer):
-                slope = big_m - path.total_weight
-                rows.append(_pair_row(pair, sign, dict.fromkeys(path.lines, slope),
-                                      path.total_weight + slope * len(path.lines)))
+        model = build_extended(pair, big_m)
+        arcs = [eliminate(pair, model, linked) for linked in (("z_short",), ("z_long_only", "z_long"))]
+        rows.extend(_pair_row(pair, sign, slopes, rhs) for sign in (1, -1) for slopes, rhs in arcs)
     if name != "cpvi_only":
         rows.extend(_pair_row(pair, sign, {}, big_m) for sign in (1, -1))
     return HPolytope(tuple(rows), len(pair.cycle.lines) + 1)
@@ -487,10 +484,10 @@ def facet_certificate(net: Network, cut: CutCPVI) -> CertificateReport:
     return CertificateReport(Claim.FACET_RANK, True)
 
 
-def local_idealness_certificate(net: Network, sys: ExtendedSystem) -> CertificateReport:
+def local_idealness_certificate(model: MilpModel) -> CertificateReport:
     """Every vertex of the lifted system is binary in all 0/1 variables."""
-    names = [var.name for var in sys.model.variables]
-    for vertex in enumerate_vertices(model_polytope(sys.model)):
+    names = [var.name for var in model.variables]
+    for vertex in enumerate_vertices(model_polytope(model)):
         for j in range(1, len(names)):  # everything but the angle difference
             if vertex[j] != 0 and vertex[j] != 1:
                 return CertificateReport(

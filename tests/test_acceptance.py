@@ -108,7 +108,7 @@ def test_criterion_3_lifted_vertices_binary():
     bad = []
     for trial, (net, cycle, pair) in enumerate(_criterion3_instances()):
         system = build_extended(pair, cycle.total_weight)
-        for vertex in enumerate_vertices(model_polytope(system.model)):
+        for vertex in enumerate_vertices(model_polytope(system)):
             if any(value not in (0, 1) for value in vertex[1:]):
                 bad.append((trial, vertex))
                 break

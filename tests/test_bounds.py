@@ -8,6 +8,8 @@ from anglecuts.bounds import BoundSource, PairBound, bound_report, global_big_m,
 from anglecuts.errors import UnknownBusError
 from anglecuts.milp import build_dcots
 from anglecuts.network import Network
+from anglecuts.oracle import ModelLP
+from anglecuts.rational import dense_row
 from anglecuts.simplex import solve_linear_program
 
 from _brute import brute_shortest_path
@@ -127,35 +129,6 @@ def test_fixing_lines_never_loosens_bounds(fig1):
         previous = current
 
 
-def milp_as_lp(net, fixed_y_by_name):
-    """The switching model's rows with y pinned, ready for the exact LP."""
-    model = build_dcots(net, bigm="global")
-    names = [v.name for v in model.variables]
-    col = {name: k for k, name in enumerate(names)}
-    ineqs, eqs = [], []
-    for con in model.constraints:
-        row = [F(0)] * len(names)
-        for var, c in con.coeffs:
-            row[col[var]] = c
-        if con.sense == "=":
-            eqs.append((row, con.rhs))
-        elif con.sense == "<=":
-            ineqs.append((row, con.rhs))
-        else:
-            ineqs.append(([-v for v in row], -con.rhs))
-    for var in model.variables:
-        lo, hi = var.lower, var.upper
-        if var.name in fixed_y_by_name:
-            lo = hi = F(fixed_y_by_name[var.name])
-        row = [F(0)] * len(names)
-        row[col[var.name]] = F(1)
-        if hi is not None:
-            ineqs.append((list(row), hi))
-        if lo is not None:
-            ineqs.append(([-v for v in row], -lo))
-    return names, col, ineqs, eqs
-
-
 def test_pair_bounds_valid_for_every_pattern():
     import itertools
 
@@ -167,19 +140,18 @@ def test_pair_bounds_valid_for_every_pattern():
     switchable = [i for i, ln in enumerate(net.lines) if ln.switchable]
     model = build_dcots(net)
     y_names = [v.name for v in model.variables if v.name.startswith("y_")]
+    lp = ModelLP(model, y_names)
     for bits in itertools.product((0, 1), repeat=len(switchable)):
         fixed = {name: 1 for name in y_names}
         for i, b in zip(switchable, bits):
             fixed[y_names[i]] = b
-        names, col, ineqs, eqs = milp_as_lp(net, fixed)
+        ineqs, eqs = lp.rows(model.constraints, {name: ({}, F(bit)) for name, bit in fixed.items()})
         for pb in report.pairs:
             if pb.source is not BoundSource.SHORTEST_PATH_ACTIVE:
                 continue
-            objective = [F(0)] * len(names)
-            objective[col[f"theta_{pb.m}"]] = F(1)
-            objective[col[f"theta_{pb.n}"]] = F(-1)
+            objective, _ = dense_row(len(lp.columns), {lp.columns[f"theta_{pb.m}"]: 1, lp.columns[f"theta_{pb.n}"]: -1})
             for sense in (False, True):
-                result = solve_linear_program(len(names), ineqs, eqs, objective, minimize=sense)
+                result = solve_linear_program(len(lp.columns), lp.bounds + ineqs, eqs, objective, minimize=sense)
                 if result.status != "optimal":
                     continue  # pattern infeasible
                 assert abs(result.value) <= pb.bound

@@ -18,6 +18,7 @@ from anglecuts.graph import Cycle, fundamental_cycle_basis, split_cycle
 from anglecuts.network import load_network, serialize_network
 
 from conftest import DATA, make_net, ring_net
+from test_milp import NAME_CLASHES, clash_net
 
 FIG1 = str(DATA / "fig1.json")
 MIXED6 = str(DATA / "mixed6.json")
@@ -403,6 +404,16 @@ def test_emit_refuses_a_bound_with_no_exact_decimal(capsys, tmp_path, gen_max):
     code, out, err = run(capsys, "emit", str(path))
     assert code == 2 and out == ""
     assert f"input error: variable 'g_i0' bound {gen_max} has no exact decimal form" in err
+
+
+@pytest.mark.parametrize("name", NAME_CLASHES)
+def test_emit_refuses_elements_sharing_an_lp_name(capsys, tmp_path, name):
+    net, message = clash_net(name)
+    path = write_net(tmp_path, net)
+    assert run(capsys, "validate", path)[0] == 0
+    code, out, err = run(capsys, "emit", path)
+    assert code == 1 and out == ""
+    assert f"error: {message}" in err
 
 
 def fig1_line(k, **fields):

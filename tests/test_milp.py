@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from dataclasses import replace
 from fractions import Fraction as F
 
@@ -7,6 +8,7 @@ import pytest
 
 from anglecuts.bounds import global_big_m
 from anglecuts.cuts import build_cpvi, build_cvi
+from anglecuts.errors import ValidationError
 from anglecuts.extended import build_extended
 from anglecuts.graph import fundamental_cycle_basis, split_cycle
 from anglecuts.milp import (
@@ -19,11 +21,10 @@ from anglecuts.milp import (
 )
 from anglecuts.network import Network, load_network
 from anglecuts.oracle import _pattern_optima, brute_force_dcots
-from anglecuts.simplex import solve_linear_program
 
 from _brute import fixed_binary_lp, read_lp_text
 from conftest import DATA, basis_cuts, make_net, random_net
-from test_bounds import milp_as_lp, reference_report
+from test_bounds import reference_report
 
 
 def test_two_bus_row_and_variable_counts():
@@ -134,7 +135,7 @@ def priced_net(seed: int) -> Network:
 def lifted_model(pair, big_m) -> MilpModel:
     """The pair's lifted system merged into an empty model under prefix 'ext'."""
     model = MilpModel()
-    merge_models(model, build_extended(pair, big_m).model, "ext")
+    merge_models(model, build_extended(pair, big_m), "ext")
     return model
 
 
@@ -201,6 +202,29 @@ def test_duplicate_names_rejected():
         model.add_constraint("fresh", [("nope", F(1))], "<=", F(0))
 
 
+# networks that validate but give two elements one LP name: bus ids
+# hold '_', and each character outside [A-Za-z0-9_] becomes '_'
+NAME_CLASHES = {
+    "line-tag": (["a", "b_c", "a_b", "c"], [("a", "b_c"), ("a_b", "c"), ("a", "a_b"), ("b_c", "c")],
+                 "lines 0 ('a'-'b_c') and 1 ('a_b'-'c') share the LP name 'f_a_b_c_0'"),
+    "bus-stem": (["a-b", "a_b", "c"], [("a-b", "a_b"), ("a_b", "c"), ("a-b", "c")],
+                 "buses 'a-b' and 'a_b' share the LP name 'g_a_b'"),
+}
+
+
+def clash_net(name):
+    buses, ends, message = NAME_CLASHES[name]
+    return make_net([(bus,) for bus in buses], [(a, b, 1, 1) for a, b in ends]), message
+
+
+@pytest.mark.parametrize("name", NAME_CLASHES)
+def test_elements_sharing_an_lp_name_are_refused(name):
+    net, message = clash_net(name)
+    for build in (build_dcots, brute_force_dcots):
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            build(net)
+
+
 def test_duplicate_names_rejected_on_models_built_from_lists():
     model = MilpModel(
         variables=[MilpVariable("x", "continuous", None, None)],
@@ -215,7 +239,7 @@ def test_duplicate_names_rejected_on_models_built_from_lists():
 
 def test_merge_models_rejects_duplicate_names(fig1):
     pair = split_cycle(fig1, fundamental_cycle_basis(fig1)[0], "i0", "i4")
-    ext = build_extended(pair, F(6)).model
+    ext = build_extended(pair, F(6))
     base = build_dcots(fig1)
     merge_models(base, ext, "ext")
     with pytest.raises(ValueError, match="duplicate variable name 'ext_dtheta'"):
@@ -257,19 +281,14 @@ def test_extended_model_serializes(fig1):
     text = lp_text(model)
     assert "ext_angle_hi" in text and "ext_z_long_only" in text
     base = build_dcots(fig1)
-    merge_models(base, build_extended(pair, F(6)).model, "ext")
+    merge_models(base, build_extended(pair, F(6)), "ext")
     assert any(v.name == "ext_dtheta" for v in base.variables)
 
 
 def test_all_active_model_reduces_to_dispatch_lp(triangle):
     """Pinning every status to one must reproduce the exact dispatch LP."""
-    y_names = [v.name for v in build_dcots(triangle).variables if v.name.startswith("y_")]
-    names, col, ineqs, eqs = milp_as_lp(triangle, {name: 1 for name in y_names})
-    objective = [F(0)] * len(names)
-    for bus in triangle.buses:
-        if bus.gen_cost:
-            objective[col[f"g_{bus.id}"]] = bus.gen_cost
-    result = solve_linear_program(len(names), ineqs, eqs, objective)
+    model = build_dcots(triangle)
+    result = fixed_binary_lp(model, {v.name: 1 for v in model.variables if v.name.startswith("y_")})
     fixed = brute_force_dcots(triangle.with_all_lines_fixed())
     assert result.status == "optimal" and result.value == fixed.cost == 33
 

@@ -174,7 +174,7 @@ def test_vertices_match_oracle_on_degenerate_polytopes(seed):
 def test_extended_two_cycle_vertices_binary():
     net = ring_net([1, 3])
     pair = split_cycle(net, fundamental_cycle_basis(net)[0], "r0", "r1")
-    poly = model_polytope(build_extended(pair, F(4)).model)
+    poly = model_polytope(build_extended(pair, F(4)))
     vertices = enumerate_vertices(poly)
     assert vertices == brute_vertices(list(poly.rows), poly.dim)
     for vertex in vertices:
@@ -188,7 +188,7 @@ def test_extended_two_cycle_vertices_binary():
 def test_extended_vertex_count_pinned(weights, ends, big_m, count):
     net = ring_net(weights)
     pair = split_cycle(net, fundamental_cycle_basis(net)[0], *ends)
-    assert len(enumerate_vertices(model_polytope(build_extended(pair, big_m).model))) == count
+    assert len(enumerate_vertices(model_polytope(build_extended(pair, big_m)))) == count
 
 
 # -- affine rank ------------------------------------------------------------
@@ -240,7 +240,7 @@ def test_facet_certificate_big_m_boundary(fig1, fig1_pair):
 
 
 def test_local_idealness_fig1(fig1, fig1_pair):
-    report = local_idealness_certificate(fig1, build_extended(fig1_pair, F(6)))
+    report = local_idealness_certificate(build_extended(fig1_pair, F(6)))
     assert report.passed
 
 
@@ -325,7 +325,7 @@ def test_rational_simplex_examples(fig1, fig1_pair):
     value, point = rational_simplex(poly, [F(1)], "min")
     assert value == F(1, 3)
 
-    system = model_polytope(build_extended(fig1_pair, F(6)).model)
+    system = model_polytope(build_extended(fig1_pair, F(6)))
     value, _ = rational_simplex(system, [F(1)] + [F(0)] * (system.dim - 1), "max")
     assert value == 6  # the unlinked big-M bound is attainable
 
