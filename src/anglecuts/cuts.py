@@ -8,8 +8,16 @@ Two families over a cycle of the network:
 * the older flow-space inequality that bounds the reactance-weighted
   flow over any line subset of the cycle (``CutCVI``).
 
-Separation walks each cycle from every anchor bus, growing the candidate
-lighter arc, with a screening test and a half-weight stopping rule.
+Both separators return exactly the cuts violated by more than the
+tolerance, which must be at least 0.  cpvi scales a cycle's weights and
+angles to integers and grows the lighter arc from every anchor bus,
+stopping once twice the arc weight passes the cycle's and screening out
+a pair whose angle spread is at most the arc weight.  For cvi, with
+K = |C| - 1 - sum of y over C, either sign's violation is modular in the
+subset S: sum over S of (+-s_i f_i x_i - w_i (2K + y_i)) + w(C) K.  A
+depth-first search over the lines drops a subtree when neither sign's
+sum plus the positive terms ahead can pass the tolerance, or when the
+weight still reachable cannot pass w(C)/2.
 """
 
 from __future__ import annotations
@@ -17,6 +25,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
@@ -100,8 +109,12 @@ class FractionalPoint:
 
 @dataclass(frozen=True)
 class SeparationConfig:
-    tolerance: Fraction = Fraction(0)
+    tolerance: Fraction = Fraction(0)  # at least 0: the screens prove violation <= 0
     fractional_cycles_only: bool = False
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.tolerance, (int, Fraction)) or self.tolerance < 0:
+            raise ValueError(f"tolerance {self.tolerance} is not an exact rational of at least 0")
 
 
 def build_cpvi(pair: CyclePathPair, big_m: Fraction) -> CutCPVI:
@@ -168,18 +181,18 @@ def build_cvi(net: Network, cycle: Cycle, subset: Iterable[int]) -> CutCVI | Non
     )
 
 
-def _angle_difference(cut: CutCPVI, pt: FractionalPoint) -> Fraction:
-    m, n = cut.pair.pair
-    for bus in (m, n):
+def _angles(pt: FractionalPoint, buses: Iterable[str]) -> list[Fraction]:
+    """The point's angles at the buses; raises for the first without one."""
+    for bus in buses:
         if bus not in pt.theta:
             raise MissingVariableError(f"point has no angle for bus {bus!r}")
-    return pt.theta[n] - pt.theta[m]
+    return [pt.theta[bus] for bus in buses]
 
 
 def cpvi_violation(cut: CutCPVI, pt: FractionalPoint) -> Fraction:
     """|angle difference| minus the cut's right-hand side; positive means violated."""
-    diff = _angle_difference(cut, pt)
-    return abs(diff) - cut.rhs_at(pt.y)
+    theta_m, theta_n = _angles(pt, cut.pair.pair)
+    return abs(theta_n - theta_m) - cut.rhs_at(pt.y)
 
 
 def cvi_violation(net: Network, cut: CutCVI, pt: FractionalPoint) -> Fraction:
@@ -202,6 +215,12 @@ def _cycle_is_promising(cycle: Cycle, pt: FractionalPoint) -> bool:
     return False
 
 
+def _over_common_denominator(values: Sequence[Fraction]) -> list[int]:
+    """The values times the least common multiple of their denominators."""
+    scale = lcm(*(v.denominator for v in values))
+    return [v.numerator * (scale // v.denominator) for v in values]
+
+
 def _sort_key(entry):
     cut, violation = entry
     if isinstance(cut, CutCPVI):
@@ -217,15 +236,9 @@ def separate_cpvi(
     pt: FractionalPoint,
     config: SeparationConfig = SeparationConfig(),
 ) -> list[tuple[CutCPVI, Fraction]]:
-    """Find violated path-based cuts at a fractional point.
-
-    For every cycle and anchor bus the candidate lighter arc grows one
-    line at a time; growth stops once its weight passes half the cycle
-    weight (the complementary arc is then found from the other anchor).
-    A cut is only evaluated when the point's angle spread across the pair
-    already exceeds the arc weight, which is necessary for violation.
-    Returns (cut, violation) pairs with violation above the tolerance,
-    most violated first.
+    """Find violated path-based cuts at a fractional point, by the arc walk
+    of the module docstring.  Returns (cut, violation) pairs with violation
+    above the tolerance, most violated first.
     """
     from .bounds import global_big_m
 
@@ -234,23 +247,21 @@ def separate_cpvi(
     for cycle in cycles:
         if config.fractional_cycles_only and not _cycle_is_promising(cycle, pt):
             continue
-        half = cycle.total_weight / 2
         size = len(cycle.buses)
+        scaled = _over_common_denominator([*(net.lines[i].weight for i in cycle.lines), *_angles(pt, cycle.buses)])
+        weights, angles = scaled[:size], scaled[size:]
+        total = sum(weights)
         for anchor_pos in range(size):
             m = cycle.buses[anchor_pos]
-            if m not in pt.theta:
-                raise MissingVariableError(f"point has no angle for bus {m!r}")
-            arc_weight = Fraction(0)
+            arc_weight = 0
             for step in range(1, size):
                 pos = (anchor_pos + step) % size
-                arc_weight += net.lines[cycle.lines[(anchor_pos + step - 1) % size]].weight
-                if arc_weight > half:
+                arc_weight += weights[pos - 1]
+                if 2 * arc_weight > total:
                     break
-                n = cycle.buses[pos]
-                if n not in pt.theta:
-                    raise MissingVariableError(f"point has no angle for bus {n!r}")
-                if abs(pt.theta[n] - pt.theta[m]) <= arc_weight:
+                if abs(angles[pos] - angles[anchor_pos]) <= arc_weight:
                     continue  # screening: the cut cannot be violated here
+                n = cycle.buses[pos]
                 key = (cycle.lines, frozenset((m, n)))
                 if key in found:
                     continue
@@ -263,22 +274,48 @@ def separate_cpvi(
     return sorted(found.values(), key=_sort_key)
 
 
-def _cvi_subsets(net: Network, cycle: Cycle) -> Iterable[frozenset[int]]:
-    size = len(cycle.lines)
-    if size <= CVI_EXHAUSTIVE_CAP:
-        for r in range(1, size + 1):
-            for combo in itertools.combinations(cycle.lines, r):
-                yield frozenset(combo)
+def _violated_subsets(net: Network, cycle: Cycle, pt: FractionalPoint, tolerance: Fraction) -> list[tuple[int, ...]]:
+    """The line subsets of the cycle whose cut is nontrivial and violated by
+    more than the tolerance: the module docstring's search, in integers."""
+    lines, size = cycle.lines, len(cycle.lines)
+    signs = cycle_orientation_signs(net, cycle)
+    k = size - 1 - sum((pt.y[i] for i in lines), Fraction(0))
+    flows = [signs[i] * pt.f[i] * net.lines[i].reactance for i in lines]
+    slopes = [net.lines[i].weight * (2 * k + pt.y[i]) for i in lines]
+    scaled = _over_common_denominator([*(f - a for f, a in zip(flows, slopes)), *(-f - a for f, a in zip(flows, slopes)),
+                                       *(net.lines[i].weight for i in lines), cycle.total_weight * k - tolerance])
+    plus, minus, weights, base = scaled[:size], scaled[size : 2 * size], scaled[2 * size : -1], scaled[-1]
+    # what lines j on can still add: each sign's positive terms, and weight
+    ahead = [(sum(max(v, 0) for v in plus[j:]), sum(max(v, 0) for v in minus[j:]), sum(weights[j:])) for j in range(size + 1)]
+    total = ahead[0][2]
+    found: list[tuple[int, ...]] = []
+
+    def walk(j: int, chosen: tuple[int, ...], sum_plus: int, sum_minus: int, weight: int) -> None:
+        up_plus, up_minus, up_weight = ahead[j]
+        if (sum_plus + up_plus <= 0 and sum_minus + up_minus <= 0) or 2 * (weight + up_weight) <= total:
+            return
+        if j == size:
+            found.append(chosen)
+        else:
+            walk(j + 1, chosen + (lines[j],), sum_plus + plus[j], sum_minus + minus[j], weight + weights[j])
+            walk(j + 1, chosen, sum_plus, sum_minus, weight)
+
+    walk(0, (), base, base, 0)
+    return found
+
+
+def _cvi_subsets(net: Network, cycle: Cycle, pt: FractionalPoint, tolerance: Fraction) -> Iterable[Iterable[int]]:
+    if len(cycle.lines) > CVI_EXHAUSTIVE_CAP:
+        # past the cap, only the two-arc partitions (a pair's longer path), each once
+        pairs = itertools.combinations(cycle.buses, 2)
+        yield from dict.fromkeys(frozenset(split_cycle(net, cycle, m, n).longer.lines) for m, n in pairs)
+    elif pt.f is None or any(i not in pt.f or i not in pt.y for i in cycle.lines):
+        # every subset by size, then cycle position: the caller's cvi_violation
+        # raises for the first missing entry that this order meets
+        for r in range(1, len(cycle.lines) + 1):
+            yield from itertools.combinations(cycle.lines, r)
     else:
-        # past the cap, only the two-arc partitions (a pair's longer path)
-        seen = set()
-        for i in range(size):
-            for j in range(i + 1, size):
-                pair = split_cycle(net, cycle, cycle.buses[i], cycle.buses[j])
-                key = frozenset(pair.longer.lines)
-                if key not in seen:
-                    seen.add(key)
-                    yield key
+        yield from _violated_subsets(net, cycle, pt, tolerance)
 
 
 def separate_cvi(
@@ -292,7 +329,7 @@ def separate_cvi(
     for cycle in cycles:
         if config.fractional_cycles_only and not _cycle_is_promising(cycle, pt):
             continue
-        for subset in _cvi_subsets(net, cycle):
+        for subset in _cvi_subsets(net, cycle, pt, config.tolerance):
             cut = build_cvi(net, cycle, subset)
             if cut is None:
                 continue

@@ -3,7 +3,8 @@
 These deliberately avoid the production code paths they are checking:
 path enumeration instead of label-setting search, combinatorial basis
 enumeration instead of incremental insertion, a full pair sweep instead
-of the screened separation walk, and a dense-tableau simplex that
+of the screened separation walk, every line subset instead of the
+pruned flow-space search, and a dense-tableau simplex that
 updates every column of every pivot.
 """
 
@@ -15,7 +16,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from anglecuts.bounds import global_big_m
-from anglecuts.cuts import build_cpvi, cpvi_violation
+from anglecuts.cuts import build_cpvi, build_cvi, cpvi_violation, cvi_violation
 from anglecuts.graph import split_cycle
 from anglecuts.simplex import LPResult, Row, solve_linear_program
 
@@ -228,6 +229,23 @@ def exhaustive_cpvi(net, cycles, pt, tolerance):
                 violation = cpvi_violation(cut, pt)
                 if violation > tolerance:
                     found[(cycle.lines, frozenset((buses[i], buses[j])))] = (cut, violation)
+    return found
+
+
+def exhaustive_cvi(net, cycles, pt, tolerance):
+    """All cycles times all nonempty line subsets, by size and then cycle
+    position, no pruning; a point missing an entry raises at the first
+    nontrivial subset that needs it."""
+    found = {}
+    for cycle in cycles:
+        for r in range(1, len(cycle.lines) + 1):
+            for subset in itertools.combinations(cycle.lines, r):
+                cut = build_cvi(net, cycle, subset)
+                if cut is None:
+                    continue
+                violation = cvi_violation(net, cut, pt)
+                if violation > tolerance:
+                    found[(cycle.lines, cut.subset)] = (cut, violation)
     return found
 
 

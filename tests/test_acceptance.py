@@ -18,7 +18,7 @@ from fractions import Fraction as F
 
 from anglecuts.bounds import global_big_m
 from anglecuts.cli import main
-from anglecuts.cuts import FractionalPoint, build_cpvi, build_cvi, separate_cpvi
+from anglecuts.cuts import FractionalPoint, build_cpvi, build_cvi, separate_cpvi, separate_cvi
 from anglecuts.extended import build_extended
 from anglecuts.graph import fundamental_cycle_basis, split_cycle
 from anglecuts.oracle import (
@@ -34,7 +34,7 @@ from anglecuts.oracle import (
 )
 from anglecuts.simplex import solve_linear_program
 
-from _brute import exhaustive_cpvi
+from _brute import exhaustive_cpvi, exhaustive_cvi
 from conftest import DATA, make_net, record_acceptance, ring_net
 
 FIG1 = str(DATA / "fig1.json")
@@ -268,6 +268,7 @@ def test_criterion_5_cut_validity():
 def test_criterion_6_separation_equivalence(fig1, triangle):
     started = time.perf_counter()
     rng = random.Random(606)
+    flow_rng = random.Random(607)
     mesh = make_net(
         [("a",), ("b",), ("c",), ("d",)],
         [("a", "b", 1, 1), ("b", "c", 1, 2), ("a", "c", 1, F(3, 2)), ("c", "d", 1, 1), ("b", "d", 1, F(1, 2))],
@@ -285,7 +286,8 @@ def test_criterion_6_separation_equivalence(fig1, triangle):
             y = {}
             for idx in range(len(net.lines)):
                 y[idx] = F(rng.randint(0, 6), 6) if rng.random() < 0.5 else F(rng.choice((0, 1)))
-            pt = FractionalPoint(theta, y)
+            flows = {idx: F(flow_rng.randint(-8, 8), 4) * line.capacity for idx, line in enumerate(net.lines)}
+            pt = FractionalPoint(theta, y, flows)
             got = {
                 (cut.pair.cycle.lines, frozenset(cut.pair.pair)): (cut.constant, cut.y_coeffs, v)
                 for cut, v in separate_cpvi(net, cycles, pt)
@@ -294,11 +296,19 @@ def test_criterion_6_separation_equivalence(fig1, triangle):
                 key: (cut.constant, cut.y_coeffs, v)
                 for key, (cut, v) in exhaustive_cpvi(net, cycles, pt, F(0)).items()
             }
-            if got != want:
+            got_cvi = {
+                (cut.cycle.lines, cut.subset): (cut.constant, cut.y_coeffs, cut.flow_signs, v)
+                for cut, v in separate_cvi(net, cycles, pt)
+            }
+            want_cvi = {
+                key: (cut.constant, cut.y_coeffs, cut.flow_signs, v)
+                for key, (cut, v) in exhaustive_cvi(net, cycles, pt, F(0)).items()
+            }
+            if got != want or got_cvi != want_cvi:
                 mismatches += 1
     elapsed = time.perf_counter() - started
     ok = mismatches == 0
-    record_acceptance("criterion 6: separation equals exhaustive enumeration", ok, f"{elapsed:.1f}s")
+    record_acceptance("criterion 6: cpvi and cvi separation equal exhaustive enumeration", ok, f"{elapsed:.1f}s")
     assert mismatches == 0
 
 

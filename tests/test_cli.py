@@ -193,6 +193,53 @@ def test_cuts_bad_point_exit_2(capsys, tmp_path):
     assert code == 2 and "unknown bus" in err
 
 
+def test_cuts_negative_tolerance_exit_2(capsys, tmp_path):
+    code, out, err = run(capsys, "cuts", FIG1, "--point", interior_point(tmp_path), "--tolerance", "-1")
+    assert code == 2 and out == ""
+    assert err == "input error: tolerance -1 is not an exact rational of at least 0\n"
+
+
+# a point over mixed6 with every entry, and the errors that points omitting
+# some entries give, as recorded before separation was pruned
+MIXED6_POINT = {
+    "theta": {"a": "0", "b": "1/2", "c": "-3", "d": "2", "e": "7/3", "f": "-1"},
+    "y": {str(k): v for k, v in enumerate(["1", "1/2", "1", "1/3", "1", "0", "1", "2/3"])},
+    "f": {str(k): v for k, v in enumerate(["1", "-2", "3/2", "1/4", "5", "-1", "2", "1/3"])},
+}
+MISSING_ENTRIES = [
+    ("cpvi", [], {"theta": ["d"]}, "point has no angle for bus 'd'"),
+    ("cpvi", [], {"theta": ["e", "c"]}, "point has no angle for bus 'c'"),
+    ("cpvi", ["--all-cycles"], {"theta": ["f"]}, "point has no angle for bus 'f'"),
+    ("cpvi", [], {"y": ["2", "6"]}, "point has no y value for line 2"),
+    ("cvi", ["--all-cycles"], {"f": ["4"]}, "point has no flow for line 4"),
+    ("cvi", ["--all-cycles"], {"f": ["6", "4"]}, "point has no flow for line 4"),
+    ("cvi", ["--all-cycles"], {"f": ["7", "5"]}, "point has no flow for line 5"),
+    ("cvi", [], {"f": ["0", "2"]}, "point has no flow for line 2"),
+    ("cvi", ["--all-cycles"], {"y": ["5"]}, "point has no y value for line 5"),
+    ("cvi", ["--all-cycles"], {"y": ["6", "3"]}, "point has no y value for line 3"),
+    ("cvi", ["--all-cycles"], {"y": ["7"]}, "point has no y value for line 7"),
+    ("cvi", ["--all-cycles"], {"y": ["6"], "f": ["3"]}, "point has no flow for line 3"),
+    ("cvi", [], {"y": ["0"], "f": ["2"]}, "point has no flow for line 2"),
+    ("cvi", [], {"y": ["0"], "f": ["0"]}, "point has no y value for line 0"),
+    ("cvi", [], {"f": None}, "point carries no flows; the flow-space cut needs f values"),
+    ("both", [], {"f": None}, "point carries no flows; the flow-space cut needs f values"),
+]
+
+
+@pytest.mark.parametrize("kind, extra, omit, message", MISSING_ENTRIES)
+def test_cuts_point_missing_entries(capsys, tmp_path, kind, extra, omit, message):
+    doc = json.loads(json.dumps(MIXED6_POINT))
+    for name, keys in omit.items():
+        if keys is None:
+            del doc[name]
+        for key in keys or ():
+            del doc[name][key]
+    path = tmp_path / "pt.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "cuts", MIXED6, "--point", str(path), "--kind", kind, *extra)
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
 def fig1_cut(kind, big_m=None, **fields):
     """A cut line on fig1's six-cycle with some fields replaced; a cpvi
     for (i0, i3), built with global M unless big_m is given."""

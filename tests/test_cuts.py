@@ -3,7 +3,9 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, strategies as st
 
+import anglecuts.cuts
 from anglecuts.bounds import global_big_m
 from anglecuts.cuts import (
     FractionalPoint,
@@ -20,10 +22,10 @@ from anglecuts.cuts import (
     separate_cvi,
 )
 from anglecuts.errors import InvalidBigMError, MissingVariableError, SubsetNotInCycleError
-from anglecuts.graph import fundamental_cycle_basis, split_cycle
+from anglecuts.graph import all_simple_cycles, fundamental_cycle_basis, split_cycle
 
-from _brute import exhaustive_cpvi
-from conftest import ring_net
+from _brute import exhaustive_cpvi, exhaustive_cvi
+from conftest import make_net, ring_net
 
 
 @pytest.fixture(scope="module")
@@ -251,3 +253,116 @@ def test_cut_json_round_trip(fig1, fig1_cut):
     cvi = build_cvi(fig1, cycle, [5, 4, 1, 2])
     back = cvi_from_json(fig1, cvi_to_json(cvi))
     assert back == cvi
+
+
+def test_negative_or_inexact_tolerance_is_refused():
+    # the screens prove violation <= 0 only; here they would drop 3 cuts
+    net = ring_net([1, 2, 3])
+    pt = FractionalPoint({bus.id: F(0) for bus in net.buses}, {k: F(1) for k in range(3)})
+    assert len(exhaustive_cpvi(net, fundamental_cycle_basis(net), pt, F(-100))) == 3
+    with pytest.raises(ValueError, match="tolerance -100 is not an exact rational of at least 0"):
+        SeparationConfig(tolerance=F(-100))
+    with pytest.raises(ValueError, match="tolerance 0.5 is not an exact rational"):
+        SeparationConfig(tolerance=0.5)
+    assert SeparationConfig(tolerance=F(0)).tolerance == SeparationConfig(tolerance=0).tolerance == 0
+
+
+def _cvi_result(call):
+    """Cut keys with constants, y_coeffs, flow_signs and violations, or the
+    message of the MissingVariableError the call raised."""
+    try:
+        found = call()
+    except MissingVariableError as exc:
+        return str(exc)
+    return {
+        (cut.cycle.lines, cut.subset): (cut.constant, cut.y_coeffs, cut.flow_signs, violation)
+        for cut, violation in found
+    }
+
+
+@st.composite
+def cvi_instances(draw):
+    """A ring of 2 to 12 lines, maybe with a chord, and a point over it
+    that may lack one y, one or two f values, or every f."""
+    size = draw(st.sampled_from([*range(2, 12), 12, 12, 12]))
+    buses = [(f"r{k}",) for k in range(size)]
+    rat = st.fractions(min_value=F(1, 4), max_value=4, max_denominator=4)
+    lines = [(f"r{k}", f"r{(k + 1) % size}", draw(rat), draw(st.integers(1, 5))) for k in range(size)]
+    if size >= 4 and draw(st.booleans()):
+        lines.append(("r0", f"r{draw(st.integers(2, size - 2))}", draw(rat), draw(st.integers(1, 5))))
+    net = make_net(buses, lines)
+    n_lines = len(net.lines)
+    y = {k: draw(st.sampled_from([F(0), F(1), F(1), F(1), F(1, 2), F(1, 3), F(5, 6)])) for k in range(n_lines)}
+    f = {k: draw(st.fractions(min_value=-12, max_value=12, max_denominator=3)) for k in range(n_lines)}
+    gap = draw(st.sampled_from(["none"] * 4 + ["y", "f", "f2", "no f"]))
+    if gap == "y":
+        del y[draw(st.integers(0, n_lines - 1))]
+    elif gap in ("f", "f2"):
+        for k in draw(st.lists(st.integers(0, n_lines - 1), min_size=1, max_size=1 if gap == "f" else 2)):
+            f.pop(k, None)
+    theta = {bus.id: F(0) for bus in net.buses}
+    return net, FractionalPoint(theta, y, None if gap == "no f" else f)
+
+
+@given(cvi_instances(), st.sampled_from([F(0), F(1, 1000000), F(1, 2), F(3)]), st.booleans())
+def test_separate_cvi_equals_exhaustive_subsets(instance, tolerance, fractional_only):
+    net, pt = instance
+    cycles = all_simple_cycles(net)
+    assert max(len(cycle.lines) for cycle in cycles) <= anglecuts.cuts.CVI_EXHAUSTIVE_CAP
+    config = SeparationConfig(tolerance, fractional_only)
+    scanned = [c for c in cycles if not fractional_only or any(0 < pt.y.get(i, 0) < 1 for i in c.lines)]
+    got = _cvi_result(lambda: separate_cvi(net, cycles, pt, config))
+    want = _cvi_result(lambda: exhaustive_cvi(net, scanned, pt, tolerance).values())
+    assert got == want
+
+
+def test_missing_entries_raise_as_in_exhaustive_subset_order():
+    # the first nontrivial subset, by size then cycle position, that meets
+    # a missing entry names it; near-equal weights make that order matter
+    rng = random.Random(17)
+    for _ in range(200):
+        net = ring_net([rng.randint(1, 3) for _ in range(rng.randint(3, 8))])
+        cycles = fundamental_cycle_basis(net)
+        lines = range(len(net.lines))
+        y = {k: F(rng.randint(0, 2), 2) for k in lines}
+        f = {k: F(rng.randint(-6, 6)) for k in lines}
+        for k in rng.sample(lines, 2):
+            del f[k]
+        if rng.random() < 0.5:
+            del y[rng.choice(lines)]
+        pt = FractionalPoint({bus.id: F(0) for bus in net.buses}, y, f)
+        got = _cvi_result(lambda: separate_cvi(net, cycles, pt))
+        assert got == _cvi_result(lambda: exhaustive_cvi(net, cycles, pt, 0).values())
+        assert isinstance(got, str) and got.startswith("point has no")
+
+
+def _grid3_point(seed):
+    """A seeded 3x3 grid and a point whose angles spread over about one
+    line weight, y fractional on about one line in five and flows that
+    follow the angles."""
+    rng = random.Random(seed)
+    ids = [f"g{r}{c}" for r in range(3) for c in range(3)]
+    ends = [(f"g{r}{c}", f"g{r}{c + 1}") for r in range(3) for c in range(2)]
+    ends += [(f"g{r}{c}", f"g{r + 1}{c}") for r in range(2) for c in range(3)]
+    net = make_net([(bus,) for bus in ids], [(a, b, F(1, rng.randint(1, 4)), rng.randint(1, 4)) for a, b in ends])
+    theta = {bus: F(rng.randint(-8, 8), 8) for bus in ids}
+    y = {k: F(rng.randint(1, 3), 4) if rng.random() < 0.2 else F(1) for k in range(len(net.lines))}
+    f = {
+        k: (theta[line.from_bus] - theta[line.to_bus]) / line.reactance + F(rng.randint(-2, 2), 2)
+        for k, line in enumerate(net.lines)
+    }
+    return net, FractionalPoint(theta, y, f)
+
+
+def test_cvi_pruning_builds_few_cuts(monkeypatch):
+    net, pt = _grid3_point(11)
+    cycles = all_simple_cycles(net)
+    built = []
+    build = anglecuts.cuts.build_cvi
+    monkeypatch.setattr(anglecuts.cuts, "build_cvi", lambda *args: built.append(args) or build(*args))
+    found = separate_cvi(net, cycles, pt)
+    exhaustive = sum(2 ** len(cycle.lines) - 1 for cycle in cycles)
+    assert (len(cycles), exhaustive) == (13, 1_587)
+    # only violated subsets reach build_cvi
+    assert len(built) == len(found) == 30
+    assert len(built) < exhaustive / 20
