@@ -25,7 +25,7 @@ from .cuts import (
     separate_cvi,
 )
 from .errors import AngleCutsError, CapExceededError, ParseError, ValidationError
-from .extended import build_extended
+from .extended import build_extended, project_to_cpvi
 from .graph import all_simple_cycles, fundamental_cycle_basis, split_cycle
 from .milp import build_dcots, lp_text, merge_models
 from .network import load_network
@@ -81,7 +81,7 @@ def _load_point(path: str, net) -> FractionalPoint:
     with open(path, "r", encoding="utf-8") as handle:
         try:
             doc = json.load(handle)
-        except ValueError as exc:  # JSONDecodeError, or an integer literal too long to read
+        except (ValueError, RecursionError) as exc:  # see network.load_network
             raise ParseError(f"point file: malformed JSON: {exc}") from exc
     if not isinstance(doc, dict) or "theta" not in doc or "y" not in doc:
         raise ParseError("point file must be an object with 'theta' and 'y'")
@@ -165,7 +165,7 @@ def cmd_emit(args) -> int:
                     continue
                 try:
                     obj = json.loads(raw)
-                except ValueError as exc:  # JSONDecodeError, or an integer literal too long to read
+                except (ValueError, RecursionError) as exc:  # see network.load_network
                     raise ParseError(f"cuts file: line {number}: malformed JSON: {exc}") from exc
                 if not isinstance(obj, dict):
                     raise ParseError(f"cuts file: line {number} is not a JSON object")
@@ -202,8 +202,7 @@ def cmd_emit(args) -> int:
 def cmd_certify(args) -> int:
     net = _load_net(args.network)
     big_m = global_big_m(net)
-    from .cuts import build_cpvi
-
+    names = list(HULL_CANDIDATES)
     reports = []
     all_pass = True
     for c_idx, cycle in enumerate(fundamental_cycle_basis(net)):
@@ -213,16 +212,16 @@ def cmd_certify(args) -> int:
         for i in range(len(buses)):
             for j in range(i + 1, len(buses)):
                 pair = split_cycle(net, cycle, buses[i], buses[j])
-                cut = build_cpvi(pair, big_m)
+                model = build_extended(pair, big_m)
+                cut = project_to_cpvi(pair, model)
                 checks = [
                     (None, cpvi_validity_certificate(net, cut)),
                     (None, facet_certificate(net, cut)),
                     (None, full_dimension_certificate(net, pair, big_m)),
-                    (None, local_idealness_certificate(build_extended(pair, big_m))),
+                    (None, local_idealness_certificate(model)),
                 ]
-                for name in HULL_CANDIDATES[:1] if args.strict_theorem2 else HULL_CANDIDATES[1:]:
-                    candidate = candidate_hull(net, pair, big_m, name)
-                    checks.append((name, hull_equality(net, pair, big_m, candidate)))
+                for name in names[:1] if args.strict_theorem2 else names[1:]:
+                    checks.append((name, hull_equality(net, pair, big_m, candidate_hull(pair, model, name))))
                 for variant, report in checks:
                     entry = report.to_json()
                     entry["cycle"] = c_idx
@@ -298,10 +297,7 @@ def main(argv=None) -> int:
     except CapExceededError as exc:
         _say(f"cap exceeded: {exc}")
         return EXIT_CAP
-    except FileNotFoundError as exc:
-        _say(f"input error: {exc}")
-        return EXIT_INPUT
-    except (ValueError,) as exc:
+    except (OSError, ValueError) as exc:  # an unreadable or unwritable path, or a bad value
         _say(f"input error: {exc}")
         return EXIT_INPUT
     except AngleCutsError as exc:

@@ -106,6 +106,12 @@ class FractionalPoint:
     y: Mapping[int, Fraction]
     f: Mapping[int, Fraction] | None = None
 
+    def __post_init__(self) -> None:
+        for name in ("theta", "y", "f"):
+            for key, value in (getattr(self, name) or {}).items():
+                if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
+                    raise ValueError(f"point {name}[{key!r}] = {value!r} is not an exact rational")
+
 
 @dataclass(frozen=True)
 class SeparationConfig:
@@ -468,7 +474,7 @@ def cvi_from_json(net: Network, obj: dict) -> CutCVI:
         raise ParseError("cvi cut: 'subset' lists a line that is not on the cycle")
     cut = build_cvi(net, cycle, subset)
     if cut is None:
-        raise ValueError("stored subset yields a trivial cut")
+        raise ParseError("cvi cut: 'subset' weighs at most half the cycle, so its cut is trivial")
     # a sign is an int: JSON true or 1.0 compare equal to 1 but are not signs
     signs = {line: s if type(s) is int else None for line, s in _line_keyed(obj, "cvi", "flow_signs").items()}
     _check_stored("cvi", "flow_signs", signs, dict(cut.flow_signs))

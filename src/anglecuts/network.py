@@ -138,7 +138,7 @@ def load_network(source) -> Network:
     text = _read_source(source)
     try:
         doc = json.loads(text)
-    except ValueError as exc:  # JSONDecodeError, or an integer literal too long to read
+    except (ValueError, RecursionError) as exc:  # bad JSON, an integer literal too long or nesting too deep
         raise ParseError(f"malformed JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ParseError("top-level document must be an object")

@@ -4,6 +4,9 @@ Integer-point enumeration for a split cycle, exact vertex enumeration by
 incremental halfspace insertion, affine-rank certificates, hull-equality
 checks, and an exhaustive switching enumeration that solves one exact LP
 per topology.  Hard caps raise CapExceededError rather than degrade.
+
+The per-pair relaxation and every hull candidate are models read by
+``model_polytope``; a candidate's rows are elimination branches of the lifted model.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from .errors import (
     InfeasibleError,
     UnboundedError,
 )
-from .extended import build_extended, eliminate
+from .extended import eliminate
 from .graph import CyclePathPair
 from .milp import MilpConstraint, MilpModel, build_dcots, dcots_names, fixed_topology
 from .network import Network
@@ -41,7 +44,7 @@ __all__ = [
     "hull_equality",
     "local_idealness_certificate",
     "cpvi_validity_certificate",
-    "pair_relaxation_rows",
+    "pair_relaxation",
     "HULL_CANDIDATES",
     "candidate_hull",
     "ModelLP",
@@ -57,8 +60,14 @@ INTEGER_POINT_CAP = 20
 HULL_CYCLE_CAP = 6
 BRUTE_FORCE_CAP = 12
 
-# the hull candidates by the names certify prints: --strict-theorem2 runs the first, a default run the rest
-HULL_CANDIDATES = ("cpvi_only", "cpvi_with_fallback", "completed_projection")
+# the hull candidates by the names certify prints, each with the variables linked in each of
+# its elimination branches: --strict-theorem2 runs the first, a default run the rest
+_CUT = ("z_long_only", "z_short", "z_long")
+HULL_CANDIDATES = {
+    "cpvi_only": (_CUT,),
+    "cpvi_with_fallback": (_CUT, ()),
+    "completed_projection": (_CUT, ("z_short",), ("z_long_only", "z_long"), ()),
+}
 
 
 @dataclass(frozen=True)
@@ -124,7 +133,7 @@ def integer_points(net: Network, pair: CyclePathPair, big_m: Fraction) -> list[t
     size = len(pair.cycle.lines)
     if size > INTEGER_POINT_CAP:
         raise CapExceededError(f"cycle size {size} exceeds the integer enumeration cap {INTEGER_POINT_CAP}")
-    upper = [(coeffs[1:], b) for coeffs, b in pair_relaxation_rows(net, pair, big_m) if coeffs[0] == 1]
+    upper = [(coeffs[1:], b) for coeffs, b in pair_relaxation(net, pair, big_m).rows if coeffs[0] == 1]
     points = []
     for bits in itertools.product((0, 1), repeat=size):
         bound = min(b - dot(slopes, bits) for slopes, b in upper)
@@ -279,66 +288,51 @@ def rational_simplex(p: HPolytope, objective: Sequence[Fraction], sense: str = "
 # certificates
 
 
-def _pair_row(pair: CyclePathPair, angle: int, y: Mapping[int, Fraction | int], rhs: Fraction | int) -> Row:
-    """angle * (angle difference) + sum of y[line] * y_line <= rhs, over
-    the pair space: the angle difference first, then y in cycle-line order."""
-    lines = pair.cycle.lines
-    entries = {k + 1: y[line] for k, line in enumerate(lines) if line in y}
-    entries[0] = angle
-    return dense_row(len(lines) + 1, entries, rhs)
-
-
-def pair_relaxation_rows(net: Network, pair: CyclePathPair, big_m: Fraction) -> list[Row]:
-    """H-rows of the per-pair relaxation over (angle difference, y).
-
-    Both path rows and the fallback big-M row, absolute values expanded;
-    the y box is not included.
-    """
-    rows = []
-    for sign in (1, -1):
-        for path in (pair.shorter, pair.longer):
-            slopes = {line: big_m - net.lines[line].weight for line in path.lines}
-            rows.append(_pair_row(pair, sign, slopes, path.total_weight + sum(slopes.values(), Fraction(0))))
-        rows.append(_pair_row(pair, sign, {}, big_m))
-    return rows
-
-
-def _y_box_rows(pair: CyclePathPair) -> list[Row]:
-    rows = []
+def _pair_model(pair: CyclePathPair) -> MilpModel:
+    """The pair space as a model under the lifted model's names and order:
+    the angle difference (free), then y in cycle-line order, each in [0, 1]."""
+    model = MilpModel()
+    model.add_variable("dtheta", "continuous", None, None)
     for line in pair.cycle.lines:
-        rows.append(_pair_row(pair, 0, {line: 1}, 1))
-        rows.append(_pair_row(pair, 0, {line: -1}, 0))
-    return rows
+        model.add_variable(f"y_{line}", "continuous", Fraction(0), Fraction(1))
+    return model
 
 
-def _cpvi_rows(cut: CutCPVI) -> list[Row]:
-    slopes = {line: -coeff for line, coeff in cut.y_coeffs}
-    return [_pair_row(cut.pair, sign, slopes, cut.constant) for sign in (1, -1)]
+def _add_angle_rows(model: MilpModel, name: str, slopes: Mapping[int, Fraction], rhs: Fraction) -> None:
+    """+-dtheta + slopes . y <= rhs as the rows <name>_hi and <name>_lo."""
+    terms = [(f"y_{line}", c) for line, c in slopes.items()]
+    for sign, side in ((1, "hi"), (-1, "lo")):
+        model.add_constraint(f"{name}_{side}", [("dtheta", sign), *terms], "<=", rhs)
 
 
-def candidate_hull(net: Network, pair: CyclePathPair, big_m: Fraction, name: str) -> HPolytope:
-    """The named hull description to adjudicate over (angle difference, y).
+def pair_relaxation(net: Network, pair: CyclePathPair, big_m: Fraction) -> HPolytope:
+    """The per-pair relaxation over (angle difference, y): both path rows
+    and the fallback big-M row, absolute values expanded, then the y box."""
+    model = _pair_model(pair)
+    for arc, path in (("short", pair.shorter), ("long", pair.longer)):
+        slopes = {line: big_m - net.lines[line].weight for line in path.lines}
+        _add_angle_rows(model, arc, slopes, path.total_weight + sum(slopes.values(), Fraction(0)))
+    _add_angle_rows(model, "fallback", {}, big_m)
+    return model_polytope(model)
 
-    Each holds the y box and both signs of the path-based cut;
-    "cpvi_with_fallback" adds the |angle| <= M rows, and
-    "completed_projection" adds before those the aggregated single-arc
-    rows: the lifted model's angle row with the indicators eliminated
-    through the zero branches that keep the shorter arc alone, then the
-    longer arc alone.  The oracle certifies that only the completed one
+
+def candidate_hull(pair: CyclePathPair, model: MilpModel, name: str) -> HPolytope:
+    """The named hull description to adjudicate over (angle difference, y):
+    both signs of each of its elimination branches of the lifted model,
+    then the y box.
+
+    Linking every lifted variable gives the path-based cut, linking none
+    the |angle| <= M rows, and the zero branches that keep the shorter
+    arc alone, then the longer arc alone, the aggregated single-arc rows
+    that complete it.  The oracle certifies that only the completed one
     closes the hull.
     """
-    from .cuts import build_cpvi
-
     if name not in HULL_CANDIDATES:
         raise ValueError(f"unknown hull candidate {name!r}; expected one of {', '.join(HULL_CANDIDATES)}")
-    rows = _y_box_rows(pair) + _cpvi_rows(build_cpvi(pair, big_m))
-    if name == "completed_projection":
-        model = build_extended(pair, big_m)
-        arcs = [eliminate(pair, model, linked) for linked in (("z_short",), ("z_long_only", "z_long"))]
-        rows.extend(_pair_row(pair, sign, slopes, rhs) for sign in (1, -1) for slopes, rhs in arcs)
-    if name != "cpvi_only":
-        rows.extend(_pair_row(pair, sign, {}, big_m) for sign in (1, -1))
-    return HPolytope(tuple(rows), len(pair.cycle.lines) + 1)
+    hull = _pair_model(pair)
+    for k, linked in enumerate(HULL_CANDIDATES[name]):
+        _add_angle_rows(hull, f"branch_{k}", *eliminate(pair, model, linked))
+    return model_polytope(hull)
 
 
 class ModelLP:
@@ -412,11 +406,10 @@ def full_dimension_certificate(net: Network, pair: CyclePathPair, big_m: Fractio
     """Strict interior point (0, 1/2, ..., 1/2) plus coordinate
     perturbations of affine rank |C| + 1."""
     size = len(pair.cycle.lines)
-    rows = pair_relaxation_rows(net, pair, big_m) + _y_box_rows(pair)
+    rows = pair_relaxation(net, pair, big_m).rows
     center = tuple([Fraction(0)] + [Fraction(1, 2)] * size)
     slacks = [b - dot(coeffs, center) for coeffs, b in rows]
-    if any(s <= 0 for s in slacks):
-        k = next(i for i, s in enumerate(slacks) if s <= 0)
+    if (k := next((i for i, s in enumerate(slacks) if s <= 0), None)) is not None:
         return CertificateReport(
             Claim.FULL_DIMENSION,
             False,
@@ -515,7 +508,7 @@ def hull_equality(net: Network, pair: CyclePathPair, big_m: Fraction, candidate:
                 False,
                 {"violated_integer_point": {"dtheta": format_rational(dtheta), "y": list(bits)}, "row": row},
             )
-    relax = HPolytope(tuple(pair_relaxation_rows(net, pair, big_m)), size + 1)
+    relax = pair_relaxation(net, pair, big_m)
     for vertex in enumerate_vertices(candidate):
         y_part = vertex[1:]
         if any(v != 0 and v != 1 for v in y_part):

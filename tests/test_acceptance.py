@@ -149,7 +149,7 @@ def test_criterion_4_hull_description_adjudication(fig1):
     # strict candidate on the worked example: must fail with an all-off witness
     cycle = fundamental_cycle_basis(fig1)[0]
     fig_pair = split_cycle(fig1, cycle, "i0", "i4")
-    strict = hull_equality(fig1, fig_pair, F(6), candidate_hull(fig1, fig_pair, F(6), "cpvi_only"))
+    strict = hull_equality(fig1, fig_pair, F(6), candidate_hull(fig_pair, build_extended(fig_pair, F(6)), "cpvi_only"))
     strict_ok = (
         not strict.passed
         and strict.witness is not None
@@ -168,13 +168,13 @@ def test_criterion_4_hull_description_adjudication(fig1):
     for trial, (net, cycle, pair) in enumerate(instances):
         big_m = cycle.total_weight
         generators = [(d, *[F(b) for b in bits]) for d, bits in integer_points(net, pair, big_m)]
-        fallback = candidate_hull(net, pair, big_m, "cpvi_with_fallback")
+        fallback = candidate_hull(pair, build_extended(pair, big_m), "cpvi_with_fallback")
         report = hull_equality(net, pair, big_m, fallback)
         if not report.passed:
             refuted.append(trial)
         if _witness_outside_hull(fallback, report, generators) and _closed_form_leaks(pair, fallback, generators):
             confirmed.append(trial)
-        if hull_equality(net, pair, big_m, candidate_hull(net, pair, big_m, "completed_projection")).passed:
+        if hull_equality(net, pair, big_m, candidate_hull(pair, build_extended(pair, big_m), "completed_projection")).passed:
             completed.append(trial)
     elapsed = time.perf_counter() - started
 

@@ -262,6 +262,8 @@ def fake_reordered_cut():
     return json.dumps(cpvi_to_json(build_cpvi(split_cycle(net, fake, "i0", "i3"), global_big_m(net)))) + "\n"
 
 
+NEST_DEPTH = 1000
+NESTED = "[" * NEST_DEPTH + "]" * NEST_DEPTH
 MALFORMED_CASES = [
     ("emit", "cuts.jsonl", "[1, 2]\n", "not a JSON object"),
     ("emit", "cuts.jsonl", '{"kind": "cpvi"}\n', "cycle_lines"),
@@ -307,6 +309,12 @@ MALFORMED_CASES = [
     ("cuts", "pt.json", '{"theta": {"i0": %s}, "y": {}}' % ("1" * 5001), "point file: malformed JSON"),
     ("emit", "cuts.jsonl", fig1_cut("cpvi").replace('"big_m": "6"', '"big_m": ' + "1" * 5001),
      "cuts file: line 1: malformed JSON"),
+    # nesting too deep for the JSON decoder's recursion
+    ("emit", "net.json", NESTED, "input error: malformed JSON"),
+    ("cuts", "pt.json", NESTED, "point file: malformed JSON"),
+    ("emit", "cuts.jsonl", NESTED + "\n", "cuts file: line 1: malformed JSON"),
+    # one line of fig1's six-cycle weighs at most half of it
+    ("emit", "cuts.jsonl", fig1_cut("cvi", subset=[1]), "cvi cut: 'subset' weighs at most half the cycle"),
 ]
 MALFORMED_IDS = [
     "cut-line-array",
@@ -341,6 +349,10 @@ MALFORMED_IDS = [
     "network-no-buses-certify",
     "point-theta-long-integer",
     "cut-big-m-long-integer",
+    "network-nested-lists",
+    "point-nested-lists",
+    "cut-nested-lists",
+    "cut-subset-trivial",
 ]
 
 
@@ -355,6 +367,19 @@ def test_malformed_input_exit_2(capsys, tmp_path, command, name, text, message):
         code, _, err = run(capsys, command, FIG1, flag, str(path))
     assert code == 2
     assert "input error" in err and message in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate", None],
+    ["cuts", FIG1, "--point", None],
+    ["emit", FIG1, "--cuts", None],
+    ["bounds", FIG1, "--out", None],
+    ["certify", FIG1, "--report", None],
+], ids=["network", "point", "cuts", "out", "report"])
+def test_directory_path_exit_2(capsys, tmp_path, argv):
+    code, _, err = run(capsys, *(str(tmp_path) if arg is None else arg for arg in argv))
+    assert code == 2
+    assert err.startswith("input error: ") and str(tmp_path) in err
 
 
 def test_emit_accepts_big_m_at_the_pair_bound(capsys, tmp_path, fig1_fixed):
@@ -567,11 +592,14 @@ FUZZ_VALUES = st.recursive(
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(FUZZ_KEYS, inner, max_size=3),
     max_leaves=6,
 )
-# walk a path (each step taken modulo the node's children), then set or delete there
+# walk a path (each step taken modulo the node's children), then set, delete or nest there
 FUZZ_EDITS = st.lists(
-    st.tuples(st.lists(st.integers(0, 12), max_size=4), st.sampled_from(["set", "delete"]), FUZZ_VALUES),
+    st.tuples(st.lists(st.integers(0, 12), max_size=4), st.sampled_from(["set", "delete", "nest"]), FUZZ_VALUES),
     max_size=3,
 )
+# a nest edit wraps the node in NEST_DEPTH lists; json.dumps cannot recurse
+# that deep, so the node is bracketed by markers that _dumps expands
+NEST_OPEN, NEST_CLOSE = "\0open", "\0close"
 
 
 def _edited(doc, edits):
@@ -587,13 +615,21 @@ def _edited(doc, edits):
                 break
             parent, key = node, keys[step % len(keys)]
             node = node[key]
+        if action == "nest":
+            value = [NEST_OPEN, node, NEST_CLOSE]
         if parent is None:
-            doc = value if action == "set" else doc
+            doc = doc if action == "delete" else value
         elif action == "delete":
             del parent[key]
         else:
             parent[key] = value
     return doc
+
+
+def _dumps(value):
+    text = json.dumps(value)
+    text = text.replace(f"[{json.dumps(NEST_OPEN)}, ", "[" * NEST_DEPTH)
+    return text.replace(f", {json.dumps(NEST_CLOSE)}]", "]" * NEST_DEPTH)
 
 
 def fuzz_file(doc, lines=False):
@@ -602,9 +638,9 @@ def fuzz_file(doc, lines=False):
     def text(edits, cut):
         edited = _edited(doc, edits)
         if lines and isinstance(edited, list):
-            body = "".join(json.dumps(item) + "\n" for item in edited)
+            body = "".join(_dumps(item) + "\n" for item in edited)
         else:
-            body = json.dumps(edited)
+            body = _dumps(edited)
         return body if cut is None else body[:cut]
 
     return st.builds(text, FUZZ_EDITS, st.none() | st.integers(0, 300))

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -123,6 +124,17 @@ def test_cpvi_violation_missing_variable(fig1_cut):
         cpvi_violation(fig1_cut, FractionalPoint({"i0": F(0)}, {}))
     with pytest.raises(MissingVariableError):
         cpvi_violation(fig1_cut, FractionalPoint({"i0": F(0), "i4": F(0)}, {0: F(1)}))
+
+
+@pytest.mark.parametrize("field, theta, y, f", [
+    ("theta['i4']", {"i0": F(0), "i4": 2.5}, {}, None),  # a float gave cpvi_violation -0.5
+    ("y[0]", {}, {0: True}, None),  # a bool is an int, but not a line status
+    ("f[3]", {}, {}, {3: 0.5}),
+    ("theta['i0']", {"i0": "1/2"}, {}, None),
+], ids=["theta-float", "y-bool", "f-float", "theta-string"])
+def test_fractional_point_refuses_inexact_values(field, theta, y, f):
+    with pytest.raises(ValueError, match=re.escape(f"point {field} = ") + ".* is not an exact rational"):
+        FractionalPoint(theta, y, f)
 
 
 def test_cvi_violation_needs_flows(fig1):

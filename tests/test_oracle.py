@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import random
@@ -12,6 +13,7 @@ from anglecuts.extended import build_extended
 from anglecuts.graph import fundamental_cycle_basis, split_cycle
 from anglecuts.milp import MilpModel
 from anglecuts.oracle import (
+    HULL_CANDIDATES,
     Claim,
     DcotsResult,
     HPolytope,
@@ -27,7 +29,7 @@ from anglecuts.oracle import (
     integer_points,
     local_idealness_certificate,
     model_polytope,
-    pair_relaxation_rows,
+    pair_relaxation,
     point_in_hull,
     rational_simplex,
 )
@@ -245,7 +247,7 @@ def test_local_idealness_fig1(fig1, fig1_pair):
 
 
 def test_hull_equality_strict_fails_with_zero_pattern_witness(fig1, fig1_pair):
-    candidate = candidate_hull(fig1, fig1_pair, F(6), "cpvi_only")
+    candidate = candidate_hull(fig1_pair, build_extended(fig1_pair, F(6)), "cpvi_only")
     report = hull_equality(fig1, fig1_pair, F(6), candidate)
     assert not report.passed
     witness = report.witness["infeasible_vertex"]
@@ -256,12 +258,12 @@ def test_hull_equality_strict_fails_with_zero_pattern_witness(fig1, fig1_pair):
 def test_hull_equality_fallback_candidate_still_leaks(fig1, fig1_pair):
     """The y box, the cut, and the fallback bound do not close the hull:
     a vertex with the shorter path active sits above the shorter-path row."""
-    candidate = candidate_hull(fig1, fig1_pair, F(6), "cpvi_with_fallback")
+    candidate = candidate_hull(fig1_pair, build_extended(fig1_pair, F(6)), "cpvi_with_fallback")
     report = hull_equality(fig1, fig1_pair, F(6), candidate)
     assert not report.passed
     key = "infeasible_vertex" if "infeasible_vertex" in report.witness else "fractional_vertex"
     vertex = [F(v) for v in report.witness[key]]
-    relax = HPolytope(tuple(pair_relaxation_rows(fig1, fig1_pair, F(6))), 7)
+    relax = pair_relaxation(fig1, fig1_pair, F(6))
     if key == "infeasible_vertex":
         assert not relax.contains(vertex)
         # independent confirmation: not a convex combination of integer points
@@ -270,13 +272,28 @@ def test_hull_equality_fallback_candidate_still_leaks(fig1, fig1_pair):
 
 
 def test_hull_equality_completed_projection_passes(fig1, fig1_pair):
-    candidate = candidate_hull(fig1, fig1_pair, F(6), "completed_projection")
+    candidate = candidate_hull(fig1_pair, build_extended(fig1_pair, F(6)), "completed_projection")
     assert hull_equality(fig1, fig1_pair, F(6), candidate).passed
+
+
+def test_candidates_are_read_off_the_given_model(fig1_pair):
+    """A copy of fig1's lifted model whose angle_hi rhs is 1 higher moves
+    every branch row of every candidate by 1 (the cut, |angle| <= M and
+    the single-arc rows: 14, 6, 10 and 12 at M = 6) and leaves the y box."""
+    lifted = build_extended(fig1_pair, F(6))
+    shifted = MilpModel(list(lifted.variables), [dataclasses.replace(con, rhs=con.rhs + 1) if con.name == "angle_hi"
+                                                 else con for con in lifted.constraints])
+    for name, branches in HULL_CANDIDATES.items():
+        rows = candidate_hull(fig1_pair, lifted, name).rows
+        moved = candidate_hull(fig1_pair, shifted, name).rows
+        assert list(moved) == [(coeffs, b + 1 if coeffs[0] else b) for coeffs, b in rows]
+        assert sum(1 for coeffs, _ in rows if coeffs[0]) == 2 * len(branches)
+    assert {b for coeffs, b in moved if coeffs[0]} == {15, 7, 11, 13}  # completed_projection comes last
 
 
 def test_candidate_hull_rejects_an_unknown_name(fig1, fig1_pair):
     with pytest.raises(ValueError, match="unknown hull candidate 'complete'"):
-        candidate_hull(fig1, fig1_pair, F(6), "complete")
+        candidate_hull(fig1_pair, build_extended(fig1_pair, F(6)), "complete")
 
 
 def test_hull_equality_trivial_box_fails(fig1, fig1_pair):
@@ -301,7 +318,7 @@ def test_hull_equality_cap(fig1):
     net = ring_net([1] * 7)
     pair = split_cycle(net, fundamental_cycle_basis(net)[0], "r0", "r3")
     with pytest.raises(CapExceededError):
-        hull_equality(net, pair, F(7), candidate_hull(net, pair, F(7), "cpvi_with_fallback"))
+        hull_equality(net, pair, F(7), candidate_hull(pair, build_extended(pair, F(7)), "cpvi_with_fallback"))
 
 
 def test_completed_hull_on_random_cycles():
@@ -313,7 +330,7 @@ def test_completed_hull_on_random_cycles():
         cycle = fundamental_cycle_basis(net)[0]
         m, n = rng.sample(list(cycle.buses), 2)
         pair = split_cycle(net, cycle, m, n)
-        candidate = candidate_hull(net, pair, cycle.total_weight, "completed_projection")
+        candidate = candidate_hull(pair, build_extended(pair, cycle.total_weight), "completed_projection")
         assert hull_equality(net, pair, cycle.total_weight, candidate).passed
 
 
