@@ -43,6 +43,7 @@ from .oracle import (
     hull_equality,
     integer_points,
     local_idealness_certificate,
+    pair_relaxation,
     rational_simplex,
 )
 

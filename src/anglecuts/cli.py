@@ -32,11 +32,14 @@ from .network import load_network
 from .oracle import (
     HULL_CANDIDATES,
     candidate_hull,
+    check_hull_cap,
     cpvi_validity_certificate,
     facet_certificate,
     full_dimension_certificate,
     hull_equality,
+    integer_points,
     local_idealness_certificate,
+    pair_relaxation,
 )
 from .rational import format_rational, parse_rational
 
@@ -205,23 +208,26 @@ def cmd_certify(args) -> int:
     names = list(HULL_CANDIDATES)
     reports = []
     all_pass = True
-    for c_idx, cycle in enumerate(fundamental_cycle_basis(net)):
-        if len(cycle.lines) > args.max_cycle:
-            continue
+    cycles = [(c_idx, cycle) for c_idx, cycle in enumerate(fundamental_cycle_basis(net)) if len(cycle.lines) <= args.max_cycle]
+    for _, cycle in cycles:  # every run adjudicates hull equality: refuse an over-cap cycle before enumerating
+        check_hull_cap(len(cycle.lines))
+    for c_idx, cycle in cycles:
         buses = list(cycle.buses)
         for i in range(len(buses)):
             for j in range(i + 1, len(buses)):
                 pair = split_cycle(net, cycle, buses[i], buses[j])
                 model = build_extended(pair, big_m)
                 cut = project_to_cpvi(pair, model)
+                relax = pair_relaxation(net, pair, big_m)
+                points = integer_points(relax)
                 checks = [
-                    (None, cpvi_validity_certificate(net, cut)),
-                    (None, facet_certificate(net, cut)),
-                    (None, full_dimension_certificate(net, pair, big_m)),
+                    (None, cpvi_validity_certificate(cut, points)),
+                    (None, facet_certificate(cut, points, relax)),
+                    (None, full_dimension_certificate(relax)),
                     (None, local_idealness_certificate(model)),
                 ]
                 for name in names[:1] if args.strict_theorem2 else names[1:]:
-                    checks.append((name, hull_equality(net, pair, big_m, candidate_hull(pair, model, name))))
+                    checks.append((name, hull_equality(points, relax, candidate_hull(pair, model, name))))
                 for variant, report in checks:
                     entry = report.to_json()
                     entry["cycle"] = c_idx

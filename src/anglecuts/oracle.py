@@ -7,6 +7,7 @@ per topology.  Hard caps raise CapExceededError rather than degrade.
 
 The per-pair relaxation and every hull candidate are models read by
 ``model_polytope``; a candidate's rows are elimination branches of the lifted model.
+The certificates take the relaxation and its integer points, built once per pair.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ __all__ = [
     "facet_certificate",
     "full_dimension_certificate",
     "hull_equality",
+    "check_hull_cap",
     "local_idealness_certificate",
     "cpvi_validity_certificate",
     "pair_relaxation",
@@ -122,18 +124,18 @@ def _point_json(point: Iterable[Fraction]) -> list[str]:
 # integer points of the per-pair relaxation
 
 
-def integer_points(net: Network, pair: CyclePathPair, big_m: Fraction) -> list[tuple[Fraction, tuple[int, ...]]]:
-    """All integer-feasible extremes: per activity pattern, the exact
-    implied bound at both signs plus an interior point at zero.
+def integer_points(relax: HPolytope) -> list[tuple[Fraction, tuple[int, ...]]]:
+    """All integer-feasible extremes of a pair relaxation: per activity
+    pattern, the exact implied bound at both signs plus an interior point at zero.
 
     The bound is the least right-hand side of the relaxation's upper
     angle rows with y fixed to the pattern.  Points are (angle
     difference, activity bits in cycle-line order).
     """
-    size = len(pair.cycle.lines)
+    size = relax.dim - 1
     if size > INTEGER_POINT_CAP:
         raise CapExceededError(f"cycle size {size} exceeds the integer enumeration cap {INTEGER_POINT_CAP}")
-    upper = [(coeffs[1:], b) for coeffs, b in pair_relaxation(net, pair, big_m).rows if coeffs[0] == 1]
+    upper = [(coeffs[1:], b) for coeffs, b in relax.rows if coeffs[0] == 1]
     points = []
     for bits in itertools.product((0, 1), repeat=size):
         bound = min(b - dot(slopes, bits) for slopes, b in upper)
@@ -389,11 +391,10 @@ def model_polytope(model: MilpModel) -> HPolytope:
     return HPolytope(tuple(ineqs + lp.bounds), len(lp.columns))
 
 
-def cpvi_validity_certificate(net: Network, cut: CutCPVI) -> CertificateReport:
-    """Every integer-feasible extreme satisfies the cut."""
-    pair = cut.pair
-    for dtheta, bits in integer_points(net, pair, cut.big_m):
-        if abs(dtheta) > cut.rhs_at(dict(zip(pair.cycle.lines, bits))):
+def cpvi_validity_certificate(cut: CutCPVI, points: Iterable[tuple[Fraction, tuple[int, ...]]]) -> CertificateReport:
+    """Every integer-feasible extreme of the cut's pair relaxation (its ``integer_points``) satisfies the cut."""
+    for dtheta, bits in points:
+        if abs(dtheta) > cut.rhs_at(dict(zip(cut.pair.cycle.lines, bits))):
             return CertificateReport(
                 Claim.VALIDITY,
                 False,
@@ -402,11 +403,10 @@ def cpvi_validity_certificate(net: Network, cut: CutCPVI) -> CertificateReport:
     return CertificateReport(Claim.VALIDITY, True)
 
 
-def full_dimension_certificate(net: Network, pair: CyclePathPair, big_m: Fraction) -> CertificateReport:
-    """Strict interior point (0, 1/2, ..., 1/2) plus coordinate
-    perturbations of affine rank |C| + 1."""
-    size = len(pair.cycle.lines)
-    rows = pair_relaxation(net, pair, big_m).rows
+def full_dimension_certificate(relax: HPolytope) -> CertificateReport:
+    """Strict interior point (0, 1/2, ..., 1/2) of the pair relaxation plus
+    coordinate perturbations of affine rank |C| + 1."""
+    size, rows = relax.dim - 1, relax.rows
     center = tuple([Fraction(0)] + [Fraction(1, 2)] * size)
     slacks = [b - dot(coeffs, center) for coeffs, b in rows]
     if (k := next((i for i, s in enumerate(slacks) if s <= 0), None)) is not None:
@@ -435,25 +435,23 @@ def full_dimension_certificate(net: Network, pair: CyclePathPair, big_m: Fractio
     return CertificateReport(Claim.FULL_DIMENSION, True)
 
 
-def facet_certificate(net: Network, cut: CutCPVI) -> CertificateReport:
-    """The explicit tight-point family: all in the integer set, all tight,
-    affinely independent, over a full-dimensional hull."""
+def facet_certificate(cut: CutCPVI, points: Iterable[tuple[Fraction, tuple[int, ...]]], relax: HPolytope) -> CertificateReport:
+    """The explicit tight-point family: all among the integer points of the cut's
+    pair relaxation, all tight, affinely independent, over a full-dimensional relaxation."""
     pair = cut.pair
-    big_m = cut.big_m
-    size = len(pair.cycle.lines)
 
     def make_point(dtheta: Fraction, off: Sequence[int]) -> tuple[Fraction, tuple[int, ...]]:
         return (dtheta, tuple(0 if line in off else 1 for line in pair.cycle.lines))
 
-    points = [make_point(pair.shorter.total_weight, [])]
+    tight = [make_point(pair.shorter.total_weight, [])]
     for line in pair.shorter.lines:
-        points.append(make_point(pair.longer.total_weight, [line]))
+        tight.append(make_point(pair.longer.total_weight, [line]))
     first_short = pair.shorter.lines[0]
     for line in pair.longer.lines:
-        points.append(make_point(big_m, [first_short, line]))
+        tight.append(make_point(cut.big_m, [first_short, line]))
 
-    member = set(integer_points(net, pair, big_m))
-    for dtheta, bits in points:
+    member = set(points)
+    for dtheta, bits in tight:
         if (dtheta, bits) not in member:
             return CertificateReport(
                 Claim.FACET_RANK,
@@ -467,11 +465,11 @@ def facet_certificate(net: Network, cut: CutCPVI) -> CertificateReport:
                 False,
                 {"not_tight": {"dtheta": format_rational(dtheta), "y": list(bits), "rhs": format_rational(rhs)}},
             )
-    flat = [(dtheta, *[Fraction(v) for v in bits]) for dtheta, bits in points]
+    flat = [(dtheta, *[Fraction(v) for v in bits]) for dtheta, bits in tight]
     rank = affine_rank(flat)
-    if rank != size:
-        return CertificateReport(Claim.FACET_RANK, False, {"rank": rank, "expected": size})
-    full = full_dimension_certificate(net, pair, big_m)
+    if rank != len(pair.cycle.lines):
+        return CertificateReport(Claim.FACET_RANK, False, {"rank": rank, "expected": len(pair.cycle.lines)})
+    full = full_dimension_certificate(relax)
     if not full.passed:
         return CertificateReport(Claim.FACET_RANK, False, {"full_dimension": full.witness})
     return CertificateReport(Claim.FACET_RANK, True)
@@ -491,15 +489,19 @@ def local_idealness_certificate(model: MilpModel) -> CertificateReport:
     return CertificateReport(Claim.LOCAL_IDEAL, True)
 
 
-def hull_equality(net: Network, pair: CyclePathPair, big_m: Fraction, candidate: HPolytope) -> CertificateReport:
-    """PASS iff the candidate contains every integer extreme and every
-    candidate vertex is an integer-feasible point of the relaxation."""
-    size = len(pair.cycle.lines)
+def check_hull_cap(size: int) -> None:
+    """Refuse a cycle of more lines than hull equality adjudicates."""
     if size > HULL_CYCLE_CAP:
         raise CapExceededError(f"cycle size {size} exceeds the hull-equality cap {HULL_CYCLE_CAP}")
-    if candidate.dim != size + 1:
+
+
+def hull_equality(points: Iterable[tuple[Fraction, tuple[int, ...]]], relax: HPolytope, candidate: HPolytope) -> CertificateReport:
+    """PASS iff the candidate contains every integer extreme (the pair relaxation's
+    ``integer_points``) and every candidate vertex is an integer-feasible point of it."""
+    check_hull_cap(relax.dim - 1)
+    if candidate.dim != relax.dim:
         raise ValueError("candidate must live in (angle difference, y) space of the pair")
-    for dtheta, bits in integer_points(net, pair, big_m):
+    for dtheta, bits in points:
         point = (dtheta, *[Fraction(v) for v in bits])
         row = candidate.first_violated(point)
         if row is not None:
@@ -508,7 +510,6 @@ def hull_equality(net: Network, pair: CyclePathPair, big_m: Fraction, candidate:
                 False,
                 {"violated_integer_point": {"dtheta": format_rational(dtheta), "y": list(bits)}, "row": row},
             )
-    relax = pair_relaxation(net, pair, big_m)
     for vertex in enumerate_vertices(candidate):
         y_part = vertex[1:]
         if any(v != 0 and v != 1 for v in y_part):

@@ -30,6 +30,7 @@ from anglecuts.oracle import (
     hull_equality,
     integer_points,
     model_polytope,
+    pair_relaxation,
     point_in_hull,
 )
 from anglecuts.simplex import solve_linear_program
@@ -42,6 +43,11 @@ FIG1 = str(DATA / "fig1.json")
 
 def _random_weights(rng, size):
     return [F(rng.randint(1, 30), rng.randint(1, 8)) for _ in range(size)]
+
+
+def _facet(net, cut):
+    relax = pair_relaxation(net, cut.pair, cut.big_m)
+    return facet_certificate(cut, integer_points(relax), relax)
 
 
 def _random_ring_pair(rng, size):
@@ -76,12 +82,12 @@ def test_criterion_2_facet_certificates():
     failures = []
     fig1 = ring_net([1] * 6)
     pair = split_cycle(fig1, fundamental_cycle_basis(fig1)[0], "r0", "r4")
-    if not facet_certificate(fig1, build_cpvi(pair, F(6))).passed:
+    if not _facet(fig1, build_cpvi(pair, F(6))).passed:
         failures.append("fig1")
     for trial in range(200):
         size = rng.randint(3, 8)
         net, cycle, pair = _random_ring_pair(rng, size)
-        report = facet_certificate(net, build_cpvi(pair, cycle.total_weight))
+        report = _facet(net, build_cpvi(pair, cycle.total_weight))
         if not report.passed:
             failures.append((trial, size, report.witness))
     elapsed = time.perf_counter() - started
@@ -149,7 +155,9 @@ def test_criterion_4_hull_description_adjudication(fig1):
     # strict candidate on the worked example: must fail with an all-off witness
     cycle = fundamental_cycle_basis(fig1)[0]
     fig_pair = split_cycle(fig1, cycle, "i0", "i4")
-    strict = hull_equality(fig1, fig_pair, F(6), candidate_hull(fig_pair, build_extended(fig_pair, F(6)), "cpvi_only"))
+    fig_relax = pair_relaxation(fig1, fig_pair, F(6))
+    strict_hull = candidate_hull(fig_pair, build_extended(fig_pair, F(6)), "cpvi_only")
+    strict = hull_equality(integer_points(fig_relax), fig_relax, strict_hull)
     strict_ok = (
         not strict.passed
         and strict.witness is not None
@@ -167,14 +175,16 @@ def test_criterion_4_hull_description_adjudication(fig1):
     instances = _criterion3_instances()
     for trial, (net, cycle, pair) in enumerate(instances):
         big_m = cycle.total_weight
-        generators = [(d, *[F(b) for b in bits]) for d, bits in integer_points(net, pair, big_m)]
+        relax = pair_relaxation(net, pair, big_m)
+        points = integer_points(relax)
+        generators = [(d, *[F(b) for b in bits]) for d, bits in points]
         fallback = candidate_hull(pair, build_extended(pair, big_m), "cpvi_with_fallback")
-        report = hull_equality(net, pair, big_m, fallback)
+        report = hull_equality(points, relax, fallback)
         if not report.passed:
             refuted.append(trial)
         if _witness_outside_hull(fallback, report, generators) and _closed_form_leaks(pair, fallback, generators):
             confirmed.append(trial)
-        if hull_equality(net, pair, big_m, candidate_hull(pair, build_extended(pair, big_m), "completed_projection")).passed:
+        if hull_equality(points, relax, candidate_hull(pair, build_extended(pair, big_m), "completed_projection")).passed:
             completed.append(trial)
     elapsed = time.perf_counter() - started
 
@@ -204,7 +214,8 @@ def test_criterion_5_cut_validity():
     for trial in range(200):
         size = rng.randint(3, 8)
         net, cycle, pair = _random_ring_pair(rng, size)
-        report = cpvi_validity_certificate(net, build_cpvi(pair, cycle.total_weight))
+        relax = pair_relaxation(net, pair, cycle.total_weight)
+        report = cpvi_validity_certificate(build_cpvi(pair, cycle.total_weight), integer_points(relax))
         if not report.passed:
             bad.append(("cpvi", trial, report.witness))
 

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import anglecuts
+from anglecuts import cli, oracle
 from anglecuts.bounds import global_big_m
 from anglecuts.cli import main
 from anglecuts.cuts import build_cpvi, build_cvi, cpvi_to_json, cvi_to_json
@@ -536,13 +537,18 @@ def test_certify_reports_all_claims(capsys, small_ring, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "flags, golden",
-    [((), "ring3_certify.json"), (("--strict-theorem2",), "ring3_certify_strict.json")],
-    ids=["default", "strict"],
+    "network, flags, golden",
+    [
+        (None, (), "ring3_certify.json"),
+        (None, ("--strict-theorem2",), "ring3_certify_strict.json"),
+        (MIXED6, (), "mixed6_certify.json"),
+    ],
+    ids=["default", "strict", "mixed6"],
 )
-def test_certify_matches_golden(capsys, small_ring, tmp_path, flags, golden):
+def test_certify_matches_golden(capsys, request, tmp_path, network, flags, golden):
+    network = network or request.getfixturevalue("small_ring")
     report_path = tmp_path / "report.json"
-    code, _, _ = run(capsys, "certify", small_ring, *flags, "--report", str(report_path))
+    code, _, _ = run(capsys, "certify", network, *flags, "--report", str(report_path))
     assert code == 1
     assert report_path.read_bytes() == (DATA / golden).read_bytes()
 
@@ -561,6 +567,34 @@ def test_certify_cap_exceeded_exit_3(capsys, tmp_path):
     path = write_net(tmp_path, net)
     code, _, err = run(capsys, "certify", path, "--max-cycle", "7")
     assert code == 3 and "cap exceeded" in err
+
+
+def test_certify_refuses_an_over_cap_cycle_before_enumerating(capsys, tmp_path, monkeypatch):
+    """Every run adjudicates hull equality, so a 16-line cycle is refused
+    before any of its 2^16 activity patterns is enumerated."""
+    def refuse(*args):
+        raise AssertionError("integer_points was called")
+
+    for module in (cli, oracle):  # the caller's binding and the home module's
+        monkeypatch.setattr(module, "integer_points", refuse, raising=False)
+    path = write_net(tmp_path, ring_net([1] * 16))
+    code, out, err = run(capsys, "certify", path, "--max-cycle", "16")
+    assert code == 3 and out == ""
+    assert "cap exceeded: cycle size 16 exceeds the hull-equality cap 6" in err
+
+
+def test_certify_builds_each_pair_relaxation_once(capsys, small_ring, monkeypatch):
+    """ring3 has 3 bus pairs: one relaxation and one integer-point enumeration each."""
+    calls = {"pair_relaxation": 0, "integer_points": 0}
+    for name in calls:
+        def counted(*args, _name=name, _original=getattr(oracle, name)):
+            calls[_name] += 1
+            return _original(*args)
+
+        for module in (cli, oracle):  # the caller's binding and the home module's
+            monkeypatch.setattr(module, name, counted, raising=False)
+    code, _, _ = run(capsys, "certify", small_ring)
+    assert code == 1 and calls == {"pair_relaxation": 3, "integer_points": 3}
 
 
 def test_certify_skips_oversized_cycles(capsys, tmp_path):

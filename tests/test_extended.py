@@ -12,7 +12,7 @@ from anglecuts.extended import build_extended, eliminate, project_to_cpvi
 from anglecuts.graph import fundamental_cycle_basis, split_cycle
 from anglecuts.milp import MilpModel, build_dcots, lp_text, merge_models
 from anglecuts.network import load_network
-from anglecuts.oracle import enumerate_vertices, integer_points, model_polytope, point_in_hull
+from anglecuts.oracle import enumerate_vertices, integer_points, model_polytope, pair_relaxation, point_in_hull
 
 from _brute import read_lp_text
 from conftest import DATA, ring_net
@@ -211,7 +211,7 @@ def test_sharpness_projection_equals_integer_hull(size):
     sys_ = build_extended(pair, big_m)
     lifted = enumerate_vertices(model_polytope(sys_))
     projected = sorted({vertex[: size + 1] for vertex in lifted})
-    integer = [(d, *[F(b) for b in bits]) for d, bits in integer_points(net, pair, big_m)]
+    integer = [(d, *[F(b) for b in bits]) for d, bits in integer_points(pair_relaxation(net, pair, big_m))]
     for point in projected:
         assert point_in_hull(point, integer)
     for point in integer:

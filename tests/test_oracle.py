@@ -44,11 +44,16 @@ def fig1_pair(fig1):
     return split_cycle(fig1, fundamental_cycle_basis(fig1)[0], "i0", "i4")
 
 
+@pytest.fixture(scope="module")
+def fig1_relax(fig1, fig1_pair):
+    return pair_relaxation(fig1, fig1_pair, F(6))
+
+
 # -- integer points ---------------------------------------------------------
 
 
-def test_integer_points_bounds(fig1, fig1_pair):
-    points = integer_points(fig1, fig1_pair, F(6))
+def test_integer_points_bounds(fig1_pair, fig1_relax):
+    points = integer_points(fig1_relax)
     by_bits = {}
     for d, bits in points:
         by_bits.setdefault(bits, set()).add(d)
@@ -64,7 +69,7 @@ def test_integer_points_cap():
     net = ring_net([1] * 21)
     pair = split_cycle(net, fundamental_cycle_basis(net)[0], "r0", "r1")
     with pytest.raises(CapExceededError):
-        integer_points(net, pair, net.lines[0].weight * 21)
+        integer_points(pair_relaxation(net, pair, net.lines[0].weight * 21))
 
 
 # -- vertex enumeration -----------------------------------------------------
@@ -196,9 +201,9 @@ def test_extended_vertex_count_pinned(weights, ends, big_m, count):
 # -- affine rank ------------------------------------------------------------
 
 
-def test_affine_rank_examples(fig1, fig1_pair):
+def test_affine_rank_examples(fig1_pair, fig1_relax):
     cut = build_cpvi(fig1_pair, F(6))
-    report = facet_certificate(fig1, cut)
+    report = facet_certificate(cut, integer_points(fig1_relax), fig1_relax)
     assert report.passed
     assert affine_rank([(F(1), F(2)), (F(1), F(2))]) == 0
     dim = 4
@@ -213,30 +218,32 @@ def test_affine_rank_examples(fig1, fig1_pair):
 # -- certificates -----------------------------------------------------------
 
 
-def test_validity_certificate(fig1, fig1_pair):
+def test_validity_certificate(fig1_pair, fig1_relax):
     cut = build_cpvi(fig1_pair, F(6))
-    assert cpvi_validity_certificate(fig1, cut).passed
+    assert cpvi_validity_certificate(cut, integer_points(fig1_relax)).passed
 
 
-def test_full_dimension_certificate(fig1, fig1_pair):
-    report = full_dimension_certificate(fig1, fig1_pair, F(6))
+def test_full_dimension_certificate(fig1_relax):
+    report = full_dimension_certificate(fig1_relax)
     assert report.claim is Claim.FULL_DIMENSION and report.passed
 
 
-def test_facet_certificate_fig1(fig1, fig1_pair):
-    assert facet_certificate(fig1, build_cpvi(fig1_pair, F(6))).passed
+def test_facet_certificate_fig1(fig1_pair, fig1_relax):
+    assert facet_certificate(build_cpvi(fig1_pair, F(6)), integer_points(fig1_relax), fig1_relax).passed
 
 
 def test_facet_certificate_degenerate_tie_recorded():
     net = ring_net([1, 1, 1, 1])
     pair = split_cycle(net, fundamental_cycle_basis(net)[0], "r0", "r2")
-    report = facet_certificate(net, build_cpvi(pair, F(4)))
+    relax = pair_relaxation(net, pair, F(4))
+    report = facet_certificate(build_cpvi(pair, F(4)), integer_points(relax), relax)
     assert report.claim is Claim.FACET_RANK
     assert isinstance(report.passed, bool)  # outcome recorded, not prescribed
 
 
 def test_facet_certificate_big_m_boundary(fig1, fig1_pair):
-    report = facet_certificate(fig1, build_cpvi(fig1_pair, F(4)))  # delta_m == 0
+    relax = pair_relaxation(fig1, fig1_pair, F(4))
+    report = facet_certificate(build_cpvi(fig1_pair, F(4)), integer_points(relax), relax)  # delta_m == 0
     assert report.claim is Claim.FACET_RANK
     assert isinstance(report.passed, bool)
 
@@ -246,34 +253,34 @@ def test_local_idealness_fig1(fig1, fig1_pair):
     assert report.passed
 
 
-def test_hull_equality_strict_fails_with_zero_pattern_witness(fig1, fig1_pair):
+def test_hull_equality_strict_fails_with_zero_pattern_witness(fig1_pair, fig1_relax):
     candidate = candidate_hull(fig1_pair, build_extended(fig1_pair, F(6)), "cpvi_only")
-    report = hull_equality(fig1, fig1_pair, F(6), candidate)
+    report = hull_equality(integer_points(fig1_relax), fig1_relax, candidate)
     assert not report.passed
     witness = report.witness["infeasible_vertex"]
     assert witness[1:] == ["0"] * 6  # every line off
     assert abs(F(witness[0])) == 14  # the cut constant, well past the big-M of 6
 
 
-def test_hull_equality_fallback_candidate_still_leaks(fig1, fig1_pair):
+def test_hull_equality_fallback_candidate_still_leaks(fig1_pair, fig1_relax):
     """The y box, the cut, and the fallback bound do not close the hull:
     a vertex with the shorter path active sits above the shorter-path row."""
     candidate = candidate_hull(fig1_pair, build_extended(fig1_pair, F(6)), "cpvi_with_fallback")
-    report = hull_equality(fig1, fig1_pair, F(6), candidate)
+    points = integer_points(fig1_relax)
+    report = hull_equality(points, fig1_relax, candidate)
     assert not report.passed
     key = "infeasible_vertex" if "infeasible_vertex" in report.witness else "fractional_vertex"
     vertex = [F(v) for v in report.witness[key]]
-    relax = pair_relaxation(fig1, fig1_pair, F(6))
     if key == "infeasible_vertex":
-        assert not relax.contains(vertex)
+        assert not fig1_relax.contains(vertex)
         # independent confirmation: not a convex combination of integer points
-        generators = [(d, *[F(b) for b in bits]) for d, bits in integer_points(fig1, fig1_pair, F(6))]
+        generators = [(d, *[F(b) for b in bits]) for d, bits in points]
         assert not point_in_hull(vertex, generators)
 
 
-def test_hull_equality_completed_projection_passes(fig1, fig1_pair):
+def test_hull_equality_completed_projection_passes(fig1_pair, fig1_relax):
     candidate = candidate_hull(fig1_pair, build_extended(fig1_pair, F(6)), "completed_projection")
-    assert hull_equality(fig1, fig1_pair, F(6), candidate).passed
+    assert hull_equality(integer_points(fig1_relax), fig1_relax, candidate).passed
 
 
 def test_candidates_are_read_off_the_given_model(fig1_pair):
@@ -296,7 +303,7 @@ def test_candidate_hull_rejects_an_unknown_name(fig1, fig1_pair):
         candidate_hull(fig1_pair, build_extended(fig1_pair, F(6)), "complete")
 
 
-def test_hull_equality_trivial_box_fails(fig1, fig1_pair):
+def test_hull_equality_trivial_box_fails(fig1_relax):
     size = 6
     rows = []
     for sign in (1, -1):
@@ -310,15 +317,16 @@ def test_hull_equality_trivial_box_fails(fig1, fig1_pair):
         down = [F(0)] * (size + 1)
         down[j + 1] = F(-1)
         rows.append((tuple(down), F(0)))
-    report = hull_equality(fig1, fig1_pair, F(6), HPolytope(tuple(rows), size + 1))
+    report = hull_equality(integer_points(fig1_relax), fig1_relax, HPolytope(tuple(rows), size + 1))
     assert not report.passed and "infeasible_vertex" in report.witness
 
 
 def test_hull_equality_cap(fig1):
     net = ring_net([1] * 7)
     pair = split_cycle(net, fundamental_cycle_basis(net)[0], "r0", "r3")
+    relax = pair_relaxation(net, pair, F(7))
     with pytest.raises(CapExceededError):
-        hull_equality(net, pair, F(7), candidate_hull(pair, build_extended(pair, F(7)), "cpvi_with_fallback"))
+        hull_equality(integer_points(relax), relax, candidate_hull(pair, build_extended(pair, F(7)), "cpvi_with_fallback"))
 
 
 def test_completed_hull_on_random_cycles():
@@ -331,7 +339,8 @@ def test_completed_hull_on_random_cycles():
         m, n = rng.sample(list(cycle.buses), 2)
         pair = split_cycle(net, cycle, m, n)
         candidate = candidate_hull(pair, build_extended(pair, cycle.total_weight), "completed_projection")
-        assert hull_equality(net, pair, cycle.total_weight, candidate).passed
+        relax = pair_relaxation(net, pair, cycle.total_weight)
+        assert hull_equality(integer_points(relax), relax, candidate).passed
 
 
 # -- rational simplex over polytopes ---------------------------------------
