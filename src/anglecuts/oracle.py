@@ -14,8 +14,10 @@ from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd
+from operator import mul
 from typing import Container, Iterable, Iterator, Mapping, Sequence
 
 from .cuts import CutCPVI, CutCVI
@@ -29,7 +31,7 @@ from .extended import eliminate
 from .graph import CyclePathPair
 from .milp import MilpConstraint, MilpModel, build_dcots, dcots_names, fixed_topology
 from .network import Network
-from .rational import dense_row, dot, format_rational, matrix_rank
+from .rational import dense_row, dot, format_rational, integer_row, matrix_rank
 from .simplex import Row, solve_linear_program
 
 __all__ = [
@@ -74,24 +76,40 @@ HULL_CANDIDATES = {
 
 @dataclass(frozen=True)
 class HPolytope:
-    """Rows a.x <= b over a fixed dimension, exact rationals only."""
+    """Rows a.x <= b over a fixed dimension, exact rationals only.
+
+    Each row is also kept scaled to integers, ``integer_rows``, which the
+    membership tests and vertex enumeration read; a float or bool entry
+    raises ValueError naming its row and column."""
 
     rows: tuple[tuple[tuple[Fraction, ...], Fraction], ...]
     dim: int
+    integer_rows: tuple[tuple[tuple[int, ...], int], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for coeffs, _ in self.rows:
+        scaled = []
+        for k, (coeffs, b) in enumerate(self.rows):
             if len(coeffs) != self.dim:
                 raise ValueError("row width does not match the polytope dimension")
+            nums, rhs, _ = integer_row(coeffs, b, f"row {k}")
+            scaled.append((tuple(nums), rhs))
+        object.__setattr__(self, "integer_rows", tuple(scaled))
 
     def contains(self, point: Sequence[Fraction]) -> bool:
         return self.first_violated(point) is None
 
     def first_violated(self, point: Sequence[Fraction]):
-        for k, (coeffs, b) in enumerate(self.rows):
-            if dot(coeffs, point) > b:
+        *x, w = _homogeneous(point)
+        for k, (coeffs, b) in enumerate(self.integer_rows):
+            if sum(map(mul, coeffs, x)) > b * w:
                 return k
         return None
+
+
+def _homogeneous(point: Sequence[Fraction]) -> tuple[int, ...]:
+    """The point as integers (x, w) over its least common denominator w > 0."""
+    x, _, w = integer_row(point, 0, "point")
+    return (*x, w)
 
 
 class Claim(enum.Enum):
@@ -189,7 +207,11 @@ def enumerate_vertices(p: HPolytope) -> list[tuple[Fraction, ...]]:
     time; candidate vertices come from edges crossing each new
     hyperplane, with edges recognized by the combinatorial adjacency
     test (no third vertex's tight set contains the pair's common tight
-    set).  Output is sorted and deduplicated.
+    set).  The arithmetic is in integers, as in the double description
+    method: each vertex is a homogeneous vector (x, w), w > 0, in lowest
+    terms, every slack against the polytope's ``integer_rows`` is an
+    integer, and the vertex cut from an edge is a combination of its
+    ends.  Output is sorted Fraction points, deduplicated.
     """
     if p.dim > VERTEX_DIM_CAP:
         raise CapExceededError(f"dimension {p.dim} exceeds the vertex enumeration cap {VERTEX_DIM_CAP}")
@@ -218,19 +240,19 @@ def enumerate_vertices(p: HPolytope) -> list[tuple[Fraction, ...]]:
     reach = sum((h - l for h, l in zip(highs, lo)), Fraction(0)) + 1
     lower = (1 << p.dim) - 1
     # keyed by tight mask: a vertex is the one point its tight rows fix,
-    # so distinct vertices have distinct masks and no Fraction is hashed
-    vertices: dict[int, tuple[Fraction, ...]] = {lower: tuple(lo)}
+    # so distinct vertices have distinct masks
+    vertices: dict[int, tuple[int, ...]] = {lower: _homogeneous(lo)}
     for j in range(p.dim):
-        vertices[lower & ~(1 << j) | 1 << p.dim] = (*lo[:j], lo[j] + reach, *lo[j + 1:])
+        vertices[lower & ~(1 << j) | 1 << p.dim] = _homogeneous((*lo[:j], lo[j] + reach, *lo[j + 1:]))
 
-    for k, (coeffs, b) in enumerate(p.rows):
+    for k, (coeffs, b) in enumerate(p.integer_rows):
         bit = 1 << (p.dim + 1 + k)
-        support = [(j, c) for j, c in enumerate(coeffs) if c]
-        plus: list[tuple[tuple[Fraction, ...], int, Fraction]] = []
-        minus: list[tuple[tuple[Fraction, ...], int, Fraction]] = []
-        kept: dict[int, tuple[Fraction, ...]] = {}
+        row = (*(-c for c in coeffs), b)  # slack b*w - a.x as one product with (x, w)
+        plus: list[tuple[tuple[int, ...], int, int]] = []
+        minus: list[tuple[tuple[int, ...], int, int]] = []
+        kept: dict[int, tuple[int, ...]] = {}
         for mask, point in vertices.items():
-            slack = b - sum((c * point[j] for j, c in support), Fraction(0))
+            slack = sum(map(mul, row, point))
             if slack > 0:
                 plus.append((point, mask, slack))
                 kept[mask] = point
@@ -248,17 +270,21 @@ def enumerate_vertices(p: HPolytope) -> list[tuple[Fraction, ...]]:
                 common = mu & mv
                 if common.bit_count() < need:
                     continue
-                if any(w & common == common and w != mu and w != mv for w in masks):
+                if any(m & common == common and m != mu and m != mv for m in masks):
                     continue
                 # a row feasible at both ends and tight inside the segment
-                # is tight along all of it, so the new vertex is tight
-                # exactly on common and the new row
-                t = su / (su - sv)
-                kept[common | bit] = tuple(a if a == c else a + t * (c - a) for a, c in zip(u, v))
+                # is tight along all of it, so the new vertex su*v - sv*u,
+                # whose slack on the new row is zero and whose w is
+                # positive as su > 0 > sv, is tight exactly on common and
+                # the new row
+                point = [su * c - sv * a for a, c in zip(u, v)]
+                if (g := gcd(*point)) != 1:
+                    point = [x // g for x in point]
+                kept[common | bit] = tuple(point)
         vertices = kept
         if not vertices:
             return []
-    return sorted(vertices.values())
+    return sorted(tuple(Fraction(x, point[-1]) for x in point[:-1]) for point in vertices.values())
 
 
 def affine_rank(points: Sequence[Sequence[Fraction]]) -> int:

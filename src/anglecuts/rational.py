@@ -1,9 +1,10 @@
 """Exact rational parsing, formatting, and small dense linear algebra.
 
-Every quantity in this package is a ``fractions.Fraction``: arbitrary
-precision, always in lowest terms, positive denominator.  Floats are
-rejected at the boundary so no rounding error can enter the polyhedral
-oracles.
+Every quantity this package passes between modules is a
+``fractions.Fraction``: arbitrary precision, always in lowest terms,
+positive denominator.  The simplex and vertex kernels compute on rows
+that ``integer_row`` scales to integers.  Floats are rejected at the
+boundary so no rounding error can enter the polyhedral oracles.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import re
 import sys
 from fractions import Fraction
+from math import lcm
 from typing import Mapping, Sequence
 
 # the decimal exponent of a rational string, read before Fraction expands it
@@ -67,6 +69,21 @@ def dense_row(dim: int, entries: Mapping[int, Fraction | int], rhs: Fraction | i
     for j, value in entries.items():
         coeffs[j] = Fraction(value)
     return tuple(coeffs), Fraction(rhs)
+
+
+def integer_row(coeffs: Sequence[Fraction | int], rhs: Fraction | int, where: str) -> tuple[list[int], int, int]:
+    """The row coeffs . x <= rhs (or == rhs) as integer numerators, an
+    integer right-hand side and their one positive denominator, the least
+    common one.  The kernels compute in integers, so an entry that is not
+    an int or Fraction (a float, or a bool) is refused with a ValueError
+    naming ``where`` and its column."""
+    for j, value in enumerate((*coeffs, rhs)):
+        if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
+            column = "the right-hand side" if j == len(coeffs) else f"column {j}"
+            raise ValueError(f"{where}, {column}: expected an int or Fraction, got {type(value).__name__}")
+    den = lcm(rhs.denominator, *(c.denominator for c in coeffs))
+    nums = [c.numerator * (den // c.denominator) for c in coeffs]
+    return nums, rhs.numerator * (den // rhs.denominator), den
 
 
 def dot(coeffs: Sequence[Fraction], point: Sequence[Fraction]) -> Fraction:

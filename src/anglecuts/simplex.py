@@ -1,22 +1,31 @@
-"""Exact two-phase simplex over the rationals.
+"""Exact two-phase simplex over the rationals, in integer arithmetic.
 
 Dense tableau, Bland's smallest-index pivoting rule, so every run
-terminates and every comparison is exact.  A pivot updates only the
-columns where the pivot row is nonzero, which leaves every tableau
-entry, and so the pivot path, as a full-row update would.  Built for
-desk-scale linear programs (tens of rows); all the polyhedral
-certificates and the brute-force switching enumeration sit on top of it.
+terminates and every comparison is exact.  The tableau is fraction-free:
+each row is a list of integer numerators over one positive row
+denominator, coprime to them all, and a pivot costs integer products
+and one gcd per changed row rather than a Fraction normalization per
+entry.  Every entry is the rational a Fraction tableau holds, the ratio
+test cross-multiplies, and so the pivot path is unchanged; values turn
+into Fractions only in the result.  Built for desk-scale linear programs
+(tens of rows); all the polyhedral certificates and the brute-force
+switching enumeration sit on top of it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Sequence
+
+from .rational import integer_row
 
 __all__ = ["LPResult", "solve_linear_program"]
 
 Row = tuple[Sequence[Fraction], Fraction]
+# a tableau row: integer numerators over a positive denominator coprime to them all
+IntRow = tuple[list[int], int]
 
 
 @dataclass(frozen=True)
@@ -26,40 +35,63 @@ class LPResult:
     point: tuple[Fraction, ...] | None = None
 
 
-def _pivot(tableau: list[list[Fraction]], basis: list[int], row: int, col: int) -> None:
-    """Pivot on (row, col), updating only the pivot row's nonzero columns."""
-    pivot_row = tableau[row]
-    inv = pivot_row[col]
-    nonzero = [(j, v / inv) for j, v in enumerate(pivot_row) if v]
-    for j, v in nonzero:
-        pivot_row[j] = v
-    for r, other in enumerate(tableau):
-        if r == row:
-            continue
+def _reduced(nums: list[int], den: int) -> IntRow:
+    """nums / den in lowest terms; den must be positive."""
+    g = gcd(den, *nums)  # den first: gcd skips the rest once it reaches 1
+    if g == 1:
+        return nums, den
+    return [v // g for v in nums], den // g
+
+
+def _minus(a: IntRow, factor: int, b: IntRow) -> IntRow:
+    """a - factor * b over the least common denominator, not reduced."""
+    (a_nums, a_den), (b_nums, b_den) = a, b
+    den = lcm(a_den, b_den)
+    scale_a, scale_b = den // a_den, factor * (den // b_den)
+    return [x * scale_a - y * scale_b for x, y in zip(a_nums, b_nums)], den
+
+
+def _pivot(tableau: list[IntRow], basis: list[int], row: int, col: int) -> None:
+    """Pivot on (row, col): the pivot row becomes itself over its entry at
+    col, and every row with a nonzero at col subtracts it, updating only
+    the pivot row's nonzero columns after bringing both to one denominator."""
+    nums, _ = tableau[row]
+    lead = nums[col]
+    if lead < 0:
+        nums, lead = [-v for v in nums], -lead
+    pivot_nums, pivot_den = tableau[row] = _reduced(nums, lead)
+    nonzero = [(j, v) for j, v in enumerate(pivot_nums) if v]
+    for r, (other, den) in enumerate(tableau):
         factor = other[col]
-        if factor:
-            for j, v in nonzero:
-                other[j] -= factor * v
+        if not factor or r == row:
+            continue
+        if pivot_den != 1:
+            other = [v * pivot_den for v in other]
+            den *= pivot_den
+        for j, v in nonzero:
+            other[j] -= factor * v
+        tableau[r] = _reduced(other, den)
     basis[row] = col
 
 
-def _run(tableau: list[list[Fraction]], basis: list[int], allowed: int) -> str:
+def _run(tableau: list[IntRow], basis: list[int], allowed: int) -> str:
     """Minimize with the cost row last; only columns < allowed may enter."""
     m = len(tableau) - 1
     while True:
-        cost = tableau[m]
+        cost = tableau[m][0]
         enter = next((j for j in range(allowed) if cost[j] < 0), None)
         if enter is None:
             return "optimal"
         leave = None
-        best: Fraction | None = None
         for r in range(m):
-            coeff = tableau[r][enter]
+            nums = tableau[r][0]
+            coeff = nums[enter]
             if coeff > 0:
-                ratio = tableau[r][-1] / coeff
-                if best is None or ratio < best or (ratio == best and basis[r] < basis[leave]):
-                    best = ratio
-                    leave = r
+                # the ratio rhs / coeff, in which the row denominator cancels
+                rhs = nums[-1]
+                if leave is None or (order := rhs * best_coeff - best_rhs * coeff) < 0 or (
+                        order == 0 and basis[r] < basis[leave]):
+                    best_rhs, best_coeff, leave = rhs, coeff, r
         if leave is None:
             return "unbounded"
         _pivot(tableau, basis, leave, enter)
@@ -76,60 +108,63 @@ def solve_linear_program(
     """Optimize a linear objective over {a.x <= b} and {a.x == b} rows.
 
     Variables are free unless nonneg is set (free variables are split
-    internally).  Returns an exact optimal value and a witness point, or
-    the infeasible/unbounded status.
+    internally).  Every coefficient and right-hand side must be an int or
+    a Fraction; a float or bool raises ValueError naming its row and
+    column.  Returns an exact optimal value and a witness point, or the
+    infeasible/unbounded status.
     """
-    obj = [Fraction(c) for c in (objective or [Fraction(0)] * n_vars)]
+    obj, _, obj_den = integer_row(objective or [0] * n_vars, 0, "the objective")
     if not minimize:
         obj = [-c for c in obj]
 
     width = n_vars if nonneg else 2 * n_vars
 
-    def expand(coeffs: Sequence[Fraction]) -> list[Fraction]:
-        if nonneg:
-            return [Fraction(c) for c in coeffs]
-        return [Fraction(c) for c in coeffs] + [Fraction(-c) for c in coeffs]
+    def expand(nums: list[int]) -> list[int]:
+        return nums if nonneg else nums + [-v for v in nums]
 
     # columns: structural, one slack per inequality, one artificial per row
     # whose slack cannot start basic (an equality, or a negative rhs)
     n_slack = len(ineqs)
-    rows = [(coeffs, Fraction(b), i < n_slack) for i, (coeffs, b) in enumerate((*ineqs, *eqs))]
+    rows = []
+    for i, (coeffs, b) in enumerate((*ineqs, *eqs)):
+        where = f"inequality {i}" if i < n_slack else f"equality {i - n_slack}"
+        rows.append((*integer_row(coeffs, b, where), i < n_slack))
     total_structural = width + n_slack
-    n_art = sum(1 for _, b, is_ineq in rows if b < 0 or not is_ineq)
+    n_art = sum(1 for _, b, _, is_ineq in rows if b < 0 or not is_ineq)
     total = total_structural + n_art
-    tableau: list[list[Fraction]] = []
+    tableau: list[IntRow] = []
     basis: list[int] = []
     next_art = total_structural
-    for i, (coeffs, b, is_ineq) in enumerate(rows):
-        row = expand(coeffs) + [Fraction(0)] * (total - width) + [b]
+    for i, (nums, b, den, is_ineq) in enumerate(rows):
+        row = expand(nums) + [0] * (total - width) + [b]
         if is_ineq:
-            row[width + i] = Fraction(1)
+            row[width + i] = den
         if b < 0:
             row = [-v for v in row]
         if is_ineq and b >= 0:
             basis.append(width + i)
         else:
-            row[next_art] = Fraction(1)
+            row[next_art] = den
             basis.append(next_art)
             next_art += 1
-        tableau.append(row)
+        tableau.append((row, den))
     m = len(rows)
 
     if n_art:
         # phase 1: drive the artificial sum to zero
-        cost = [Fraction(0)] * total_structural + [Fraction(1)] * n_art + [Fraction(0)]
+        cost = ([0] * total_structural + [1] * n_art + [0], 1)
         for i in range(m):
             if basis[i] >= total_structural:
-                cost = [a - b for a, b in zip(cost, tableau[i])]
-        tableau.append(cost)
+                cost = _minus(cost, 1, tableau[i])
+        tableau.append(_reduced(*cost))
         _run(tableau, basis, total_structural)  # artificials may not re-enter
-        if tableau[-1][-1] != 0:
+        if tableau[-1][0][-1] != 0:
             return LPResult("infeasible")
         tableau.pop()
         # pivot lingering zero-value artificials out where possible
         for i in range(m):
             if basis[i] >= total_structural:
-                col = next((j for j in range(total_structural) if tableau[i][j] != 0), None)
+                col = next((j for j in range(total_structural) if tableau[i][0][j] != 0), None)
                 if col is not None:
                     _pivot(tableau, basis, i, col)
         keep = [i for i in range(m) if basis[i] < total_structural]
@@ -137,25 +172,26 @@ def solve_linear_program(
         basis = [basis[i] for i in keep]
         m = len(basis)
 
-    # phase 2 cost row: reduced costs of the real objective
-    full_cost = expand(obj) + [Fraction(0)] * (total + 1 - width)
-    cost = list(full_cost)
+    # phase 2 cost row: reduced costs of the real objective, whose
+    # numerators sit over obj_den
+    full_cost = expand(obj) + [0] * (total + 1 - width)
+    cost = (full_cost, 1)
     for i in range(m):
-        cb = full_cost[basis[i]]
-        if cb:
-            cost = [a - cb * b for a, b in zip(cost, tableau[i])]
-    tableau.append(cost)
+        if cb := full_cost[basis[i]]:
+            cost = _minus(cost, cb, tableau[i])
+    tableau.append(_reduced(cost[0], cost[1] * obj_den))
     if _run(tableau, basis, total_structural) == "unbounded":
         return LPResult("unbounded")
 
     values = [Fraction(0)] * total
     for i in range(m):
-        values[basis[i]] = tableau[i][-1]
+        nums, den = tableau[i]
+        values[basis[i]] = Fraction(nums[-1], den)
     if nonneg:
         point = tuple(values[:n_vars])
     else:
         point = tuple(values[j] - values[n_vars + j] for j in range(n_vars))
-    value = sum((c * x for c, x in zip(obj, point)), Fraction(0))
+    value = sum((c * x for c, x in zip(obj, point)), Fraction(0)) / obj_den
     if not minimize:
         value = -value
     return LPResult("optimal", value, point)

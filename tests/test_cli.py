@@ -537,20 +537,34 @@ def test_certify_reports_all_claims(capsys, small_ring, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "network, flags, golden",
+    "network, flags, golden, vertex_work",
     [
-        (None, (), "ring3_certify.json"),
-        (None, ("--strict-theorem2",), "ring3_certify_strict.json"),
-        (MIXED6, (), "mixed6_certify.json"),
+        (None, (), "ring3_certify.json", None),
+        (None, ("--strict-theorem2",), "ring3_certify_strict.json", None),
+        # (enumerate_vertices calls, vertices they return): a change to the
+        # vertex kernel or to what certify hands it moves these
+        (MIXED6, (), "mixed6_certify.json", (69, 4504)),
     ],
     ids=["default", "strict", "mixed6"],
 )
-def test_certify_matches_golden(capsys, request, tmp_path, network, flags, golden):
+def test_certify_matches_golden(capsys, request, tmp_path, monkeypatch, network, flags, golden, vertex_work):
     network = network or request.getfixturevalue("small_ring")
+    work = [0, 0]
+    kernel = oracle.enumerate_vertices
+
+    def count(polytope):
+        vertices = kernel(polytope)
+        work[0] += 1
+        work[1] += len(vertices)
+        return vertices
+
+    monkeypatch.setattr(oracle, "enumerate_vertices", count)
     report_path = tmp_path / "report.json"
     code, _, _ = run(capsys, "certify", network, *flags, "--report", str(report_path))
     assert code == 1
     assert report_path.read_bytes() == (DATA / golden).read_bytes()
+    if vertex_work is not None:
+        assert tuple(work) == vertex_work
 
 
 def test_certify_strict_theorem2(capsys, small_ring):

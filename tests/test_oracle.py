@@ -5,6 +5,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from anglecuts import simplex
 from anglecuts.cuts import build_cpvi, cpvi_from_json, cpvi_to_json, cvi_from_json, cvi_to_json
@@ -128,36 +130,54 @@ def test_caps_raise():
         enumerate_vertices(HPolytope(rows, 2))
 
 
+def _rational(rng, low, high):
+    """An integer in [low, high] half the time, else a rational in that
+    range whose denominator the other entries need not share."""
+    if rng.random() < 0.5:
+        return F(rng.randint(low, high))
+    den = rng.choice([2, 3, 5, 7, 12])
+    return F(rng.randint(low * den, high * den), den)
+
+
+def _scaled(rng, row):
+    """The row times a random positive rational: the same halfspace."""
+    coeffs, b = row
+    factor = F(rng.randint(1, 9), rng.randint(1, 9))
+    return tuple(factor * c for c in coeffs), factor * b
+
+
 def test_vertices_match_basis_enumeration_oracle():
+    # dim 1 included: there an edge's common tight set is empty
     rng = random.Random(23)
-    for _ in range(25):
-        dim = rng.randint(2, 3)
-        rows = _box_rows(dim, hi=rng.randint(1, 3))
+    for _ in range(40):
+        dim = rng.randint(1, 4)
+        rows = [_scaled(rng, row) if rng.random() < 0.3 else row
+                for row in _box_rows(dim, hi=_rational(rng, 1, 3))]
         for _ in range(rng.randint(1, 4)):
-            coeffs = tuple(F(rng.randint(-2, 3)) for _ in range(dim))
-            rows.append((coeffs, F(rng.randint(-1, 5))))
+            coeffs = tuple(_rational(rng, -2, 3) for _ in range(dim))
+            rows.append((coeffs, _rational(rng, -1, 5)))
         poly = HPolytope(tuple(rows), dim)
         assert enumerate_vertices(poly) == brute_vertices(rows, dim)
 
 
 def _degenerate_rows(rng, dim):
     """A random box-bounded polytope made degenerate on purpose: repeated
-    and scaled rows, rows through a vertex that cut the polytope, and
-    redundant rows through a vertex (the sum of two rows tight there)."""
-    rows = _box_rows(dim, hi=rng.randint(1, 3))
+    rows and rows scaled by a rational, rows through a vertex that cut the
+    polytope, and redundant rows through a vertex (the sum of two rows
+    tight there)."""
+    rows = _box_rows(dim, hi=_rational(rng, 1, 3))
     for _ in range(rng.randint(1, 3)):
-        rows.append((tuple(F(rng.randint(-2, 3)) for _ in range(dim)), F(rng.randint(-1, 5))))
+        rows.append((tuple(_rational(rng, -2, 3) for _ in range(dim)), _rational(rng, -1, 5)))
     for _ in range(rng.randint(2, 4)):
         vertices = brute_vertices(rows, dim)
         kind = rng.randrange(4)
         if kind == 0:
             rows.append(rng.choice(rows))
         elif kind == 1:
-            coeffs, b = rng.choice(rows)
-            rows.append((tuple(2 * c for c in coeffs), 2 * b))
+            rows.append(_scaled(rng, rng.choice(rows)))
         elif vertices and kind == 2:
             v = rng.choice(vertices)
-            coeffs = tuple(F(rng.randint(-2, 2)) for _ in range(dim))
+            coeffs = tuple(_rational(rng, -2, 2) for _ in range(dim))
             rows.append((coeffs, dot(coeffs, v)))
         elif vertices:
             v = rng.choice(vertices)
@@ -176,6 +196,46 @@ def test_vertices_match_oracle_on_degenerate_polytopes(seed):
     dim = 1 + seed % 4
     rows = _degenerate_rows(rng, dim)
     assert enumerate_vertices(HPolytope(tuple(rows), dim)) == brute_vertices(rows, dim)
+
+
+RATIONAL = st.fractions(min_value=-4, max_value=4, max_denominator=12)
+
+
+@st.composite
+def polytope_and_point(draw):
+    """Rows with rational coefficients and a rational or integer point,
+    some rows passing exactly through the point."""
+    dim = draw(st.integers(1, 4))
+    point = tuple(draw(st.lists(st.one_of(RATIONAL, st.integers(-3, 3)), min_size=dim, max_size=dim)))
+    rows = []
+    for _ in range(draw(st.integers(0, 5))):
+        coeffs = tuple(draw(st.lists(RATIONAL, min_size=dim, max_size=dim)))
+        on_row = draw(st.booleans())
+        rows.append((coeffs, dot(coeffs, point) if on_row else draw(RATIONAL)))
+    return HPolytope(tuple(rows), dim), point
+
+
+@given(polytope_and_point())
+def test_first_violated_matches_the_rational_rows(case):
+    poly, point = case
+    expected = next((k for k, (coeffs, b) in enumerate(poly.rows) if dot(coeffs, point) > b), None)
+    assert poly.first_violated(point) == expected
+    assert poly.contains(point) == (expected is None)
+
+
+@pytest.mark.parametrize("rows, message", [
+    ((((F(1), 0.5), F(1)),), "row 0, column 1"),
+    ((((F(1), F(0)), F(1)), ((F(0), F(1)), True)), "row 1, the right-hand side"),
+    ((((F(1), False), F(1)),), "row 0, column 1"),
+], ids=["float-coefficient", "bool-rhs", "bool-coefficient"])
+def test_polytope_refuses_inexact_entries(rows, message):
+    with pytest.raises(ValueError, match=message):
+        HPolytope(rows, 2)
+
+
+def test_polytope_accepts_int_entries():
+    poly = HPolytope((((1, 0), 2), ((-1, 0), 0), ((0, 1), F(1, 2)), ((0, -1), 0)), 2)
+    assert enumerate_vertices(poly) == [(0, 0), (0, F(1, 2)), (2, 0), (2, F(1, 2))]
 
 
 def test_extended_two_cycle_vertices_binary():

@@ -1,10 +1,13 @@
 import random
 from fractions import Fraction as F
+from math import gcd
 
+import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from anglecuts.simplex import _pivot, solve_linear_program
+from anglecuts.rational import integer_row
+from anglecuts.simplex import LPResult, _pivot, solve_linear_program
 
 from _brute import dense_pivot, dense_solve_linear_program
 
@@ -64,6 +67,22 @@ def test_exact_fractions_survive():
     assert result.point == (F(1, 3),)
 
 
+@pytest.mark.parametrize("lp, message", [
+    (dict(ineqs=[([0.5], F(1))]), "inequality 0, column 0"),
+    (dict(ineqs=[([F(1)], F(1))], eqs=[([F(1)], 1.0)]), "equality 0, the right-hand side"),
+    (dict(ineqs=[([True], F(1))]), "inequality 0, column 0"),
+    (dict(ineqs=[([F(1)], F(1))], objective=[0.25]), "the objective, column 0"),
+], ids=["float-coefficient", "float-rhs", "bool-coefficient", "float-objective"])
+def test_refuses_inexact_entries(lp, message):
+    with pytest.raises(ValueError, match=message):
+        solve_linear_program(1, **lp)
+
+
+def test_accepts_int_entries():
+    result = solve_linear_program(1, [([2], 3), ([-1], 0)], [], [1], minimize=False)
+    assert result == LPResult("optimal", F(3, 2), (F(3, 2),))
+
+
 def test_random_lps_match_vertex_enumeration():
     """The LP optimum equals the best vertex value on bounded polytopes."""
     from anglecuts.oracle import HPolytope, enumerate_vertices, rational_simplex
@@ -93,10 +112,12 @@ def test_random_lps_match_vertex_enumeration():
         assert poly.contains(point)
 
 
-# -- the sparse pivot against the dense reference kernel -----------------------
+# -- the integer-row pivot against the dense Fraction reference kernel ----------
 
-# mostly zeros, as in the switching LPs, with a few non-integers
-ENTRY = st.sampled_from([F(0)] * 4 + [F(1), F(-1), F(2), F(-3), F(1, 2), F(-2, 3)])
+# mostly zeros, as in the switching LPs, with non-integers whose denominators
+# differ, so that rows are scaled by an lcm and reduced by a gcd
+ENTRY = st.sampled_from([F(0)] * 4 + [F(1), F(-1), F(2), F(-3), F(1, 2), F(-2, 3),
+                                      F(1, 7), F(-5, 12), F(3, 40), F(11, 13)])
 
 
 @st.composite
@@ -108,14 +129,36 @@ def tableaux(draw):
     return tableau, draw(st.sampled_from(cells))
 
 
+def integer_tableau(tableau):
+    """Each Fraction row as the kernel keeps it: (numerators, denominator)."""
+    rows = []
+    for row in tableau:
+        nums, rhs, den = integer_row(row[:-1], row[-1], "row")
+        rows.append((nums + [rhs], den))
+    return rows
+
+
 @given(tableaux())
 def test_sparse_pivot_matches_dense_pivot(case):
     tableau, (row, col) = case
-    sparse, dense = [list(r) for r in tableau], [list(r) for r in tableau]
+    sparse, dense = integer_tableau(tableau), [list(r) for r in tableau]
     sparse_basis, dense_basis = list(range(len(tableau))), list(range(len(tableau)))
     _pivot(sparse, sparse_basis, row, col)
     dense_pivot(dense, dense_basis, row, col)
-    assert (sparse, sparse_basis) == (dense, dense_basis)
+    assert ([[F(v, den) for v in nums] for nums, den in sparse], sparse_basis) == (dense, dense_basis)
+
+
+@given(tableaux(), st.integers(1, 4))
+def test_pivoted_rows_stay_in_lowest_terms(case, pivots):
+    tableau, (row, col) = case
+    work, basis = integer_tableau(tableau), list(range(len(tableau)))
+    for _ in range(pivots):
+        _pivot(work, basis, row, col)
+        for nums, den in work:
+            assert den > 0 and gcd(den, *nums) == 1
+        # pivot next on the first nonzero after (row, col) in row-major order
+        cells = [(r, c) for r, (nums, _) in enumerate(work) for c, v in enumerate(nums) if v]
+        row, col = next((cell for cell in cells if cell > (row, col)), cells[0])
 
 
 @st.composite
