@@ -1,9 +1,10 @@
 """Exact brute-force machinery certifying the polyhedral claims at desk scale.
 
 Integer-point enumeration for a split cycle, exact vertex enumeration by
-incremental halfspace insertion, affine-rank certificates, hull-equality
-checks, and an exhaustive switching enumeration that solves one exact LP
-per topology.  Hard caps raise CapExceededError rather than degrade.
+the double description method started from the whole space, affine-rank
+certificates, hull-equality checks, and an exhaustive switching
+enumeration that solves one exact LP per topology.  Hard caps raise
+CapExceededError rather than degrade.
 
 The per-pair relaxation and every hull candidate are models read by
 ``model_polytope``; a candidate's rows are elimination branches of the lifted model.
@@ -80,7 +81,8 @@ class HPolytope:
 
     Each row is also kept scaled to integers, ``integer_rows``, which the
     membership tests and vertex enumeration read; a float or bool entry
-    raises ValueError naming its row and column."""
+    raises ValueError naming its row and column, and a row not ``dim``
+    wide one naming the row."""
 
     rows: tuple[tuple[tuple[Fraction, ...], Fraction], ...]
     dim: int
@@ -90,7 +92,7 @@ class HPolytope:
         scaled = []
         for k, (coeffs, b) in enumerate(self.rows):
             if len(coeffs) != self.dim:
-                raise ValueError("row width does not match the polytope dimension")
+                raise ValueError(f"row {k}: width {len(coeffs)}, expected {self.dim}")
             nums, rhs, _ = integer_row(coeffs, b, f"row {k}")
             scaled.append((tuple(nums), rhs))
         object.__setattr__(self, "integer_rows", tuple(scaled))
@@ -162,129 +164,102 @@ def integer_points(relax: HPolytope) -> list[tuple[Fraction, tuple[int, ...]]]:
 
 
 # ---------------------------------------------------------------------------
-# exact vertex enumeration by incremental halfspace insertion
+# exact vertex enumeration by the double description method
 
 
-def _propagated_box(p: HPolytope) -> tuple[list[Fraction | None], list[Fraction | None]]:
-    lows: list[Fraction | None] = [None] * p.dim
-    highs: list[Fraction | None] = [None] * p.dim
-    for _ in range(p.dim + 2):
-        changed = False
-        for coeffs, b in p.rows:
-            support = [j for j in range(p.dim) if coeffs[j] != 0]
-            for j in support:
-                rest = Fraction(0)
-                ok = True
-                for k in support:
-                    if k == j:
-                        continue
-                    ck = coeffs[k]
-                    lb = lows[k] if ck > 0 else highs[k]
-                    if lb is None:
-                        ok = False
-                        break
-                    rest += ck * lb
-                if not ok:
-                    continue
-                limit = (b - rest) / coeffs[j]
-                if coeffs[j] > 0:
-                    if highs[j] is None or limit < highs[j]:
-                        highs[j] = limit
-                        changed = True
-                else:
-                    if lows[j] is None or limit > lows[j]:
-                        lows[j] = limit
-                        changed = True
-        if not changed:
-            break
-    return lows, highs
+def _combination(a: int, u: Sequence[int], b: int, v: Sequence[int]) -> tuple[int, ...]:
+    """a*u - b*v over the integers, divided by the gcd of its entries."""
+    point = [a * x - b * y for x, y in zip(u, v)]
+    if (g := gcd(*point)) > 1:
+        point = [x // g for x in point]
+    return tuple(point)
 
 
 def enumerate_vertices(p: HPolytope) -> list[tuple[Fraction, ...]]:
-    """All vertices of a bounded polytope, exactly.
+    """All vertices of a bounded polytope, exactly, sorted; [] when it is empty.
 
-    Starts from a strictly larger simplex and inserts the rows one at a
-    time; candidate vertices come from edges crossing each new
-    hyperplane, with edges recognized by the combinatorial adjacency
-    test (no third vertex's tight set contains the pair's common tight
-    set).  The arithmetic is in integers, as in the double description
-    method: each vertex is a homogeneous vector (x, w), w > 0, in lowest
-    terms, every slack against the polytope's ``integer_rows`` is an
-    integer, and the vertex cut from an edge is a combination of its
-    ends.  Output is sorted Fraction points, deduplicated.
+    The double description method on the cone {(x, w) : a.x <= b*w, w >= 0},
+    read from the polytope's ``integer_rows``, whose rays with w > 0 are the
+    vertices x/w.  It starts from the whole space, a lineality basis of unit
+    vectors and no rays, and inserts w >= 0 and then the rows in order.  A
+    row that some lineality vector does not annihilate is a Gaussian step:
+    the first such vector becomes a ray with positive slack, tight on every
+    earlier row, and every other ray and lineality vector moves along it
+    onto the row's hyperplane.  Any other row keeps the rays with
+    nonnegative slack and cuts a new ray from each adjacent pair across the
+    hyperplane; a pair is adjacent when no third ray's tight set contains
+    their common one.  Every ray is a gcd-reduced integer vector and every
+    slack an integer product; Fractions are made only for the result.
+
+    No ray with w > 0 means the polytope is empty.  Otherwise a lineality
+    vector or a ray with w = 0 is a direction in which it is unbounded, and
+    UnboundedError names the first coordinate in which one is nonzero.
     """
     if p.dim > VERTEX_DIM_CAP:
         raise CapExceededError(f"dimension {p.dim} exceeds the vertex enumeration cap {VERTEX_DIM_CAP}")
     if len(p.rows) > VERTEX_ROW_CAP:
         raise CapExceededError(f"{len(p.rows)} rows exceed the vertex enumeration cap {VERTEX_ROW_CAP}")
 
-    lows, highs = _propagated_box(p)
-    try:
-        for j in range(p.dim):
-            unit, _ = dense_row(p.dim, {j: 1})
-            if lows[j] is None:
-                lows[j] = rational_simplex(p, unit, "min")[0]
-            if highs[j] is None:
-                highs[j] = rational_simplex(p, unit, "max")[0]
-    except InfeasibleError:
-        return []
-    except UnboundedError as exc:
-        raise UnboundedError(f"polytope is unbounded in coordinate {j}") from exc
-
-    # seed simplex strictly containing the box, so its rows are never
-    # tight at a true vertex: bit j is the row x_j >= lo_j, bit dim the
-    # row sum(x) <= sum(lo) + reach.  The corner is tight on every lower
-    # row; spike j trades lower row j for the sum row.  Every tight mask
-    # after these is derived from an edge, never by re-dotting the rows.
-    lo = [v - 1 for v in lows]
-    reach = sum((h - l for h, l in zip(highs, lo)), Fraction(0)) + 1
-    lower = (1 << p.dim) - 1
-    # keyed by tight mask: a vertex is the one point its tight rows fix,
-    # so distinct vertices have distinct masks
-    vertices: dict[int, tuple[int, ...]] = {lower: _homogeneous(lo)}
-    for j in range(p.dim):
-        vertices[lower & ~(1 << j) | 1 << p.dim] = _homogeneous((*lo[:j], lo[j] + reach, *lo[j + 1:]))
-
-    for k, (coeffs, b) in enumerate(p.integer_rows):
-        bit = 1 << (p.dim + 1 + k)
-        row = (*(-c for c in coeffs), b)  # slack b*w - a.x as one product with (x, w)
+    size = p.dim + 1
+    lineality = [tuple(int(i == j) for i in range(size)) for j in range(size)]
+    # keyed by tight mask, bit k for the k-th row inserted: distinct rays of
+    # a cone pointed modulo its lineality have distinct tight sets
+    rays: dict[int, tuple[int, ...]] = {}
+    # each row as (-a, b), so a slack b*w - a.x is one product with (x, w)
+    rows = [(0,) * p.dim + (1,), *((*(-c for c in coeffs), b) for coeffs, b in p.integer_rows)]
+    for k, row in enumerate(rows):
+        bit = 1 << k
+        slacks = [sum(map(mul, row, l)) for l in lineality]
+        if any(slacks):
+            i = next(i for i, s in enumerate(slacks) if s)
+            pivot, s = lineality.pop(i), slacks.pop(i)
+            if s < 0:
+                pivot, s = tuple(-x for x in pivot), -s
+            lineality = [_combination(s, l, t, pivot) if t else l for l, t in zip(lineality, slacks)]
+            rays = {mask | bit: _combination(s, u, t, pivot) if (t := sum(map(mul, row, u))) else u
+                    for mask, u in rays.items()}
+            # lineality is tight on every row inserted so far
+            rays[bit - 1] = pivot
+            continue
         plus: list[tuple[tuple[int, ...], int, int]] = []
         minus: list[tuple[tuple[int, ...], int, int]] = []
         kept: dict[int, tuple[int, ...]] = {}
-        for mask, point in vertices.items():
-            slack = sum(map(mul, row, point))
+        for mask, u in rays.items():
+            slack = sum(map(mul, row, u))
             if slack > 0:
-                plus.append((point, mask, slack))
-                kept[mask] = point
+                plus.append((u, mask, slack))
+                kept[mask] = u
             elif slack == 0:
-                kept[mask | bit] = point
+                kept[mask | bit] = u
             else:
-                minus.append((point, mask, slack))
-        if not minus:
-            vertices = kept
-            continue
-        masks = list(vertices)
-        need = p.dim - 1
-        for u, mu, su in plus:
-            for v, mv, sv in minus:
-                common = mu & mv
-                if common.bit_count() < need:
-                    continue
-                if any(m & common == common and m != mu and m != mv for m in masks):
-                    continue
-                # a row feasible at both ends and tight inside the segment
-                # is tight along all of it, so the new vertex su*v - sv*u,
-                # whose slack on the new row is zero and whose w is
-                # positive as su > 0 > sv, is tight exactly on common and
-                # the new row
-                point = [su * c - sv * a for a, c in zip(u, v)]
-                if (g := gcd(*point)) != 1:
-                    point = [x // g for x in point]
-                kept[common | bit] = tuple(point)
-        vertices = kept
-        if not vertices:
+                minus.append((u, mask, slack))
+        if minus:
+            masks = list(rays)
+            need = p.dim - 1 - len(lineality)
+            for u, mu, su in plus:
+                for v, mv, sv in minus:
+                    common = mu & mv
+                    if common.bit_count() < need:
+                        continue
+                    if any(m & common == common and m != mu and m != mv for m in masks):
+                        continue
+                    # a row feasible at both ends and tight inside the
+                    # segment is tight along all of it, so su*v - sv*u,
+                    # whose slack on the new row is zero, is tight exactly
+                    # on common and the new row
+                    kept[common | bit] = _combination(su, v, sv, u)
+        rays = kept
+        if not rays:
             return []
-    return sorted(tuple(Fraction(x, point[-1]) for x in point[:-1]) for point in vertices.values())
+
+    vertices = [u for u in rays.values() if u[-1]]
+    if not vertices:
+        return []
+    recession = lineality + [u for u in rays.values() if not u[-1]]
+    if recession:
+        j = next(j for j in range(p.dim) if any(u[j] for u in recession))
+        raise UnboundedError(f"polytope is unbounded in coordinate {j}")
+    return sorted(tuple(Fraction(x, u[-1]) for x in u[:-1]) for u in vertices)
 
 
 def affine_rank(points: Sequence[Sequence[Fraction]]) -> int:

@@ -110,10 +110,16 @@ def solve_linear_program(
     Variables are free unless nonneg is set (free variables are split
     internally).  Every coefficient and right-hand side must be an int or
     a Fraction; a float or bool raises ValueError naming its row and
-    column.  Returns an exact optimal value and a witness point, or the
+    column, and a row or objective not n_vars wide one naming the row.
+    Returns an exact optimal value and a witness point, or the
     infeasible/unbounded status.
     """
-    obj, _, obj_den = integer_row(objective or [0] * n_vars, 0, "the objective")
+    def scaled(coeffs: Sequence[Fraction], rhs: Fraction, where: str) -> tuple[list[int], int, int]:
+        if len(coeffs) != n_vars:
+            raise ValueError(f"{where}: width {len(coeffs)}, expected {n_vars}")
+        return integer_row(coeffs, rhs, where)
+
+    obj, _, obj_den = scaled([0] * n_vars if objective is None else objective, 0, "the objective")
     if not minimize:
         obj = [-c for c in obj]
 
@@ -128,7 +134,7 @@ def solve_linear_program(
     rows = []
     for i, (coeffs, b) in enumerate((*ineqs, *eqs)):
         where = f"inequality {i}" if i < n_slack else f"equality {i - n_slack}"
-        rows.append((*integer_row(coeffs, b, where), i < n_slack))
+        rows.append((*scaled(coeffs, b, where), i < n_slack))
     total_structural = width + n_slack
     n_art = sum(1 for _, b, _, is_ineq in rows if b < 0 or not is_ineq)
     total = total_structural + n_art

@@ -5,12 +5,12 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from anglecuts import simplex
 from anglecuts.cuts import build_cpvi, cpvi_from_json, cpvi_to_json, cvi_from_json, cvi_to_json
-from anglecuts.errors import AllPatternsInfeasibleError, CapExceededError, UnboundedError
+from anglecuts.errors import AllPatternsInfeasibleError, CapExceededError, InfeasibleError, UnboundedError
 from anglecuts.extended import build_extended
 from anglecuts.graph import fundamental_cycle_basis, split_cycle
 from anglecuts.milp import MilpModel
@@ -202,6 +202,53 @@ RATIONAL = st.fractions(min_value=-4, max_value=4, max_denominator=12)
 
 
 @st.composite
+def any_polytope(draw):
+    """Rows over dims 0-4 that may leave the polytope empty, unbounded or
+    of lower rank: box rows on some sides, rational and zero rows, right-hand
+    sides of either sign, coordinates no row touches, all shuffled."""
+    dim = draw(st.integers(0, 4))
+    untouched = draw(st.sets(st.integers(0, dim - 1), max_size=dim)) if dim else set()
+    rows = []
+    for j in sorted(set(range(dim)) - untouched):
+        for sign in sorted(draw(st.sets(st.sampled_from((1, -1))))):
+            rows.append((tuple(F(sign if i == j else 0) for i in range(dim)), draw(RATIONAL)))
+    for _ in range(draw(st.integers(0, 4))):
+        zero = draw(st.integers(0, 9)) == 0
+        coeffs = tuple(F(0) if zero or j in untouched else draw(RATIONAL) for j in range(dim))
+        rows.append((coeffs, draw(RATIONAL)))
+    return draw(st.permutations(rows)), dim
+
+
+def _reference_vertices(rows, dim):
+    """[] when the LP finds no point, else the message naming the first
+    coordinate with no LP minimum or maximum, else the basis enumeration."""
+    poly = HPolytope(tuple(rows), dim)
+    try:
+        rational_simplex(poly, [F(0)] * dim)
+    except InfeasibleError:
+        return []
+    for j in range(dim):
+        for sense in ("min", "max"):
+            try:
+                rational_simplex(poly, [F(int(i == j)) for i in range(dim)], sense)
+            except UnboundedError:
+                return f"polytope is unbounded in coordinate {j}"
+    return brute_vertices(rows, dim)
+
+
+@settings(max_examples=300, derandomize=True)
+@given(any_polytope())
+def test_vertices_match_the_lp_and_basis_references(case):
+    rows, dim = case
+    expected = _reference_vertices(rows, dim)
+    if isinstance(expected, str):
+        with pytest.raises(UnboundedError, match=f"^{expected}$"):
+            enumerate_vertices(HPolytope(tuple(rows), dim))
+    else:
+        assert enumerate_vertices(HPolytope(tuple(rows), dim)) == expected
+
+
+@st.composite
 def polytope_and_point(draw):
     """Rows with rational coefficients and a rational or integer point,
     some rows passing exactly through the point."""
@@ -229,6 +276,15 @@ def test_first_violated_matches_the_rational_rows(case):
     ((((F(1), False), F(1)),), "row 0, column 1"),
 ], ids=["float-coefficient", "bool-rhs", "bool-coefficient"])
 def test_polytope_refuses_inexact_entries(rows, message):
+    with pytest.raises(ValueError, match=message):
+        HPolytope(rows, 2)
+
+
+@pytest.mark.parametrize("rows, message", [
+    ((((F(1),), F(1)),), "row 0: width 1, expected 2"),
+    ((((F(1), F(0)), F(1)), ((F(0), F(1), F(0)), F(1))), "row 1: width 3, expected 2"),
+], ids=["short-row", "long-row"])
+def test_polytope_refuses_rows_of_the_wrong_width(rows, message):
     with pytest.raises(ValueError, match=message):
         HPolytope(rows, 2)
 

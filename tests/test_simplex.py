@@ -78,6 +78,17 @@ def test_refuses_inexact_entries(lp, message):
         solve_linear_program(1, **lp)
 
 
+@pytest.mark.parametrize("n_vars, lp, message", [
+    (2, dict(ineqs=[([F(1)], F(1))]), "inequality 0: width 1, expected 2"),
+    (2, dict(ineqs=[([F(1), F(0)], F(1))], eqs=[([F(1), F(0), F(0)], F(0))]), "equality 0: width 3, expected 2"),
+    (2, dict(ineqs=[([F(1), F(0)], F(1))], objective=[F(1)]), "the objective: width 1, expected 2"),
+    (1, dict(ineqs=[([F(1)], F(1))], objective=[F(1), F(1)]), "the objective: width 2, expected 1"),
+], ids=["short-inequality", "long-equality", "short-objective", "long-objective"])
+def test_refuses_rows_of_the_wrong_width(n_vars, lp, message):
+    with pytest.raises(ValueError, match=message):
+        solve_linear_program(n_vars, **lp)
+
+
 def test_accepts_int_entries():
     result = solve_linear_program(1, [([2], 3), ([-1], 0)], [], [1], minimize=False)
     assert result == LPResult("optimal", F(3, 2), (F(3, 2),))
