@@ -9,6 +9,7 @@ Exit codes: 0 success or all certificates pass, 1 domain failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -249,6 +250,7 @@ def cmd_certify(args) -> int:
     return EXIT_OK if all_pass else EXIT_DOMAIN
 
 
+@functools.cache  # one per process: in-process callers run main many times
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="anglecuts", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

@@ -9,10 +9,14 @@ Two families over a cycle of the network:
   flow over any line subset of the cycle (``CutCVI``).
 
 Both separators return exactly the cuts violated by more than the
-tolerance, which must be at least 0.  cpvi scales a cycle's weights and
-angles to integers and grows the lighter arc from every anchor bus,
-stopping once twice the arc weight passes the cycle's and screening out
-a pair whose angle spread is at most the arc weight.  For cvi, with
+tolerance, which must be at least 0.  cpvi scales the weights, angles,
+M and tolerance to integers over one denominator and 1 - y over another,
+once per call, and grows the lighter arc S from every anchor bus,
+stopping once twice the arc weight passes the cycle's.  A pair whose
+angle spread is at most w_S is screened out; for the rest the walk
+tests the spread against the cut's right-hand side at the point,
+w_S + (w_L - w_S) a_S + (M - w_L) a_L with a_X the sum of 1 - y over
+arc X, and builds only violated cuts.  For cvi, with
 K = |C| - 1 - sum of y over C, either sign's violation is modular in the
 subset S: sum over S of (+-s_i f_i x_i - w_i (2K + y_i)) + w(C) K.  A
 depth-first search over the lines drops a subtree when neither sign's
@@ -187,17 +191,17 @@ def build_cvi(net: Network, cycle: Cycle, subset: Iterable[int]) -> CutCVI | Non
     )
 
 
-def _angles(pt: FractionalPoint, buses: Iterable[str]) -> list[Fraction]:
-    """The point's angles at the buses; raises for the first without one."""
+def _angles(theta: Mapping, buses: Iterable[str]) -> list:
+    """The angles at the buses; raises for the first without one."""
     for bus in buses:
-        if bus not in pt.theta:
+        if bus not in theta:
             raise MissingVariableError(f"point has no angle for bus {bus!r}")
-    return [pt.theta[bus] for bus in buses]
+    return [theta[bus] for bus in buses]
 
 
 def cpvi_violation(cut: CutCPVI, pt: FractionalPoint) -> Fraction:
     """|angle difference| minus the cut's right-hand side; positive means violated."""
-    theta_m, theta_n = _angles(pt, cut.pair.pair)
+    theta_m, theta_n = _angles(pt.theta, cut.pair.pair)
     return abs(theta_n - theta_m) - cut.rhs_at(pt.y)
 
 
@@ -221,10 +225,10 @@ def _cycle_is_promising(cycle: Cycle, pt: FractionalPoint) -> bool:
     return False
 
 
-def _over_common_denominator(values: Sequence[Fraction]) -> list[int]:
-    """The values times the least common multiple of their denominators."""
+def _over_common_denominator(values: Sequence[Fraction]) -> tuple[int, list[int]]:
+    """The least common multiple of the values' denominators, and the values times it."""
     scale = lcm(*(v.denominator for v in values))
-    return [v.numerator * (scale // v.denominator) for v in values]
+    return scale, [v.numerator * (scale // v.denominator) for v in values]
 
 
 def _sort_key(entry):
@@ -242,42 +246,56 @@ def separate_cpvi(
     pt: FractionalPoint,
     config: SeparationConfig = SeparationConfig(),
 ) -> list[tuple[CutCPVI, Fraction]]:
-    """Find violated path-based cuts at a fractional point, by the arc walk
-    of the module docstring.  Returns (cut, violation) pairs with violation
-    above the tolerance, most violated first.
+    """Find violated path-based cuts at a fractional point, by the exact arc
+    walk of the module docstring.  Returns (cut, violation) pairs with
+    violation above the tolerance, most violated first.  Of two equal arcs,
+    the one holding the cycle's smallest line is the shorter, as in
+    split_cycle.  A missing angle raises when its cycle is reached, a
+    missing y (the cycle's smallest) once a pair of its cycle passes the
+    spread screen.
     """
     from .bounds import global_big_m
 
     big_m = global_big_m(net)
-    found: dict[tuple, tuple[CutCPVI, Fraction]] = {}
+    # weights, angles, M and the tolerance over one denominator, 1 - y over another
+    scale, scaled = _over_common_denominator([big_m, config.tolerance, *pt.theta.values(), *(line.weight for line in net.lines)])
+    (m_scaled, tolerance), theta, weight_of = scaled[:2], dict(zip(pt.theta, scaled[2:])), scaled[2 + len(pt.theta) :]
+    slack_scale, scaled = _over_common_denominator([1 - v for v in pt.y.values()])
+    slack_of, tolerance = dict(zip(pt.y, scaled)), tolerance * slack_scale
+    found: dict[tuple, tuple] = {}  # by cycle lines and pair: a cycle listed twice gives its cuts once
     for cycle in cycles:
         if config.fractional_cycles_only and not _cycle_is_promising(cycle, pt):
             continue
         size = len(cycle.buses)
-        scaled = _over_common_denominator([*(net.lines[i].weight for i in cycle.lines), *_angles(pt, cycle.buses)])
-        weights, angles = scaled[:size], scaled[size:]
-        total = sum(weights)
+        angles = _angles(theta, cycle.buses)
+        weights = [weight_of[i] for i in cycle.lines]
+        slacks = [slack_of.get(i, 0) for i in cycle.lines]
+        missing = min((i for i in cycle.lines if i not in slack_of), default=None)
+        first = cycle.lines.index(min(cycle.lines))
+        total, total_slack = sum(weights), sum(slacks)
         for anchor_pos in range(size):
-            m = cycle.buses[anchor_pos]
-            arc_weight = 0
+            arc_weight = arc_slack = 0
             for step in range(1, size):
                 pos = (anchor_pos + step) % size
                 arc_weight += weights[pos - 1]
+                arc_slack += slacks[pos - 1]
                 if 2 * arc_weight > total:
                     break
-                if abs(angles[pos] - angles[anchor_pos]) <= arc_weight:
-                    continue  # screening: the cut cannot be violated here
-                n = cycle.buses[pos]
-                key = (cycle.lines, frozenset((m, n)))
-                if key in found:
-                    continue
-                lo, hi = sorted((m, n), key=net.bus_index.__getitem__)
-                pair = split_cycle(net, cycle, lo, hi)
-                cut = build_cpvi(pair, big_m)
-                violation = cpvi_violation(cut, pt)
-                if violation > config.tolerance:
-                    found[key] = (cut, violation)
-    return sorted(found.values(), key=_sort_key)
+                spread = abs(angles[pos] - angles[anchor_pos])
+                if spread <= arc_weight:
+                    continue  # the spread screen: for y in [0, 1] the right-hand side is at least w_S
+                if missing is not None:
+                    raise MissingVariableError(f"point has no y value for line {missing}")
+                if 2 * arc_weight == total and (first - anchor_pos) % size >= step:
+                    continue  # the longer of two equal arcs: the pair is met from its other end
+                short_part = arc_weight * slack_scale + (total - 2 * arc_weight) * arc_slack  # w_S + drho a_S
+                long_part = (m_scaled - total + arc_weight) * (total_slack - arc_slack)  # dm a_L
+                excess = spread * slack_scale - short_part - long_part
+                if excess > tolerance:
+                    ends = sorted((cycle.buses[anchor_pos], cycle.buses[pos]), key=net.bus_index.__getitem__)
+                    found.setdefault((cycle.lines, *ends), (cycle, ends, Fraction(excess, scale * slack_scale)))
+    cuts = [(build_cpvi(split_cycle(net, cycle, *ends), big_m), violation) for cycle, ends, violation in found.values()]
+    return sorted(cuts, key=_sort_key)
 
 
 def _violated_subsets(net: Network, cycle: Cycle, pt: FractionalPoint, tolerance: Fraction) -> list[tuple[int, ...]]:
@@ -288,7 +306,7 @@ def _violated_subsets(net: Network, cycle: Cycle, pt: FractionalPoint, tolerance
     k = size - 1 - sum((pt.y[i] for i in lines), Fraction(0))
     flows = [signs[i] * pt.f[i] * net.lines[i].reactance for i in lines]
     slopes = [net.lines[i].weight * (2 * k + pt.y[i]) for i in lines]
-    scaled = _over_common_denominator([*(f - a for f, a in zip(flows, slopes)), *(-f - a for f, a in zip(flows, slopes)),
+    _, scaled = _over_common_denominator([*(f - a for f, a in zip(flows, slopes)), *(-f - a for f, a in zip(flows, slopes)),
                                        *(net.lines[i].weight for i in lines), cycle.total_weight * k - tolerance])
     plus, minus, weights, base = scaled[:size], scaled[size : 2 * size], scaled[2 * size : -1], scaled[-1]
     # what lines j on can still add: each sign's positive terms, and weight
@@ -310,17 +328,30 @@ def _violated_subsets(net: Network, cycle: Cycle, pt: FractionalPoint, tolerance
     return found
 
 
+def _check_cvi_entries(net: Network, cycle: Cycle, pt: FractionalPoint) -> None:
+    """Raise what cvi_violation raises first over the cycle's nontrivial
+    subsets by size, then cycle position.  The whole cycle is nontrivial,
+    so a missing entry always raises."""
+    if pt.f is None:
+        raise MissingVariableError("point carries no flows; the flow-space cut needs f values")
+    no_y = sorted(i for i in cycle.lines if i not in pt.y)
+    if not no_y and all(i in pt.f for i in cycle.lines):
+        return
+    for r in range(1, len(cycle.lines) + 1):
+        for subset in itertools.combinations(cycle.lines, r):
+            no_f = sorted(i for i in subset if i not in pt.f)
+            if (no_f or no_y) and 2 * sum(net.lines[i].weight for i in subset) > cycle.total_weight:
+                gap = f"flow for line {no_f[0]}" if no_f else f"y value for line {no_y[0]}"
+                raise MissingVariableError(f"point has no {gap}")
+
+
 def _cvi_subsets(net: Network, cycle: Cycle, pt: FractionalPoint, tolerance: Fraction) -> Iterable[Iterable[int]]:
     if len(cycle.lines) > CVI_EXHAUSTIVE_CAP:
         # past the cap, only the two-arc partitions (a pair's longer path), each once
         pairs = itertools.combinations(cycle.buses, 2)
         yield from dict.fromkeys(frozenset(split_cycle(net, cycle, m, n).longer.lines) for m, n in pairs)
-    elif pt.f is None or any(i not in pt.f or i not in pt.y for i in cycle.lines):
-        # every subset by size, then cycle position: the caller's cvi_violation
-        # raises for the first missing entry that this order meets
-        for r in range(1, len(cycle.lines) + 1):
-            yield from itertools.combinations(cycle.lines, r)
     else:
+        _check_cvi_entries(net, cycle, pt)
         yield from _violated_subsets(net, cycle, pt, tolerance)
 
 

@@ -102,8 +102,9 @@ def spanning_tree(net: Network) -> frozenset[int]:
     return frozenset(idx for _, idx in _bfs_parents(net).values())
 
 
-def _canonical_cycle(net: Network, line_seq: Sequence[int], bus_seq: Sequence[str]) -> Cycle:
-    """Rotate/reflect so the lowest-index bus leads and direction is fixed."""
+def _canonical_cycle(net: Network, line_seq: Sequence[int], bus_seq: Sequence[str], total: Fraction) -> Cycle:
+    """Rotate/reflect so the lowest-index bus leads and direction is fixed;
+    total is the cycle's weight."""
     n = len(bus_seq)
     order = net.bus_index
     start = min(range(n), key=lambda i: order[bus_seq[i]])
@@ -116,7 +117,6 @@ def _canonical_cycle(net: Network, line_seq: Sequence[int], bus_seq: Sequence[st
         # reflect: keep buses[0], walk the other way round
         buses = [buses[0]] + buses[1:][::-1]
         lines = lines[::-1]
-    total = sum((net.lines[i].weight for i in lines), Fraction(0))
     return Cycle(tuple(lines), tuple(buses), total)
 
 
@@ -125,10 +125,14 @@ def fundamental_cycle_basis(net: Network) -> list[Cycle]:
 
     The list has exactly len(lines) - len(buses) + 1 entries and is
     deterministic (BFS tree from the lowest-index bus, non-tree lines in
-    index order).
+    index order).  A cycle's weight is d(a) + d(b) - 2 d(meet) + w(line),
+    from the tree's root distances d.
     """
     parents = _bfs_parents(net)
     tree = {idx for _, idx in parents.values()}
+    depth = {net.buses[0].id: Fraction(0)}
+    for bus, (parent, idx) in parents.items():  # in BFS order, so each parent comes first
+        depth[bus] = depth[parent] + net.lines[idx].weight
 
     def chain(bus: str) -> tuple[list[tuple[str, int]], list[str]]:
         """Edges (child, tree line) and buses visited walking up to the root."""
@@ -158,7 +162,8 @@ def fundamental_cycle_basis(net: Network) -> list[Cycle]:
             line_seq.append(tidx)
             bus_seq.append(child)
         line_seq.append(idx)
-        cycles.append(_canonical_cycle(net, line_seq, bus_seq))
+        total = depth[line.from_bus] + depth[line.to_bus] - 2 * depth[buses_b[meet_b]] + line.weight
+        cycles.append(_canonical_cycle(net, line_seq, bus_seq, total))
     return cycles
 
 
@@ -269,7 +274,7 @@ def all_simple_cycles(net: Network) -> list[Cycle]:
     def record(line_seq: list[int], bus_seq: list[str]) -> None:
         key = frozenset(line_seq)
         if key not in found:
-            found[key] = _canonical_cycle(net, line_seq, bus_seq)
+            found[key] = _canonical_cycle(net, line_seq, bus_seq, sum((net.lines[i].weight for i in line_seq), Fraction(0)))
             if len(found) > SIMPLE_CYCLE_CAP:
                 raise CapExceededError(f"more than {SIMPLE_CYCLE_CAP} simple cycles")
 

@@ -54,7 +54,6 @@ __all__ = [
     "candidate_hull",
     "ModelLP",
     "model_polytope",
-    "point_in_hull",
     "brute_force_dcots",
     "DcotsResult",
 ]
@@ -522,19 +521,6 @@ def hull_equality(points: Iterable[tuple[Fraction, tuple[int, ...]]], relax: HPo
                 Claim.HULL_EQUALITY, False, {"infeasible_vertex": _point_json(vertex)}
             )
     return CertificateReport(Claim.HULL_EQUALITY, True)
-
-
-def point_in_hull(point: Sequence[Fraction], generators: Sequence[Sequence[Fraction]]) -> bool:
-    """Exact membership of a point in the convex hull of finitely many points."""
-    if not generators:
-        return False
-    dim = len(point)
-    eqs = []
-    for j in range(dim):
-        eqs.append(([Fraction(g[j]) for g in generators], Fraction(point[j])))
-    eqs.append(([Fraction(1)] * len(generators), Fraction(1)))
-    result = solve_linear_program(len(generators), [], eqs, None, nonneg=True)
-    return result.status == "optimal"
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,8 @@ These deliberately avoid the production code paths they are checking:
 path enumeration instead of label-setting search, combinatorial basis
 enumeration instead of incremental insertion, a full pair sweep instead
 of the screened separation walk, every line subset instead of the
-pruned flow-space search, and a dense-tableau simplex that
-updates every column of every pivot.
+pruned flow-space search, hull membership as a feasibility LP, and a
+dense-tableau simplex that updates every column of every pivot.
 """
 
 from __future__ import annotations
@@ -247,6 +247,19 @@ def exhaustive_cvi(net, cycles, pt, tolerance):
                 if violation > tolerance:
                     found[(cycle.lines, cut.subset)] = (cut, violation)
     return found
+
+
+def point_in_hull(point: Sequence[Fraction], generators: Sequence[Sequence[Fraction]]) -> bool:
+    """Exact membership of a point in the convex hull of finitely many points."""
+    if not generators:
+        return False
+    dim = len(point)
+    eqs = []
+    for j in range(dim):
+        eqs.append(([Fraction(g[j]) for g in generators], Fraction(point[j])))
+    eqs.append(([Fraction(1)] * len(generators), Fraction(1)))
+    result = solve_linear_program(len(generators), [], eqs, None, nonneg=True)
+    return result.status == "optimal"
 
 
 # -- the dense exact simplex: the reference for the sparse pivot kernel

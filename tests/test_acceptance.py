@@ -31,11 +31,10 @@ from anglecuts.oracle import (
     integer_points,
     model_polytope,
     pair_relaxation,
-    point_in_hull,
 )
 from anglecuts.simplex import solve_linear_program
 
-from _brute import exhaustive_cpvi, exhaustive_cvi
+from _brute import exhaustive_cpvi, exhaustive_cvi, point_in_hull
 from conftest import DATA, make_net, record_acceptance, ring_net
 
 FIG1 = str(DATA / "fig1.json")

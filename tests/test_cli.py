@@ -763,6 +763,33 @@ def test_outputs_byte_identical_across_runs(capsys, tmp_path):
     assert snapshots[0] == snapshots[1] == snapshots[2]
 
 
+def test_one_parser_serves_interleaved_calls(capsys, tmp_path, small_ring):
+    # main builds its parser once per process; each call in a mixed sequence
+    # must print what it prints when run alone with a parser of its own
+    theta = {f"i{k}": "0" for k in range(6)}
+    theta["i4"] = "3"
+    point = write_point(tmp_path, theta, {str(k): "1" for k in range(6)})
+    calls = [
+        ("cuts", FIG1, "--point", point),
+        ("cuts", FIG1, "--point", point, "--all-cycles", "--tolerance", "1/2"),
+        ("validate", FIG1),
+        ("cuts", FIG1, "--kind", "cpvi"),  # usage error: no --point
+        ("cuts", FIG1, "--point", point, "--tolerance", "3/2"),
+        ("--help",),
+        ("certify", small_ring, "--strict-theorem2"),
+        ("cuts", FIG1, "--point", point, "--all-cycles"),
+    ]
+    alone = {}
+    for argv in calls:
+        cli.build_parser.cache_clear()
+        alone[argv] = run(capsys, *argv)
+    assert {code for code, _, _ in alone.values()} == {0, 1, 2}  # certify --strict-theorem2 refutes a claim
+    cli.build_parser.cache_clear()
+    for argv in calls + calls[::-1] + calls[::2]:
+        assert run(capsys, *argv) == alone[argv], argv
+    assert cli.build_parser.cache_info().misses == 1
+
+
 def test_module_entry_point():
     # the child process imports the package from where this one found it,
     # installed or not

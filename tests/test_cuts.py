@@ -4,7 +4,7 @@ import re
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import anglecuts.cuts
 from anglecuts.bounds import global_big_m
@@ -378,3 +378,143 @@ def test_cvi_pruning_builds_few_cuts(monkeypatch):
     # only violated subsets reach build_cvi
     assert len(built) == len(found) == 30
     assert len(built) < exhaustive / 20
+
+
+def _cpvi_result(call):
+    """The cuts and violations in the order returned, or the message of the
+    MissingVariableError the call raised."""
+    try:
+        return list(call())
+    except MissingVariableError as exc:
+        return str(exc)
+
+
+def _screened_cpvi(net, cycles, pt, tolerance):
+    """exhaustive_cpvi in separate_cpvi's order, raising as separate_cpvi
+    does: a cycle's first bus without an angle when the cycle is reached,
+    its smallest line without a y once a pair's angle spread passes the
+    pair's shorter arc weight."""
+    for cycle in cycles:
+        no_angle = [bus for bus in cycle.buses if bus not in pt.theta]
+        if no_angle:
+            raise MissingVariableError(f"point has no angle for bus {no_angle[0]!r}")
+        no_y = sorted(i for i in cycle.lines if i not in pt.y)
+        pairs = [split_cycle(net, cycle, m, n) for m, n in itertools.combinations(cycle.buses, 2)]
+        if no_y and any(abs(pt.theta[p.pair[1]] - pt.theta[p.pair[0]]) > p.shorter.total_weight for p in pairs):
+            raise MissingVariableError(f"point has no y value for line {no_y[0]}")
+    found = exhaustive_cpvi(net, cycles, pt, tolerance).values()
+    return sorted(found, key=lambda entry: (-entry[1], entry[0].pair.cycle.lines, entry[0].pair.pair))
+
+
+@st.composite
+def cpvi_instances(draw):
+    """A seeded ring of 2 to 8 lines (maybe with a chord) or a grid of up to
+    3x3 buses, with line weights from a short list so that equal arcs are
+    common, and a point over it with y in {0, 1} or fractional that may
+    lack an angle or a y."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        size = rng.randint(2, 8)
+        ends = [(f"b{k}", f"b{(k + 1) % size}") for k in range(size)]
+        if size >= 4 and rng.random() < 0.5:
+            ends.append(("b0", f"b{rng.randint(2, size - 2)}"))
+        ids = [f"b{k}" for k in range(size)]
+    else:
+        rows, cols = rng.randint(2, 3), rng.randint(2, 3)
+        ids = [f"b{r}{c}" for r in range(rows) for c in range(cols)]
+        ends = [(f"b{r}{c}", f"b{r}{c + 1}") for r in range(rows) for c in range(cols - 1)]
+        ends += [(f"b{r}{c}", f"b{r + 1}{c}") for r in range(rows - 1) for c in range(cols)]
+    net = make_net([(bus,) for bus in ids], [(a, b, 1, rng.choice([F(1), F(1), F(2), F(1, 2), F(3, 2)])) for a, b in ends])
+    statuses = [F(0), F(1), F(1), F(1, 2), F(1, 3), F(3, 4)] if draw(st.booleans()) else [F(0), F(1), F(1), F(1)]
+    theta = {bus: F(rng.randint(-12, 12), rng.choice([1, 2, 4])) for bus in ids}
+    y = {k: rng.choice(statuses) for k in range(len(net.lines))}
+    gap = draw(st.sampled_from(["none"] * 4 + ["theta", "y", "y2", "both"]))
+    if gap in ("theta", "both"):
+        del theta[rng.choice(ids)]
+    for _ in range({"y": 1, "y2": 2, "both": 1}.get(gap, 0)):
+        y.pop(rng.randrange(len(net.lines)), None)
+    return net, FractionalPoint(theta, y)
+
+
+@settings(max_examples=300, derandomize=True)
+@given(cpvi_instances(), st.sampled_from([F(0), F(1, 1000000), F(1, 2), F(2)]), st.booleans(), st.booleans())
+def test_separate_cpvi_equals_exhaustive_pairs(instance, tolerance, fractional_only, every_cycle):
+    net, pt = instance
+    cycles = all_simple_cycles(net) if every_cycle else fundamental_cycle_basis(net)
+    config = SeparationConfig(tolerance, fractional_only)
+    scanned = [c for c in cycles if not fractional_only or any(0 < pt.y.get(i, 0) < 1 for i in c.lines)]
+    got = _cpvi_result(lambda: separate_cpvi(net, cycles, pt, config))
+    assert got == _cpvi_result(lambda: _screened_cpvi(net, scanned, pt, tolerance))
+
+
+# (grid seed, every simple cycle, buses without an angle, lines without a
+# y, fractional cycles only) and what separate_cpvi gave before the exact
+# screen: the error message, or the number of cuts
+CPVI_MISSING_ENTRIES = [
+    (3, False, (), (0,), False, 3),  # no pair of line 0's basis cycle passes the spread screen
+    (3, False, (), (0, 7), False, "point has no y value for line 7"),
+    (3, False, ("g22",), (1,), False, "point has no y value for line 1"),
+    (3, False, ("g00",), (1,), False, "point has no angle for bus 'g00'"),
+    (3, False, ("g22", "g12"), (), False, "point has no angle for bus 'g12'"),
+    (3, True, (), (0,), False, "point has no y value for line 0"),
+    (11, False, (), (1,), True, 0),
+    (11, True, (), (9,), False, "point has no y value for line 9"),
+    (11, True, (), (9,), True, 0),
+    (11, False, (), (11, 4), False, "point has no y value for line 4"),
+]
+
+
+@pytest.mark.parametrize("seed, every_cycle, no_theta, no_y, fractional_only, expected", CPVI_MISSING_ENTRIES)
+def test_cpvi_missing_entries_raise_as_before(seed, every_cycle, no_theta, no_y, fractional_only, expected):
+    net, pt = _grid3_point(seed)
+    cycles = all_simple_cycles(net) if every_cycle else fundamental_cycle_basis(net)
+    theta = {bus: v for bus, v in pt.theta.items() if bus not in no_theta}
+    y = {k: v for k, v in pt.y.items() if k not in no_y}
+    got = _cpvi_result(lambda: separate_cpvi(net, cycles, FractionalPoint(theta, y), SeparationConfig(0, fractional_only)))
+    assert (got if isinstance(got, str) else len(got)) == expected
+
+
+@pytest.mark.parametrize("seed", [3, 11, 17, 23])
+@pytest.mark.parametrize("every_cycle", [False, True])
+def test_cpvi_separation_builds_only_returned_cuts(monkeypatch, seed, every_cycle):
+    net, pt = _grid3_point(seed)
+    cycles = all_simple_cycles(net) if every_cycle else fundamental_cycle_basis(net)
+    calls = {"build_cpvi": 0, "split_cycle": 0}
+
+    def counted(name):
+        real = getattr(anglecuts.cuts, name)
+
+        def call(*args):
+            calls[name] += 1
+            return real(*args)
+        return call
+
+    for name in calls:
+        monkeypatch.setattr(anglecuts.cuts, name, counted(name))
+    found = separate_cpvi(net, cycles, pt)
+    assert found and calls == {"build_cpvi": len(found), "split_cycle": len(found)}
+
+
+@pytest.mark.parametrize("weights", [[1, 1, 1, 1], [3, 1, 1, 2, 1], [1, 2, 2, 1, 3, 1], [F(1, 2), 2, 1, 1, F(3, 2), 1, 2]])
+def test_cvi_missing_entries_at_each_cycle_position(weights):
+    # the upfront check names what exhaustive_cvi's first nontrivial subset
+    # meeting a gap raises, for up to two flow and two y gaps anywhere on the ring
+    net = ring_net(weights)
+    cycles = fundamental_cycle_basis(net)
+    lines = range(len(net.lines))
+    theta = {bus.id: F(0) for bus in net.buses}
+    full_y, full_f = {k: F(k % 3, 2) for k in lines}, {k: F(k - 2) for k in lines}
+    up_to_two = [(), *itertools.combinations(lines, 1), *itertools.combinations(lines, 2)]
+    gaps = [(f_gone, y_gone) for f_gone in up_to_two for y_gone in up_to_two][1:]
+    messages, named_smallest = set(), 0
+    for f_gone, y_gone in gaps:
+        y = {k: v for k, v in full_y.items() if k not in y_gone}
+        f = {k: v for k, v in full_f.items() if k not in f_gone}
+        pt = FractionalPoint(theta, y, f)
+        got = _cvi_result(lambda: separate_cvi(net, cycles, pt))
+        assert got == _cvi_result(lambda: exhaustive_cvi(net, cycles, pt, 0).values())
+        messages.add(got)
+        named_smallest += got.endswith(f" {min(f_gone + y_gone)}")
+    # every gap is named in some case, and not always the smallest line with one
+    assert messages == {f"point has no {entry} for line {k}" for entry in ("flow", "y value") for k in lines}
+    assert 0 < named_smallest < len(gaps)

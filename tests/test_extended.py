@@ -12,9 +12,9 @@ from anglecuts.extended import build_extended, eliminate, project_to_cpvi
 from anglecuts.graph import fundamental_cycle_basis, split_cycle
 from anglecuts.milp import MilpModel, build_dcots, lp_text, merge_models
 from anglecuts.network import load_network
-from anglecuts.oracle import enumerate_vertices, integer_points, model_polytope, pair_relaxation, point_in_hull
+from anglecuts.oracle import enumerate_vertices, integer_points, model_polytope, pair_relaxation
 
-from _brute import read_lp_text
+from _brute import point_in_hull, read_lp_text
 from conftest import DATA, ring_net
 
 

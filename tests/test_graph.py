@@ -214,3 +214,25 @@ def test_shortest_path_lengths_checks(fig1):
         shortest_path_lengths(fig1, "nope")
     with pytest.raises(ValueError):
         shortest_path_bound(fig1, "i0", "i0")
+
+
+@st.composite
+def nets_with_parallel_lines(draw):
+    """A random tree over 2 to 8 buses, extra lines between random buses,
+    and parallel copies of some lines, with rational weights."""
+    size = draw(st.integers(2, 8))
+    ids = [f"v{k}" for k in range(size)]
+    ends = [(ids[draw(st.integers(0, k - 1))], ids[k]) for k in range(1, size)]
+    bus = st.sampled_from(ids)
+    ends += [pair for pair in draw(st.lists(st.tuples(bus, bus), max_size=4)) if pair[0] != pair[1]]
+    ends += draw(st.lists(st.sampled_from(ends), min_size=1, max_size=3))  # parallel lines
+    rat = st.fractions(min_value=F(1, 6), max_value=5, max_denominator=6)
+    return make_net([(b,) for b in ids], [(a, b, draw(rat), draw(rat)) for a, b in draw(st.permutations(ends))])
+
+
+@given(nets_with_parallel_lines())
+def test_basis_cycle_weights_are_their_line_sums(net):
+    cycles = fundamental_cycle_basis(net)
+    assert len(cycles) == len(net.lines) - len(net.buses) + 1
+    for cycle in cycles:
+        assert cycle.total_weight == sum(net.lines[i].weight for i in cycle.lines)

@@ -32,12 +32,11 @@ from anglecuts.oracle import (
     local_idealness_certificate,
     model_polytope,
     pair_relaxation,
-    point_in_hull,
     rational_simplex,
 )
 from anglecuts.rational import dot
 
-from _brute import brute_vertices
+from _brute import brute_vertices, point_in_hull
 from conftest import basis_cuts, make_net, ring_net
 
 
