@@ -510,6 +510,19 @@ def test_brute_force_switching_strictly_helps(triangle):
     assert switched.y == {0: 1, 1: 1, 2: 0}
 
 
+@pytest.fixture(scope="module")
+def kite():
+    """Four buses and five lines with fractional reactances, demands and
+    costs, so few model rows lead with 1 or -1: a kernel that measured a
+    row's slack in other units than its leading coefficient's would move
+    the pinned pivot path."""
+    return make_net(
+        [("p", 0, "15/2", "3/4"), ("q", "1/2", 4, "5/2"), ("r", "7/3"), ("s", "5/4")],
+        [("p", "q", "1/2", 3), ("q", "r", "2/3", "5/2"), ("r", "s", "3/4", 2), ("s", "p", "5/3", "7/2"),
+         ("p", "r", "4/3", "3/2")],
+    )
+
+
 PINNED_DCOTS = {
     "triangle": dict(
         cost=F(6),
@@ -524,6 +537,13 @@ PINNED_DCOTS = {
         flows={0: F(1, 2), 1: F(1, 2), 2: F(1, 2), 3: F(-1, 2), 4: F(-1, 2), 5: F(1, 2)},
         angles={"i0": F(0), "i1": F(-1, 2), "i2": F(-1), "i3": F(-3, 2), "i4": F(-1), "i5": F(-1, 2)},
         y={k: 1 for k in range(6)},
+    ),
+    "kite": dict(
+        cost=F(49, 16),
+        generation={"p": F(49, 12), "q": F(0), "r": F(0), "s": F(0)},
+        flows={0: F(2842, 1641), 1: F(4043, 3282), 2: F(269, 1641), 3: F(-7129, 6564), 4: F(4153, 3282)},
+        angles={"p": F(0), "q": F(-1421, 1641), "r": F(-8306, 4923), "s": F(-35645, 19692)},
+        y={k: 1 for k in range(5)},
     ),
 }
 
@@ -540,6 +560,7 @@ def test_brute_force_full_result_pinned(request, name):
 PINNED_PIVOTS = {
     "fig1": (701, "e209fdc6136db7ef57684cfbf257933b52ffa113115b426f9f6c6da23980cf35"),
     "triangle": (43, "2a27b03c428f0be664f0a219edf7b74664d0ca43c7840f397629204d4cb4702e"),
+    "kite": (252, "dd2930e81f3b9ea30b3be10f5fc73856e63abbe9fe8fa58d289f1f166f96949e"),
 }
 
 
