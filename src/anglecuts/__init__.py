@@ -23,7 +23,6 @@ from .graph import (
     fundamental_cycle_basis,
     shortest_path_bound,
     shortest_path_lengths,
-    spanning_tree,
     split_cycle,
 )
 from .milp import MilpModel, build_dcots, lp_text
@@ -44,7 +43,6 @@ from .oracle import (
     integer_points,
     local_idealness_certificate,
     pair_relaxation,
-    rational_simplex,
 )
 
 __version__ = "0.1.0"

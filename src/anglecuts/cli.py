@@ -99,9 +99,6 @@ def _load_point(path: str, net) -> FractionalPoint:
             raise ParseError(f"point file: unknown bus {bus!r}")
         theta[bus] = parse_rational(value, f"theta[{bus}]")
     y = _line_values(doc, "y", net)
-    for key, value in y.items():
-        if not 0 <= value <= 1:
-            raise ParseError(f"point file: y[{key}] outside [0, 1]")
     flows = None if doc.get("f") is None else _line_values(doc, "f", net)
     return FractionalPoint(theta=theta, y=y, f=flows)
 

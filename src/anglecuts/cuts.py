@@ -29,7 +29,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
@@ -40,7 +39,7 @@ from .errors import (
 )
 from .graph import Cycle, CyclePathPair, cycle_orientation_signs, split_cycle
 from .network import Network
-from .rational import format_rational, parse_rational
+from .rational import format_rational, integer_row, parse_rational
 
 __all__ = [
     "CutCPVI",
@@ -104,7 +103,8 @@ class CutCVI:
 
 @dataclass(frozen=True)
 class FractionalPoint:
-    """An LP point to separate: angles by bus id, y (and optionally f) by line index."""
+    """An LP point to separate: angles by bus id, y in [0, 1] (and
+    optionally f) by line index."""
 
     theta: Mapping[str, Fraction]
     y: Mapping[int, Fraction]
@@ -115,6 +115,9 @@ class FractionalPoint:
             for key, value in (getattr(self, name) or {}).items():
                 if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
                     raise ValueError(f"point {name}[{key!r}] = {value!r} is not an exact rational")
+        for key, value in self.y.items():
+            if not 0 <= value <= 1:
+                raise ValueError(f"point y[{key!r}] = {value} is outside [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -225,12 +228,6 @@ def _cycle_is_promising(cycle: Cycle, pt: FractionalPoint) -> bool:
     return False
 
 
-def _over_common_denominator(values: Sequence[Fraction]) -> tuple[int, list[int]]:
-    """The least common multiple of the values' denominators, and the values times it."""
-    scale = lcm(*(v.denominator for v in values))
-    return scale, [v.numerator * (scale // v.denominator) for v in values]
-
-
 def _sort_key(entry):
     cut, violation = entry
     if isinstance(cut, CutCPVI):
@@ -257,10 +254,10 @@ def separate_cpvi(
     from .bounds import global_big_m
 
     big_m = global_big_m(net)
-    # weights, angles, M and the tolerance over one denominator, 1 - y over another
-    scale, scaled = _over_common_denominator([big_m, config.tolerance, *pt.theta.values(), *(line.weight for line in net.lines)])
+    # weights, angles, M and the tolerance over their least common denominator, 1 - y over its own
+    scaled, scale = integer_row([big_m, config.tolerance, *pt.theta.values(), *(line.weight for line in net.lines)], 1, "point")
     (m_scaled, tolerance), theta, weight_of = scaled[:2], dict(zip(pt.theta, scaled[2:])), scaled[2 + len(pt.theta) :]
-    slack_scale, scaled = _over_common_denominator([1 - v for v in pt.y.values()])
+    scaled, slack_scale = integer_row([1 - v for v in pt.y.values()], 1, "point")
     slack_of, tolerance = dict(zip(pt.y, scaled)), tolerance * slack_scale
     found: dict[tuple, tuple] = {}  # by cycle lines and pair: a cycle listed twice gives its cuts once
     for cycle in cycles:
@@ -306,8 +303,8 @@ def _violated_subsets(net: Network, cycle: Cycle, pt: FractionalPoint, tolerance
     k = size - 1 - sum((pt.y[i] for i in lines), Fraction(0))
     flows = [signs[i] * pt.f[i] * net.lines[i].reactance for i in lines]
     slopes = [net.lines[i].weight * (2 * k + pt.y[i]) for i in lines]
-    _, scaled = _over_common_denominator([*(f - a for f, a in zip(flows, slopes)), *(-f - a for f, a in zip(flows, slopes)),
-                                       *(net.lines[i].weight for i in lines), cycle.total_weight * k - tolerance])
+    scaled, _ = integer_row([*(f - a for f, a in zip(flows, slopes)), *(-f - a for f, a in zip(flows, slopes)),
+                             *(net.lines[i].weight for i in lines), cycle.total_weight * k - tolerance], 1, "point")
     plus, minus, weights, base = scaled[:size], scaled[size : 2 * size], scaled[2 * size : -1], scaled[-1]
     # what lines j on can still add: each sign's positive terms, and weight
     ahead = [(sum(max(v, 0) for v in plus[j:]), sum(max(v, 0) for v in minus[j:]), sum(weights[j:])) for j in range(size + 1)]

@@ -45,9 +45,5 @@ class UnboundedError(AngleCutsError):
     """The linear program or polytope is unbounded."""
 
 
-class InfeasibleError(AngleCutsError):
-    """The linear program has no feasible point."""
-
-
 class AllPatternsInfeasibleError(AngleCutsError):
     """Every switching pattern of the brute-force enumeration was infeasible."""

@@ -1,7 +1,7 @@
 """Pure graph algorithms over a loaded network.
 
-Spanning trees, the fundamental cycle basis, weighted shortest paths on
-line subsets, and splitting a cycle at a bus pair into its two
+The fundamental cycle basis over a BFS spanning tree, weighted shortest
+paths on line subsets, and splitting a cycle at a bus pair into its two
 complementary arcs.  Everything here is a pure function of immutable
 inputs; weights are exact rationals throughout.
 """
@@ -20,7 +20,6 @@ __all__ = [
     "Path",
     "Cycle",
     "CyclePathPair",
-    "spanning_tree",
     "fundamental_cycle_basis",
     "shortest_path_lengths",
     "shortest_path_bound",
@@ -95,11 +94,6 @@ def _bfs_parents(net: Network) -> dict[str, tuple[str, int]]:
         if bus.id not in reached:
             raise DisconnectedError(f"bus {bus.id!r} unreachable from {root!r}")
     return parents
-
-
-def spanning_tree(net: Network) -> frozenset[int]:
-    """Lines of the BFS spanning tree rooted at the lowest-index bus."""
-    return frozenset(idx for _, idx in _bfs_parents(net).values())
 
 
 def _canonical_cycle(net: Network, line_seq: Sequence[int], bus_seq: Sequence[str], total: Fraction) -> Cycle:

@@ -16,7 +16,6 @@ import io
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 # pair_bound is unused here but stays a module attribute: bench/layers.py wraps it by this name
@@ -24,7 +23,7 @@ from .bounds import global_big_m, pair_bound, pair_bounds  # noqa: F401
 from .cuts import CutCPVI, CutCVI
 from .errors import ValidationError
 from .network import Network, parallel_ordinals
-from .rational import format_rational
+from .rational import format_rational, integer_row
 
 __all__ = [
     "MilpVariable",
@@ -262,8 +261,8 @@ def _render(values: Sequence[Fraction]) -> tuple[list[str], int | None]:
     texts = [_plain(v) for v in values]
     if all(t is not None and len(t.lstrip("-").replace(".", "").lstrip("0")) <= MAX_PLAIN_DIGITS for t in texts):
         return texts, None
-    scale = lcm(*(v.denominator for v in values))
-    return [str(v.numerator * (scale // v.denominator)) for v in values], scale
+    nums, scale = integer_row(values, 1, "row")  # the values over their least common denominator
+    return [str(v) for v in nums], scale
 
 
 def _expr(names: Sequence[str], texts: Sequence[str]) -> str:

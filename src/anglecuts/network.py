@@ -8,7 +8,7 @@ rationals (see the JSON schema in the README: decimal strings or "p/q").
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Mapping
@@ -71,10 +71,6 @@ class Network:
             adj[line.from_bus].append(idx)
             adj[line.to_bus].append(idx)
         return {bus: tuple(idxs) for bus, idxs in adj.items()}
-
-    def with_all_lines_fixed(self) -> "Network":
-        """Copy with every line non-switchable (y fixed to 1)."""
-        return Network(self.buses, tuple(replace(ln, switchable=False) for ln in self.lines))
 
 
 def _validate(buses: tuple[Bus, ...], lines: tuple[Line, ...]) -> None:

@@ -9,30 +9,27 @@ CapExceededError rather than degrade.
 The per-pair relaxation and every hull candidate are models read by
 ``model_polytope``; a candidate's rows are elimination branches of the lifted model.
 The certificates take the relaxation and its integer points, built once per pair.
+Every row, from ``ModelLP`` to ``HPolytope`` and the simplex, is a primitive
+integer row (``rational.integer_row``).
 """
 
 from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from operator import mul
 from typing import Container, Iterable, Iterator, Mapping, Sequence
 
 from .cuts import CutCPVI, CutCVI
-from .errors import (
-    AllPatternsInfeasibleError,
-    CapExceededError,
-    InfeasibleError,
-    UnboundedError,
-)
+from .errors import AllPatternsInfeasibleError, CapExceededError, UnboundedError
 from .extended import eliminate
 from .graph import CyclePathPair
 from .milp import MilpConstraint, MilpModel, build_dcots, dcots_names, fixed_topology
 from .network import Network
-from .rational import dense_row, dot, format_rational, integer_row, matrix_rank
+from .rational import format_rational, integer_row, matrix_rank
 from .simplex import Row, solve_linear_program
 
 __all__ = [
@@ -42,7 +39,6 @@ __all__ = [
     "integer_points",
     "enumerate_vertices",
     "affine_rank",
-    "rational_simplex",
     "facet_certificate",
     "full_dimension_certificate",
     "hull_equality",
@@ -76,41 +72,34 @@ HULL_CANDIDATES = {
 
 @dataclass(frozen=True)
 class HPolytope:
-    """Rows a.x <= b over a fixed dimension, exact rationals only.
+    """Rows a.x <= b over a fixed dimension, each kept as its primitive
+    integer row, which the membership tests and vertex enumeration read.
 
-    Each row is also kept scaled to integers, ``integer_rows``, which the
-    membership tests and vertex enumeration read; a float or bool entry
-    raises ValueError naming its row and column, and a row not ``dim``
-    wide one naming the row."""
+    The constructor takes exact rationals: a float or bool entry raises
+    ValueError naming its row and column, and a row not ``dim`` wide one
+    naming the row."""
 
-    rows: tuple[tuple[tuple[Fraction, ...], Fraction], ...]
+    rows: tuple[tuple[tuple[int, ...], int], ...]
     dim: int
-    integer_rows: tuple[tuple[tuple[int, ...], int], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        scaled = []
+        rows = []
         for k, (coeffs, b) in enumerate(self.rows):
             if len(coeffs) != self.dim:
                 raise ValueError(f"row {k}: width {len(coeffs)}, expected {self.dim}")
-            nums, rhs, _ = integer_row(coeffs, b, f"row {k}")
-            scaled.append((tuple(nums), rhs))
-        object.__setattr__(self, "integer_rows", tuple(scaled))
+            nums, rhs = integer_row(coeffs, b, f"row {k}")
+            rows.append((tuple(nums), rhs))
+        object.__setattr__(self, "rows", tuple(rows))
 
     def contains(self, point: Sequence[Fraction]) -> bool:
         return self.first_violated(point) is None
 
     def first_violated(self, point: Sequence[Fraction]):
-        *x, w = _homogeneous(point)
-        for k, (coeffs, b) in enumerate(self.integer_rows):
+        x, w = integer_row(point, 1, "point")  # the point as integers x / w
+        for k, (coeffs, b) in enumerate(self.rows):
             if sum(map(mul, coeffs, x)) > b * w:
                 return k
         return None
-
-
-def _homogeneous(point: Sequence[Fraction]) -> tuple[int, ...]:
-    """The point as integers (x, w) over its least common denominator w > 0."""
-    x, _, w = integer_row(point, 0, "point")
-    return (*x, w)
 
 
 class Claim(enum.Enum):
@@ -148,16 +137,17 @@ def integer_points(relax: HPolytope) -> list[tuple[Fraction, tuple[int, ...]]]:
     pattern, the exact implied bound at both signs plus an interior point at zero.
 
     The bound is the least right-hand side of the relaxation's upper
-    angle rows with y fixed to the pattern.  Points are (angle
-    difference, activity bits in cycle-line order).
+    angle rows, those with a positive angle coefficient, with y fixed
+    to the pattern and the row divided by that coefficient.  Points are
+    (angle difference, activity bits in cycle-line order).
     """
     size = relax.dim - 1
     if size > INTEGER_POINT_CAP:
         raise CapExceededError(f"cycle size {size} exceeds the integer enumeration cap {INTEGER_POINT_CAP}")
-    upper = [(coeffs[1:], b) for coeffs, b in relax.rows if coeffs[0] == 1]
+    upper = [(coeffs[0], coeffs[1:], b) for coeffs, b in relax.rows if coeffs[0] > 0]
     points = []
     for bits in itertools.product((0, 1), repeat=size):
-        bound = min(b - dot(slopes, bits) for slopes, b in upper)
+        bound = min(Fraction(b - sum(map(mul, slopes, bits)), lead) for lead, slopes, b in upper)
         points += [(bound, bits), (-bound, bits), (Fraction(0), bits)]
     return points
 
@@ -178,7 +168,7 @@ def enumerate_vertices(p: HPolytope) -> list[tuple[Fraction, ...]]:
     """All vertices of a bounded polytope, exactly, sorted; [] when it is empty.
 
     The double description method on the cone {(x, w) : a.x <= b*w, w >= 0},
-    read from the polytope's ``integer_rows``, whose rays with w > 0 are the
+    read from the polytope's integer rows, whose rays with w > 0 are the
     vertices x/w.  It starts from the whole space, a lineality basis of unit
     vectors and no rays, and inserts w >= 0 and then the rows in order.  A
     row that some lineality vector does not annihilate is a Gaussian step:
@@ -205,7 +195,7 @@ def enumerate_vertices(p: HPolytope) -> list[tuple[Fraction, ...]]:
     # a cone pointed modulo its lineality have distinct tight sets
     rays: dict[int, tuple[int, ...]] = {}
     # each row as (-a, b), so a slack b*w - a.x is one product with (x, w)
-    rows = [(0,) * p.dim + (1,), *((*(-c for c in coeffs), b) for coeffs, b in p.integer_rows)]
+    rows = [(0,) * p.dim + (1,), *((*(-c for c in coeffs), b) for coeffs, b in p.rows)]
     for k, row in enumerate(rows):
         bit = 1 << k
         slacks = [sum(map(mul, row, l)) for l in lineality]
@@ -270,22 +260,6 @@ def affine_rank(points: Sequence[Sequence[Fraction]]) -> int:
     return matrix_rank(diffs)
 
 
-def rational_simplex(p: HPolytope, objective: Sequence[Fraction], sense: str = "min"):
-    """Exact optimum of a linear objective over the polytope.
-
-    Raises InfeasibleError or UnboundedError; otherwise returns the
-    optimal value and a witness point.
-    """
-    if sense not in ("min", "max"):
-        raise ValueError("sense must be 'min' or 'max'")
-    result = solve_linear_program(p.dim, p.rows, [], list(objective), minimize=(sense == "min"))
-    if result.status == "infeasible":
-        raise InfeasibleError("no feasible point")
-    if result.status == "unbounded":
-        raise UnboundedError("objective is unbounded over the polytope")
-    return result.value, result.point
-
-
 # ---------------------------------------------------------------------------
 # certificates
 
@@ -342,25 +316,28 @@ class ModelLP:
     in model order.  The columns, their bound rows (an upper, then a lower
     row per variable) and the objective are read once; ``rows`` reads rows
     under a substitution: variable -> (terms, constant) over the columns,
-    which must keep the variable's bounds and stay out of the objective."""
+    which must keep the variable's bounds and stay out of the objective.
+    Every row, bounds included, is a primitive integer row; the objective
+    keeps its exact rationals."""
 
     def __init__(self, model: MilpModel, substituted: Container[str] = ()):
         kept = [var for var in model.variables if var.name not in substituted]
         self.columns = {var.name: j for j, var in enumerate(kept)}  # name -> index, in model order
-        self.bounds = [dense_row(len(kept), {j: sign}, sign * bound) for j, var in enumerate(kept)
-                       for sign, bound in ((1, var.upper), (-1, var.lower)) if bound is not None]
-        self.objective = dense_row(len(kept), {self.columns[var]: c for var, c in model.objective})[0]
+        self.bounds = [integer_row([sign if k == j else 0 for k in range(len(kept))], sign * bound, f"bound of {var.name!r}")
+                       for j, var in enumerate(kept) for sign, bound in ((1, var.upper), (-1, var.lower))
+                       if bound is not None]
+        objective = dict(model.objective)
+        self.objective = [objective.get(var.name, 0) for var in kept]
 
     def rows(self, constraints: Iterable[MilpConstraint], subst: Mapping) -> tuple[list[Row], list[Row]]:
         """The '<=' rows and the '=' rows among constraints under subst, each
-        scaled to a leading coefficient of 1 or -1.  A row left with no term
-        is dropped when it holds; one that fails stays, so the LP is
-        infeasible."""
+        as its primitive integer row.  A row left with no term is dropped
+        when it holds; one that fails stays, so the LP is infeasible."""
         ineqs, eqs = [], []
         for con in constraints:
             if con.sense not in ("<=", "="):
                 raise ValueError(f"row {con.name!r} has sense {con.sense!r}; only '<=' and '=' rows are read")
-            entries: dict[int, Fraction] = {}
+            coeffs: list[Fraction | int] = [0] * len(self.columns)
             rhs = con.rhs
             for var, c in con.coeffs:
                 if var in subst:
@@ -371,19 +348,15 @@ class ModelLP:
                 else:
                     terms = [(self.columns[var], c)]
                 for j, v in terms:
-                    entries[j] = entries[j] + v if j in entries else v
-            entries = {j: v for j, v in entries.items() if v}
-            if entries and (lead := abs(entries[min(entries)])) != 1:
-                entries = {j: v / lead for j, v in entries.items()}
-                rhs /= lead
-            if entries or rhs < 0 or (rhs != 0 and con.sense == "="):
-                (eqs if con.sense == "=" else ineqs).append(dense_row(len(self.columns), entries, rhs))
+                    coeffs[j] = coeffs[j] + v if coeffs[j] else v
+            if any(coeffs) or rhs < 0 or (rhs != 0 and con.sense == "="):
+                (eqs if con.sense == "=" else ineqs).append(integer_row(coeffs, rhs, f"row {con.name!r}"))
         return ineqs, eqs
 
 
 def model_polytope(model: MilpModel) -> HPolytope:
     """The LP relaxation of a model of ``<=`` rows: its rows in model order,
-    which for the lifted systems already lead with 1 or -1, then its bounds."""
+    then its bounds."""
     if wrong := next((con for con in model.constraints if con.sense != "<="), None):
         raise ValueError(f"row {wrong.name!r} has sense {wrong.sense!r}; only '<=' rows are read")
     lp = ModelLP(model)
@@ -408,7 +381,8 @@ def full_dimension_certificate(relax: HPolytope) -> CertificateReport:
     coordinate perturbations of affine rank |C| + 1."""
     size, rows = relax.dim - 1, relax.rows
     center = tuple([Fraction(0)] + [Fraction(1, 2)] * size)
-    slacks = [b - dot(coeffs, center) for coeffs, b in rows]
+    # each row's slack at the center, twice over, so in integers
+    slacks = [2 * b - sum(coeffs[1:]) for coeffs, b in rows]
     if (k := next((i for i, s in enumerate(slacks) if s <= 0), None)) is not None:
         return CertificateReport(
             Claim.FULL_DIMENSION,
@@ -417,16 +391,10 @@ def full_dimension_certificate(relax: HPolytope) -> CertificateReport:
         )
     points = [center]
     for j in range(size + 1):
-        step = None
-        for (coeffs, _), slack in zip(rows, slacks):
-            if coeffs[j] != 0:
-                room = slack / abs(coeffs[j])
-                if step is None or room < step:
-                    step = room
-        step = (step / 2) if step is not None else Fraction(1)
-        moved = list(center)
-        moved[j] += step
-        points.append(tuple(moved))
+        # half the room to the nearest row along coordinate j
+        rooms = [Fraction(slack, 2 * abs(coeffs[j])) for (coeffs, _), slack in zip(rows, slacks) if coeffs[j]]
+        step = min(rooms) / 2 if rooms else Fraction(1)
+        points.append((*center[:j], center[j] + step, *center[j + 1:]))
     rank = affine_rank(points)
     if rank != size + 1:
         return CertificateReport(
@@ -502,8 +470,7 @@ def hull_equality(points: Iterable[tuple[Fraction, tuple[int, ...]]], relax: HPo
     if candidate.dim != relax.dim:
         raise ValueError("candidate must live in (angle difference, y) space of the pair")
     for dtheta, bits in points:
-        point = (dtheta, *[Fraction(v) for v in bits])
-        row = candidate.first_violated(point)
+        row = candidate.first_violated((dtheta, *bits))
         if row is not None:
             return CertificateReport(
                 Claim.HULL_EQUALITY,
@@ -558,7 +525,7 @@ def _pattern_optima(net: Network, cpvis: Sequence[CutCPVI], cvis: Sequence[CutCV
         ineqs, eqs = lp.rows(rows, fixed)
         cuts, _ = lp.rows(cut_rows, fixed)
         result = solve_linear_program(len(lp.columns), lp.bounds + ineqs, eqs, lp.objective)
-        if result.status == "optimal" and not all(dot(coeffs, result.point) <= rhs for coeffs, rhs in cuts):
+        if result.status == "optimal" and not HPolytope(cuts, len(lp.columns)).contains(result.point):
             # the base optimizer violates an appended row, so the rows do
             # bind for this pattern; re-solve with them in place
             result = solve_linear_program(len(lp.columns), lp.bounds + ineqs + cuts, eqs, lp.objective)

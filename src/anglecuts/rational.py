@@ -1,10 +1,12 @@
 """Exact rational parsing, formatting, and small dense linear algebra.
 
-Every quantity this package passes between modules is a
-``fractions.Fraction``: arbitrary precision, always in lowest terms,
-positive denominator.  The simplex and vertex kernels compute on rows
-that ``integer_row`` scales to integers.  Floats are rejected at the
-boundary so no rounding error can enter the polyhedral oracles.
+Every value this package passes between modules is a
+``fractions.Fraction`` (or an ``int``): arbitrary precision, always in
+lowest terms, positive denominator.  An exact linear row has one form,
+its primitive integer row from ``integer_row``: the model reader emits
+it, ``HPolytope`` keeps it, and the simplex and vertex kernels compute
+on it.  Floats are rejected at the boundary so no rounding error can
+enter the polyhedral oracles.
 """
 
 from __future__ import annotations
@@ -12,11 +14,13 @@ from __future__ import annotations
 import re
 import sys
 from fractions import Fraction
-from math import lcm
-from typing import Mapping, Sequence
+from math import gcd, lcm
+from typing import Sequence
 
 # the decimal exponent of a rational string, read before Fraction expands it
 _EXPONENT = re.compile(r"[eE][-+]?([0-9][0-9_]*)\s*\Z")
+# the entry types a row may hold as they are; subclasses are checked one by one
+_EXACT = {int, Fraction}
 
 
 def parse_rational(value: object, where: str = "value") -> Fraction:
@@ -61,37 +65,29 @@ def format_rational(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-def dense_row(dim: int, entries: Mapping[int, Fraction | int], rhs: Fraction | int = 0) -> tuple[tuple[Fraction, ...], Fraction]:
-    """Dense (coeffs, rhs) of the row sum of entries[j] * x_j against rhs;
-    every coefficient not in entries is zero.  The one row constructor of
-    the exact layer."""
-    coeffs = [Fraction(0)] * dim
-    for j, value in entries.items():
-        coeffs[j] = Fraction(value)
-    return tuple(coeffs), Fraction(rhs)
+def integer_row(coeffs: Sequence[Fraction | int], rhs: Fraction | int, where: str) -> tuple[list[int], int]:
+    """The primitive integer row of coeffs . x <= rhs (or == rhs): the row
+    times a positive rational, integers with no common factor, the one
+    such row per halfspace.  An emptied row keeps only the sign of its
+    right-hand side.  A vector v over its least common denominator d is
+    the primitive row of v . x <= 1, namely (v * d, d).
 
-
-def integer_row(coeffs: Sequence[Fraction | int], rhs: Fraction | int, where: str) -> tuple[list[int], int, int]:
-    """The row coeffs . x <= rhs (or == rhs) as integer numerators, an
-    integer right-hand side and their one positive denominator, the least
-    common one.  The kernels compute in integers, so an entry that is not
-    an int or Fraction (a float, or a bool) is refused with a ValueError
-    naming ``where`` and its column."""
-    for j, value in enumerate((*coeffs, rhs)):
-        if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
-            column = "the right-hand side" if j == len(coeffs) else f"column {j}"
-            raise ValueError(f"{where}, {column}: expected an int or Fraction, got {type(value).__name__}")
-    den = lcm(rhs.denominator, *(c.denominator for c in coeffs))
-    nums = [c.numerator * (den // c.denominator) for c in coeffs]
-    return nums, rhs.numerator * (den // rhs.denominator), den
-
-
-def dot(coeffs: Sequence[Fraction], point: Sequence[Fraction]) -> Fraction:
-    total = Fraction(0)
-    for c, x in zip(coeffs, point):
-        if c:
-            total += c * x
-    return total
+    The kernels compute in integers, so an entry that is not an int or
+    Fraction (a float, or a bool) is refused with a ValueError naming
+    ``where`` and its column."""
+    row = [*coeffs, rhs]
+    kinds = set(map(type, row))
+    if not kinds <= _EXACT:
+        for j, value in enumerate(row):
+            if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
+                column = "the right-hand side" if j == len(coeffs) else f"column {j}"
+                raise ValueError(f"{where}, {column}: expected an int or Fraction, got {type(value).__name__}")
+    if kinds != {int}:
+        den = lcm(*[c.denominator for c in row])
+        row = [c.numerator * (den // c.denominator) for c in row]
+    if (g := gcd(*row)) > 1:
+        row = [c // g for c in row]
+    return row[:-1], row[-1]
 
 
 def matrix_rank(rows: Sequence[Sequence[Fraction]]) -> int:

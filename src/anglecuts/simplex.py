@@ -5,8 +5,10 @@ terminates and every comparison is exact.  The tableau is fraction-free:
 each row is a list of integer numerators over one positive row
 denominator, coprime to them all, and a pivot costs integer products
 and one gcd per changed row rather than a Fraction normalization per
-entry.  Every entry is the rational a Fraction tableau holds, the ratio
-test cross-multiplies, and so the pivot path is unchanged; values turn
+entry.  A constraint enters as its primitive integer row over the
+magnitude of its leading coefficient (1 in an emptied row), the unit of
+its slack and artificial, so its tableau row is that of the row scaled
+to lead with 1 or -1.  The ratio test cross-multiplies, and values turn
 into Fractions only in the result.  Built for desk-scale linear programs
 (tens of rows); all the polyhedral certificates and the brute-force
 switching enumeration sit on top of it.
@@ -23,7 +25,7 @@ from .rational import integer_row
 
 __all__ = ["LPResult", "solve_linear_program"]
 
-Row = tuple[Sequence[Fraction], Fraction]
+Row = tuple[Sequence[Fraction | int], Fraction | int]
 # a tableau row: integer numerators over a positive denominator coprime to them all
 IntRow = tuple[list[int], int]
 
@@ -111,15 +113,18 @@ def solve_linear_program(
     internally).  Every coefficient and right-hand side must be an int or
     a Fraction; a float or bool raises ValueError naming its row and
     column, and a row or objective not n_vars wide one naming the row.
+    Each row is read in its primitive integer form, so a row and its
+    positive multiples give the same tableau and pivot path.
     Returns an exact optimal value and a witness point, or the
     infeasible/unbounded status.
     """
-    def scaled(coeffs: Sequence[Fraction], rhs: Fraction, where: str) -> tuple[list[int], int, int]:
+    def scaled(coeffs: Sequence[Fraction], rhs: Fraction, where: str) -> tuple[list[int], int]:
         if len(coeffs) != n_vars:
             raise ValueError(f"{where}: width {len(coeffs)}, expected {n_vars}")
         return integer_row(coeffs, rhs, where)
 
-    obj, _, obj_den = scaled([0] * n_vars if objective is None else objective, 0, "the objective")
+    # the objective's numerators over their least common denominator
+    obj, obj_den = scaled([0] * n_vars if objective is None else objective, 1, "the objective")
     if not minimize:
         obj = [-c for c in obj]
 
@@ -136,24 +141,25 @@ def solve_linear_program(
         where = f"inequality {i}" if i < n_slack else f"equality {i - n_slack}"
         rows.append((*scaled(coeffs, b, where), i < n_slack))
     total_structural = width + n_slack
-    n_art = sum(1 for _, b, _, is_ineq in rows if b < 0 or not is_ineq)
+    n_art = sum(1 for _, b, is_ineq in rows if b < 0 or not is_ineq)
     total = total_structural + n_art
     tableau: list[IntRow] = []
     basis: list[int] = []
     next_art = total_structural
-    for i, (nums, b, den, is_ineq) in enumerate(rows):
+    for i, (nums, b, is_ineq) in enumerate(rows):
+        unit = next((abs(v) for v in nums if v), 1)  # of the slack and artificial
         row = expand(nums) + [0] * (total - width) + [b]
         if is_ineq:
-            row[width + i] = den
+            row[width + i] = unit
         if b < 0:
             row = [-v for v in row]
         if is_ineq and b >= 0:
             basis.append(width + i)
         else:
-            row[next_art] = den
+            row[next_art] = unit
             basis.append(next_art)
             next_art += 1
-        tableau.append((row, den))
+        tableau.append((row, unit))
     m = len(rows)
 
     if n_art:

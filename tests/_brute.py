@@ -5,11 +5,15 @@ path enumeration instead of label-setting search, combinatorial basis
 enumeration instead of incremental insertion, a full pair sweep instead
 of the screened separation walk, every line subset instead of the
 pruned flow-space search, hull membership as a feasibility LP, and a
-dense-tableau simplex that updates every column of every pivot.
+dense-tableau simplex that updates every column of every pivot.  The
+helpers only tests call (a Fraction dot product, the LP over a
+polytope, the BFS spanning tree, a network with every line fixed) live
+here too.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import re
 from fractions import Fraction
@@ -17,7 +21,9 @@ from typing import Mapping, Sequence
 
 from anglecuts.bounds import global_big_m
 from anglecuts.cuts import build_cpvi, build_cvi, cpvi_violation, cvi_violation
-from anglecuts.graph import split_cycle
+from anglecuts.errors import AngleCutsError, UnboundedError
+from anglecuts.graph import _bfs_parents, split_cycle
+from anglecuts.network import Network
 from anglecuts.simplex import LPResult, Row, solve_linear_program
 
 
@@ -201,6 +207,7 @@ def _solve(matrix, rhs):
 
 def brute_vertices(rows, dim):
     """Every vertex by enumerating all dim-subsets of tight rows."""
+    rows = [([Fraction(c) for c in coeffs], Fraction(b)) for coeffs, b in rows]
     found = set()
     for subset in itertools.combinations(range(len(rows)), dim):
         matrix = [list(rows[k][0]) for k in subset]
@@ -262,6 +269,44 @@ def point_in_hull(point: Sequence[Fraction], generators: Sequence[Sequence[Fract
     return result.status == "optimal"
 
 
+# -- helpers only the tests use
+
+
+def dot(coeffs: Sequence[Fraction], point: Sequence[Fraction]) -> Fraction:
+    return sum((Fraction(c) * x for c, x in zip(coeffs, point)), Fraction(0))
+
+
+class InfeasibleError(AngleCutsError):
+    """The linear program has no feasible point."""
+
+
+def rational_simplex(p, objective: Sequence[Fraction], sense: str = "min"):
+    """Exact optimum of a linear objective over an HPolytope.
+
+    Raises InfeasibleError or UnboundedError; otherwise returns the
+    optimal value and a witness point.
+    """
+    if sense not in ("min", "max"):
+        raise ValueError("sense must be 'min' or 'max'")
+    result = solve_linear_program(p.dim, p.rows, [], list(objective), minimize=(sense == "min"))
+    if result.status == "infeasible":
+        raise InfeasibleError("no feasible point")
+    if result.status == "unbounded":
+        raise UnboundedError("objective is unbounded over the polytope")
+    return result.value, result.point
+
+
+def spanning_tree(net: Network) -> frozenset[int]:
+    """Lines of the BFS spanning tree rooted at the lowest-index bus, the
+    tree the fundamental cycle basis is built on."""
+    return frozenset(idx for _, idx in _bfs_parents(net).values())
+
+
+def with_all_lines_fixed(net: Network) -> Network:
+    """Copy with every line non-switchable (y fixed to 1)."""
+    return Network(net.buses, tuple(dataclasses.replace(line, switchable=False) for line in net.lines))
+
+
 # -- the dense exact simplex: the reference for the sparse pivot kernel
 
 
@@ -312,8 +357,11 @@ def dense_solve_linear_program(
     """Optimize a linear objective over {a.x <= b} and {a.x == b} rows.
 
     Variables are free unless nonneg is set (free variables are split
-    internally).  Returns an exact optimal value and a witness point, or
-    the infeasible/unbounded status.
+    internally).  Each row is divided by the magnitude of its leading
+    coefficient (an emptied row by its right-hand side's), so slacks and
+    artificials count in the units the integer kernel gives them.
+    Returns an exact optimal value and a witness point, or the
+    infeasible/unbounded status.
     """
     obj = [Fraction(c) for c in (objective or [Fraction(0)] * n_vars)]
     if not minimize:
@@ -329,7 +377,10 @@ def dense_solve_linear_program(
     # columns: structural, one slack per inequality, one artificial per row
     # whose slack cannot start basic (an equality, or a negative rhs)
     n_slack = len(ineqs)
-    rows = [(coeffs, Fraction(b), i < n_slack) for i, (coeffs, b) in enumerate((*ineqs, *eqs))]
+    rows = []
+    for i, (coeffs, b) in enumerate((*ineqs, *eqs)):
+        lead = abs(next((v for v in (*coeffs, b) if v), 1))
+        rows.append(([Fraction(c) / lead for c in coeffs], Fraction(b) / lead, i < n_slack))
     total_structural = width + n_slack
     n_art = sum(1 for _, b, is_ineq in rows if b < 0 or not is_ineq)
     total = total_structural + n_art

@@ -12,6 +12,8 @@ from anglecuts.cuts import build_cpvi, build_cvi
 from anglecuts.graph import fundamental_cycle_basis, split_cycle
 from anglecuts.network import load_network
 
+from _brute import with_all_lines_fixed
+
 settings.register_profile(
     "desk",
     max_examples=30,
@@ -49,7 +51,7 @@ def fig1():
 
 @pytest.fixture(scope="session")
 def fig1_fixed(fig1):
-    return fig1.with_all_lines_fixed()
+    return with_all_lines_fixed(fig1)
 
 
 def make_net(buses, lines):

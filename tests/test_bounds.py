@@ -9,10 +9,9 @@ from anglecuts.errors import UnknownBusError
 from anglecuts.milp import build_dcots
 from anglecuts.network import Network
 from anglecuts.oracle import ModelLP
-from anglecuts.rational import dense_row
 from anglecuts.simplex import solve_linear_program
 
-from _brute import brute_shortest_path
+from _brute import brute_shortest_path, with_all_lines_fixed
 from conftest import make_net, random_net
 
 
@@ -110,7 +109,7 @@ def test_bound_report_json_shape(fig1_fixed):
 
 
 def test_every_pair_bound_at_most_global(fig1, fig1_fixed, triangle):
-    for net in (fig1, fig1_fixed, triangle, triangle.with_all_lines_fixed()):
+    for net in (fig1, fig1_fixed, triangle, with_all_lines_fixed(triangle)):
         big = global_big_m(net)
         for pb in bound_report(net).pairs:
             assert pb.bound <= big
@@ -149,7 +148,8 @@ def test_pair_bounds_valid_for_every_pattern():
         for pb in report.pairs:
             if pb.source is not BoundSource.SHORTEST_PATH_ACTIVE:
                 continue
-            objective, _ = dense_row(len(lp.columns), {lp.columns[f"theta_{pb.m}"]: 1, lp.columns[f"theta_{pb.n}"]: -1})
+            objective = [0] * len(lp.columns)
+            objective[lp.columns[f"theta_{pb.m}"]], objective[lp.columns[f"theta_{pb.n}"]] = 1, -1
             for sense in (False, True):
                 result = solve_linear_program(len(lp.columns), lp.bounds + ineqs, eqs, objective, minimize=sense)
                 if result.status != "optimal":

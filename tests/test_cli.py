@@ -304,6 +304,7 @@ MALFORMED_CASES = [
     ("cuts", "pt.json", '{"theta": {}, "y": {"-1": "1"}}', "'y' key '-1'"),
     ("cuts", "pt.json", '{"theta": {}, "y": {"6": "1"}}', "'y' line index 6 out of range"),
     ("cuts", "pt.json", '{"theta": {}, "y": {}, "f": {"x": "1"}}', "'f' key 'x'"),
+    ("cuts", "pt.json", '{"theta": {}, "y": {"3": "3/2"}}', "y[3] = 3/2 is outside [0, 1]"),
     ("emit", "net.json", '{"buses": []}', "'buses' must be a nonempty list"),
     ("certify", "net.json", '{"buses": []}', "'buses' must be a nonempty list"),
     # a JSON integer literal past Python's 4300-digit limit on reading integers
@@ -346,6 +347,7 @@ MALFORMED_IDS = [
     "point-y-key-negative",
     "point-y-key-out-of-range",
     "point-f-key-name",
+    "point-y-outside-unit-interval",
     "network-no-buses-emit",
     "network-no-buses-certify",
     "point-theta-long-integer",

@@ -137,6 +137,18 @@ def test_fractional_point_refuses_inexact_values(field, theta, y, f):
         FractionalPoint(theta, y, f)
 
 
+def test_fractional_point_refuses_y_outside_the_unit_interval():
+    # the cpvi spread screen needs every 1 - y >= 0: on ring_net([1, 2, 3]) at
+    # these angles, y = (2, 1, 1) would give no cut from the screened separation
+    # and two from the exhaustive sweep
+    theta = {"r0": F(0), "r1": F(1), "r2": F(0)}
+    with pytest.raises(ValueError, match=re.escape("point y[0] = 2 is outside [0, 1]")):
+        FractionalPoint(theta, {0: F(2), 1: F(1), 2: F(1)})
+    with pytest.raises(ValueError, match=re.escape("point y[2] = -1/3 is outside [0, 1]")):
+        FractionalPoint(theta, {0: F(0), 1: F(1), 2: F(-1, 3)})
+    assert FractionalPoint(theta, {0: F(0), 1: 1, 2: F(1, 2)}).y[1] == 1
+
+
 def test_cvi_violation_needs_flows(fig1):
     cycle = fundamental_cycle_basis(fig1)[0]
     cut = build_cvi(fig1, cycle, [0, 1, 2, 3])

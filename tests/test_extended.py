@@ -13,6 +13,7 @@ from anglecuts.graph import fundamental_cycle_basis, split_cycle
 from anglecuts.milp import MilpModel, build_dcots, lp_text, merge_models
 from anglecuts.network import load_network
 from anglecuts.oracle import enumerate_vertices, integer_points, model_polytope, pair_relaxation
+from anglecuts.rational import integer_row
 
 from _brute import point_in_hull, read_lp_text
 from conftest import DATA, ring_net
@@ -139,7 +140,8 @@ def _rows_from_lp_text(text):
 
 def test_certified_polytope_is_the_emitted_system(fig1):
     """What certify adjudicates, model_polytope of the lifted model, is
-    the system emit --embed-extended writes for every basis pair."""
+    the system emit --embed-extended writes for every basis pair: the
+    same halfspaces in the same order, each as its primitive integer row."""
     mixed6 = load_network((DATA / "mixed6.json").read_bytes())
     for net in (fig1, mixed6, ring_net([1, 2, 3])):
         big_m = global_big_m(net)
@@ -148,7 +150,8 @@ def test_certified_polytope_is_the_emitted_system(fig1):
                 lifted = build_extended(split_cycle(net, cycle, m, n), big_m)
                 emitted = MilpModel()
                 merge_models(emitted, lifted, "ext")
-                assert _rows_from_lp_text(lp_text(emitted)) == list(model_polytope(lifted).rows)
+                emitted_rows = [integer_row(coeffs, rhs, "row") for coeffs, rhs in _rows_from_lp_text(lp_text(emitted))]
+                assert [(tuple(nums), rhs) for nums, rhs in emitted_rows] == list(model_polytope(lifted).rows)
 
 
 def test_model_polytope_reads_only_le_rows(fig1):

@@ -11,12 +11,11 @@ from anglecuts.graph import (
     fundamental_cycle_basis,
     shortest_path_bound,
     shortest_path_lengths,
-    spanning_tree,
     split_cycle,
 )
 from anglecuts.network import Bus, Line, Network
 
-from _brute import brute_cycles, brute_shortest_path
+from _brute import brute_cycles, brute_shortest_path, spanning_tree
 from conftest import make_net, random_net, ring_net
 
 

@@ -22,7 +22,7 @@ from anglecuts.milp import (
 from anglecuts.network import Network, load_network
 from anglecuts.oracle import _pattern_optima, brute_force_dcots
 
-from _brute import fixed_binary_lp, read_lp_text
+from _brute import fixed_binary_lp, read_lp_text, with_all_lines_fixed
 from conftest import DATA, basis_cuts, make_net, random_net
 from test_bounds import reference_report
 
@@ -289,7 +289,7 @@ def test_all_active_model_reduces_to_dispatch_lp(triangle):
     """Pinning every status to one must reproduce the exact dispatch LP."""
     model = build_dcots(triangle)
     result = fixed_binary_lp(model, {v.name: 1 for v in model.variables if v.name.startswith("y_")})
-    fixed = brute_force_dcots(triangle.with_all_lines_fixed())
+    fixed = brute_force_dcots(with_all_lines_fixed(triangle))
     assert result.status == "optimal" and result.value == fixed.cost == 33
 
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from anglecuts import simplex
 from anglecuts.cuts import build_cpvi, cpvi_from_json, cpvi_to_json, cvi_from_json, cvi_to_json
-from anglecuts.errors import AllPatternsInfeasibleError, CapExceededError, InfeasibleError, UnboundedError
+from anglecuts.errors import AllPatternsInfeasibleError, CapExceededError, UnboundedError
 from anglecuts.extended import build_extended
 from anglecuts.graph import fundamental_cycle_basis, split_cycle
 from anglecuts.milp import MilpModel
@@ -32,11 +32,9 @@ from anglecuts.oracle import (
     local_idealness_certificate,
     model_polytope,
     pair_relaxation,
-    rational_simplex,
 )
-from anglecuts.rational import dot
 
-from _brute import brute_vertices, point_in_hull
+from _brute import InfeasibleError, brute_vertices, dot, point_in_hull, rational_simplex, with_all_lines_fixed
 from conftest import basis_cuts, make_net, ring_net
 
 
@@ -258,13 +256,14 @@ def polytope_and_point(draw):
         coeffs = tuple(draw(st.lists(RATIONAL, min_size=dim, max_size=dim)))
         on_row = draw(st.booleans())
         rows.append((coeffs, dot(coeffs, point) if on_row else draw(RATIONAL)))
-    return HPolytope(tuple(rows), dim), point
+    return rows, point
 
 
 @given(polytope_and_point())
 def test_first_violated_matches_the_rational_rows(case):
-    poly, point = case
-    expected = next((k for k, (coeffs, b) in enumerate(poly.rows) if dot(coeffs, point) > b), None)
+    rows, point = case
+    poly = HPolytope(tuple(rows), len(point))
+    expected = next((k for k, (coeffs, b) in enumerate(rows) if dot(coeffs, point) > b), None)
     assert poly.first_violated(point) == expected
     assert poly.contains(point) == (expected is None)
 
@@ -481,11 +480,20 @@ def test_model_lp_scales_rows_and_keeps_an_emptied_row_only_when_it_fails():
     model.add_constraint("c", [("x", 2), ("y", 1)], "<=", F(3))
     model.add_constraint("d", [("y", 1)], "<=", F(0))
     lp = ModelLP(model, {"y"})
-    assert lp.bounds == [((F(-1),), F(0))]
-    # y = 0: 2x <= 3 is read as x <= 3/2, and 0 <= 0 is dropped
-    assert lp.rows(model.constraints, {"y": ({}, F(0))}) == ([((F(1),), F(3, 2))], [])
-    # y = 1: 0 <= -1 stays, so the LP is infeasible
-    assert lp.rows(model.constraints, {"y": ({}, F(1))}) == ([((F(1),), F(1)), ((F(0),), F(-1))], [])
+    assert lp.bounds == [([-1], 0)]
+    # y = 0: 2x <= 3 is primitive already, and 0 <= 0 is dropped
+    assert lp.rows(model.constraints, {"y": ({}, F(0))}) == ([([2], 3)], [])
+    # y = 1: 2x <= 2 is read as x <= 1, and 0 <= -1 stays, so the LP is infeasible
+    assert lp.rows(model.constraints, {"y": ({}, F(1))}) == ([([1], 1), ([0], -1)], [])
+
+
+def test_model_lp_reads_bounds_as_primitive_rows():
+    model = MilpModel()
+    model.add_variable("x", "continuous", F(-1, 3), F(5, 2))
+    model.add_variable("t", "continuous", None, F(4))
+    lp = ModelLP(model)
+    # x <= 5/2 as 2x <= 5, -x <= 1/3 as -3x <= 1, t <= 4 as it stands
+    assert lp.bounds == [([2, 0], 5), ([-3, 0], 1), ([0, 1], 4)]
 
 
 def test_brute_force_single_bus():
@@ -504,7 +512,7 @@ def test_brute_force_two_bus_dispatch():
 
 def test_brute_force_switching_strictly_helps(triangle):
     switched = brute_force_dcots(triangle)
-    fixed = brute_force_dcots(triangle.with_all_lines_fixed())
+    fixed = brute_force_dcots(with_all_lines_fixed(triangle))
     assert switched.cost == 6 and fixed.cost == 33
     assert switched.cost < fixed.cost
     assert switched.y == {0: 1, 1: 1, 2: 0}

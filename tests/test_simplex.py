@@ -1,15 +1,17 @@
 import random
 from fractions import Fraction as F
-from math import gcd
+from math import gcd, lcm
+from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from anglecuts import simplex
 from anglecuts.rational import integer_row
 from anglecuts.simplex import LPResult, _pivot, solve_linear_program
 
-from _brute import dense_pivot, dense_solve_linear_program
+from _brute import dense_pivot, dense_solve_linear_program, dot, rational_simplex
 
 
 def test_min_with_lower_bound():
@@ -96,8 +98,7 @@ def test_accepts_int_entries():
 
 def test_random_lps_match_vertex_enumeration():
     """The LP optimum equals the best vertex value on bounded polytopes."""
-    from anglecuts.oracle import HPolytope, enumerate_vertices, rational_simplex
-    from anglecuts.rational import dot
+    from anglecuts.oracle import HPolytope, enumerate_vertices
 
     rng = random.Random(11)
     for _ in range(20):
@@ -141,12 +142,9 @@ def tableaux(draw):
 
 
 def integer_tableau(tableau):
-    """Each Fraction row as the kernel keeps it: (numerators, denominator)."""
-    rows = []
-    for row in tableau:
-        nums, rhs, den = integer_row(row[:-1], row[-1], "row")
-        rows.append((nums + [rhs], den))
-    return rows
+    """Each Fraction row as the kernel keeps it: (numerators, denominator),
+    the primitive row of row . x <= 1."""
+    return [integer_row(row, 1, "row") for row in tableau]
 
 
 @given(tableaux())
@@ -201,3 +199,50 @@ def linear_programs(draw):
               minimize=False, nonneg=True))
 def test_solver_matches_dense_reference(lp):
     assert solve_linear_program(**lp) == dense_solve_linear_program(**lp)
+
+
+# -- a row enters the tableau over its leading coefficient ---------------------
+
+
+def lead_scaled_tableau_row(coeffs, rhs, is_ineq):
+    """The one-row tableau of coeffs . x <= rhs (or == rhs) over nonnegative
+    x, built from the row divided by the magnitude of its leading
+    coefficient: structural columns, slack, artificial, right-hand side,
+    as integer numerators over their least common denominator.  An emptied
+    row's leading entry is its right-hand side, since its primitive row
+    is (0, ..., 0, +-1)."""
+    lead = abs(next((v for v in (*coeffs, rhs) if v), 1))
+    coeffs, rhs = [F(c) / lead for c in coeffs], F(rhs) / lead
+    row = coeffs + ([F(1)] if is_ineq else []) + [rhs]
+    if rhs < 0:
+        row = [-v for v in row]
+    if rhs < 0 or not is_ineq:
+        row.insert(-1, F(1))  # the artificial
+    den = lcm(*(v.denominator for v in row))
+    return [int(v * den) for v in row], den
+
+
+@settings(max_examples=300)
+@given(st.lists(ENTRY, min_size=1, max_size=4), ENTRY | st.integers(-3, 6).map(F), st.booleans())
+@example([F(0), F(-2, 3), F(1, 2)], F(4), True)  # the lead is not in column 0
+@example([F(0), F(0)], F(-5, 3), True)  # an emptied row that fails
+@example([F(0), F(0)], F(7, 2), False)  # an emptied equation that fails
+@example([F(0)], F(0), True)  # 0 <= 0
+def test_tableau_row_is_the_row_over_its_leading_coefficient(coeffs, rhs, is_ineq):
+    # the kernel reads the primitive row and sets its slack and artificial in
+    # units of the leading coefficient, so every positive multiple of a row,
+    # the row scaled to lead with 1 or -1 among them, gives one tableau row
+    # and one pivot path
+    built = []
+    run = simplex._run
+
+    def record(tableau, basis, allowed):
+        if not built:  # the first run sees the rows as built
+            nums, unit = tableau[0]
+            built.append((list(nums), unit))
+        return run(tableau, basis, allowed)
+
+    row = [(coeffs, rhs)]
+    with mock.patch.object(simplex, "_run", record):
+        solve_linear_program(len(coeffs), row if is_ineq else [], [] if is_ineq else row, nonneg=True)
+    assert built[0] == lead_scaled_tableau_row(coeffs, rhs, is_ineq)
