@@ -29,7 +29,7 @@ from .errors import AngleCutsError, CapExceededError, ParseError, ValidationErro
 from .extended import build_extended, project_to_cpvi
 from .graph import all_simple_cycles, fundamental_cycle_basis, split_cycle
 from .milp import build_dcots, lp_text, merge_models
-from .network import load_network
+from .network import line_index, load_network
 from .oracle import (
     HULL_CANDIDATES,
     candidate_hull,
@@ -71,13 +71,11 @@ def _load_net(path: str):
 
 def _line_values(doc: dict, name: str, net) -> dict[int, Fraction]:
     """A point-file object keyed by line index, such as 'y' or 'f'."""
-    values = {}
+    values, where = {}, f"point file: {name!r}"
     for key, value in doc[name].items():
-        if not (key.isascii() and key.isdigit()):
-            raise ParseError(f"point file: {name!r} key {key!r} is not a line index")
-        if int(key) >= len(net.lines):
-            raise ParseError(f"point file: {name!r} line index {key} out of range")
-        values[int(key)] = parse_rational(value, f"{name}[{key}]")
+        if (line := line_index(key, where)) >= len(net.lines):
+            raise ParseError(f"{where} line index {key} out of range")
+        values[line] = parse_rational(value, f"{name}[{key}]")
     return values
 
 

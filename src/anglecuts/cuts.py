@@ -38,7 +38,7 @@ from .errors import (
     SubsetNotInCycleError,
 )
 from .graph import Cycle, CyclePathPair, cycle_orientation_signs, split_cycle
-from .network import Network
+from .network import Network, line_index
 from .rational import format_rational, integer_row, parse_rational
 
 __all__ = [
@@ -452,10 +452,8 @@ def _line_keyed(obj: dict, kind: str, name: str) -> dict[int, object]:
     value = obj[name]
     if not isinstance(value, dict):
         raise ParseError(f"{kind} cut: {name!r} must be an object keyed by line index")
-    for key in value:
-        if not (key.isascii() and key.isdigit()):
-            raise ParseError(f"{kind} cut: {name!r} key {key!r} is not a line index")
-    return {int(key): entry for key, entry in value.items()}
+    where = f"{kind} cut: {name!r}"
+    return {line_index(key, where): entry for key, entry in value.items()}
 
 
 def _y_coeffs(obj: dict, kind: str) -> dict[int, Fraction]:

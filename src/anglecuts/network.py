@@ -189,6 +189,14 @@ def load_network(source) -> Network:
     return Network(buses_t, lines_t)
 
 
+def line_index(key: str, where: str) -> int:
+    """The line a JSON object key such as a point's 'y' or a cut's 'y_coeffs'
+    names: only its canonical decimal, so no line is spelled two ways."""
+    if key.isdigit() and key.isascii() and (key[0] != "0" or key == "0"):
+        return int(key)
+    raise ParseError(f"{where} key {key!r} is not a line index in canonical decimal")
+
+
 def network_to_json(net: Network) -> dict:
     return {
         "buses": [

@@ -1,5 +1,10 @@
 """Exact two-phase simplex over the rationals, in integer arithmetic.
 
+One problem form: minimize objective . x over free x subject to rows
+a.x <= b and a.x == b.  A maximization is the minimum of the negated
+objective, with the value negated back; a sign constraint x_j >= 0 is
+the row -x_j <= 0.
+
 Dense tableau, Bland's smallest-index pivoting rule, so every run
 terminates and every comparison is exact.  The tableau is fraction-free:
 each row is a list of integer numerators over one positive row
@@ -99,22 +104,27 @@ def _run(tableau: list[IntRow], basis: list[int], allowed: int) -> str:
         _pivot(tableau, basis, leave, enter)
 
 
-def solve_linear_program(
-    n_vars: int,
-    ineqs: Sequence[Row],
-    eqs: Sequence[Row] = (),
-    objective: Sequence[Fraction] | None = None,
-    minimize: bool = True,
-    nonneg: bool = False,
-) -> LPResult:
-    """Optimize a linear objective over {a.x <= b} and {a.x == b} rows.
+def _cost_row(costs: list[int], den: int, tableau: list[IntRow], basis: list[int]) -> IntRow:
+    """The reduced costs of costs / den under the basis: costs minus each
+    basic row times its column's cost, in lowest terms."""
+    row = (costs, 1)
+    for basic, col in zip(tableau, basis):
+        if cost := costs[col]:
+            row = _minus(row, cost, basic)
+    return _reduced(row[0], row[1] * den)
 
-    Variables are free unless nonneg is set (free variables are split
-    internally).  Every coefficient and right-hand side must be an int or
-    a Fraction; a float or bool raises ValueError naming its row and
-    column, and a row or objective not n_vars wide one naming the row.
-    Each row is read in its primitive integer form, so a row and its
-    positive multiples give the same tableau and pivot path.
+
+def solve_linear_program(
+    n_vars: int, ineqs: Sequence[Row], eqs: Sequence[Row], objective: Sequence[Fraction | int]
+) -> LPResult:
+    """Minimize objective . x over free x subject to {a.x <= b} and {a.x == b} rows.
+
+    Each free variable is split internally into two nonnegative columns.
+    Every coefficient and right-hand side must be an int or a Fraction; a
+    float or bool raises ValueError naming its row and column, and a row
+    or objective not n_vars wide one naming the row.  Each row is read in
+    its primitive integer form, so a row and its positive multiples give
+    the same tableau and pivot path.
     Returns an exact optimal value and a witness point, or the
     infeasible/unbounded status.
     """
@@ -124,17 +134,11 @@ def solve_linear_program(
         return integer_row(coeffs, rhs, where)
 
     # the objective's numerators over their least common denominator
-    obj, obj_den = scaled([0] * n_vars if objective is None else objective, 1, "the objective")
-    if not minimize:
-        obj = [-c for c in obj]
+    obj, obj_den = scaled(objective, 1, "the objective")
+    width = 2 * n_vars
 
-    width = n_vars if nonneg else 2 * n_vars
-
-    def expand(nums: list[int]) -> list[int]:
-        return nums if nonneg else nums + [-v for v in nums]
-
-    # columns: structural, one slack per inequality, one artificial per row
-    # whose slack cannot start basic (an equality, or a negative rhs)
+    # columns: x split in two, one slack per inequality, one artificial per
+    # row whose slack cannot start basic (an equality, or a negative rhs)
     n_slack = len(ineqs)
     rows = []
     for i, (coeffs, b) in enumerate((*ineqs, *eqs)):
@@ -148,7 +152,7 @@ def solve_linear_program(
     next_art = total_structural
     for i, (nums, b, is_ineq) in enumerate(rows):
         unit = next((abs(v) for v in nums if v), 1)  # of the slack and artificial
-        row = expand(nums) + [0] * (total - width) + [b]
+        row = nums + [-v for v in nums] + [0] * (total - width) + [b]
         if is_ineq:
             row[width + i] = unit
         if b < 0:
@@ -164,11 +168,7 @@ def solve_linear_program(
 
     if n_art:
         # phase 1: drive the artificial sum to zero
-        cost = ([0] * total_structural + [1] * n_art + [0], 1)
-        for i in range(m):
-            if basis[i] >= total_structural:
-                cost = _minus(cost, 1, tableau[i])
-        tableau.append(_reduced(*cost))
+        tableau.append(_cost_row([0] * total_structural + [1] * n_art + [0], 1, tableau, basis))
         _run(tableau, basis, total_structural)  # artificials may not re-enter
         if tableau[-1][0][-1] != 0:
             return LPResult("infeasible")
@@ -184,14 +184,9 @@ def solve_linear_program(
         basis = [basis[i] for i in keep]
         m = len(basis)
 
-    # phase 2 cost row: reduced costs of the real objective, whose
-    # numerators sit over obj_den
-    full_cost = expand(obj) + [0] * (total + 1 - width)
-    cost = (full_cost, 1)
-    for i in range(m):
-        if cb := full_cost[basis[i]]:
-            cost = _minus(cost, cb, tableau[i])
-    tableau.append(_reduced(cost[0], cost[1] * obj_den))
+    # phase 2: the real objective, whose numerators sit over obj_den
+    costs = obj + [-c for c in obj] + [0] * (total + 1 - width)
+    tableau.append(_cost_row(costs, obj_den, tableau, basis))
     if _run(tableau, basis, total_structural) == "unbounded":
         return LPResult("unbounded")
 
@@ -199,11 +194,6 @@ def solve_linear_program(
     for i in range(m):
         nums, den = tableau[i]
         values[basis[i]] = Fraction(nums[-1], den)
-    if nonneg:
-        point = tuple(values[:n_vars])
-    else:
-        point = tuple(values[j] - values[n_vars + j] for j in range(n_vars))
+    point = tuple(values[j] - values[n_vars + j] for j in range(n_vars))
     value = sum((c * x for c, x in zip(obj, point)), Fraction(0)) / obj_den
-    if not minimize:
-        value = -value
     return LPResult("optimal", value, point)

@@ -260,12 +260,12 @@ def point_in_hull(point: Sequence[Fraction], generators: Sequence[Sequence[Fract
     """Exact membership of a point in the convex hull of finitely many points."""
     if not generators:
         return False
-    dim = len(point)
-    eqs = []
-    for j in range(dim):
-        eqs.append(([Fraction(g[j]) for g in generators], Fraction(point[j])))
-    eqs.append(([Fraction(1)] * len(generators), Fraction(1)))
-    result = solve_linear_program(len(generators), [], eqs, None, nonneg=True)
+    n = len(generators)
+    eqs = [([Fraction(g[j]) for g in generators], Fraction(point[j])) for j in range(len(point))]
+    eqs.append(([Fraction(1)] * n, Fraction(1)))
+    # weights w >= 0, each as the row -w_k <= 0
+    signs = [([-1 if k == j else 0 for k in range(n)], 0) for j in range(n)]
+    result = solve_linear_program(n, signs, eqs, [0] * n)
     return result.status == "optimal"
 
 
@@ -288,12 +288,13 @@ def rational_simplex(p, objective: Sequence[Fraction], sense: str = "min"):
     """
     if sense not in ("min", "max"):
         raise ValueError("sense must be 'min' or 'max'")
-    result = solve_linear_program(p.dim, p.rows, [], list(objective), minimize=(sense == "min"))
+    sign = 1 if sense == "min" else -1  # a maximum is the negated minimum of the negation
+    result = solve_linear_program(p.dim, p.rows, [], [sign * c for c in objective])
     if result.status == "infeasible":
         raise InfeasibleError("no feasible point")
     if result.status == "unbounded":
         raise UnboundedError("objective is unbounded over the polytope")
-    return result.value, result.point
+    return sign * result.value, result.point
 
 
 def spanning_tree(net: Network) -> frozenset[int]:
@@ -347,31 +348,20 @@ def _dense_run(tableau: list[list[Fraction]], basis: list[int], allowed: int) ->
 
 
 def dense_solve_linear_program(
-    n_vars: int,
-    ineqs: Sequence[Row],
-    eqs: Sequence[Row] = (),
-    objective: Sequence[Fraction] | None = None,
-    minimize: bool = True,
-    nonneg: bool = False,
+    n_vars: int, ineqs: Sequence[Row], eqs: Sequence[Row], objective: Sequence[Fraction]
 ) -> LPResult:
-    """Optimize a linear objective over {a.x <= b} and {a.x == b} rows.
+    """Minimize objective . x over free x subject to {a.x <= b} and {a.x == b} rows.
 
-    Variables are free unless nonneg is set (free variables are split
-    internally).  Each row is divided by the magnitude of its leading
-    coefficient (an emptied row by its right-hand side's), so slacks and
-    artificials count in the units the integer kernel gives them.
-    Returns an exact optimal value and a witness point, or the
-    infeasible/unbounded status.
+    Free variables are split internally.  Each row is divided by the
+    magnitude of its leading coefficient (an emptied row by its
+    right-hand side's), so slacks and artificials count in the units the
+    integer kernel gives them.  Returns an exact optimal value and a
+    witness point, or the infeasible/unbounded status.
     """
-    obj = [Fraction(c) for c in (objective or [Fraction(0)] * n_vars)]
-    if not minimize:
-        obj = [-c for c in obj]
-
-    width = n_vars if nonneg else 2 * n_vars
+    obj = [Fraction(c) for c in objective]
+    width = 2 * n_vars
 
     def expand(coeffs: Sequence[Fraction]) -> list[Fraction]:
-        if nonneg:
-            return [Fraction(c) for c in coeffs]
         return [Fraction(c) for c in coeffs] + [Fraction(-c) for c in coeffs]
 
     # columns: structural, one slack per inequality, one artificial per row
@@ -438,11 +428,6 @@ def dense_solve_linear_program(
     values = [Fraction(0)] * total
     for i in range(m):
         values[basis[i]] = tableau[i][-1]
-    if nonneg:
-        point = tuple(values[:n_vars])
-    else:
-        point = tuple(values[j] - values[n_vars + j] for j in range(n_vars))
+    point = tuple(values[j] - values[n_vars + j] for j in range(n_vars))
     value = sum((c * x for c, x in zip(obj, point)), Fraction(0))
-    if not minimize:
-        value = -value
     return LPResult("optimal", value, point)

@@ -245,10 +245,11 @@ def test_criterion_5_cut_validity():
             objective = [F(0)] * n_vars
             for line_idx, sign in cut.flow_signs:
                 objective[pos[line_idx]] = sign * net.lines[line_idx].reactance
-            result = solve_linear_program(n_vars, rows, [], objective, minimize=False)
+            # the maximum, as the negated minimum of the negated objective
+            result = solve_linear_program(n_vars, rows, [], [-c for c in objective])
             assert result.status == "optimal"
             rhs = cut.rhs_at({line: F(b) for line, b in zip(cycle.lines, bits)})
-            gap = result.value - rhs  # by symmetry the maximum of |.| is the maximum
+            gap = -result.value - rhs  # by symmetry the maximum of |.| is the maximum
             if worst is None or gap > worst:
                 worst = gap
         return worst

@@ -150,8 +150,8 @@ def test_pair_bounds_valid_for_every_pattern():
                 continue
             objective = [0] * len(lp.columns)
             objective[lp.columns[f"theta_{pb.m}"]], objective[lp.columns[f"theta_{pb.n}"]] = 1, -1
-            for sense in (False, True):
-                result = solve_linear_program(len(lp.columns), lp.bounds + ineqs, eqs, objective, minimize=sense)
+            for sign in (-1, 1):  # the maximum as the negated minimum of the negation, then the minimum
+                result = solve_linear_program(len(lp.columns), lp.bounds + ineqs, eqs, [sign * c for c in objective])
                 if result.status != "optimal":
                     continue  # pattern infeasible
                 assert abs(result.value) <= pb.bound

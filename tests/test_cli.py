@@ -304,6 +304,13 @@ MALFORMED_CASES = [
     ("cuts", "pt.json", '{"theta": {}, "y": {"-1": "1"}}', "'y' key '-1'"),
     ("cuts", "pt.json", '{"theta": {}, "y": {"6": "1"}}', "'y' line index 6 out of range"),
     ("cuts", "pt.json", '{"theta": {}, "y": {}, "f": {"x": "1"}}', "'f' key 'x'"),
+    # a line index spelled two ways: the later spelling must not silently win
+    ("cuts", "pt.json", '{"theta": {}, "y": {"5": "1", "05": "1/2"}}',
+     "point file: 'y' key '05' is not a line index"),
+    ("emit", "cuts.jsonl", fig1_cut("cpvi", y_coeffs={**json.loads(fig1_cut("cpvi"))["y_coeffs"], "3": "-99", "03": "-4"}),
+     "cpvi cut: 'y_coeffs' key '03' is not a line index"),
+    ("emit", "cuts.jsonl", fig1_cut("cvi", flow_signs={"1": 1, "2": 1, "4": 1, "05": -1}),
+     "cvi cut: 'flow_signs' key '05' is not a line index"),
     ("cuts", "pt.json", '{"theta": {}, "y": {"3": "3/2"}}', "y[3] = 3/2 is outside [0, 1]"),
     ("emit", "net.json", '{"buses": []}', "'buses' must be a nonempty list"),
     ("certify", "net.json", '{"buses": []}', "'buses' must be a nonempty list"),
@@ -347,6 +354,9 @@ MALFORMED_IDS = [
     "point-y-key-negative",
     "point-y-key-out-of-range",
     "point-f-key-name",
+    "point-y-key-two-spellings",
+    "cut-cpvi-y-coeffs-key-two-spellings",
+    "cut-cvi-flow-signs-key-leading-zero",
     "point-y-outside-unit-interval",
     "network-no-buses-emit",
     "network-no-buses-certify",

@@ -16,6 +16,7 @@ from anglecuts.graph import fundamental_cycle_basis, split_cycle
 from anglecuts.milp import MilpModel
 from anglecuts.oracle import (
     HULL_CANDIDATES,
+    CertificateReport,
     Claim,
     DcotsResult,
     HPolytope,
@@ -342,6 +343,17 @@ def test_full_dimension_certificate(fig1_relax):
     assert report.claim is Claim.FULL_DIMENSION and report.passed
 
 
+def test_full_dimension_refused_on_a_row_through_the_center(fig1_pair, fig1_relax):
+    # y of the first cycle line <= 1/2 passes through (0, 1/2, ..., 1/2)
+    row = tuple(F(int(j == 1)) for j in range(fig1_relax.dim))
+    relax = HPolytope((*fig1_relax.rows, (row, F(1, 2))), fig1_relax.dim)
+    witness = {"non_interior_row": len(fig1_relax.rows), "point": ["0"] + ["1/2"] * (fig1_relax.dim - 1)}
+    assert full_dimension_certificate(relax) == CertificateReport(Claim.FULL_DIMENSION, False, witness)
+    # the tight family still checks out against the true relaxation's integer points
+    report = facet_certificate(build_cpvi(fig1_pair, F(6)), integer_points(fig1_relax), relax)
+    assert report == CertificateReport(Claim.FACET_RANK, False, {"full_dimension": witness})
+
+
 def test_facet_certificate_fig1(fig1_pair, fig1_relax):
     assert facet_certificate(build_cpvi(fig1_pair, F(6)), integer_points(fig1_relax), fig1_relax).passed
 
@@ -351,15 +363,13 @@ def test_facet_certificate_degenerate_tie_recorded():
     pair = split_cycle(net, fundamental_cycle_basis(net)[0], "r0", "r2")
     relax = pair_relaxation(net, pair, F(4))
     report = facet_certificate(build_cpvi(pair, F(4)), integer_points(relax), relax)
-    assert report.claim is Claim.FACET_RANK
-    assert isinstance(report.passed, bool)  # outcome recorded, not prescribed
+    assert report == CertificateReport(Claim.FACET_RANK, True)
 
 
 def test_facet_certificate_big_m_boundary(fig1, fig1_pair):
     relax = pair_relaxation(fig1, fig1_pair, F(4))
     report = facet_certificate(build_cpvi(fig1_pair, F(4)), integer_points(relax), relax)  # delta_m == 0
-    assert report.claim is Claim.FACET_RANK
-    assert isinstance(report.passed, bool)
+    assert report == CertificateReport(Claim.FACET_RANK, True)
 
 
 def test_local_idealness_fig1(fig1, fig1_pair):

@@ -30,13 +30,15 @@ def test_unbounded():
 
 
 def test_maximize_over_simplex():
+    # the maximum of x0 + x1 is the negated minimum of -x0 - x1
     rows = [([F(1), F(1)], F(1)), ([F(-1), F(0)], F(0)), ([F(0), F(-1)], F(0))]
-    result = solve_linear_program(2, rows, [], [F(1), F(1)], minimize=False)
-    assert result.value == 1
+    result = solve_linear_program(2, rows, [], [F(-1), F(-1)])
+    assert -result.value == 1
 
 
 def test_equality_with_nonneg_variables():
-    result = solve_linear_program(2, [], [([F(1), F(1)], F(1))], [F(1), F(0)], nonneg=True)
+    signs = [([F(-1), F(0)], F(0)), ([F(0), F(-1)], F(0))]  # x >= 0
+    result = solve_linear_program(2, signs, [([F(1), F(1)], F(1))], [F(1), F(0)])
     assert result.status == "optimal" and result.value == 0
     assert result.point == (F(0), F(1))
 
@@ -47,7 +49,7 @@ def test_free_variable_equality():
 
 
 def test_redundant_equalities_kept_consistent():
-    result = solve_linear_program(1, [], [([F(1)], F(1)), ([F(2)], F(2))], [F(1)], nonneg=True)
+    result = solve_linear_program(1, [([F(-1)], F(0))], [([F(1)], F(1)), ([F(2)], F(2))], [F(1)])
     assert result.status == "optimal" and result.value == 1
 
 
@@ -77,7 +79,7 @@ def test_exact_fractions_survive():
 ], ids=["float-coefficient", "float-rhs", "bool-coefficient", "float-objective"])
 def test_refuses_inexact_entries(lp, message):
     with pytest.raises(ValueError, match=message):
-        solve_linear_program(1, **lp)
+        solve_linear_program(1, **{"eqs": [], "objective": [F(0)], **lp})
 
 
 @pytest.mark.parametrize("n_vars, lp, message", [
@@ -88,12 +90,13 @@ def test_refuses_inexact_entries(lp, message):
 ], ids=["short-inequality", "long-equality", "short-objective", "long-objective"])
 def test_refuses_rows_of_the_wrong_width(n_vars, lp, message):
     with pytest.raises(ValueError, match=message):
-        solve_linear_program(n_vars, **lp)
+        solve_linear_program(n_vars, **{"eqs": [], "objective": [F(0)] * n_vars, **lp})
 
 
 def test_accepts_int_entries():
-    result = solve_linear_program(1, [([2], 3), ([-1], 0)], [], [1], minimize=False)
-    assert result == LPResult("optimal", F(3, 2), (F(3, 2),))
+    # the maximum of x over 2x <= 3, x >= 0, as the minimum of -x
+    result = solve_linear_program(1, [([2], 3), ([-1], 0)], [], [-1])
+    assert result == LPResult("optimal", F(-3, 2), (F(3, 2),))
 
 
 def test_random_lps_match_vertex_enumeration():
@@ -170,6 +173,11 @@ def test_pivoted_rows_stay_in_lowest_terms(case, pivots):
         row, col = next((cell for cell in cells if cell > (row, col)), cells[0])
 
 
+def sign_rows(n):
+    """x >= 0 in the one LP form: the rows -x_j <= 0."""
+    return [([F(-1) if k == j else F(0) for k in range(n)], F(0)) for j in range(n)]
+
+
 @st.composite
 def linear_programs(draw):
     n = draw(st.integers(1, 4))
@@ -178,25 +186,22 @@ def linear_programs(draw):
     def rows(most):
         return draw(st.lists(st.tuples(st.lists(ENTRY, min_size=n, max_size=n), rhs), max_size=most))
 
-    return dict(
-        n_vars=n,
-        ineqs=rows(6),
-        eqs=rows(2),
-        objective=draw(st.lists(ENTRY, min_size=n, max_size=n)),
-        minimize=draw(st.booleans()),
-        nonneg=draw(st.booleans()),
-    )
+    ineqs, eqs, objective = rows(6), rows(2), draw(st.lists(ENTRY, min_size=n, max_size=n))
+    if draw(st.booleans()):  # a maximization, as the minimum of the negated objective
+        objective = [-c for c in objective]
+    if draw(st.booleans()):  # sign-constrained variables
+        ineqs += sign_rows(n)
+    return dict(n_vars=n, ineqs=ineqs, eqs=eqs, objective=objective)
 
 
 @settings(max_examples=300)
 @given(linear_programs())
 # one fixed case per status, with a negative right-hand side and an equality
 @example(dict(n_vars=2, ineqs=[([F(-1), F(-1)], F(-2)), ([F(1), F(0)], F(3)), ([F(0), F(1)], F(3))],
-              eqs=[([F(1), F(-1)], F(1, 2))], objective=[F(1), F(2)], minimize=True, nonneg=False))
-@example(dict(n_vars=1, ineqs=[([F(1)], F(0)), ([F(-1)], F(-1))], eqs=[], objective=[F(1)],
-              minimize=True, nonneg=False))
-@example(dict(n_vars=2, ineqs=[([F(1), F(-1)], F(1))], eqs=[], objective=[F(1), F(0)],
-              minimize=False, nonneg=True))
+              eqs=[([F(1), F(-1)], F(1, 2))], objective=[F(1), F(2)]))
+@example(dict(n_vars=1, ineqs=[([F(1)], F(0)), ([F(-1)], F(-1))], eqs=[], objective=[F(1)]))
+# the maximum of x0 over x0 - x1 <= 1 and x >= 0
+@example(dict(n_vars=2, ineqs=[([F(1), F(-1)], F(1)), *sign_rows(2)], eqs=[], objective=[F(-1), F(0)]))
 def test_solver_matches_dense_reference(lp):
     assert solve_linear_program(**lp) == dense_solve_linear_program(**lp)
 
@@ -205,15 +210,15 @@ def test_solver_matches_dense_reference(lp):
 
 
 def lead_scaled_tableau_row(coeffs, rhs, is_ineq):
-    """The one-row tableau of coeffs . x <= rhs (or == rhs) over nonnegative
-    x, built from the row divided by the magnitude of its leading
-    coefficient: structural columns, slack, artificial, right-hand side,
-    as integer numerators over their least common denominator.  An emptied
-    row's leading entry is its right-hand side, since its primitive row
-    is (0, ..., 0, +-1)."""
+    """The one-row tableau of coeffs . x <= rhs (or == rhs) over free x,
+    built from the row divided by the magnitude of its leading
+    coefficient: the columns of x's positive and negative parts, slack,
+    artificial, right-hand side, as integer numerators over their least
+    common denominator.  An emptied row's leading entry is its right-hand
+    side, since its primitive row is (0, ..., 0, +-1)."""
     lead = abs(next((v for v in (*coeffs, rhs) if v), 1))
     coeffs, rhs = [F(c) / lead for c in coeffs], F(rhs) / lead
-    row = coeffs + ([F(1)] if is_ineq else []) + [rhs]
+    row = coeffs + [-c for c in coeffs] + ([F(1)] if is_ineq else []) + [rhs]
     if rhs < 0:
         row = [-v for v in row]
     if rhs < 0 or not is_ineq:
@@ -244,5 +249,5 @@ def test_tableau_row_is_the_row_over_its_leading_coefficient(coeffs, rhs, is_ine
 
     row = [(coeffs, rhs)]
     with mock.patch.object(simplex, "_run", record):
-        solve_linear_program(len(coeffs), row if is_ineq else [], [] if is_ineq else row, nonneg=True)
+        solve_linear_program(len(coeffs), row if is_ineq else [], [] if is_ineq else row, [0] * len(coeffs))
     assert built[0] == lead_scaled_tableau_row(coeffs, rhs, is_ineq)
