@@ -191,10 +191,12 @@ def load_network(source) -> Network:
 
 def line_index(key: str, where: str) -> int:
     """The line a JSON object key such as a point's 'y' or a cut's 'y_coeffs'
-    names: only its canonical decimal, so no line is spelled two ways."""
-    if key.isdigit() and key.isascii() and (key[0] != "0" or key == "0"):
+    names: only its canonical decimal, so no line is spelled two ways, of at
+    most 20 digits, so int() never meets a key past its digit limit."""
+    if len(key) <= 20 and key.isdigit() and key.isascii() and (key[0] != "0" or key == "0"):
         return int(key)
-    raise ParseError(f"{where} key {key!r} is not a line index in canonical decimal")
+    shown = f"{key[:20]!r}... ({len(key)} characters)" if len(key) > 20 else repr(key)
+    raise ParseError(f"{where} key {shown} is not a line index in canonical decimal")
 
 
 def network_to_json(net: Network) -> dict:

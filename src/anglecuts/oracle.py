@@ -10,7 +10,8 @@ The per-pair relaxation and every hull candidate are models read by
 ``model_polytope``; a candidate's rows are elimination branches of the lifted model.
 The certificates take the relaxation and its integer points, built once per pair.
 Every row, from ``ModelLP`` to ``HPolytope`` and the simplex, is a primitive
-integer row (``rational.integer_row``).
+integer row (``rational.integer_row``), read once per line state; vertices are
+integers (x, w), tested like the integer points in integers: Fractions only in witnesses.
 """
 
 from __future__ import annotations
@@ -19,15 +20,15 @@ import enum
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from operator import mul
-from typing import Container, Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .cuts import CutCPVI, CutCVI
 from .errors import AllPatternsInfeasibleError, CapExceededError, UnboundedError
 from .extended import eliminate
 from .graph import CyclePathPair
-from .milp import MilpConstraint, MilpModel, build_dcots, dcots_names, fixed_topology
+from .milp import MilpModel, build_dcots, dcots_names, fixed_topology
 from .network import Network
 from .rational import format_rational, integer_row, matrix_rank
 from .simplex import Row, solve_linear_program
@@ -91,15 +92,15 @@ class HPolytope:
             rows.append((tuple(nums), rhs))
         object.__setattr__(self, "rows", tuple(rows))
 
-    def contains(self, point: Sequence[Fraction]) -> bool:
-        return self.first_violated(point) is None
+    def contains(self, x: Sequence[int | Fraction], w: int = 1) -> bool:
+        return self.first_violated(x, w) is None
 
-    def first_violated(self, point: Sequence[Fraction]):
-        x, w = integer_row(point, 1, "point")  # the point as integers x / w
-        for k, (coeffs, b) in enumerate(self.rows):
-            if sum(map(mul, coeffs, x)) > b * w:
-                return k
-        return None
+    def first_violated(self, x: Sequence[int | Fraction], w: int = 1) -> int | None:
+        """The first row the point x / w (w > 0) violates, or None; an x not all
+        ints is put over its common denominator first, which refuses a float."""
+        if any(type(v) is not int for v in x):
+            x, w = integer_row(x, w, "point")
+        return next((k for k, (coeffs, b) in enumerate(self.rows) if sum(map(mul, coeffs, x)) > b * w), None)
 
 
 class Claim(enum.Enum):
@@ -124,8 +125,12 @@ class CertificateReport:
         return {"claim": self.claim.value, "passed": self.passed, "witness": self.witness}
 
 
-def _point_json(point: Iterable[Fraction]) -> list[str]:
-    return [format_rational(x) for x in point]
+def _point_json(x: Iterable[int], w: int) -> list[str]:
+    return [format_rational(Fraction(v, w)) for v in x]
+
+
+def _homogeneous(dtheta: Fraction, bits: Sequence[int]) -> tuple[tuple[int, ...], int]:
+    return (dtheta.numerator, *(b * dtheta.denominator for b in bits)), dtheta.denominator
 
 
 # ---------------------------------------------------------------------------
@@ -144,10 +149,11 @@ def integer_points(relax: HPolytope) -> list[tuple[Fraction, tuple[int, ...]]]:
     size = relax.dim - 1
     if size > INTEGER_POINT_CAP:
         raise CapExceededError(f"cycle size {size} exceeds the integer enumeration cap {INTEGER_POINT_CAP}")
-    upper = [(coeffs[0], coeffs[1:], b) for coeffs, b in relax.rows if coeffs[0] > 0]
+    scale = lcm(*(coeffs[0] for coeffs, _ in relax.rows if coeffs[0] > 0))  # the bounds' common denominator
+    upper = [(scale // coeffs[0], coeffs[1:], b) for coeffs, b in relax.rows if coeffs[0] > 0]
     points = []
     for bits in itertools.product((0, 1), repeat=size):
-        bound = min(Fraction(b - sum(map(mul, slopes, bits)), lead) for lead, slopes, b in upper)
+        bound = Fraction(min(unit * (b - sum(map(mul, slopes, bits))) for unit, slopes, b in upper), scale)
         points += [(bound, bits), (-bound, bits), (Fraction(0), bits)]
     return points
 
@@ -164,8 +170,9 @@ def _combination(a: int, u: Sequence[int], b: int, v: Sequence[int]) -> tuple[in
     return tuple(point)
 
 
-def enumerate_vertices(p: HPolytope) -> list[tuple[Fraction, ...]]:
-    """All vertices of a bounded polytope, exactly, sorted; [] when it is empty.
+def enumerate_vertices(p: HPolytope) -> list[tuple[tuple[int, ...], int]]:
+    """All vertices of a bounded polytope as gcd-reduced integers (x, w), w > 0,
+    the points x / w, in those points' sorted order; [] when it is empty.
 
     The double description method on the cone {(x, w) : a.x <= b*w, w >= 0},
     read from the polytope's integer rows, whose rays with w > 0 are the
@@ -178,7 +185,7 @@ def enumerate_vertices(p: HPolytope) -> list[tuple[Fraction, ...]]:
     nonnegative slack and cuts a new ray from each adjacent pair across the
     hyperplane; a pair is adjacent when no third ray's tight set contains
     their common one.  Every ray is a gcd-reduced integer vector and every
-    slack an integer product; Fractions are made only for the result.
+    slack an integer product, and no Fraction is made.
 
     No ray with w > 0 means the polytope is empty.  Otherwise a lineality
     vector or a ray with w = 0 is a direction in which it is unbounded, and
@@ -248,7 +255,8 @@ def enumerate_vertices(p: HPolytope) -> list[tuple[Fraction, ...]]:
     if recession:
         j = next(j for j in range(p.dim) if any(u[j] for u in recession))
         raise UnboundedError(f"polytope is unbounded in coordinate {j}")
-    return sorted(tuple(Fraction(x, u[-1]) for x in u[:-1]) for u in vertices)
+    scale = lcm(*(u[-1] for u in vertices))  # the points' order is that of each x over the lcm of every w
+    return sorted(((u[:-1], u[-1]) for u in vertices), key=lambda v: [x * (scale // v[1]) for x in v[0]])
 
 
 def affine_rank(points: Sequence[Sequence[Fraction]]) -> int:
@@ -312,45 +320,61 @@ def candidate_hull(pair: CyclePathPair, model: MilpModel, name: str) -> HPolytop
 
 
 class ModelLP:
-    """The exact LP of a MilpModel over the variables a substitution leaves,
-    in model order.  The columns, their bound rows (an upper, then a lower
-    row per variable) and the objective are read once; ``rows`` reads rows
-    under a substitution: variable -> (terms, constant) over the columns,
-    which must keep the variable's bounds and stay out of the objective.
-    Every row, bounds included, is a primitive integer row; the objective
-    keeps its exact rationals."""
+    """The exact LP of a MilpModel over the variables its substitutions leave,
+    in model order.  A substitution maps variables to (terms, constant) over
+    the columns, keeping their bounds and out of the objective: ``fixed``
+    holds in every read, and each switch has one per state (a line open and
+    closed, a y at 0 and 1), which overrides ``fixed``.  The columns, bound
+    rows (an upper, then a lower row per variable), objective and each row
+    are read once, a row as an integer vector plus a sparse one per state of
+    each switch it touches, over one denominator: all primitive integer rows."""
 
-    def __init__(self, model: MilpModel, substituted: Container[str] = ()):
-        kept = [var for var in model.variables if var.name not in substituted]
+    def __init__(self, model: MilpModel, fixed: Mapping | None = None, switches: Sequence[Sequence[Mapping]] = ()):
+        switches = {None: (fixed or {},), **dict(enumerate(switches))}  # fixed: the one state of every read
+        owner = {var: k for k, states in switches.items() for var in states[0]}
+        kept = [var for var in model.variables if var.name not in owner]
         self.columns = {var.name: j for j, var in enumerate(kept)}  # name -> index, in model order
         self.bounds = [integer_row([sign if k == j else 0 for k in range(len(kept))], sign * bound, f"bound of {var.name!r}")
                        for j, var in enumerate(kept) for sign, bound in ((1, var.upper), (-1, var.lower))
                        if bound is not None]
         objective = dict(model.objective)
         self.objective = [objective.get(var.name, 0) for var in kept]
-
-    def rows(self, constraints: Iterable[MilpConstraint], subst: Mapping) -> tuple[list[Row], list[Row]]:
-        """The '<=' rows and the '=' rows among constraints under subst, each
-        as its primitive integer row.  A row left with no term is dropped
-        when it holds; one that fails stays, so the LP is infeasible."""
-        ineqs, eqs = [], []
-        for con in constraints:
+        n = len(kept)  # the right-hand side's index in a row vector
+        self._rows = []
+        for con in model.constraints:
             if con.sense not in ("<=", "="):
                 raise ValueError(f"row {con.name!r} has sense {con.sense!r}; only '<=' and '=' rows are read")
-            coeffs: list[Fraction | int] = [0] * len(self.columns)
-            rhs = con.rhs
+            parts = {None: [[(n, con.rhs)]]}  # per switch, per state, (index, rational) terms
             for var, c in con.coeffs:
-                if var in subst:
-                    terms, value = subst[var]
-                    if value:
-                        rhs -= c * value
-                    terms = [(self.columns[name], c * d) for name, d in terms.items()]
-                else:
-                    terms = [(self.columns[var], c)]
-                for j, v in terms:
-                    coeffs[j] = coeffs[j] + v if coeffs[j] else v
-            if any(coeffs) or rhs < 0 or (rhs != 0 and con.sense == "="):
-                (eqs if con.sense == "=" else ineqs).append(integer_row(coeffs, rhs, f"row {con.name!r}"))
+                if var not in owner:
+                    parts[None][0].append((self.columns[var], c))
+                    continue
+                states = switches[owner[var]]
+                for part, (terms, value) in zip(parts.setdefault(owner[var], [[] for _ in states]), (s[var] for s in states)):
+                    part += [(n, -c * value)] if value else []
+                    part += [(self.columns[name], c * d) for name, d in terms.items()]
+            den = lcm(*(v.denominator for states in parts.values() for part in states for _, v in part))
+            parts = {k: [[(j, v.numerator * (den // v.denominator)) for j, v in part] for part in states]
+                     for k, states in parts.items()}
+            row = [0] * (n + 1)
+            for j, v in parts.pop(None)[0]:
+                row[j] += v
+            self._rows.append((con.sense, row, list(parts.items())))
+
+    def rows(self, states: Sequence[int] = (), constraints: slice = slice(None)) -> tuple[list[Row], list[Row]]:
+        """The '<=' and '=' rows among the model's rows at the given positions, switch k
+        in state states[k], each its vectors' sum over their gcd.  A row left with no
+        term is dropped when it holds; one that fails stays, so the LP is infeasible."""
+        ineqs, eqs = [], []
+        for sense, row, touched in self._rows[constraints]:
+            row = list(row)
+            for k, parts in touched:
+                for j, v in parts[states[k]]:
+                    row[j] += v
+            if any(row[:-1]) or row[-1] < 0 or (row[-1] and sense == "="):
+                if (g := gcd(*row)) > 1:
+                    row = [v // g for v in row]
+                (eqs if sense == "=" else ineqs).append((row[:-1], row[-1]))
         return ineqs, eqs
 
 
@@ -360,14 +384,16 @@ def model_polytope(model: MilpModel) -> HPolytope:
     if wrong := next((con for con in model.constraints if con.sense != "<="), None):
         raise ValueError(f"row {wrong.name!r} has sense {wrong.sense!r}; only '<=' rows are read")
     lp = ModelLP(model)
-    ineqs, _ = lp.rows(model.constraints, {})
+    ineqs, _ = lp.rows()
     return HPolytope(tuple(ineqs + lp.bounds), len(lp.columns))
 
 
 def cpvi_validity_certificate(cut: CutCPVI, points: Iterable[tuple[Fraction, tuple[int, ...]]]) -> CertificateReport:
     """Every integer-feasible extreme of the cut's pair relaxation (its ``integer_points``) satisfies the cut."""
+    y = [-dict(cut.y_coeffs).get(line, 0) for line in cut.pair.cycle.lines]  # rows +-dtheta - slopes . y <= constant
+    rows = HPolytope((((1, *y), cut.constant), ((-1, *y), cut.constant)), 1 + len(y))
     for dtheta, bits in points:
-        if abs(dtheta) > cut.rhs_at(dict(zip(cut.pair.cycle.lines, bits))):
+        if rows.first_violated(*_homogeneous(dtheta, bits)) is not None:
             return CertificateReport(
                 Claim.VALIDITY,
                 False,
@@ -385,8 +411,8 @@ def full_dimension_certificate(relax: HPolytope) -> CertificateReport:
     k = next((k for k, (coeffs, b) in enumerate(relax.rows) if 2 * b - sum(coeffs[1:]) <= 0), None)
     if k is None:
         return CertificateReport(Claim.FULL_DIMENSION, True)
-    center = [Fraction(0)] + [Fraction(1, 2)] * (relax.dim - 1)
-    return CertificateReport(Claim.FULL_DIMENSION, False, {"non_interior_row": k, "point": _point_json(center)})
+    center = _point_json([0] + [1] * (relax.dim - 1), 2)
+    return CertificateReport(Claim.FULL_DIMENSION, False, {"non_interior_row": k, "point": center})
 
 
 def facet_certificate(cut: CutCPVI, points: Iterable[tuple[Fraction, tuple[int, ...]]], relax: HPolytope) -> CertificateReport:
@@ -432,14 +458,10 @@ def facet_certificate(cut: CutCPVI, points: Iterable[tuple[Fraction, tuple[int, 
 def local_idealness_certificate(model: MilpModel) -> CertificateReport:
     """Every vertex of the lifted system is binary in all 0/1 variables."""
     names = [var.name for var in model.variables]
-    for vertex in enumerate_vertices(model_polytope(model)):
+    for x, w in enumerate_vertices(model_polytope(model)):
         for j in range(1, len(names)):  # everything but the angle difference
-            if vertex[j] != 0 and vertex[j] != 1:
-                return CertificateReport(
-                    Claim.LOCAL_IDEAL,
-                    False,
-                    {"vertex": _point_json(vertex), "fractional_var": names[j]},
-                )
+            if x[j] != 0 and x[j] != w:
+                return CertificateReport(Claim.LOCAL_IDEAL, False, {"vertex": _point_json(x, w), "fractional_var": names[j]})
     return CertificateReport(Claim.LOCAL_IDEAL, True)
 
 
@@ -456,23 +478,17 @@ def hull_equality(points: Iterable[tuple[Fraction, tuple[int, ...]]], relax: HPo
     if candidate.dim != relax.dim:
         raise ValueError("candidate must live in (angle difference, y) space of the pair")
     for dtheta, bits in points:
-        row = candidate.first_violated((dtheta, *bits))
-        if row is not None:
+        if (row := candidate.first_violated(*_homogeneous(dtheta, bits))) is not None:
             return CertificateReport(
                 Claim.HULL_EQUALITY,
                 False,
                 {"violated_integer_point": {"dtheta": format_rational(dtheta), "y": list(bits)}, "row": row},
             )
-    for vertex in enumerate_vertices(candidate):
-        y_part = vertex[1:]
-        if any(v != 0 and v != 1 for v in y_part):
-            return CertificateReport(
-                Claim.HULL_EQUALITY, False, {"fractional_vertex": _point_json(vertex)}
-            )
-        if not relax.contains(vertex):
-            return CertificateReport(
-                Claim.HULL_EQUALITY, False, {"infeasible_vertex": _point_json(vertex)}
-            )
+    for x, w in enumerate_vertices(candidate):
+        if any(v != 0 and v != w for v in x[1:]):
+            return CertificateReport(Claim.HULL_EQUALITY, False, {"fractional_vertex": _point_json(x, w)})
+        if not relax.contains(x, w):
+            return CertificateReport(Claim.HULL_EQUALITY, False, {"infeasible_vertex": _point_json(x, w)})
     return CertificateReport(Claim.HULL_EQUALITY, True)
 
 
@@ -502,23 +518,26 @@ def _pattern_optima(net: Network, cpvis: Sequence[CutCPVI], cvis: Sequence[CutCV
     names = dcots_names(net)
     # build_dcots writes the two rows of each cut last
     split = len(model.constraints) - 2 * (len(cpvis) + len(cvis))
-    rows, cut_rows = model.constraints[:split], model.constraints[split:]
-    lp = ModelLP(model, fixed_topology(net, dict.fromkeys(range(len(net.lines)), 1)))
+    closed = fixed_topology(net, dict.fromkeys(range(len(net.lines)), 1))  # each switch's states override it
+    opened = fixed_topology(net, dict.fromkeys(range(len(net.lines)), 0))
+    switches = [tuple({var: subst[var] for var in (names.f[i], names.y[i])} for subst in (opened, closed)) for i in switchable]
+    lp = ModelLP(model, closed, switches)
     for bits in itertools.product((1, 0), repeat=len(switchable)):
-        active = dict.fromkeys(range(len(net.lines)), 1)
-        active.update(zip(switchable, bits))
-        fixed = fixed_topology(net, active)
-        ineqs, eqs = lp.rows(rows, fixed)
-        cuts, _ = lp.rows(cut_rows, fixed)
+        ineqs, eqs = lp.rows(bits, slice(split))
         result = solve_linear_program(len(lp.columns), lp.bounds + ineqs, eqs, lp.objective)
-        if result.status == "optimal" and not HPolytope(cuts, len(lp.columns)).contains(result.point):
-            # the base optimizer violates an appended row, so the rows do
-            # bind for this pattern; re-solve with them in place
-            result = solve_linear_program(len(lp.columns), lp.bounds + ineqs + cuts, eqs, lp.objective)
+        if result.status == "optimal":
+            cuts, _ = lp.rows(bits, slice(split, None))
+            x, w = integer_row(result.point, 1, "point")
+            if any(sum(map(mul, coeffs, x)) > b * w for coeffs, b in cuts):
+                # the base optimizer violates an appended row, so the rows do
+                # bind for this pattern; re-solve with them in place
+                result = solve_linear_program(len(lp.columns), lp.bounds + ineqs + cuts, eqs, lp.objective)
         if result.status == "optimal":
             values = dict(zip(lp.columns, result.point))
+            pattern = closed | {var: term for states, bit in zip(switches, bits) for var, term in states[bit].items()}
             values.update({var: value + sum((d * values[name] for name, d in terms.items()), Fraction(0))
-                           for var, (terms, value) in fixed.items()})
+                           for var, (terms, value) in pattern.items()})
+            active = {**dict.fromkeys(range(len(net.lines)), 1), **dict(zip(switchable, bits))}
             yield DcotsResult(result.value, {bus: values[name] for bus, name in names.g.items()},
                               {idx: values[name] for idx, name in enumerate(names.f)},
                               {bus: values[name] for bus, name in names.theta.items()}, active)

@@ -6,7 +6,10 @@ objective, with the value negated back; a sign constraint x_j >= 0 is
 the row -x_j <= 0.
 
 Dense tableau, Bland's smallest-index pivoting rule, so every run
-terminates and every comparison is exact.  The tableau is fraction-free:
+terminates and every comparison is exact.  A free x is split as x+ - x-, but
+row operations keep each x- column the negated x+ column, so only x+ is stored;
+labels, the basis and Bland's order keep the split numbering (x+, x-, slacks,
+artificials), and with it every pivot.  The tableau is fraction-free:
 each row is a list of integer numerators over one positive row
 denominator, coprime to them all, and a pivot costs integer products
 and one gcd per changed row rather than a Fraction normalization per
@@ -58,41 +61,48 @@ def _minus(a: IntRow, factor: int, b: IntRow) -> IntRow:
     return [x * scale_a - y * scale_b for x, y in zip(a_nums, b_nums)], den
 
 
-def _pivot(tableau: list[IntRow], basis: list[int], row: int, col: int) -> None:
-    """Pivot on (row, col): the pivot row becomes itself over its entry at
-    col, and every row with a nonzero at col subtracts it, updating only
-    the pivot row's nonzero columns after bringing both to one denominator."""
+def _stored(col: int, free: int) -> tuple[int, int]:
+    """The stored column of split column col and the sign it is read with."""
+    return (col, 1) if col < free else (col - free, -1 if col < 2 * free else 1)
+
+
+def _pivot(tableau: list[IntRow], basis: list[int], row: int, col: int, free: int) -> None:
+    """Pivot on (row, col), col split over free variables: the pivot row becomes
+    itself over its entry at col, and every row with a nonzero at col subtracts
+    it, updating only the pivot row's nonzero columns at one denominator."""
+    j, sign = _stored(col, free)
     nums, _ = tableau[row]
-    lead = nums[col]
+    lead = sign * nums[j]
     if lead < 0:
         nums, lead = [-v for v in nums], -lead
     pivot_nums, pivot_den = tableau[row] = _reduced(nums, lead)
-    nonzero = [(j, v) for j, v in enumerate(pivot_nums) if v]
+    nonzero = [(k, v) for k, v in enumerate(pivot_nums) if v]
     for r, (other, den) in enumerate(tableau):
-        factor = other[col]
+        factor = sign * other[j]
         if not factor or r == row:
             continue
         if pivot_den != 1:
             other = [v * pivot_den for v in other]
             den *= pivot_den
-        for j, v in nonzero:
-            other[j] -= factor * v
+        for k, v in nonzero:
+            other[k] -= factor * v
         tableau[r] = _reduced(other, den)
     basis[row] = col
 
 
-def _run(tableau: list[IntRow], basis: list[int], allowed: int) -> str:
-    """Minimize with the cost row last; only columns < allowed may enter."""
+def _run(tableau: list[IntRow], basis: list[int], allowed: int, free: int) -> str:
+    """Minimize with the cost row last; only split columns < allowed may enter."""
     m = len(tableau) - 1
+    columns = [(col, *_stored(col, free)) for col in range(allowed)]  # in Bland's order
     while True:
         cost = tableau[m][0]
-        enter = next((j for j in range(allowed) if cost[j] < 0), None)
+        enter, j, sign = next((entry for entry in columns if entry[2] * cost[entry[1]] < 0), (None, 0, 0))
         if enter is None:
             return "optimal"
         leave = None
         for r in range(m):
             nums = tableau[r][0]
-            coeff = nums[enter]
+            coeff = sign * nums[j]
             if coeff > 0:
                 # the ratio rhs / coeff, in which the row denominator cancels
                 rhs = nums[-1]
@@ -101,15 +111,16 @@ def _run(tableau: list[IntRow], basis: list[int], allowed: int) -> str:
                     best_rhs, best_coeff, leave = rhs, coeff, r
         if leave is None:
             return "unbounded"
-        _pivot(tableau, basis, leave, enter)
+        _pivot(tableau, basis, leave, enter, free)
 
 
-def _cost_row(costs: list[int], den: int, tableau: list[IntRow], basis: list[int]) -> IntRow:
-    """The reduced costs of costs / den under the basis: costs minus each
-    basic row times its column's cost, in lowest terms."""
+def _cost_row(costs: list[int], den: int, tableau: list[IntRow], basis: list[int], free: int) -> IntRow:
+    """The reduced costs of costs / den (stored) under the basis: costs
+    minus each basic row times its column's cost, in lowest terms."""
     row = (costs, 1)
     for basic, col in zip(tableau, basis):
-        if cost := costs[col]:
+        j, sign = _stored(col, free)
+        if cost := sign * costs[j]:
             row = _minus(row, cost, basic)
     return _reduced(row[0], row[1] * den)
 
@@ -135,32 +146,31 @@ def solve_linear_program(
 
     # the objective's numerators over their least common denominator
     obj, obj_den = scaled(objective, 1, "the objective")
-    width = 2 * n_vars
 
-    # columns: x split in two, one slack per inequality, one artificial per
-    # row whose slack cannot start basic (an equality, or a negative rhs)
+    # columns: x split in two (x- not stored), one slack per inequality, one artificial
+    # per row whose slack cannot start basic (an equality, or a negative rhs)
     n_slack = len(ineqs)
     rows = []
     for i, (coeffs, b) in enumerate((*ineqs, *eqs)):
         where = f"inequality {i}" if i < n_slack else f"equality {i - n_slack}"
         rows.append((*scaled(coeffs, b, where), i < n_slack))
-    total_structural = width + n_slack
+    total_structural = 2 * n_vars + n_slack
     n_art = sum(1 for _, b, is_ineq in rows if b < 0 or not is_ineq)
-    total = total_structural + n_art
+    stored = n_vars + n_slack + n_art
     tableau: list[IntRow] = []
     basis: list[int] = []
     next_art = total_structural
     for i, (nums, b, is_ineq) in enumerate(rows):
         unit = next((abs(v) for v in nums if v), 1)  # of the slack and artificial
-        row = nums + [-v for v in nums] + [0] * (total - width) + [b]
+        row = nums + [0] * (stored - n_vars) + [b]
         if is_ineq:
-            row[width + i] = unit
+            row[n_vars + i] = unit
         if b < 0:
             row = [-v for v in row]
         if is_ineq and b >= 0:
-            basis.append(width + i)
+            basis.append(2 * n_vars + i)
         else:
-            row[next_art] = unit
+            row[next_art - n_vars] = unit
             basis.append(next_art)
             next_art += 1
         tableau.append((row, unit))
@@ -168,32 +178,31 @@ def solve_linear_program(
 
     if n_art:
         # phase 1: drive the artificial sum to zero
-        tableau.append(_cost_row([0] * total_structural + [1] * n_art + [0], 1, tableau, basis))
-        _run(tableau, basis, total_structural)  # artificials may not re-enter
+        tableau.append(_cost_row([0] * (n_vars + n_slack) + [1] * n_art + [0], 1, tableau, basis, n_vars))
+        _run(tableau, basis, total_structural, n_vars)  # artificials may not re-enter
         if tableau[-1][0][-1] != 0:
             return LPResult("infeasible")
         tableau.pop()
         # pivot lingering zero-value artificials out where possible
         for i in range(m):
             if basis[i] >= total_structural:
-                col = next((j for j in range(total_structural) if tableau[i][0][j] != 0), None)
-                if col is not None:
-                    _pivot(tableau, basis, i, col)
+                j = next((j for j in range(n_vars + n_slack) if tableau[i][0][j] != 0), None)
+                if j is not None:
+                    _pivot(tableau, basis, i, j if j < n_vars else j + n_vars, n_vars)
         keep = [i for i in range(m) if basis[i] < total_structural]
         tableau = [tableau[i] for i in keep]
         basis = [basis[i] for i in keep]
         m = len(basis)
 
     # phase 2: the real objective, whose numerators sit over obj_den
-    costs = obj + [-c for c in obj] + [0] * (total + 1 - width)
-    tableau.append(_cost_row(costs, obj_den, tableau, basis))
-    if _run(tableau, basis, total_structural) == "unbounded":
+    tableau.append(_cost_row(obj + [0] * (stored + 1 - n_vars), obj_den, tableau, basis, n_vars))
+    if _run(tableau, basis, total_structural, n_vars) == "unbounded":
         return LPResult("unbounded")
 
-    values = [Fraction(0)] * total
-    for i in range(m):
-        nums, den = tableau[i]
-        values[basis[i]] = Fraction(nums[-1], den)
-    point = tuple(values[j] - values[n_vars + j] for j in range(n_vars))
-    value = sum((c * x for c, x in zip(obj, point)), Fraction(0)) / obj_den
-    return LPResult("optimal", value, point)
+    point = [Fraction(0)] * n_vars
+    for (nums, den), col in zip(tableau, basis):
+        if col < 2 * n_vars:
+            j, sign = _stored(col, n_vars)
+            point[j] = Fraction(sign * nums[-1], den)
+    nums, den = tableau[-1]  # the cost row, whose right-hand side is minus the value
+    return LPResult("optimal", Fraction(-nums[-1], den), tuple(point))

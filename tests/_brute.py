@@ -24,6 +24,7 @@ from anglecuts.cuts import build_cpvi, build_cvi, cpvi_violation, cvi_violation
 from anglecuts.errors import AngleCutsError, UnboundedError
 from anglecuts.graph import _bfs_parents, split_cycle
 from anglecuts.network import Network
+from anglecuts.rational import integer_row
 from anglecuts.simplex import LPResult, Row, solve_linear_program
 
 
@@ -270,6 +271,38 @@ def point_in_hull(point: Sequence[Fraction], generators: Sequence[Sequence[Fract
 
 
 # -- helpers only the tests use
+
+
+def fraction_vertices(vertices: Sequence[tuple[Sequence[int], int]]) -> list[tuple[Fraction, ...]]:
+    """Homogeneous integer vertices (x, w), as enumerate_vertices returns
+    them, as the points x / w in Fractions, in the same order."""
+    return [tuple(Fraction(v, w) for v in x) for x, w in vertices]
+
+
+def model_rows(columns: Mapping[str, int], constraints, subst: Mapping) -> tuple[list[Row], list[Row]]:
+    """The '<=' rows and the '=' rows among constraints under subst
+    (variable -> (terms, constant) over the named columns), each as its
+    primitive integer row, read one pattern at a time in Fractions: the
+    reference for ModelLP's rows.  A row left with no term is dropped when
+    it holds; one that fails stays."""
+    ineqs, eqs = [], []
+    for con in constraints:
+        if con.sense not in ("<=", "="):
+            raise ValueError(f"row {con.name!r} has sense {con.sense!r}; only '<=' and '=' rows are read")
+        coeffs: list[Fraction | int] = [0] * len(columns)
+        rhs = con.rhs
+        for var, c in con.coeffs:
+            if var in subst:
+                terms, value = subst[var]
+                rhs -= c * value
+                terms = [(columns[name], c * d) for name, d in terms.items()]
+            else:
+                terms = [(columns[var], c)]
+            for j, v in terms:
+                coeffs[j] += v
+        if any(coeffs) or rhs < 0 or (rhs != 0 and con.sense == "="):
+            (eqs if con.sense == "=" else ineqs).append(integer_row(coeffs, rhs, f"row {con.name!r}"))
+    return ineqs, eqs
 
 
 def dot(coeffs: Sequence[Fraction], point: Sequence[Fraction]) -> Fraction:

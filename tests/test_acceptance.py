@@ -34,7 +34,7 @@ from anglecuts.oracle import (
 )
 from anglecuts.simplex import solve_linear_program
 
-from _brute import exhaustive_cpvi, exhaustive_cvi, point_in_hull
+from _brute import exhaustive_cpvi, exhaustive_cvi, fraction_vertices, point_in_hull
 from conftest import DATA, make_net, record_acceptance, ring_net
 
 FIG1 = str(DATA / "fig1.json")
@@ -113,7 +113,7 @@ def test_criterion_3_lifted_vertices_binary():
     bad = []
     for trial, (net, cycle, pair) in enumerate(_criterion3_instances()):
         system = build_extended(pair, cycle.total_weight)
-        for vertex in enumerate_vertices(model_polytope(system)):
+        for vertex in fraction_vertices(enumerate_vertices(model_polytope(system))):
             if any(value not in (0, 1) for value in vertex[1:]):
                 bad.append((trial, vertex))
                 break

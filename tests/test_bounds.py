@@ -139,12 +139,13 @@ def test_pair_bounds_valid_for_every_pattern():
     switchable = [i for i, ln in enumerate(net.lines) if ln.switchable]
     model = build_dcots(net)
     y_names = [v.name for v in model.variables if v.name.startswith("y_")]
-    lp = ModelLP(model, y_names)
+    # one switch per status variable, 0 then 1
+    lp = ModelLP(model, switches=[({name: ({}, F(0))}, {name: ({}, F(1))}) for name in y_names])
     for bits in itertools.product((0, 1), repeat=len(switchable)):
         fixed = {name: 1 for name in y_names}
         for i, b in zip(switchable, bits):
             fixed[y_names[i]] = b
-        ineqs, eqs = lp.rows(model.constraints, {name: ({}, F(bit)) for name, bit in fixed.items()})
+        ineqs, eqs = lp.rows(tuple(fixed.values()))
         for pb in report.pairs:
             if pb.source is not BoundSource.SHORTEST_PATH_ACTIVE:
                 continue

@@ -312,6 +312,13 @@ MALFORMED_CASES = [
     ("emit", "cuts.jsonl", fig1_cut("cvi", flow_signs={"1": 1, "2": 1, "4": 1, "05": -1}),
      "cvi cut: 'flow_signs' key '05' is not a line index"),
     ("cuts", "pt.json", '{"theta": {}, "y": {"3": "3/2"}}', "y[3] = 3/2 is outside [0, 1]"),
+    # a canonical key past Python's 4300-digit limit on int(), refused before int() reads it
+    ("cuts", "pt.json", '{"theta": {}, "y": {"%s": "1"}}' % ("1" * 5000),
+     "point file: 'y' key '11111111111111111111'... (5000 characters) is not a line index"),
+    ("emit", "cuts.jsonl", fig1_cut("cpvi", y_coeffs={**json.loads(fig1_cut("cpvi"))["y_coeffs"], "2" * 5000: "-4"}),
+     "cpvi cut: 'y_coeffs' key '22222222222222222222'... (5000 characters) is not a line index"),
+    ("emit", "cuts.jsonl", fig1_cut("cvi", flow_signs={"1": 1, "2": 1, "4": 1, "5" * 5000: -1}),
+     "cvi cut: 'flow_signs' key '55555555555555555555'... (5000 characters) is not a line index"),
     ("emit", "net.json", '{"buses": []}', "'buses' must be a nonempty list"),
     ("certify", "net.json", '{"buses": []}', "'buses' must be a nonempty list"),
     # a JSON integer literal past Python's 4300-digit limit on reading integers
@@ -358,6 +365,9 @@ MALFORMED_IDS = [
     "cut-cpvi-y-coeffs-key-two-spellings",
     "cut-cvi-flow-signs-key-leading-zero",
     "point-y-outside-unit-interval",
+    "point-y-key-past-digit-limit",
+    "cut-cpvi-y-coeffs-key-past-digit-limit",
+    "cut-cvi-flow-signs-key-past-digit-limit",
     "network-no-buses-emit",
     "network-no-buses-certify",
     "point-theta-long-integer",

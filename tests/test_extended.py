@@ -15,7 +15,7 @@ from anglecuts.network import load_network
 from anglecuts.oracle import enumerate_vertices, integer_points, model_polytope, pair_relaxation
 from anglecuts.rational import integer_row
 
-from _brute import point_in_hull, read_lp_text
+from _brute import fraction_vertices, point_in_hull, read_lp_text
 from conftest import DATA, ring_net
 
 
@@ -160,7 +160,7 @@ def test_model_polytope_reads_only_le_rows(fig1):
 
 
 def _vertices(net, pair, big_m):
-    return enumerate_vertices(model_polytope(build_extended(pair, big_m)))
+    return fraction_vertices(enumerate_vertices(model_polytope(build_extended(pair, big_m))))
 
 
 def test_vertices_binary_in_lifted_variables(fig1, fig1_pair):
@@ -174,14 +174,14 @@ def test_mccormick_product_exact_at_vertices(fig1, fig1_pair):
     zs = names.index("z_short")
     zl = names.index("z_long")
     zo = names.index("z_long_only")
-    for vertex in enumerate_vertices(model_polytope(sys_)):
+    for vertex in fraction_vertices(enumerate_vertices(model_polytope(sys_))):
         assert vertex[zo] == vertex[zl] * (1 - vertex[zs])
 
 
 def test_path_indicators_track_line_status(fig1, fig1_pair):
     sys_ = build_extended(fig1_pair, F(6))
     names = [var.name for var in sys_.variables]
-    for vertex in enumerate_vertices(model_polytope(sys_)):
+    for vertex in fraction_vertices(enumerate_vertices(model_polytope(sys_))):
         values = dict(zip(names, vertex))
         short_on = all(values[f"y_{line}"] == 1 for line in fig1_pair.shorter.lines)
         long_on = all(values[f"y_{line}"] == 1 for line in fig1_pair.longer.lines)
@@ -212,7 +212,7 @@ def test_sharpness_projection_equals_integer_hull(size):
     pair = split_cycle(net, cycle, m, n)
     big_m = cycle.total_weight
     sys_ = build_extended(pair, big_m)
-    lifted = enumerate_vertices(model_polytope(sys_))
+    lifted = fraction_vertices(enumerate_vertices(model_polytope(sys_)))
     projected = sorted({vertex[: size + 1] for vertex in lifted})
     integer = [(d, *[F(b) for b in bits]) for d, bits in integer_points(pair_relaxation(net, pair, big_m))]
     for point in projected:

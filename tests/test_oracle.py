@@ -1,11 +1,13 @@
 import dataclasses
 import hashlib
+import itertools
 import json
 import random
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from anglecuts import simplex
@@ -13,7 +15,7 @@ from anglecuts.cuts import build_cpvi, cpvi_from_json, cpvi_to_json, cvi_from_js
 from anglecuts.errors import AllPatternsInfeasibleError, CapExceededError, UnboundedError
 from anglecuts.extended import build_extended
 from anglecuts.graph import fundamental_cycle_basis, split_cycle
-from anglecuts.milp import MilpModel
+from anglecuts.milp import MilpModel, build_dcots, dcots_names, fixed_topology
 from anglecuts.oracle import (
     HULL_CANDIDATES,
     CertificateReport,
@@ -35,8 +37,17 @@ from anglecuts.oracle import (
     pair_relaxation,
 )
 
-from _brute import InfeasibleError, brute_vertices, dot, point_in_hull, rational_simplex, with_all_lines_fixed
-from conftest import basis_cuts, make_net, ring_net
+from _brute import (
+    InfeasibleError,
+    brute_vertices,
+    dot,
+    fraction_vertices,
+    model_rows,
+    point_in_hull,
+    rational_simplex,
+    with_all_lines_fixed,
+)
+from conftest import basis_cuts, make_net, random_net, ring_net
 
 
 @pytest.fixture(scope="module")
@@ -96,7 +107,7 @@ def test_unit_box_vertices():
 
 def test_simplex_vertices():
     rows = [((F(1), F(1)), F(1)), ((F(-1), F(0)), F(0)), ((F(0), F(-1)), F(0))]
-    assert enumerate_vertices(HPolytope(tuple(rows), 2)) == [
+    assert fraction_vertices(enumerate_vertices(HPolytope(tuple(rows), 2))) == [
         (F(0), F(0)),
         (F(0), F(1)),
         (F(1), F(0)),
@@ -116,7 +127,7 @@ def test_unbounded_polytope_raises():
 
 def test_lower_dimensional_polytope():
     rows = _box_rows(2) + [((F(1), F(0)), F(0))]  # x pinned to 0
-    vertices = enumerate_vertices(HPolytope(tuple(rows), 2))
+    vertices = fraction_vertices(enumerate_vertices(HPolytope(tuple(rows), 2)))
     assert vertices == [(F(0), F(0)), (F(0), F(1))]
 
 
@@ -155,7 +166,7 @@ def test_vertices_match_basis_enumeration_oracle():
             coeffs = tuple(_rational(rng, -2, 3) for _ in range(dim))
             rows.append((coeffs, _rational(rng, -1, 5)))
         poly = HPolytope(tuple(rows), dim)
-        assert enumerate_vertices(poly) == brute_vertices(rows, dim)
+        assert fraction_vertices(enumerate_vertices(poly)) == brute_vertices(rows, dim)
 
 
 def _degenerate_rows(rng, dim):
@@ -193,7 +204,22 @@ def test_vertices_match_oracle_on_degenerate_polytopes(seed):
     rng = random.Random(seed)
     dim = 1 + seed % 4
     rows = _degenerate_rows(rng, dim)
-    assert enumerate_vertices(HPolytope(tuple(rows), dim)) == brute_vertices(rows, dim)
+    assert fraction_vertices(enumerate_vertices(HPolytope(tuple(rows), dim))) == brute_vertices(rows, dim)
+
+
+def test_vertices_come_reduced_in_the_order_of_their_points():
+    # on the degenerate cases above: each vertex is its gcd-reduced (x, w)
+    # with w > 0, and the integer sort keys give the Fractions' sorted order,
+    # also where the vertices' denominators w differ
+    mixed = 0
+    for seed in range(24):
+        rows = _degenerate_rows(random.Random(seed), 1 + seed % 4)
+        vertices = enumerate_vertices(HPolytope(tuple(rows), 1 + seed % 4))
+        assert all(w > 0 and gcd(w, *x) == 1 for x, w in vertices)
+        points = fraction_vertices(vertices)
+        assert points == sorted(points) == brute_vertices(rows, 1 + seed % 4)
+        mixed += len({w for _, w in vertices}) > 1
+    assert mixed  # some case orders points over different denominators
 
 
 RATIONAL = st.fractions(min_value=-4, max_value=4, max_denominator=12)
@@ -243,7 +269,7 @@ def test_vertices_match_the_lp_and_basis_references(case):
         with pytest.raises(UnboundedError, match=f"^{expected}$"):
             enumerate_vertices(HPolytope(tuple(rows), dim))
     else:
-        assert enumerate_vertices(HPolytope(tuple(rows), dim)) == expected
+        assert fraction_vertices(enumerate_vertices(HPolytope(tuple(rows), dim))) == expected
 
 
 @st.composite
@@ -290,14 +316,14 @@ def test_polytope_refuses_rows_of_the_wrong_width(rows, message):
 
 def test_polytope_accepts_int_entries():
     poly = HPolytope((((1, 0), 2), ((-1, 0), 0), ((0, 1), F(1, 2)), ((0, -1), 0)), 2)
-    assert enumerate_vertices(poly) == [(0, 0), (0, F(1, 2)), (2, 0), (2, F(1, 2))]
+    assert fraction_vertices(enumerate_vertices(poly)) == [(0, 0), (0, F(1, 2)), (2, 0), (2, F(1, 2))]
 
 
 def test_extended_two_cycle_vertices_binary():
     net = ring_net([1, 3])
     pair = split_cycle(net, fundamental_cycle_basis(net)[0], "r0", "r1")
     poly = model_polytope(build_extended(pair, F(4)))
-    vertices = enumerate_vertices(poly)
+    vertices = fraction_vertices(enumerate_vertices(poly))
     assert vertices == brute_vertices(list(poly.rows), poly.dim)
     for vertex in vertices:
         assert all(v in (0, 1) for v in vertex[1:])
@@ -489,12 +515,44 @@ def test_model_lp_scales_rows_and_keeps_an_emptied_row_only_when_it_fails():
     model.add_variable("y", "binary", F(0), F(1))
     model.add_constraint("c", [("x", 2), ("y", 1)], "<=", F(3))
     model.add_constraint("d", [("y", 1)], "<=", F(0))
-    lp = ModelLP(model, {"y"})
+    lp = ModelLP(model, switches=[({"y": ({}, F(0))}, {"y": ({}, F(1))})])
     assert lp.bounds == [([-1], 0)]
     # y = 0: 2x <= 3 is primitive already, and 0 <= 0 is dropped
-    assert lp.rows(model.constraints, {"y": ({}, F(0))}) == ([([2], 3)], [])
+    assert lp.rows((0,)) == ([([2], 3)], [])
     # y = 1: 2x <= 2 is read as x <= 1, and 0 <= -1 stays, so the LP is infeasible
-    assert lp.rows(model.constraints, {"y": ({}, F(1))}) == ([([1], 1), ([0], -1)], [])
+    assert lp.rows((1,)) == ([([1], 1), ([0], -1)], [])
+
+
+@given(st.integers(0, 2**32))
+@example(0)  # parallel lines, two of them switchable
+def test_row_reader_matches_the_per_pattern_reader(seed):
+    """For every pattern of a seeded net, brute force's reader (each row read
+    once as vectors per line state, summed) gives the rows of the reference
+    reader that substitutes each pattern's fixed_topology in Fractions, for
+    every row of the model with all its basis cuts, and for the cut rows alone."""
+    net = random_net(seed, max_buses=5)
+    switchable = [idx for idx, line in enumerate(net.lines) if line.switchable]
+    assume(1 <= len(switchable) <= 6)
+    cpvis, cvis = basis_cuts(net)
+    model = build_dcots(net, "global", cpvis, cvis)
+    split = len(model.constraints) - 2 * (len(cpvis) + len(cvis))
+    names = dcots_names(net)
+    # y >= 1 on a switchable line: emptied in every pattern, it holds (and is
+    # dropped) with the line closed and fails (and stays) with it open
+    model.add_constraint("forced_on", [(names.y[switchable[0]], F(-1))], "<=", F(-1))
+    closed = fixed_topology(net, dict.fromkeys(range(len(net.lines)), 1))
+    opened = fixed_topology(net, dict.fromkeys(range(len(net.lines)), 0))
+    switches = [tuple({var: subst[var] for var in (names.f[i], names.y[i])} for subst in (opened, closed))
+                for i in switchable]
+    lp = ModelLP(model, closed, switches)
+    failing = ([0] * len(lp.columns), -1)
+    for bits in itertools.product((1, 0), repeat=len(switchable)):
+        fixed = fixed_topology(net, {**dict.fromkeys(range(len(net.lines)), 1), **dict(zip(switchable, bits))})
+        ineqs, eqs = lp.rows(bits)
+        assert (ineqs, eqs) == model_rows(lp.columns, model.constraints, fixed)
+        assert (failing in ineqs) == (bits[0] == 0)
+        assert len(ineqs) + len(eqs) < len(model.constraints)  # the reference row, at least, is dropped
+        assert lp.rows(bits, slice(split, -1)) == model_rows(lp.columns, model.constraints[split:-1], fixed)
 
 
 def test_model_lp_reads_bounds_as_primitive_rows():
@@ -588,9 +646,9 @@ def test_brute_force_pivot_path_pinned(request, monkeypatch, name):
     pivots = []
     kernel = simplex._pivot
 
-    def record(tableau, basis, row, col):
-        pivots.append((row, col))
-        kernel(tableau, basis, row, col)
+    def record(tableau, basis, row, col, free):
+        pivots.append((row, col))  # col in the split numbering, x- columns included
+        kernel(tableau, basis, row, col, free)
 
     monkeypatch.setattr(simplex, "_pivot", record)
     brute_force_dcots(request.getfixturevalue(name))

@@ -11,7 +11,8 @@ from anglecuts import simplex
 from anglecuts.rational import integer_row
 from anglecuts.simplex import LPResult, _pivot, solve_linear_program
 
-from _brute import dense_pivot, dense_solve_linear_program, dot, rational_simplex
+import _brute
+from _brute import dense_pivot, dense_solve_linear_program, dot, fraction_vertices, rational_simplex
 
 
 def test_min_with_lower_bound():
@@ -118,7 +119,7 @@ def test_random_lps_match_vertex_enumeration():
             coeffs = tuple(F(rng.randint(-3, 3)) for _ in range(dim))
             rows.append((coeffs, F(rng.randint(-2, 6))))
         poly = HPolytope(tuple(rows), dim)
-        vertices = enumerate_vertices(poly)
+        vertices = fraction_vertices(enumerate_vertices(poly))
         if not vertices:
             continue
         objective = [F(rng.randint(-5, 5)) for _ in range(dim)]
@@ -137,11 +138,33 @@ ENTRY = st.sampled_from([F(0)] * 4 + [F(1), F(-1), F(2), F(-3), F(1, 2), F(-2, 3
 
 @st.composite
 def tableaux(draw):
+    """A tableau as the kernel stores it, whose first free columns are the
+    x+ columns of free variables, and a nonzero cell of its split form, the
+    column in the split numbering."""
     rows, cols = draw(st.integers(1, 5)), draw(st.integers(2, 7))
     tableau = [draw(st.lists(ENTRY, min_size=cols, max_size=cols)) for _ in range(rows)]
-    cells = [(r, c) for r in range(rows) for c in range(cols) if tableau[r][c]]
+    free = draw(st.integers(0, cols - 1))
+    cells = split_cells(tableau, free)
     assume(cells)
-    return tableau, draw(st.sampled_from(cells))
+    return tableau, free, draw(st.sampled_from(cells))
+
+
+def split_tableau(tableau, free):
+    """The full split tableau of a stored one: each x- column after the x+
+    columns, as the negated x+ column."""
+    return [list(row[:free]) + [-v for v in row[:free]] + list(row[free:]) for row in tableau]
+
+
+def stored_half(dense, free):
+    """A split tableau with its x- block removed, after checking that block
+    is exactly the negated x+ block."""
+    assert all(row[free:2 * free] == [-v for v in row[:free]] for row in dense)
+    return [row[:free] + row[2 * free:] for row in dense]
+
+
+def split_cells(tableau, free):
+    """The nonzero cells of a stored tableau's split form, in row-major order."""
+    return [(r, c) for r, row in enumerate(split_tableau(tableau, free)) for c, v in enumerate(row[:-1]) if v]
 
 
 def integer_tableau(tableau):
@@ -150,26 +173,32 @@ def integer_tableau(tableau):
     return [integer_row(row, 1, "row") for row in tableau]
 
 
+def fraction_tableau(tableau):
+    return [[F(v, den) for v in nums] for nums, den in tableau]
+
+
 @given(tableaux())
 def test_sparse_pivot_matches_dense_pivot(case):
-    tableau, (row, col) = case
-    sparse, dense = integer_tableau(tableau), [list(r) for r in tableau]
+    # the stored pivot on a split column, an x- one among them, is the dense
+    # pivot on the full split tableau with its x- block removed
+    tableau, free, (row, col) = case
+    sparse, dense = integer_tableau(tableau), split_tableau(tableau, free)
     sparse_basis, dense_basis = list(range(len(tableau))), list(range(len(tableau)))
-    _pivot(sparse, sparse_basis, row, col)
+    _pivot(sparse, sparse_basis, row, col, free)
     dense_pivot(dense, dense_basis, row, col)
-    assert ([[F(v, den) for v in nums] for nums, den in sparse], sparse_basis) == (dense, dense_basis)
+    assert (fraction_tableau(sparse), sparse_basis) == (stored_half(dense, free), dense_basis)
 
 
 @given(tableaux(), st.integers(1, 4))
 def test_pivoted_rows_stay_in_lowest_terms(case, pivots):
-    tableau, (row, col) = case
+    tableau, free, (row, col) = case
     work, basis = integer_tableau(tableau), list(range(len(tableau)))
     for _ in range(pivots):
-        _pivot(work, basis, row, col)
+        _pivot(work, basis, row, col, free)
         for nums, den in work:
             assert den > 0 and gcd(den, *nums) == 1
-        # pivot next on the first nonzero after (row, col) in row-major order
-        cells = [(r, c) for r, (nums, _) in enumerate(work) for c, v in enumerate(nums) if v]
+        # pivot next on the first nonzero split cell after (row, col) in row-major order
+        cells = split_cells(fraction_tableau(work), free)
         row, col = next((cell for cell in cells if cell > (row, col)), cells[0])
 
 
@@ -206,19 +235,41 @@ def test_solver_matches_dense_reference(lp):
     assert solve_linear_program(**lp) == dense_solve_linear_program(**lp)
 
 
+@settings(max_examples=200)
+@given(linear_programs())
+def test_stored_tableau_is_the_split_tableau_without_its_negative_parts(lp):
+    # after every pivot, the kernel's tableau is the dense reference's split
+    # tableau with the x- block removed, and that block is the negated x+ block
+    stored, dense = [], []
+
+    def record_stored(tableau, basis, row, col, free):
+        pivot(tableau, basis, row, col, free)
+        stored.append((fraction_tableau(tableau), list(basis)))
+
+    def record_dense(tableau, basis, row, col):
+        reference_pivot(tableau, basis, row, col)
+        dense.append((stored_half(tableau, lp["n_vars"]), list(basis)))
+
+    pivot, reference_pivot = simplex._pivot, _brute.dense_pivot
+    with mock.patch.object(simplex, "_pivot", record_stored), mock.patch.object(_brute, "dense_pivot", record_dense):
+        assert solve_linear_program(**lp) == dense_solve_linear_program(**lp)
+    assert stored == dense
+
+
 # -- a row enters the tableau over its leading coefficient ---------------------
 
 
 def lead_scaled_tableau_row(coeffs, rhs, is_ineq):
     """The one-row tableau of coeffs . x <= rhs (or == rhs) over free x,
     built from the row divided by the magnitude of its leading
-    coefficient: the columns of x's positive and negative parts, slack,
-    artificial, right-hand side, as integer numerators over their least
-    common denominator.  An emptied row's leading entry is its right-hand
+    coefficient: the stored columns of x's positive parts (the negative
+    parts are their negation and not stored), slack, artificial,
+    right-hand side, as integer numerators over their least common
+    denominator.  An emptied row's leading entry is its right-hand
     side, since its primitive row is (0, ..., 0, +-1)."""
     lead = abs(next((v for v in (*coeffs, rhs) if v), 1))
     coeffs, rhs = [F(c) / lead for c in coeffs], F(rhs) / lead
-    row = coeffs + [-c for c in coeffs] + ([F(1)] if is_ineq else []) + [rhs]
+    row = coeffs + ([F(1)] if is_ineq else []) + [rhs]
     if rhs < 0:
         row = [-v for v in row]
     if rhs < 0 or not is_ineq:
@@ -241,11 +292,11 @@ def test_tableau_row_is_the_row_over_its_leading_coefficient(coeffs, rhs, is_ine
     built = []
     run = simplex._run
 
-    def record(tableau, basis, allowed):
+    def record(tableau, basis, allowed, free):
         if not built:  # the first run sees the rows as built
             nums, unit = tableau[0]
             built.append((list(nums), unit))
-        return run(tableau, basis, allowed)
+        return run(tableau, basis, allowed, free)
 
     row = [(coeffs, rhs)]
     with mock.patch.object(simplex, "_run", record):
