@@ -48,6 +48,7 @@ __all__ = [
     "SeparationConfig",
     "build_cpvi",
     "build_cvi",
+    "check_big_m",
     "cpvi_violation",
     "cvi_violation",
     "separate_cpvi",
@@ -126,8 +127,14 @@ class SeparationConfig:
     fractional_cycles_only: bool = False
 
     def __post_init__(self) -> None:
-        if not isinstance(self.tolerance, (int, Fraction)) or self.tolerance < 0:
+        if isinstance(self.tolerance, bool) or not isinstance(self.tolerance, (int, Fraction)) or self.tolerance < 0:
             raise ValueError(f"tolerance {self.tolerance} is not an exact rational of at least 0")
+
+
+def check_big_m(pair: CyclePathPair, big_m: Fraction) -> None:
+    """Refuse a big-M below the pair's longer arc weight, under which its cut and lifted system are not valid."""
+    if big_m < pair.longer.total_weight:
+        raise InvalidBigMError(f"big-M {big_m} is below the longer-path weight {pair.longer.total_weight} for pair {pair.pair}")
 
 
 def build_cpvi(pair: CyclePathPair, big_m: Fraction) -> CutCPVI:
@@ -136,12 +143,9 @@ def build_cpvi(pair: CyclePathPair, big_m: Fraction) -> CutCPVI:
     Requires big_m >= the longer arc's weight, so both slope coefficients
     are nonnegative and the inequality is valid.
     """
+    check_big_m(pair, big_m)
     w_short = pair.shorter.total_weight
     w_long = pair.longer.total_weight
-    if big_m < w_long:
-        raise InvalidBigMError(
-            f"big-M {big_m} is below the longer-path weight {w_long} for pair {pair.pair}"
-        )
     delta_rho = w_long - w_short
     delta_m = big_m - w_long
     constant = w_short + len(pair.shorter.lines) * delta_rho + len(pair.longer.lines) * delta_m

@@ -17,8 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Container
 
-from .cuts import CutCPVI
-from .errors import InvalidBigMError
+from .cuts import CutCPVI, check_big_m
 from .graph import CyclePathPair
 from .milp import MilpModel
 
@@ -37,17 +36,14 @@ def build_extended(pair: CyclePathPair, big_m: Fraction) -> MilpModel:
     indicators and the longer-only product variable, each in [0, 1].
     Each row lists its terms in variable order.
     """
+    check_big_m(pair, big_m)
     w_short = pair.shorter.total_weight
     w_long = pair.longer.total_weight
-    if big_m < w_long:
-        raise InvalidBigMError(
-            f"big-M {big_m} is below the longer-path weight {w_long} for pair {pair.pair}"
-        )
     cycle_lines = pair.cycle.lines
     model = MilpModel()
     model.add_variable("dtheta", "continuous", None, None)
     for name in (*[f"y_{line}" for line in cycle_lines], "z_short", "z_long", "z_long_only"):
-        model.add_variable(name, "continuous", Fraction(0), Fraction(1))
+        model.add_variable(name, "continuous", 0, 1)
 
     def row(name: str, terms: list[tuple[str, Fraction | int]], rhs: Fraction | int) -> None:
         model.add_constraint(name, terms, "<=", rhs)

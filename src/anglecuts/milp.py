@@ -44,46 +44,62 @@ MAX_PLAIN_DIGITS = 18
 class MilpVariable:
     name: str
     kind: str  # "continuous" or "binary"
-    lower: Fraction | None
-    upper: Fraction | None
+    lower: int | Fraction | None
+    upper: int | Fraction | None
 
 
 @dataclass(frozen=True)
 class MilpConstraint:
     name: str
-    coeffs: tuple[tuple[str, Fraction], ...]
-    sense: str  # "<=", ">=", "="
-    rhs: Fraction
+    coeffs: tuple[tuple[str, int | Fraction], ...]
+    sense: str  # "<=" or "="
+    rhs: int | Fraction
+
+
+def _exact(values: Iterable, where: str) -> None:
+    for value in values:
+        if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
+            raise ValueError(f"{where}: expected an int or Fraction, got {type(value).__name__}")
 
 
 @dataclass
 class MilpModel:
+    """Every value an int or Fraction, kept as given, every sense '<=' or '=': add_* and a list-built model refuse the rest."""
+
     variables: list[MilpVariable] = field(default_factory=list)
     constraints: list[MilpConstraint] = field(default_factory=list)
-    objective: list[tuple[str, Fraction]] = field(default_factory=list)
+    objective: list[tuple[str, int | Fraction]] = field(default_factory=list)
     # name indices, kept in step with the two lists by the add_* methods
     _var_names: set[str] = field(default_factory=set, init=False, repr=False, compare=False)
     _con_names: set[str] = field(default_factory=set, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        self._var_names.update(v.name for v in self.variables)
-        self._con_names.update(c.name for c in self.constraints)
+        variables, constraints, self.variables, self.constraints = self.variables, self.constraints, [], []
+        for var in variables:
+            self.add_variable(var.name, var.kind, var.lower, var.upper)
+        for con in constraints:
+            self.add_constraint(con.name, con.coeffs, con.sense, con.rhs)
 
     def add_variable(self, name: str, kind: str, lower, upper) -> None:
+        _exact([bound for bound in (lower, upper) if bound is not None], f"variable {name!r} bound")
         if name in self._var_names:
             raise ValueError(f"duplicate variable name {name!r}")
         self._var_names.add(name)
         self.variables.append(MilpVariable(name, kind, lower, upper))
 
-    def add_constraint(self, name: str, coeffs: Iterable[tuple[str, Fraction]], sense: str, rhs: Fraction) -> None:
-        pairs = tuple((var, Fraction(c)) for var, c in coeffs if c != 0)
+    def add_constraint(self, name: str, coeffs: Iterable[tuple[str, int | Fraction]], sense: str, rhs) -> None:
+        if sense not in ("<=", "="):
+            raise ValueError(f"row {name!r} has sense {sense!r}; only '<=' and '=' rows are allowed")
+        pairs = tuple(coeffs)
+        _exact([rhs, *(c for _, c in pairs)], f"row {name!r}")
+        pairs = tuple((var, c) for var, c in pairs if c != 0)
         for var, _ in pairs:
             if var not in self._var_names:
                 raise ValueError(f"constraint {name!r} references undeclared variable {var!r}")
         if name in self._con_names:
             raise ValueError(f"duplicate constraint name {name!r}")
         self._con_names.add(name)
-        self.constraints.append(MilpConstraint(name, pairs, sense, Fraction(rhs)))
+        self.constraints.append(MilpConstraint(name, pairs, sense, rhs))
 
 
 _SAFE = re.compile(r"[^A-Za-z0-9_]")
@@ -156,25 +172,20 @@ def build_dcots(
                 raise ValidationError(f"{kind} {first[name]} and {label} share the LP name {name!r}")
 
     for bus in net.buses:
-        model.add_variable(g_name[bus.id], "continuous", Fraction(0), bus.gen_max)
+        model.add_variable(g_name[bus.id], "continuous", 0, bus.gen_max)
     for bus in net.buses:
         model.add_variable(t_name[bus.id], "continuous", None, None)
     for idx in range(len(net.lines)):
         model.add_variable(f_name[idx], "continuous", None, None)
     for idx, line in enumerate(net.lines):
-        if line.switchable:
-            model.add_variable(y_name[idx], "binary", Fraction(0), Fraction(1))
-        else:
-            model.add_variable(y_name[idx], "binary", Fraction(1), Fraction(1))
+        model.add_variable(y_name[idx], "binary", 0 if line.switchable else 1, 1)
 
     model.objective = [(g_name[bus.id], bus.gen_cost) for bus in net.buses if bus.gen_cost != 0]
 
     for bus in net.buses:
-        coeffs: dict[str, Fraction] = {g_name[bus.id]: Fraction(1)}
+        coeffs = {g_name[bus.id]: 1}
         for idx in net.adjacency[bus.id]:
-            line = net.lines[idx]
-            sign = Fraction(1) if line.to_bus == bus.id else Fraction(-1)
-            coeffs[f_name[idx]] = coeffs.get(f_name[idx], Fraction(0)) + sign
+            coeffs[f_name[idx]] = coeffs.get(f_name[idx], 0) + (1 if net.lines[idx].to_bus == bus.id else -1)
         model.add_constraint(f"kcl_{_safe(bus.id)}", coeffs.items(), "=", bus.demand)
 
     def add_two_sided(hi: str, lo: str, lhs: list[tuple[str, Fraction]],
@@ -184,17 +195,12 @@ def build_dcots(
         model.add_constraint(lo, [*((var, -c) for var, c in lhs), *rest], "<=", rhs)
 
     for idx, (line, tag) in enumerate(zip(net.lines, tags)):
-        flow = [(f_name[idx], Fraction(1))]
-        add_two_sided(f"cap_hi_{tag}", f"cap_lo_{tag}", flow, [(y_name[idx], -line.capacity)], Fraction(0))
-        ohm = [
-            (f_name[idx], line.reactance),
-            (t_name[line.from_bus], Fraction(-1)),
-            (t_name[line.to_bus], Fraction(1)),
-        ]
+        add_two_sided(f"cap_hi_{tag}", f"cap_lo_{tag}", [(f_name[idx], 1)], [(y_name[idx], -line.capacity)], 0)
+        ohm = [(f_name[idx], line.reactance), (t_name[line.from_bus], -1), (t_name[line.to_bus], 1)]
         add_two_sided(f"ohm_hi_{tag}", f"ohm_lo_{tag}", ohm, [(y_name[idx], m_lines[idx])], m_lines[idx])
 
     # reference angle: only relative angles matter, pin the first bus
-    model.add_constraint(f"ref_{_safe(net.buses[0].id)}", [(t_name[net.buses[0].id], Fraction(1))], "=", Fraction(0))
+    model.add_constraint(f"ref_{_safe(net.buses[0].id)}", [(t_name[net.buses[0].id], 1)], "=", 0)
 
     cycle_no: dict[tuple, int] = {}
 
@@ -207,7 +213,7 @@ def build_dcots(
         c = cycle_tag(cut.pair.cycle.lines)
         m, n = cut.pair.pair
         name = f"cpvi_{c}_{_safe(m)}_{_safe(n)}"
-        angle = [(t_name[n], Fraction(1)), (t_name[m], Fraction(-1))]
+        angle = [(t_name[n], 1), (t_name[m], -1)]
         y_terms = [(y_name[line], -coeff) for line, coeff in cut.y_coeffs]
         add_two_sided(f"{name}_hi", f"{name}_lo", angle, y_terms, cut.constant)
 
@@ -288,6 +294,7 @@ def _bound(var: MilpVariable, value: Fraction) -> str:
 def lp_text(model: MilpModel) -> str:
     """The model in LP text format; byte-identical for identical models."""
     out = io.StringIO()
+    _exact((c for _, c in model.objective), "objective")
     out.write("Minimize\n")
     terms = [(var, c) for var, c in model.objective if c != 0]
     if terms:

@@ -278,7 +278,7 @@ def _pair_model(pair: CyclePathPair) -> MilpModel:
     model = MilpModel()
     model.add_variable("dtheta", "continuous", None, None)
     for line in pair.cycle.lines:
-        model.add_variable(f"y_{line}", "continuous", Fraction(0), Fraction(1))
+        model.add_variable(f"y_{line}", "continuous", 0, 1)
     return model
 
 
@@ -325,7 +325,7 @@ class ModelLP:
     the columns, keeping their bounds and out of the objective: ``fixed``
     holds in every read, and each switch has one per state (a line open and
     closed, a y at 0 and 1), which overrides ``fixed``.  The columns, bound
-    rows (an upper, then a lower row per variable), objective and each row
+    rows (q x <= p for a bound p/q, upper then lower), objective and each row
     are read once, a row as an integer vector plus a sparse one per state of
     each switch it touches, over one denominator: all primitive integer rows."""
 
@@ -334,16 +334,14 @@ class ModelLP:
         owner = {var: k for k, states in switches.items() for var in states[0]}
         kept = [var for var in model.variables if var.name not in owner]
         self.columns = {var.name: j for j, var in enumerate(kept)}  # name -> index, in model order
-        self.bounds = [integer_row([sign if k == j else 0 for k in range(len(kept))], sign * bound, f"bound of {var.name!r}")
+        n = len(kept)  # the right-hand side's index in a row vector
+        self.bounds = [([sign * bound.denominator if k == j else 0 for k in range(n)], sign * bound.numerator)
                        for j, var in enumerate(kept) for sign, bound in ((1, var.upper), (-1, var.lower))
                        if bound is not None]
         objective = dict(model.objective)
         self.objective = [objective.get(var.name, 0) for var in kept]
-        n = len(kept)  # the right-hand side's index in a row vector
         self._rows = []
         for con in model.constraints:
-            if con.sense not in ("<=", "="):
-                raise ValueError(f"row {con.name!r} has sense {con.sense!r}; only '<=' and '=' rows are read")
             parts = {None: [[(n, con.rhs)]]}  # per switch, per state, (index, rational) terms
             for var, c in con.coeffs:
                 if var not in owner:
@@ -505,8 +503,8 @@ class DcotsResult:
     y: dict[int, int]
 
 
-def _pattern_optima(net: Network, cpvis: Sequence[CutCPVI], cvis: Sequence[CutCVI]) -> Iterator[DcotsResult]:
-    """The optimum of each switching pattern that has one.
+def _pattern_optima(net: Network, cpvis: Sequence[CutCPVI], cvis: Sequence[CutCVI]) -> Iterator[tuple[Fraction, dict, dict]]:
+    """Each switching pattern's optimum, if it has one, as (value, line statuses, column values).
 
     A pattern's LP is the bound rows, then the rows of the model that emit
     writes, build_dcots(net, "global", cpvis, cvis), with what the pattern
@@ -533,14 +531,8 @@ def _pattern_optima(net: Network, cpvis: Sequence[CutCPVI], cvis: Sequence[CutCV
                 # bind for this pattern; re-solve with them in place
                 result = solve_linear_program(len(lp.columns), lp.bounds + ineqs + cuts, eqs, lp.objective)
         if result.status == "optimal":
-            values = dict(zip(lp.columns, result.point))
-            pattern = closed | {var: term for states, bit in zip(switches, bits) for var, term in states[bit].items()}
-            values.update({var: value + sum((d * values[name] for name, d in terms.items()), Fraction(0))
-                           for var, (terms, value) in pattern.items()})
             active = {**dict.fromkeys(range(len(net.lines)), 1), **dict(zip(switchable, bits))}
-            yield DcotsResult(result.value, {bus: values[name] for bus, name in names.g.items()},
-                              {idx: values[name] for idx, name in enumerate(names.f)},
-                              {bus: values[name] for bus, name in names.theta.items()}, active)
+            yield result.value, active, dict(zip(lp.columns, result.point))
 
 
 def brute_force_dcots(net: Network, cpvis: Sequence[CutCPVI] = (), cvis: Sequence[CutCVI] = ()) -> DcotsResult:
@@ -551,4 +543,10 @@ def brute_force_dcots(net: Network, cpvis: Sequence[CutCPVI] = (), cvis: Sequenc
     optima = list(_pattern_optima(net, cpvis, cvis))
     if not optima:
         raise AllPatternsInfeasibleError("no switching pattern admits a feasible dispatch")
-    return min(optima, key=lambda result: result.cost)
+    cost, active, values = min(optima, key=lambda optimum: optimum[0])
+    for var, (terms, value) in fixed_topology(net, active).items():
+        values[var] = value + sum((d * values[name] for name, d in terms.items()), Fraction(0))
+    names = dcots_names(net)
+    return DcotsResult(cost, {bus: values[name] for bus, name in names.g.items()},
+                       {idx: values[name] for idx, name in enumerate(names.f)},
+                       {bus: values[name] for bus, name in names.theta.items()}, active)

@@ -305,6 +305,16 @@ def model_rows(columns: Mapping[str, int], constraints, subst: Mapping) -> tuple
     return ineqs, eqs
 
 
+def model_bounds(variables) -> list[Row]:
+    """The bounds of the variables, the columns in this order, each as a
+    dense unit row read through integer_row, an upper, then a lower row per
+    variable: the reference for ModelLP's bounds."""
+    n = len(variables)
+    return [integer_row([sign if k == j else 0 for k in range(n)], sign * bound, f"bound of {var.name!r}")
+            for j, var in enumerate(variables) for sign, bound in ((1, var.upper), (-1, var.lower))
+            if bound is not None]
+
+
 def dot(coeffs: Sequence[Fraction], point: Sequence[Fraction]) -> Fraction:
     return sum((Fraction(c) * x for c, x in zip(coeffs, point)), Fraction(0))
 

@@ -288,6 +288,8 @@ def test_negative_or_inexact_tolerance_is_refused():
         SeparationConfig(tolerance=F(-100))
     with pytest.raises(ValueError, match="tolerance 0.5 is not an exact rational"):
         SeparationConfig(tolerance=0.5)
+    with pytest.raises(ValueError, match="tolerance True is not an exact rational"):
+        SeparationConfig(tolerance=True)  # a bool is an int, but not a tolerance
     assert SeparationConfig(tolerance=F(0)).tolerance == SeparationConfig(tolerance=0).tolerance == 0
 
 

@@ -1,8 +1,18 @@
 """Exactness lint: the package source, and the brute-force references the
-kernels are compared against, can make no float, so none reaches a result."""
+kernels are compared against, can make no float, so none reaches a result;
+and every entry point that takes exact values refuses a float and a bool."""
 
 import ast
+from fractions import Fraction as F
 from pathlib import Path
+
+import pytest
+
+from anglecuts.cuts import FractionalPoint, SeparationConfig
+from anglecuts.milp import MilpConstraint, MilpModel, MilpVariable, lp_text
+from anglecuts.oracle import HPolytope
+from anglecuts.rational import integer_row
+from anglecuts.simplex import solve_linear_program
 
 TESTS = Path(__file__).resolve().parent
 SOURCES = sorted((TESTS.parent / "src" / "anglecuts").glob("*.py")) + [TESTS / "_brute.py"]
@@ -32,3 +42,37 @@ def test_package_source_makes_no_float():
     found = [f"{path.name}:{line}: {what}" for path in SOURCES
              for line, what in float_sources(ast.parse(path.read_text(encoding="utf-8"), str(path)))]
     assert found == []
+
+
+def _model_with_objective(value):
+    model = MilpModel()
+    model.add_variable("x", "continuous", 0, 1)
+    model.objective = [("x", value)]
+    return lp_text(model)
+
+
+# every entry point that takes exact values, each called with one value v in
+# a position it must check; a new entry point belongs here
+ENTRY_POINTS = {
+    "integer_row": lambda v: integer_row([v, 1], 1, "row"),
+    "HPolytope": lambda v: HPolytope((((1, v), 1),), 2),
+    "solve_linear_program": lambda v: solve_linear_program(1, [([1], 1), ([-1], 0)], [], [v]),
+    "FractionalPoint": lambda v: FractionalPoint({"a": v}, {}),
+    "SeparationConfig": lambda v: SeparationConfig(tolerance=v),
+    "MilpModel.add_variable": lambda v: MilpModel().add_variable("x", "continuous", 0, v),
+    "MilpModel.add_constraint": lambda v: MilpModel([MilpVariable("x", "continuous", None, None)]).add_constraint(
+        "r", [("x", v)], "<=", 1),
+    "MilpModel from lists": lambda v: MilpModel([MilpVariable("x", "continuous", None, None)],
+                                                [MilpConstraint("r", (("x", 1),), "<=", v)]),
+    "lp_text": _model_with_objective,
+}
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+def test_every_entry_point_refuses_a_float_and_a_bool(entry):
+    call = ENTRY_POINTS[entry]
+    for value in (1, F(1, 2)):
+        call(value)  # the call is well formed: exact values pass
+    for value in (0.5, True):
+        with pytest.raises(ValueError, match=f"got {type(value).__name__}|not an exact rational"):
+            call(value)

@@ -359,9 +359,68 @@ def test_pattern_lp_matches_the_fixed_binary_lp(request, name):
     for cpvis, cvis in (((), ()), basis_cuts(net)):
         model = build_dcots(net, "global", cpvis, cvis)
         y_names = [var.name for var in model.variables if var.kind == "binary"]  # in line order
-        optima = {tuple(result.y.values()): result.cost for result in _pattern_optima(net, cpvis, cvis)}
+        optima = {tuple(active.values()): cost for cost, active, _ in _pattern_optima(net, cpvis, cvis)}
         for bits in itertools.product((1, 0), repeat=len(switchable)):
             active = dict.fromkeys(range(len(net.lines)), 1)
             active.update(zip(switchable, bits))
             expected = fixed_binary_lp(model, dict(zip(y_names, active.values())))
             assert optima.get(tuple(active.values())) == (expected.value if expected.status == "optimal" else None)
+
+
+# each value or sense the model refuses; unchecked, a float coefficient or
+# right-hand side would become its binary fraction (0.1 as 3602879701896397/36028797018963968),
+# a bool would become 1, a float bound would end lp_text in an AttributeError,
+# and a '>=' or '<' row would be written to the LP text
+REFUSED = [
+    ("coeff", 0.1, "row 'r': expected an int or Fraction, got float"),
+    ("coeff", True, "row 'r': expected an int or Fraction, got bool"),
+    ("coeff", False, "row 'r': expected an int or Fraction, got bool"),  # refused before zeros are dropped
+    ("coeff", "1", "row 'r': expected an int or Fraction, got str"),
+    ("rhs", 0.1, "row 'r': expected an int or Fraction, got float"),
+    ("rhs", True, "row 'r': expected an int or Fraction, got bool"),
+    ("upper", 0.5, "variable 'x' bound: expected an int or Fraction, got float"),
+    ("upper", True, "variable 'x' bound: expected an int or Fraction, got bool"),
+    ("lower", "0", "variable 'x' bound: expected an int or Fraction, got str"),
+    ("sense", ">=", "row 'r' has sense '>='; only '<=' and '=' rows are allowed"),
+    ("sense", "<", "row 'r' has sense '<'; only '<=' and '=' rows are allowed"),
+]
+
+
+@pytest.mark.parametrize("part, value, message", REFUSED, ids=[f"{p}-{v!r}" for p, v, _ in REFUSED])
+def test_model_refuses_inexact_values_and_other_senses(part, value, message):
+    parts = {"lower": F(0), "upper": F(1), "coeff": F(1), "sense": "<=", "rhs": F(0), part: value}
+
+    def by_methods():
+        model = MilpModel()
+        model.add_variable("x", "continuous", parts["lower"], parts["upper"])
+        model.add_constraint("r", [("x", parts["coeff"])], parts["sense"], parts["rhs"])
+
+    def from_lists():
+        MilpModel([MilpVariable("x", "continuous", parts["lower"], parts["upper"])],
+                  [MilpConstraint("r", (("x", parts["coeff"]),), parts["sense"], parts["rhs"])])
+
+    for build in (by_methods, from_lists):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            build()
+
+
+def test_model_keeps_values_as_given():
+    model = MilpModel()
+    model.add_variable("x", "continuous", 0, F(5, 2))
+    model.add_constraint("r", [("x", 2)], "=", F(1, 3))
+    assert model.variables[0].lower == 0 and type(model.variables[0].lower) is int
+    assert model.constraints[0].coeffs == (("x", 2),) and type(model.constraints[0].coeffs[0][1]) is int
+    assert type(model.constraints[0].rhs) is F
+    # a list-built model reads its rows through add_constraint, which drops zero coefficients
+    rebuilt = MilpModel(model.variables, [MilpConstraint("r", (("x", 2), ("x", 0)), "=", F(1, 3))])
+    assert rebuilt == model
+
+
+@pytest.mark.parametrize("value, kind", [(0.5, "float"), (True, "bool"), ("1", "str")])
+def test_lp_text_refuses_an_inexact_objective(value, kind):
+    # unchecked, a float objective would end in an AttributeError and a bool be written as 1
+    model = MilpModel()
+    model.add_variable("x", "continuous", 0, 1)
+    model.objective = [("x", value)]
+    with pytest.raises(ValueError, match=f"objective: expected an int or Fraction, got {kind}"):
+        lp_text(model)

@@ -15,7 +15,7 @@ from anglecuts.cuts import build_cpvi, cpvi_from_json, cpvi_to_json, cvi_from_js
 from anglecuts.errors import AllPatternsInfeasibleError, CapExceededError, UnboundedError
 from anglecuts.extended import build_extended
 from anglecuts.graph import fundamental_cycle_basis, split_cycle
-from anglecuts.milp import MilpModel, build_dcots, dcots_names, fixed_topology
+from anglecuts.milp import MilpModel, build_dcots, dcots_names, fixed_topology, lp_text
 from anglecuts.oracle import (
     HULL_CANDIDATES,
     CertificateReport,
@@ -42,6 +42,7 @@ from _brute import (
     brute_vertices,
     dot,
     fraction_vertices,
+    model_bounds,
     model_rows,
     point_in_hull,
     rational_simplex,
@@ -562,6 +563,47 @@ def test_model_lp_reads_bounds_as_primitive_rows():
     lp = ModelLP(model)
     # x <= 5/2 as 2x <= 5, -x <= 1/3 as -3x <= 1, t <= 4 as it stands
     assert lp.bounds == [([2, 0], 5), ([-3, 0], 1), ([0, 1], 4)]
+
+
+EXACT_BOUND = st.none() | st.integers(-4, 4) | st.fractions(-4, 4, max_denominator=6)
+
+
+@given(st.lists(st.tuples(EXACT_BOUND, EXACT_BOUND), max_size=5))
+def test_model_lp_bounds_match_the_dense_reader(bounds):
+    model = MilpModel()
+    for j, (lower, upper) in enumerate(bounds):
+        model.add_variable(f"x{j}", "continuous", lower, upper)
+    assert ModelLP(model).bounds == model_bounds(model.variables)
+
+
+def _as_fractions(model: MilpModel) -> MilpModel:
+    """The model with every bound, coefficient, right-hand side and objective value wrapped in a Fraction."""
+    def wrap(value):
+        return None if value is None else F(value)
+
+    return MilpModel([dataclasses.replace(var, lower=wrap(var.lower), upper=wrap(var.upper)) for var in model.variables],
+                     [dataclasses.replace(con, coeffs=tuple((var, F(c)) for var, c in con.coeffs), rhs=F(con.rhs))
+                      for con in model.constraints],
+                     [(var, F(c)) for var, c in model.objective])
+
+
+@pytest.mark.parametrize("name", [*range(8), "fig1", "kite"])
+def test_model_readers_match_the_fraction_model(request, name):
+    """On build_dcots of seeded nets, under each big-M and with every basis
+    cut: ModelLP's bounds equal the dense integer_row reader's, and lp_text
+    and ModelLP's rows and objective, plain and with the all-closed topology
+    fixed, equal those of the same model with every value a Fraction."""
+    net = random_net(name) if isinstance(name, int) else request.getfixturevalue(name)
+    closed = fixed_topology(net, dict.fromkeys(range(len(net.lines)), 1))
+    for bigm in ("global", "bounds"):
+        model = build_dcots(net, bigm, *basis_cuts(net))
+        fractions = _as_fractions(model)
+        assert any(type(c) is int for con in model.constraints for _, c in con.coeffs)  # the models differ
+        assert lp_text(model) == lp_text(fractions)
+        for fixed in ({}, closed):
+            lp, reference = ModelLP(model, fixed), ModelLP(fractions, fixed)
+            assert lp.bounds == reference.bounds == model_bounds([v for v in model.variables if v.name in lp.columns])
+            assert (lp.rows(), lp.objective) == (reference.rows(), reference.objective)
 
 
 def test_brute_force_single_bus():
