@@ -15,7 +15,7 @@ from typing import Sequence
 
 from .errors import UnknownBusError
 # shortest_path_bound is unused here but stays a module attribute: bench/layers.py wraps it by this name
-from .graph import shortest_path_bound, shortest_path_lengths  # noqa: F401
+from .graph import scaled_adjacency, scaled_lengths, shortest_path_bound  # noqa: F401
 from .network import Network
 from .rational import format_rational
 
@@ -67,7 +67,8 @@ def pair_bounds(net: Network, pairs: Sequence[tuple[str, str]]) -> list[tuple[Fr
     such a path is active under every switching decision, so the
     telescoped bound always applies.  Otherwise falls back to the global M.
     Every pair is checked before any search; then one search over the
-    fixed lines runs per distinct first bus and answers all its pairs.
+    fixed lines, their weights scaled to integers once per call, runs
+    per distinct first bus and answers all its pairs.
     """
     by_source: dict[str, list[int]] = {}
     for k, (m, n) in enumerate(pairs):
@@ -77,17 +78,14 @@ def pair_bounds(net: Network, pairs: Sequence[tuple[str, str]]) -> list[tuple[Fr
         if m == n:
             raise ValueError("a pair bound requires two distinct buses")
         by_source.setdefault(m, []).append(k)
-    fixed = frozenset(i for i, line in enumerate(net.lines) if not line.switchable)
+    adj, den = scaled_adjacency(net, [i for i, line in enumerate(net.lines) if not line.switchable])
     big = global_big_m(net)
     out: dict[int, tuple[Fraction, BoundSource]] = {}
     for m, ks in by_source.items():
-        dist = shortest_path_lengths(net, m, fixed)
+        dist = scaled_lengths(net, adj, m)
         for k in ks:
             sp = dist.get(pairs[k][1])
-            if sp is not None:
-                out[k] = (sp, BoundSource.SHORTEST_PATH_ACTIVE)
-            else:
-                out[k] = (big, BoundSource.TRIVIAL_M)
+            out[k] = (big, BoundSource.TRIVIAL_M) if sp is None else (Fraction(sp, den), BoundSource.SHORTEST_PATH_ACTIVE)
     return [out[k] for k in range(len(pairs))]
 
 

@@ -124,10 +124,21 @@ def cmd_validate(args) -> int:
     return EXIT_OK
 
 
+def _bounds_text(doc: dict) -> str:
+    """The bytes of json.dumps(doc, indent=2) for a bound report, with each
+    string through the C encoder instead of the pure-Python indenting one."""
+    s = functools.cache(json.dumps)  # bus ids, bounds and sources repeat from pair to pair
+    pairs = ",\n".join(
+        f'    {{\n      "m": {s(p["m"])},\n      "n": {s(p["n"])},\n      "bound": {s(p["bound"])},\n'
+        f'      "source": {s(p["source"])}\n    }}' for p in doc["pairs"])
+    pairs = f"[\n{pairs}\n  ]" if pairs else "[]"
+    return f'{{\n  "global_M": {s(doc["global_M"])},\n  "pairs": {pairs}\n}}'
+
+
 def cmd_bounds(args) -> int:
     net = _load_net(args.network)
     doc = bound_report(net).to_json()
-    _emit(json.dumps(doc, indent=2), args.out)
+    _emit(_bounds_text(doc), args.out)
     _say(f"global M = {doc['global_M']}; {len(doc['pairs'])} pair bounds")
     return EXIT_OK
 

@@ -39,7 +39,7 @@ from .errors import (
 )
 from .graph import Cycle, CyclePathPair, cycle_orientation_signs, split_cycle
 from .network import Network, line_index
-from .rational import format_rational, integer_row, parse_rational
+from .rational import format_rational, integer_row, is_exact, parse_rational
 
 __all__ = [
     "CutCPVI",
@@ -114,7 +114,7 @@ class FractionalPoint:
     def __post_init__(self) -> None:
         for name in ("theta", "y", "f"):
             for key, value in (getattr(self, name) or {}).items():
-                if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
+                if not is_exact(value):
                     raise ValueError(f"point {name}[{key!r}] = {value!r} is not an exact rational")
         for key, value in self.y.items():
             if not 0 <= value <= 1:
@@ -127,7 +127,7 @@ class SeparationConfig:
     fractional_cycles_only: bool = False
 
     def __post_init__(self) -> None:
-        if isinstance(self.tolerance, bool) or not isinstance(self.tolerance, (int, Fraction)) or self.tolerance < 0:
+        if not is_exact(self.tolerance) or self.tolerance < 0:
             raise ValueError(f"tolerance {self.tolerance} is not an exact rational of at least 0")
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Sequence
 
 from .errors import BusNotOnCycleError, CapExceededError, DisconnectedError, UnknownBusError
@@ -161,38 +162,54 @@ def fundamental_cycle_basis(net: Network) -> list[Cycle]:
     return cycles
 
 
+def scaled_adjacency(net: Network, active_lines: Iterable[int] | None = None) -> tuple[dict[str, list], int]:
+    """Per bus, (neighbour, weight * den) over the given lines in line
+    order, and den, the lcm of the line weights' denominators.  A
+    positive scale keeps every comparison, so a search on these integers
+    settles the buses in the order a search on the Fractions would."""
+    active = range(len(net.lines)) if active_lines is None else frozenset(active_lines)
+    den = lcm(*[line.weight.denominator for line in net.lines])
+    adj: dict[str, list[tuple[str, int]]] = {bus.id: [] for bus in net.buses}
+    for idx, line in enumerate(net.lines):
+        if idx in active:
+            weight = line.weight.numerator * (den // line.weight.denominator)
+            adj[line.from_bus].append((line.to_bus, weight))
+            adj[line.to_bus].append((line.from_bus, weight))
+    return adj, den
+
+
+def scaled_lengths(net: Network, adj: dict[str, list], source: str) -> dict[str, int]:
+    """Label-setting search over scaled_adjacency's integers: each bus
+    source reaches, in the order it is settled, with its distance."""
+    order, dist, done = net.bus_index, {source: 0}, {}
+    heap = [(0, order[source], source)]
+    while heap:
+        d, _, bus = heapq.heappop(heap)
+        if bus in done:
+            continue
+        done[bus] = d
+        for other, weight in adj[bus]:
+            if other in done:
+                continue
+            nd = d + weight
+            if other not in dist or nd < dist[other]:
+                dist[other] = nd
+                heapq.heappush(heap, (nd, order[other], other))
+    return done
+
+
 def shortest_path_lengths(
     net: Network, source: str, active_lines: Iterable[int] | None = None
 ) -> dict[str, Fraction]:
     """Minimum total weight from source to every bus it reaches inside
     the given line subset, source itself at 0.
 
-    With active_lines None the whole line set is used; a set or frozenset
-    is used as is, so a caller searching from many sources builds it
-    once.  Label-setting search; comparisons are exact.
+    With active_lines None the whole line set is used.  Label-setting
+    search on the weights scaled to integers; comparisons are exact.
     """
     _check_bus(net, source)
-    if active_lines is not None and not isinstance(active_lines, (set, frozenset)):
-        active_lines = frozenset(active_lines)
-    dist: dict[str, Fraction] = {source: Fraction(0)}
-    done: dict[str, Fraction] = {}
-    heap: list[tuple[Fraction, int, str]] = [(Fraction(0), net.bus_index[source], source)]
-    while heap:
-        d, _, bus = heapq.heappop(heap)
-        if bus in done:
-            continue
-        done[bus] = d
-        for idx in net.adjacency[bus]:
-            if active_lines is not None and idx not in active_lines:
-                continue
-            other = net.lines[idx].other(bus)
-            if other in done:
-                continue
-            nd = d + net.lines[idx].weight
-            if other not in dist or nd < dist[other]:
-                dist[other] = nd
-                heapq.heappush(heap, (nd, net.bus_index[other], other))
-    return done
+    adj, den = scaled_adjacency(net, active_lines)
+    return {bus: Fraction(d, den) for bus, d in scaled_lengths(net, adj, source).items()}
 
 
 def shortest_path_bound(net: Network, m: str, n: str, active_lines: Iterable[int] | None = None):

@@ -23,7 +23,7 @@ from .bounds import global_big_m, pair_bound, pair_bounds  # noqa: F401
 from .cuts import CutCPVI, CutCVI
 from .errors import ValidationError
 from .network import Network, parallel_ordinals
-from .rational import format_rational, integer_row
+from .rational import format_rational, integer_row, is_exact
 
 __all__ = [
     "MilpVariable",
@@ -58,7 +58,7 @@ class MilpConstraint:
 
 def _exact(values: Iterable, where: str) -> None:
     for value in values:
-        if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
+        if not is_exact(value):
             raise ValueError(f"{where}: expected an int or Fraction, got {type(value).__name__}")
 
 
@@ -81,6 +81,8 @@ class MilpModel:
             self.add_constraint(con.name, con.coeffs, con.sense, con.rhs)
 
     def add_variable(self, name: str, kind: str, lower, upper) -> None:
+        if kind not in ("continuous", "binary"):
+            raise ValueError(f"variable {name!r} has kind {kind!r}; only 'continuous' and 'binary' are allowed")
         _exact([bound for bound in (lower, upper) if bound is not None], f"variable {name!r} bound")
         if name in self._var_names:
             raise ValueError(f"duplicate variable name {name!r}")

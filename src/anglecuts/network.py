@@ -74,16 +74,17 @@ class Network:
 
 
 def _validate(buses: tuple[Bus, ...], lines: tuple[Line, ...]) -> None:
+    # a value's sign is its numerator's, the denominator being positive
     seen: set[str] = set()
     for bus in buses:
         if bus.id in seen:
             raise ValidationError(f"duplicate bus id {bus.id!r}")
         seen.add(bus.id)
-        if bus.demand < 0:
+        if bus.demand.numerator < 0:
             raise ValidationError(f"bus {bus.id!r}: demand must be >= 0")
-        if bus.gen_max < 0:
+        if bus.gen_max.numerator < 0:
             raise ValidationError(f"bus {bus.id!r}: gen_max must be >= 0")
-        if bus.gen_cost < 0:
+        if bus.gen_cost.numerator < 0:
             raise ValidationError(f"bus {bus.id!r}: gen_cost must be >= 0")
     for k, line in enumerate(lines):
         label = f"line {k} ({line.from_bus!r}-{line.to_bus!r})"
@@ -93,9 +94,9 @@ def _validate(buses: tuple[Bus, ...], lines: tuple[Line, ...]) -> None:
             raise ValidationError(f"{label}: unknown bus {line.to_bus!r}")
         if line.from_bus == line.to_bus:
             raise ValidationError(f"{label}: self-loop")
-        if line.reactance <= 0:
+        if line.reactance.numerator <= 0:
             raise ValidationError(f"{label}: reactance must be > 0")
-        if line.capacity <= 0:
+        if line.capacity.numerator <= 0:
             raise ValidationError(f"{label}: capacity must be > 0")
     # connectivity over the full graph, switchable lines included
     adj: dict[str, list[str]] = {bus.id: [] for bus in buses}

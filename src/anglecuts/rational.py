@@ -23,6 +23,11 @@ _EXPONENT = re.compile(r"[eE][-+]?([0-9][0-9_]*)\s*\Z")
 _EXACT = {int, Fraction}
 
 
+def is_exact(value: object) -> bool:
+    """An int or Fraction, and not a bool: a value the exact kernels can take as it is."""
+    return not isinstance(value, bool) and isinstance(value, (int, Fraction))
+
+
 def parse_rational(value: object, where: str = "value") -> Fraction:
     """Parse a rational from an int or a string like ``"3"``, ``"-1/2"``, ``"0.25"``.
 
@@ -31,6 +36,11 @@ def parse_rational(value: object, where: str = "value") -> Fraction:
     denominator with more digits than ``sys.get_int_max_str_digits()``,
     a decimal exponent before ``Fraction`` expands it.
     """
+    if isinstance(value, str) and len(value) <= 40 and value.isascii():
+        # p, -p, p/q and -p/q in ASCII digits, short of any digit limit: int() reads them as Fraction would
+        num, slash, den = value.partition("/")
+        if num.removeprefix("-").isdigit() and (not slash or den.isdigit() and int(den)):
+            return Fraction(int(num), int(den)) if slash else Fraction(int(num))
     limit = sys.get_int_max_str_digits()
     if isinstance(value, bool):
         raise ValueError(f"{where}: expected a rational, got a boolean")
@@ -59,7 +69,8 @@ def parse_rational(value: object, where: str = "value") -> Fraction:
 
 def format_rational(value: Fraction) -> str:
     """Canonical string form: plain integer, else ``p/q`` in lowest terms."""
-    value = Fraction(value)
+    if not isinstance(value, Fraction):
+        value = Fraction(value)
     if value.denominator == 1:
         return str(value.numerator)
     return f"{value.numerator}/{value.denominator}"
@@ -79,7 +90,7 @@ def integer_row(coeffs: Sequence[Fraction | int], rhs: Fraction | int, where: st
     kinds = set(map(type, row))
     if not kinds <= _EXACT:
         for j, value in enumerate(row):
-            if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
+            if not is_exact(value):
                 column = "the right-hand side" if j == len(coeffs) else f"column {j}"
                 raise ValueError(f"{where}, {column}: expected an int or Fraction, got {type(value).__name__}")
     if kinds != {int}:

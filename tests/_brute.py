@@ -6,6 +6,9 @@ enumeration instead of incremental insertion, a full pair sweep instead
 of the screened separation walk, every line subset instead of the
 pruned flow-space search, hull membership as a feasibility LP, and a
 dense-tableau simplex that updates every column of every pivot.  The
+Fraction code the fast paths replaced stays here as their reference:
+``Fraction``'s own string parser, the label-setting search on Fraction
+weights and the pair bounds built on it.  The
 helpers only tests call (a Fraction dot product, the LP over a
 polytope, the BFS spanning tree, a network with every line fixed) live
 here too.
@@ -14,14 +17,16 @@ here too.
 from __future__ import annotations
 
 import dataclasses
+import heapq
 import itertools
 import re
+import sys
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from anglecuts.bounds import global_big_m
+from anglecuts.bounds import BoundSource, global_big_m
 from anglecuts.cuts import build_cpvi, build_cvi, cpvi_violation, cvi_violation
-from anglecuts.errors import AngleCutsError, UnboundedError
+from anglecuts.errors import AngleCutsError, UnboundedError, UnknownBusError
 from anglecuts.graph import _bfs_parents, split_cycle
 from anglecuts.network import Network
 from anglecuts.rational import integer_row
@@ -48,6 +53,72 @@ def brute_shortest_path(net, m, n, active=None):
 
     walk(m, {m}, Fraction(0))
     return best[0]
+
+
+_EXPONENT = re.compile(r"[eE][-+]?([0-9][0-9_]*)\s*\Z")
+
+
+def fraction_parse_rational(value: object, where: str = "value") -> Fraction:
+    """rational.parse_rational with every string read by Fraction's own parser."""
+    limit = sys.get_int_max_str_digits()
+    if isinstance(value, bool):
+        raise ValueError(f"{where}: expected a rational, got a boolean")
+    if isinstance(value, float):
+        raise ValueError(f"{where}: floats are not exact; use a decimal or p/q string")
+    if isinstance(value, str):
+        if limit and ("e" in value or "E" in value) and (exponent := _EXPONENT.search(value)):
+            digits = exponent[1].replace("_", "")
+            if len(digits) >= limit or int(digits) >= limit:
+                raise ValueError(f"{where}: decimal exponent in {value[:40]!r} gives more than {limit} digits")
+        try:
+            value = Fraction(value.strip())
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ValueError(f"{where}: not a rational string: {value!r}") from exc
+    elif isinstance(value, int):
+        value = Fraction(value)
+    elif not isinstance(value, Fraction):
+        raise ValueError(f"{where}: expected a rational string or integer, got {type(value).__name__}")
+    num, den = value.numerator, value.denominator
+    if limit and (num.bit_length() > 3 * limit or den.bit_length() > 3 * limit) and max(-num, num, den) >= 10**limit:
+        raise ValueError(f"{where}: a numerator or denominator has more than {limit} digits")
+    return value
+
+
+def fraction_shortest_path_lengths(net, source, active_lines=None):
+    """graph.shortest_path_lengths with Fraction heap keys: each bus source
+    reaches inside the line subset, in the order it is settled."""
+    if source not in net.bus_index:
+        raise UnknownBusError(f"unknown bus {source!r}")
+    active = None if active_lines is None else frozenset(active_lines)
+    dist = {source: Fraction(0)}
+    done = {}
+    heap = [(Fraction(0), net.bus_index[source], source)]
+    while heap:
+        d, _, bus = heapq.heappop(heap)
+        if bus in done:
+            continue
+        done[bus] = d
+        for idx in net.adjacency[bus]:
+            if active is not None and idx not in active:
+                continue
+            other = net.lines[idx].other(bus)
+            if other in done:
+                continue
+            nd = d + net.lines[idx].weight
+            if other not in dist or nd < dist[other]:
+                dist[other] = nd
+                heapq.heappush(heap, (nd, net.bus_index[other], other))
+    return done
+
+
+def fraction_pair_bounds(net, pairs):
+    """bounds.pair_bounds with one Fraction search over the fixed lines per pair."""
+    fixed = [i for i, line in enumerate(net.lines) if not line.switchable]
+    out = []
+    for m, n in pairs:
+        sp = fraction_shortest_path_lengths(net, m, fixed).get(n)
+        out.append((global_big_m(net), BoundSource.TRIVIAL_M) if sp is None else (sp, BoundSource.SHORTEST_PATH_ACTIVE))
+    return out
 
 
 def brute_cycles(net):

@@ -11,7 +11,7 @@ from anglecuts.network import Network
 from anglecuts.oracle import ModelLP
 from anglecuts.simplex import solve_linear_program
 
-from _brute import brute_shortest_path, with_all_lines_fixed
+from _brute import brute_shortest_path, fraction_pair_bounds, with_all_lines_fixed
 from conftest import make_net, random_net
 
 
@@ -156,3 +156,15 @@ def test_pair_bounds_valid_for_every_pattern():
                 if result.status != "optimal":
                     continue  # pattern infeasible
                 assert abs(result.value) <= pb.bound
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_pair_bounds_match_the_fraction_search(seed):
+    """Random nets with mixed weight denominators whose fixed lines often
+    leave pairs unreachable, every ordered pair in one call."""
+    net = random_net(seed, max_buses=12)
+    ids = [bus.id for bus in net.buses]
+    pairs = [(m, n) for m in ids for n in ids if m != n]
+    got = pair_bounds(net, pairs)
+    assert got == fraction_pair_bounds(net, pairs)
+    assert all(type(bound) is F for bound, _ in got)

@@ -12,7 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import anglecuts
 from anglecuts import cli, oracle
-from anglecuts.bounds import global_big_m
+from anglecuts.bounds import bound_report, global_big_m
 from anglecuts.cli import main
 from anglecuts.cuts import build_cpvi, build_cvi, cpvi_to_json, cvi_to_json
 from anglecuts.graph import Cycle, fundamental_cycle_basis, split_cycle
@@ -112,6 +112,28 @@ def test_bounds_out_file_matches_stdout(capsys, tmp_path):
     code2, out2, _ = run(capsys, "bounds", FIG1, "--out", "-")
     assert json.loads(out2)["global_M"] == "6"
     assert (tmp_path / "b.json").read_text().strip() == out2.strip()
+
+
+# bus ids the JSON encoder must escape: quotes, backslashes, control
+# characters, and text outside ASCII, in and past the basic plane
+ODD_IDS = ['q"uote', "back\\slash", "tab\tnl\n", "\x00\x1f\x7f", "é", "電", "\U0001f600", " "]
+
+
+def test_bounds_writes_the_bytes_of_json_dumps(capsys, tmp_path):
+    net = make_net([(bus,) for bus in ODD_IDS],
+                   [(a, b, 1, k + 1, k % 2 == 0) for k, (a, b) in enumerate(zip(ODD_IDS, ODD_IDS[1:]))])
+    one_bus = load_network('{"buses": [{"id": "on\\"ly"}]}')
+    for net in (net, one_bus):
+        path = write_net(tmp_path, net)
+        code, out, _ = run(capsys, "bounds", path)
+        assert code == 0 and out == json.dumps(bound_report(net).to_json(), indent=2) + "\n"
+    assert out.endswith('"pairs": []\n}\n')
+
+
+@given(st.text(), st.lists(st.tuples(st.text(), st.text(), st.text(), st.text()), max_size=3))
+def test_bounds_text_is_json_dumps_with_indent(global_m, rows):
+    doc = {"global_M": global_m, "pairs": [dict(zip(("m", "n", "bound", "source"), row)) for row in rows]}
+    assert cli._bounds_text(doc) == json.dumps(doc, indent=2)
 
 
 # -- cuts ---------------------------------------------------------------------

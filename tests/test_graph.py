@@ -15,7 +15,7 @@ from anglecuts.graph import (
 )
 from anglecuts.network import Bus, Line, Network
 
-from _brute import brute_cycles, brute_shortest_path, spanning_tree
+from _brute import brute_cycles, brute_shortest_path, fraction_shortest_path_lengths, spanning_tree
 from conftest import make_net, random_net, ring_net
 
 
@@ -235,3 +235,30 @@ def test_basis_cycle_weights_are_their_line_sums(net):
     assert len(cycles) == len(net.lines) - len(net.buses) + 1
     for cycle in cycles:
         assert cycle.total_weight == sum(net.lines[i].weight for i in cycle.lines)
+
+
+def assert_search_matches_the_fraction_search(net, active):
+    for source in [bus.id for bus in net.buses]:
+        got = shortest_path_lengths(net, source, active)
+        # the same Fractions, settled in the same order
+        assert list(got.items()) == list(fraction_shortest_path_lengths(net, source, active).items())
+        assert all(type(d) is F for d in got.values())
+
+
+@given(nets_with_parallel_lines(), st.data())
+def test_integer_search_matches_the_fraction_search(net, data):
+    """Mixed weight denominators up to 6, with every line active and on a
+    random subset that leaves some buses unreachable."""
+    subset = data.draw(st.sets(st.integers(0, len(net.lines) - 1)))
+    for active in (None, subset, sorted(subset)):
+        assert_search_matches_the_fraction_search(net, active)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_integer_search_matches_the_fraction_search_on_random_networks(seed):
+    net = random_net(seed, max_buses=12)
+    # an isolated bus, which no search reaches and whose search reaches nothing else
+    net = Network(net.buses + (Bus("iso"),), net.lines)
+    fixed = [i for i, line in enumerate(net.lines) if not line.switchable]
+    for active in (None, fixed, fixed[::2]):
+        assert_search_matches_the_fraction_search(net, active)

@@ -383,20 +383,22 @@ REFUSED = [
     ("lower", "0", "variable 'x' bound: expected an int or Fraction, got str"),
     ("sense", ">=", "row 'r' has sense '>='; only '<=' and '=' rows are allowed"),
     ("sense", "<", "row 'r' has sense '<'; only '<=' and '=' rows are allowed"),
+    # unchecked, a misspelt kind is written as a continuous 0-1 variable with no Binary section
+    ("kind", "binray", "variable 'x' has kind 'binray'; only 'continuous' and 'binary' are allowed"),
 ]
 
 
 @pytest.mark.parametrize("part, value, message", REFUSED, ids=[f"{p}-{v!r}" for p, v, _ in REFUSED])
 def test_model_refuses_inexact_values_and_other_senses(part, value, message):
-    parts = {"lower": F(0), "upper": F(1), "coeff": F(1), "sense": "<=", "rhs": F(0), part: value}
+    parts = {"kind": "continuous", "lower": F(0), "upper": F(1), "coeff": F(1), "sense": "<=", "rhs": F(0), part: value}
 
     def by_methods():
         model = MilpModel()
-        model.add_variable("x", "continuous", parts["lower"], parts["upper"])
+        model.add_variable("x", parts["kind"], parts["lower"], parts["upper"])
         model.add_constraint("r", [("x", parts["coeff"])], parts["sense"], parts["rhs"])
 
     def from_lists():
-        MilpModel([MilpVariable("x", "continuous", parts["lower"], parts["upper"])],
+        MilpModel([MilpVariable("x", parts["kind"], parts["lower"], parts["upper"])],
                   [MilpConstraint("r", (("x", parts["coeff"]),), parts["sense"], parts["rhs"])])
 
     for build in (by_methods, from_lists):

@@ -2,12 +2,13 @@ import json
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from anglecuts.errors import DisconnectedError, ParseError, ValidationError
 from anglecuts.network import Line, load_network, network_to_json, serialize_network
 from anglecuts.rational import parse_rational
 
+from _brute import fraction_parse_rational
 from conftest import make_net
 
 
@@ -171,3 +172,43 @@ def test_json_shape_matches_schema(fig1):
     assert set(obj) == {"buses", "lines"}
     assert obj["lines"][0]["from"] == "i0"
     assert obj["buses"][0]["gen_max"] == "3"
+
+
+def assert_parses_as_the_fraction_parser(text):
+    """parse_rational gives the Fraction, or the error message, that the
+    Fraction-parser reference gives."""
+    try:
+        expect = fraction_parse_rational(text, "x")
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            parse_rational(text, "x")
+        assert str(got.value) == str(exc)
+    else:
+        got = parse_rational(text, "x")
+        assert type(got) is F and got == expect
+
+
+# the fast path's edges: signs and spaces it leaves to Fraction, digits
+# that are not ASCII, zero and signed denominators, and lengths around
+# its 40-character cut and Python's 4300-digit limit
+PARSE_CASES = [
+    "+1", " 1 ", "1_0", "007", "-0", "1/0", "-1/0", "1/00", "0/7", "5/-3", "-5/3", "0.25", "1e3", "٣", "٣/٤", "¹",
+    "", "-", "/", "1/", "/2", "--1", "1//2", "1/2/3", "1\n", "\t2", "1" * 40, "-" + "9" * 39,
+    "1" * 20 + "/" + "3" * 19, "1" * 41, "-" + "9" * 40, "1" * 5000, str(10**400), "1e400",
+    "1e5000", "1e-4300", "1e" + "9" * 5000, "99e4299", "1e4299", "15e-4299",
+]
+
+
+@pytest.mark.parametrize("text", PARSE_CASES, ids=range(len(PARSE_CASES)))
+def test_parse_rational_matches_the_fraction_parser_on_edge_cases(text):
+    assert_parses_as_the_fraction_parser(text)
+
+
+@settings(max_examples=300)
+@given(st.one_of(
+    st.text(alphabet="0123456789-+/._eE ٣\t", max_size=12),
+    st.builds(lambda sign, p, q: f"{sign}{p}" + ("" if q is None else f"/{q}"),
+              st.sampled_from(["", "-", "+"]), st.integers(0, 10**45), st.none() | st.integers(0, 10**45)),
+))
+def test_parse_rational_matches_the_fraction_parser(text):
+    assert_parses_as_the_fraction_parser(text)
