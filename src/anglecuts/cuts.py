@@ -8,8 +8,10 @@ Two families over a cycle of the network:
 * the older flow-space inequality that bounds the reactance-weighted
   flow over any line subset of the cycle (``CutCVI``).
 
-Both separators return exactly the cuts violated by more than the
-tolerance, which must be at least 0.  cpvi scales the weights, angles,
+Both separators scan the cycles through one fractional-cycle filter,
+price each candidate once, build only the cuts they return, exactly
+those violated by more than the tolerance (at least 0), and rank them
+most violated first.  cpvi scales the weights, angles,
 M and tolerance to integers over one denominator and 1 - y over another,
 once per call, and grows the lighter arc S from every anchor bus,
 stopping once twice the arc weight passes the cycle's.  A pair whose
@@ -21,7 +23,9 @@ K = |C| - 1 - sum of y over C, either sign's violation is modular in the
 subset S: sum over S of (+-s_i f_i x_i - w_i (2K + y_i)) + w(C) K.  A
 depth-first search over the lines drops a subtree when neither sign's
 sum plus the positive terms ahead can pass the tolerance, or when the
-weight still reachable cannot pass w(C)/2.
+weight still reachable cannot pass w(C)/2; a subset's violation is the
+larger sum that proved it.  Past CVI_EXHAUSTIVE_CAP lines only each bus
+pair's longer arc is a subset, priced by cvi_violation.
 """
 
 from __future__ import annotations
@@ -224,21 +228,14 @@ def cvi_violation(net: Network, cut: CutCVI, pt: FractionalPoint) -> Fraction:
     return abs(lhs) - cut.rhs_at(pt.y)
 
 
-def _cycle_is_promising(cycle: Cycle, pt: FractionalPoint) -> bool:
-    for line in cycle.lines:
-        value = pt.y.get(line)
-        if value is not None and 0 < value < 1:
-            return True
-    return False
+def _scanned(cycles: Sequence[Cycle], pt: FractionalPoint, config: SeparationConfig) -> Iterable[Cycle]:
+    """The cycles to separate over: with fractional_cycles_only, those with a line at a fractional y."""
+    return (c for c in cycles if not config.fractional_cycles_only or any(0 < pt.y.get(i, 0) < 1 for i in c.lines))
 
 
-def _sort_key(entry):
-    cut, violation = entry
-    if isinstance(cut, CutCPVI):
-        tie = (cut.pair.cycle.lines, cut.pair.pair)
-    else:
-        tie = (cut.cycle.lines, cut.subset)
-    return (-violation, tie)
+def _ranked(found: Mapping[tuple, tuple]) -> list:
+    """The (cut, violation) pairs, most violated first, then by their distinct keys."""
+    return [found[key] for key in sorted(found, key=lambda key: (-found[key][1], key))]
 
 
 def separate_cpvi(
@@ -264,9 +261,7 @@ def separate_cpvi(
     scaled, slack_scale = integer_row([1 - v for v in pt.y.values()], 1, "point")
     slack_of, tolerance = dict(zip(pt.y, scaled)), tolerance * slack_scale
     found: dict[tuple, tuple] = {}  # by cycle lines and pair: a cycle listed twice gives its cuts once
-    for cycle in cycles:
-        if config.fractional_cycles_only and not _cycle_is_promising(cycle, pt):
-            continue
+    for cycle in _scanned(cycles, pt, config):
         size = len(cycle.buses)
         angles = _angles(theta, cycle.buses)
         weights = [weight_of[i] for i in cycle.lines]
@@ -293,34 +288,44 @@ def separate_cpvi(
                 long_part = (m_scaled - total + arc_weight) * (total_slack - arc_slack)  # dm a_L
                 excess = spread * slack_scale - short_part - long_part
                 if excess > tolerance:
-                    ends = sorted((cycle.buses[anchor_pos], cycle.buses[pos]), key=net.bus_index.__getitem__)
-                    found.setdefault((cycle.lines, *ends), (cycle, ends, Fraction(excess, scale * slack_scale)))
-    cuts = [(build_cpvi(split_cycle(net, cycle, *ends), big_m), violation) for cycle, ends, violation in found.values()]
-    return sorted(cuts, key=_sort_key)
+                    key = (cycle.lines, *sorted((cycle.buses[anchor_pos], cycle.buses[pos]), key=net.bus_index.__getitem__))
+                    if key not in found:
+                        found[key] = (build_cpvi(split_cycle(net, cycle, *key[1:]), big_m), Fraction(excess, scale * slack_scale))
+    return _ranked(found)
 
 
-def _violated_subsets(net: Network, cycle: Cycle, pt: FractionalPoint, tolerance: Fraction) -> list[tuple[int, ...]]:
-    """The line subsets of the cycle whose cut is nontrivial and violated by
-    more than the tolerance: the module docstring's search, in integers."""
+def _violated_cuts(net: Network, cycle: Cycle, pt: FractionalPoint, tolerance: Fraction) -> list[tuple[CutCVI, Fraction]]:
+    """The cycle's nontrivial cuts violated by more than the tolerance, with
+    their violations.  Past the cap, each bus pair's longer arc, each once,
+    priced by cvi_violation; else the module docstring's search, in
+    integers, whose larger sum at a subset is its violation less the tolerance."""
+    found: list[tuple[CutCVI, Fraction]] = []
+    if len(cycle.lines) > CVI_EXHAUSTIVE_CAP:
+        pairs = itertools.combinations(cycle.buses, 2)
+        for arc in dict.fromkeys(frozenset(split_cycle(net, cycle, m, n).longer.lines) for m, n in pairs):
+            cut = build_cvi(net, cycle, arc)
+            if cut is not None and (violation := cvi_violation(net, cut, pt)) > tolerance:
+                found.append((cut, violation))
+        return found
+    _check_cvi_entries(net, cycle, pt)
     lines, size = cycle.lines, len(cycle.lines)
     signs = cycle_orientation_signs(net, cycle)
     k = size - 1 - sum((pt.y[i] for i in lines), Fraction(0))
     flows = [signs[i] * pt.f[i] * net.lines[i].reactance for i in lines]
     slopes = [net.lines[i].weight * (2 * k + pt.y[i]) for i in lines]
-    scaled, _ = integer_row([*(f - a for f, a in zip(flows, slopes)), *(-f - a for f, a in zip(flows, slopes)),
-                             *(net.lines[i].weight for i in lines), cycle.total_weight * k - tolerance], 1, "point")
+    scaled, scale = integer_row([*(f - a for f, a in zip(flows, slopes)), *(-f - a for f, a in zip(flows, slopes)),
+                                 *(net.lines[i].weight for i in lines), cycle.total_weight * k - tolerance], 1, "point")
     plus, minus, weights, base = scaled[:size], scaled[size : 2 * size], scaled[2 * size : -1], scaled[-1]
     # what lines j on can still add: each sign's positive terms, and weight
     ahead = [(sum(max(v, 0) for v in plus[j:]), sum(max(v, 0) for v in minus[j:]), sum(weights[j:])) for j in range(size + 1)]
     total = ahead[0][2]
-    found: list[tuple[int, ...]] = []
 
     def walk(j: int, chosen: tuple[int, ...], sum_plus: int, sum_minus: int, weight: int) -> None:
         up_plus, up_minus, up_weight = ahead[j]
         if (sum_plus + up_plus <= 0 and sum_minus + up_minus <= 0) or 2 * (weight + up_weight) <= total:
             return
         if j == size:
-            found.append(chosen)
+            found.append((build_cvi(net, cycle, chosen), Fraction(max(sum_plus, sum_minus), scale) + tolerance))
         else:
             walk(j + 1, chosen + (lines[j],), sum_plus + plus[j], sum_minus + minus[j], weight + weights[j])
             walk(j + 1, chosen, sum_plus, sum_minus, weight)
@@ -346,70 +351,40 @@ def _check_cvi_entries(net: Network, cycle: Cycle, pt: FractionalPoint) -> None:
                 raise MissingVariableError(f"point has no {gap}")
 
 
-def _cvi_subsets(net: Network, cycle: Cycle, pt: FractionalPoint, tolerance: Fraction) -> Iterable[Iterable[int]]:
-    if len(cycle.lines) > CVI_EXHAUSTIVE_CAP:
-        # past the cap, only the two-arc partitions (a pair's longer path), each once
-        pairs = itertools.combinations(cycle.buses, 2)
-        yield from dict.fromkeys(frozenset(split_cycle(net, cycle, m, n).longer.lines) for m, n in pairs)
-    else:
-        _check_cvi_entries(net, cycle, pt)
-        yield from _violated_subsets(net, cycle, pt, tolerance)
-
-
 def separate_cvi(
     net: Network,
     cycles: Sequence[Cycle],
     pt: FractionalPoint,
     config: SeparationConfig = SeparationConfig(),
 ) -> list[tuple[CutCVI, Fraction]]:
-    """Find violated flow-space cuts at a fractional point carrying flows."""
-    found: dict[tuple, tuple[CutCVI, Fraction]] = {}
-    for cycle in cycles:
-        if config.fractional_cycles_only and not _cycle_is_promising(cycle, pt):
-            continue
-        for subset in _cvi_subsets(net, cycle, pt, config.tolerance):
-            cut = build_cvi(net, cycle, subset)
-            if cut is None:
-                continue
-            violation = cvi_violation(net, cut, pt)
-            if violation > config.tolerance:
-                found[(cycle.lines, cut.subset)] = (cut, violation)
-    return sorted(found.values(), key=_sort_key)
+    """Find violated flow-space cuts at a fractional point carrying flows,
+    by the module docstring's search: (cut, violation) pairs with violation
+    above the tolerance, most violated first.  Past CVI_EXHAUSTIVE_CAP
+    lines a cycle gives only its two-arc cuts, priced by cvi_violation."""
+    found = {(cycle.lines, cut.subset): (cut, violation)
+             for cycle in _scanned(cycles, pt, config) for cut, violation in _violated_cuts(net, cycle, pt, config.tolerance)}
+    return _ranked(found)
+
+
+def _to_json(kind: str, cycle: Cycle, cut: CutCPVI | CutCVI, violation: Fraction | None, **fields) -> dict:
+    """A cut's JSON object: its kind and cycle, the family's own fields, then constant, y_coeffs and any violation."""
+    obj = {"kind": kind, "cycle_lines": list(cycle.lines), "cycle_buses": list(cycle.buses), **fields,
+           "constant": format_rational(cut.constant), "y_coeffs": {str(line): format_rational(c) for line, c in cut.y_coeffs}}
+    if violation is not None:
+        obj["violation"] = format_rational(violation)
+    return obj
 
 
 def cpvi_to_json(cut: CutCPVI, violation: Fraction | None = None) -> dict:
-    obj = {
-        "kind": "cpvi",
-        "cycle_lines": list(cut.pair.cycle.lines),
-        "cycle_buses": list(cut.pair.cycle.buses),
-        "pair": list(cut.pair.pair),
-        "shorter_lines": list(cut.pair.shorter.lines),
-        "longer_lines": list(cut.pair.longer.lines),
-        "big_m": format_rational(cut.big_m),
-        "delta_rho": format_rational(cut.delta_rho),
-        "delta_m": format_rational(cut.delta_m),
-        "constant": format_rational(cut.constant),
-        "y_coeffs": {str(line): format_rational(c) for line, c in cut.y_coeffs},
-    }
-    if violation is not None:
-        obj["violation"] = format_rational(violation)
-    return obj
+    pair = cut.pair
+    return _to_json("cpvi", pair.cycle, cut, violation, pair=list(pair.pair), shorter_lines=list(pair.shorter.lines),
+                    longer_lines=list(pair.longer.lines), big_m=format_rational(cut.big_m),
+                    delta_rho=format_rational(cut.delta_rho), delta_m=format_rational(cut.delta_m))
 
 
 def cvi_to_json(cut: CutCVI, violation: Fraction | None = None) -> dict:
-    obj = {
-        "kind": "cvi",
-        "cycle_lines": list(cut.cycle.lines),
-        "cycle_buses": list(cut.cycle.buses),
-        "subset": list(cut.subset),
-        "delta_s": format_rational(cut.delta_s),
-        "flow_signs": {str(line): sign for line, sign in cut.flow_signs},
-        "constant": format_rational(cut.constant),
-        "y_coeffs": {str(line): format_rational(c) for line, c in cut.y_coeffs},
-    }
-    if violation is not None:
-        obj["violation"] = format_rational(violation)
-    return obj
+    return _to_json("cvi", cut.cycle, cut, violation, subset=list(cut.subset), delta_s=format_rational(cut.delta_s),
+                    flow_signs={str(line): sign for line, sign in cut.flow_signs})
 
 
 def _require_fields(obj: dict, kind: str, fields: Sequence[str]) -> None:

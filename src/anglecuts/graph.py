@@ -278,7 +278,9 @@ def all_simple_cycles(net: Network) -> list[Cycle]:
     """Every simple cycle of the network, canonicalized and deduplicated.
 
     Parallel line pairs count as 2-cycles.  Intended for desk-scale
-    graphs; raises CapExceededError past SIMPLE_CYCLE_CAP.
+    graphs; raises CapExceededError past SIMPLE_CYCLE_CAP.  A path grows
+    only to a bus that still reaches its start through buses off the path
+    and not below the start: no path that closes is lost.
     """
     found: dict[frozenset[int], Cycle] = {}
 
@@ -289,23 +291,33 @@ def all_simple_cycles(net: Network) -> list[Cycle]:
             if len(found) > SIMPLE_CYCLE_CAP:
                 raise CapExceededError(f"more than {SIMPLE_CYCLE_CAP} simple cycles")
 
+    order = net.bus_index
+
+    def returnable(start: str, on_path: set[str]) -> set[str]:
+        """The buses that reach start through buses off the path and not below start."""
+        reached, todo = set(), [start]
+        while todo:
+            here = todo.pop()
+            for idx in net.adjacency[here]:
+                other = net.lines[idx].other(here)
+                if other not in reached and other not in on_path and order[other] >= order[start]:
+                    reached.add(other)
+                    todo.append(other)
+        return reached
+
     # DFS anchored at the smallest-index bus of the cycle; a path never
     # reuses a line, so closing over a parallel line gives a 2-cycle
-    order = net.bus_index
     for start_bus in [b.id for b in net.buses]:
         stack: list[tuple[str, list[int], list[str]]] = [(start_bus, [], [start_bus])]
         while stack:
             bus, line_seq, bus_seq = stack.pop()
+            reach = returnable(start_bus, set(bus_seq))
             for idx in net.adjacency[bus]:
                 if idx in line_seq:
                     continue
                 other = net.lines[idx].other(bus)
-                if order[other] < order[start_bus]:
-                    continue
                 if other == start_bus:
                     record(line_seq + [idx], list(bus_seq))
-                    continue
-                if other in bus_seq:
-                    continue
-                stack.append((other, line_seq + [idx], bus_seq + [other]))
+                elif other in reach:
+                    stack.append((other, line_seq + [idx], bus_seq + [other]))
     return [found[key] for key in sorted(found, key=lambda k: tuple(sorted(k)))]

@@ -64,7 +64,8 @@ def _exact(values: Iterable, where: str) -> None:
 
 @dataclass
 class MilpModel:
-    """Every value an int or Fraction, kept as given, every sense '<=' or '=': add_* and a list-built model refuse the rest."""
+    """Every value an int or Fraction, kept as given, every sense '<=' or '=', each objective variable declared
+    and named once: add_*, the objective assignment and a list-built model refuse the rest."""
 
     variables: list[MilpVariable] = field(default_factory=list)
     constraints: list[MilpConstraint] = field(default_factory=list)
@@ -79,6 +80,17 @@ class MilpModel:
             self.add_variable(var.name, var.kind, var.lower, var.upper)
         for con in constraints:
             self.add_constraint(con.name, con.coeffs, con.sense, con.rhs)
+        self.objective = self.objective  # checked now that the variables are declared
+
+    def __setattr__(self, name: str, value) -> None:
+        if name == "objective" and hasattr(self, "_var_names"):  # the generated __init__ sets it before the names
+            value, seen = list(value), set()
+            for var, c in value:
+                _exact([c], f"objective term {var!r}")
+                if var not in self._var_names or var in seen:
+                    raise ValueError(f"objective term {var!r} {'repeats a' if var in seen else 'names an undeclared'} variable")
+                seen.add(var)
+        super().__setattr__(name, value)
 
     def add_variable(self, name: str, kind: str, lower, upper) -> None:
         if kind not in ("continuous", "binary"):
@@ -296,7 +308,6 @@ def _bound(var: MilpVariable, value: Fraction) -> str:
 def lp_text(model: MilpModel) -> str:
     """The model in LP text format; byte-identical for identical models."""
     out = io.StringIO()
-    _exact((c for _, c in model.objective), "objective")
     out.write("Minimize\n")
     terms = [(var, c) for var, c in model.objective if c != 0]
     if terms:

@@ -8,7 +8,8 @@ pruned flow-space search, hull membership as a feasibility LP, and a
 dense-tableau simplex that updates every column of every pivot.  The
 Fraction code the fast paths replaced stays here as their reference:
 ``Fraction``'s own string parser, the label-setting search on Fraction
-weights and the pair bounds built on it.  The
+weights, the pair bounds built on it, and the two-arc flow-space
+cuts past the cap, each priced by ``cvi_violation``.  The
 helpers only tests call (a Fraction dot product, the LP over a
 polytope, the BFS spanning tree, a network with every line fixed) live
 here too.
@@ -326,6 +327,25 @@ def exhaustive_cvi(net, cycles, pt, tolerance):
                 if violation > tolerance:
                     found[(cycle.lines, cut.subset)] = (cut, violation)
     return found
+
+
+def two_arc_cvi(net, cycles, pt, tolerance):
+    """separate_cvi on cycles past CVI_EXHAUSTIVE_CAP, as it was first
+    written: each bus pair's longer arc by split_cycle, each arc once, as
+    the subset, built and priced by cvi_violation; most violated first,
+    ties by cycle and subset."""
+    found = {}
+    for cycle in cycles:
+        arcs = dict.fromkeys(frozenset(split_cycle(net, cycle, m, n).longer.lines)
+                             for m, n in itertools.combinations(cycle.buses, 2))
+        for arc in arcs:
+            cut = build_cvi(net, cycle, arc)
+            if cut is None:
+                continue
+            violation = cvi_violation(net, cut, pt)
+            if violation > tolerance:
+                found[(cycle.lines, cut.subset)] = (cut, violation)
+    return [found[key] for key in sorted(found, key=lambda key: (-found[key][1], key))]
 
 
 def point_in_hull(point: Sequence[Fraction], generators: Sequence[Sequence[Fraction]]) -> bool:

@@ -4,7 +4,7 @@ import re
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import anglecuts.cuts
 from anglecuts.bounds import global_big_m
@@ -25,7 +25,7 @@ from anglecuts.cuts import (
 from anglecuts.errors import InvalidBigMError, MissingVariableError, SubsetNotInCycleError
 from anglecuts.graph import all_simple_cycles, fundamental_cycle_basis, split_cycle
 
-from _brute import exhaustive_cpvi, exhaustive_cvi
+from _brute import exhaustive_cpvi, exhaustive_cvi, two_arc_cvi
 from conftest import make_net, ring_net
 
 
@@ -306,10 +306,25 @@ def _cvi_result(call):
     }
 
 
+def _gapped_point(draw, net):
+    """A point over the net with zero angles, some fractional y and flows
+    in [-12, 12], that may lack one y, one or two f values, one of each,
+    or every f."""
+    n_lines = len(net.lines)
+    y = {k: draw(st.sampled_from([F(0), F(1), F(1), F(1), F(1, 2), F(1, 3), F(5, 6)])) for k in range(n_lines)}
+    f = {k: draw(st.fractions(min_value=-12, max_value=12, max_denominator=3)) for k in range(n_lines)}
+    gap = draw(st.sampled_from(["none"] * 4 + ["y", "f", "f2", "f y", "no f"]))
+    if "y" in gap:
+        del y[draw(st.integers(0, n_lines - 1))]
+    if "f" in gap and gap != "no f":
+        for k in draw(st.lists(st.integers(0, n_lines - 1), min_size=1, max_size=2 if gap == "f2" else 1)):
+            f.pop(k, None)
+    return FractionalPoint({bus.id: F(0) for bus in net.buses}, y, None if gap == "no f" else f)
+
+
 @st.composite
 def cvi_instances(draw):
-    """A ring of 2 to 12 lines, maybe with a chord, and a point over it
-    that may lack one y, one or two f values, or every f."""
+    """A ring of 2 to 12 lines, maybe with a chord, and a _gapped_point over it."""
     size = draw(st.sampled_from([*range(2, 12), 12, 12, 12]))
     buses = [(f"r{k}",) for k in range(size)]
     rat = st.fractions(min_value=F(1, 4), max_value=4, max_denominator=4)
@@ -317,17 +332,7 @@ def cvi_instances(draw):
     if size >= 4 and draw(st.booleans()):
         lines.append(("r0", f"r{draw(st.integers(2, size - 2))}", draw(rat), draw(st.integers(1, 5))))
     net = make_net(buses, lines)
-    n_lines = len(net.lines)
-    y = {k: draw(st.sampled_from([F(0), F(1), F(1), F(1), F(1, 2), F(1, 3), F(5, 6)])) for k in range(n_lines)}
-    f = {k: draw(st.fractions(min_value=-12, max_value=12, max_denominator=3)) for k in range(n_lines)}
-    gap = draw(st.sampled_from(["none"] * 4 + ["y", "f", "f2", "no f"]))
-    if gap == "y":
-        del y[draw(st.integers(0, n_lines - 1))]
-    elif gap in ("f", "f2"):
-        for k in draw(st.lists(st.integers(0, n_lines - 1), min_size=1, max_size=1 if gap == "f" else 2)):
-            f.pop(k, None)
-    theta = {bus.id: F(0) for bus in net.buses}
-    return net, FractionalPoint(theta, y, None if gap == "no f" else f)
+    return net, _gapped_point(draw, net)
 
 
 @given(cvi_instances(), st.sampled_from([F(0), F(1, 1000000), F(1, 2), F(3)]), st.booleans())
@@ -340,6 +345,49 @@ def test_separate_cvi_equals_exhaustive_subsets(instance, tolerance, fractional_
     got = _cvi_result(lambda: separate_cvi(net, cycles, pt, config))
     want = _cvi_result(lambda: exhaustive_cvi(net, scanned, pt, tolerance).values())
     assert got == want
+
+
+@st.composite
+def long_cvi_instances(draw):
+    """A ring of 13 to 16 lines with weights from a short list, so that
+    equal arcs are common, maybe with a chord, and a _gapped_point over it."""
+    size = draw(st.integers(13, 16))
+    weight = st.sampled_from([F(1), F(1), F(1), F(2), F(1, 2)])
+    lines = [(f"r{k}", f"r{(k + 1) % size}", 1, draw(weight)) for k in range(size)]
+    if draw(st.booleans()):
+        lines.append(("r0", f"r{draw(st.integers(2, size - 2))}", 1, draw(weight)))
+    net = make_net([(f"r{k}",) for k in range(size)], lines)
+    return net, _gapped_point(draw, net)
+
+
+def _ring14_without(f_line, y_line):
+    """A unit ring of 14 lines and a point with every flow 3 but on f_line and every y 1 but on y_line."""
+    net = ring_net([1] * 14)
+    f = {k: F(3) for k in range(14) if k != f_line}
+    return net, FractionalPoint({bus.id: F(0) for bus in net.buses}, {k: F(1) for k in range(14) if k != y_line}, f)
+
+
+@settings(max_examples=100, derandomize=True)
+@given(long_cvi_instances(), st.sampled_from([F(0), F(1, 2), F(3)]), st.booleans())
+@example(_ring14_without(0, 5), F(0), False)  # the first pair's arc lacks line 0: its missing y is named, not the flow
+def test_separate_cvi_past_the_cap_equals_the_two_arc_cuts(instance, tolerance, fractional_only):
+    # past the cap only each pair's longer arc is a subset; this pins that contract, cut order and error messages
+    net, pt = instance
+    cap = anglecuts.cuts.CVI_EXHAUSTIVE_CAP
+    cycles = [cycle for cycle in all_simple_cycles(net) if len(cycle.lines) > cap]
+    assert cycles and all(13 <= len(cycle.lines) <= 16 for cycle in cycles)
+    config = SeparationConfig(tolerance, fractional_only)
+    scanned = [c for c in cycles if not fractional_only or any(0 < pt.y.get(i, 0) < 1 for i in c.lines)]
+    got = _ordered_result(lambda: separate_cvi(net, cycles, pt, config))
+    assert got == _ordered_result(lambda: two_arc_cvi(net, scanned, pt, tolerance))
+
+
+def test_separate_cvi_past_the_cap_skips_equal_arcs():
+    # on a unit ring of 14 lines the 7 opposite pairs split into equal arcs, whose cut is trivial
+    net, pt = _ring14_without(None, None)
+    found = separate_cvi(net, all_simple_cycles(net), pt)
+    assert found == two_arc_cvi(net, all_simple_cycles(net), pt, 0)
+    assert {len(cut.subset) for cut, _ in found} == set(range(8, 14))
 
 
 def test_missing_entries_raise_as_in_exhaustive_subset_order():
@@ -394,7 +442,7 @@ def test_cvi_pruning_builds_few_cuts(monkeypatch):
     assert len(built) < exhaustive / 20
 
 
-def _cpvi_result(call):
+def _ordered_result(call):
     """The cuts and violations in the order returned, or the message of the
     MissingVariableError the call raised."""
     try:
@@ -457,8 +505,8 @@ def test_separate_cpvi_equals_exhaustive_pairs(instance, tolerance, fractional_o
     cycles = all_simple_cycles(net) if every_cycle else fundamental_cycle_basis(net)
     config = SeparationConfig(tolerance, fractional_only)
     scanned = [c for c in cycles if not fractional_only or any(0 < pt.y.get(i, 0) < 1 for i in c.lines)]
-    got = _cpvi_result(lambda: separate_cpvi(net, cycles, pt, config))
-    assert got == _cpvi_result(lambda: _screened_cpvi(net, scanned, pt, tolerance))
+    got = _ordered_result(lambda: separate_cpvi(net, cycles, pt, config))
+    assert got == _ordered_result(lambda: _screened_cpvi(net, scanned, pt, tolerance))
 
 
 # (grid seed, every simple cycle, buses without an angle, lines without a
@@ -484,7 +532,7 @@ def test_cpvi_missing_entries_raise_as_before(seed, every_cycle, no_theta, no_y,
     cycles = all_simple_cycles(net) if every_cycle else fundamental_cycle_basis(net)
     theta = {bus: v for bus, v in pt.theta.items() if bus not in no_theta}
     y = {k: v for k, v in pt.y.items() if k not in no_y}
-    got = _cpvi_result(lambda: separate_cpvi(net, cycles, FractionalPoint(theta, y), SeparationConfig(0, fractional_only)))
+    got = _ordered_result(lambda: separate_cpvi(net, cycles, FractionalPoint(theta, y), SeparationConfig(0, fractional_only)))
     assert (got if isinstance(got, str) else len(got)) == expected
 
 

@@ -45,6 +45,7 @@ def test_package_source_makes_no_float():
 
 
 def _model_with_objective(value):
+    # the model checks the objective where it takes it, so lp_text never meets an inexact one
     model = MilpModel()
     model.add_variable("x", "continuous", 0, 1)
     model.objective = [("x", value)]
@@ -64,6 +65,7 @@ ENTRY_POINTS = {
         "r", [("x", v)], "<=", 1),
     "MilpModel from lists": lambda v: MilpModel([MilpVariable("x", "continuous", None, None)],
                                                 [MilpConstraint("r", (("x", 1),), "<=", v)]),
+    "MilpModel objective from lists": lambda v: MilpModel([MilpVariable("x", "continuous", None, None)], [], [("x", v)]),
     "lp_text": _model_with_objective,
 }
 

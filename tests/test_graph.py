@@ -1,4 +1,5 @@
 import itertools
+import signal
 from fractions import Fraction as F
 
 import pytest
@@ -135,9 +136,19 @@ def test_all_simple_cycles(two_triangles):
     assert {len(c.lines) for c in cycles} == {3, 4}
 
 
-@pytest.mark.parametrize("seed", range(40))
+def square_chain(n):
+    """n squares in a row, each sharing one bus with the next: 3n + 1 buses,
+    4n lines and exactly n simple cycles, the squares."""
+    ids, ends = ["c0"], []
+    for k in range(n):
+        ids += [f"a{k}", f"b{k}", f"c{k + 1}"]
+        ends += [(f"c{k}", f"a{k}"), (f"a{k}", f"c{k + 1}"), (f"c{k + 1}", f"b{k}"), (f"b{k}", f"c{k}")]
+    return make_net([(bus,) for bus in ids], [(a, b, 1, 1) for a, b in ends])
+
+
+@pytest.mark.parametrize("seed", [*range(40), "chain2", "chain3", "chain4"])
 def test_all_simple_cycles_match_brute_force_on_random_networks(seed):
-    net = random_net(seed)
+    net = random_net(seed) if isinstance(seed, int) else square_chain(int(seed[len("chain"):]))
     cycles = all_simple_cycles(net)
     assert [tuple(sorted(c.lines)) for c in cycles] == brute_cycles(net)
     for cycle in cycles:
@@ -146,6 +157,22 @@ def test_all_simple_cycles_match_brute_force_on_random_networks(seed):
         for k, idx in enumerate(cycle.lines):
             assert net.lines[idx].endpoints() == {cycle.buses[k], cycle.buses[(k + 1) % size]}
         assert cycle.total_weight == sum(net.lines[idx].weight for idx in cycle.lines)
+
+
+def test_all_simple_cycles_on_a_long_chain_of_squares():
+    # 91 buses, 120 lines and 30 cycles: a search that grows paths which cannot close never ends here
+    def give_up(signum, frame):
+        raise TimeoutError("all_simple_cycles took more than a second")
+
+    net = square_chain(30)
+    previous = signal.signal(signal.SIGALRM, give_up)
+    signal.setitimer(signal.ITIMER_REAL, 1)
+    try:
+        cycles = all_simple_cycles(net)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert [sorted(c.lines) for c in cycles] == [list(range(4 * k, 4 * k + 4)) for k in range(30)]
 
 
 weights = st.lists(

@@ -20,7 +20,7 @@ from anglecuts.milp import (
     merge_models,
 )
 from anglecuts.network import Network, load_network
-from anglecuts.oracle import _pattern_optima, brute_force_dcots
+from anglecuts.oracle import ModelLP, _pattern_optima, brute_force_dcots
 
 from _brute import fixed_binary_lp, read_lp_text, with_all_lines_fixed
 from conftest import DATA, basis_cuts, make_net, random_net
@@ -420,9 +420,29 @@ def test_model_keeps_values_as_given():
 
 @pytest.mark.parametrize("value, kind", [(0.5, "float"), (True, "bool"), ("1", "str")])
 def test_lp_text_refuses_an_inexact_objective(value, kind):
-    # unchecked, a float objective would end in an AttributeError and a bool be written as 1
+    # unchecked, a float objective would end in an AttributeError and a bool be written as 1;
+    # the model refuses it where it takes the objective, so lp_text never meets one
     model = MilpModel()
     model.add_variable("x", "continuous", 0, 1)
-    model.objective = [("x", value)]
-    with pytest.raises(ValueError, match=f"objective: expected an int or Fraction, got {kind}"):
-        lp_text(model)
+    with pytest.raises(ValueError, match=f"objective term 'x': expected an int or Fraction, got {kind}"):
+        model.objective = [("x", value)]
+    with pytest.raises(ValueError, match=f"objective term 'x': expected an int or Fraction, got {kind}"):
+        MilpModel(model.variables, [], [("x", value)])
+
+
+@pytest.mark.parametrize("objective, message", [
+    ([("x", 1), ("x", 2)], "objective term 'x' repeats a variable"),  # lp_text would write 1 x + 2 x, ModelLP keep 2 x
+    ([("x", 1), ("x", 0)], "objective term 'x' repeats a variable"),
+    ([("nope", 1)], "objective term 'nope' names an undeclared variable"),  # written as LP text, dropped by ModelLP
+])
+def test_model_refuses_an_objective_lp_text_and_model_lp_read_apart(objective, message):
+    model = MilpModel()
+    model.add_variable("x", "continuous", 1, 2)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        model.objective = objective
+    assert model.objective == []
+    with pytest.raises(ValueError, match=re.escape(message)):
+        MilpModel(model.variables, [], objective)
+    model.objective = [("x", 2)]
+    assert model == MilpModel(model.variables, [], [("x", 2)])
+    assert ModelLP(model).objective == [2]
