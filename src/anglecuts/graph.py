@@ -3,7 +3,8 @@
 The fundamental cycle basis over a BFS spanning tree, weighted shortest
 paths on line subsets, and splitting a cycle at a bus pair into its two
 complementary arcs.  Everything here is a pure function of immutable
-inputs; weights are exact rationals throughout.
+inputs.  Weights are exact rationals; the shortest-path search runs on
+them scaled to integers by the lcm of their denominators.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ class Path:
     """A simple walk between two buses, as an ordered list of line indices."""
 
     lines: tuple[int, ...]
-    endpoints: tuple[str, str]
     total_weight: Fraction
 
 
@@ -120,44 +120,35 @@ def fundamental_cycle_basis(net: Network) -> list[Cycle]:
 
     The list has exactly len(lines) - len(buses) + 1 entries and is
     deterministic (BFS tree from the lowest-index bus, non-tree lines in
-    index order).  A cycle's weight is d(a) + d(b) - 2 d(meet) + w(line),
-    from the tree's root distances d.
+    index order).  The tree path is found by stepping the end lower in
+    the tree up until the two ends meet, so each cycle costs its own
+    length.  A cycle's weight is d(a) + d(b) - 2 d(meet) + w(line), from
+    the tree's root distances d.
     """
     parents = _bfs_parents(net)
-    tree = {idx for _, idx in parents.values()}
-    depth = {net.buses[0].id: Fraction(0)}
+    root = net.buses[0].id
+    level, depth = {root: 0}, {root: Fraction(0)}
     for bus, (parent, idx) in parents.items():  # in BFS order, so each parent comes first
+        level[bus] = level[parent] + 1
         depth[bus] = depth[parent] + net.lines[idx].weight
-
-    def chain(bus: str) -> tuple[list[tuple[str, int]], list[str]]:
-        """Edges (child, tree line) and buses visited walking up to the root."""
-        edges = []
-        while bus in parents:
-            parent, idx = parents[bus]
-            edges.append((bus, idx))
-            bus = parent
-        return edges, [child for child, _ in edges] + [bus]
-
+    tree = {idx for _, idx in parents.values()}
     cycles = []
     for idx, line in enumerate(net.lines):
         if idx in tree:
             continue
-        edges_a, buses_a = chain(line.from_bus)
-        edges_b, buses_b = chain(line.to_bus)
-        pos_a = {bus: k for k, bus in enumerate(buses_a)}
-        meet_b = next(k for k, bus in enumerate(buses_b) if bus in pos_a)
-        meet_a = pos_a[buses_b[meet_b]]
-        # from_bus -> meet (up the tree), meet -> to_bus (down), close with idx
-        bus_seq = [line.from_bus]
-        line_seq = []
-        for child, tidx in edges_a[:meet_a]:
-            line_seq.append(tidx)
-            bus_seq.append(net.lines[tidx].other(child))
-        for child, tidx in reversed(edges_b[:meet_b]):
-            line_seq.append(tidx)
-            bus_seq.append(child)
-        line_seq.append(idx)
-        total = depth[line.from_bus] + depth[line.to_bus] - 2 * depth[buses_b[meet_b]] + line.weight
+        # step the end lower in the tree up until the ends meet; each step is (tree line, bus it leads to)
+        a, b, up, down = line.from_bus, line.to_bus, [], []
+        while a != b:
+            if level[a] >= level[b]:
+                a, tidx = parents[a]
+                up.append((tidx, a))
+            else:
+                down.append((parents[b][1], b))
+                b = parents[b][0]
+        steps = up + down[::-1]  # from_bus -> meet -> to_bus, closed by idx
+        line_seq = [tidx for tidx, _ in steps] + [idx]
+        bus_seq = [line.from_bus] + [bus for _, bus in steps]
+        total = depth[line.from_bus] + depth[line.to_bus] - 2 * depth[a] + line.weight
         cycles.append(_canonical_cycle(net, line_seq, bus_seq, total))
     return cycles
 
@@ -225,24 +216,13 @@ def shortest_path_bound(net: Network, m: str, n: str, active_lines: Iterable[int
     return shortest_path_lengths(net, m, active_lines).get(n)
 
 
-def _arc_path(net: Network, cycle: Cycle, start: int, stop: int) -> Path:
-    """The arc walking forward from position start to position stop."""
-    n = len(cycle.buses)
-    lines = []
-    pos = start
-    while pos != stop:
-        lines.append(cycle.lines[pos])
-        pos = (pos + 1) % n
-    total = sum((net.lines[i].weight for i in lines), Fraction(0))
-    return Path(tuple(lines), (cycle.buses[start], cycle.buses[stop]), total)
-
-
 def split_cycle(net: Network, cycle: Cycle, m: str, n: str) -> CyclePathPair:
     """Split the cycle at buses m and n into its two complementary arcs.
 
-    The lighter arc is the shorter path.  Exact ties are broken by the
-    lexicographically smaller sorted line-index tuple, so the labels do
-    not depend on which bus is passed first.
+    Both arcs run from m to n, each summed once.  The lighter arc is the
+    shorter path.  Exact ties are broken by the lexicographically smaller
+    sorted line-index tuple, so the labels do not depend on which bus is
+    passed first.
     """
     if m == n:
         raise BusNotOnCycleError("pair buses must be distinct")
@@ -254,10 +234,10 @@ def split_cycle(net: Network, cycle: Cycle, m: str, n: str) -> CyclePathPair:
         pos_n = cycle.buses.index(n)
     except ValueError:
         raise BusNotOnCycleError(f"bus {n!r} is not on the cycle") from None
-    forward = _arc_path(net, cycle, pos_m, pos_n)
-    backward = _arc_path(net, cycle, pos_n, pos_m)
-    # orient both arcs from m to n
-    backward = Path(tuple(reversed(backward.lines)), (m, n), backward.total_weight)
+    # the cycle's lines turned to start at m: forward up to n, backward the rest walked back
+    lines, cut = cycle.lines[pos_m:] + cycle.lines[:pos_m], (pos_n - pos_m) % len(cycle.lines)
+    arcs = (lines[:cut], lines[cut:][::-1])
+    forward, backward = (Path(arc, sum((net.lines[i].weight for i in arc), Fraction(0))) for arc in arcs)
     if (forward.total_weight, sorted(forward.lines)) <= (backward.total_weight, sorted(backward.lines)):
         shorter, longer = forward, backward
     else:

@@ -73,10 +73,10 @@ class Network:
         return {bus: tuple(idxs) for bus, idxs in adj.items()}
 
 
-def _validate(buses: tuple[Bus, ...], lines: tuple[Line, ...]) -> None:
+def _validate(net: Network) -> None:
     # a value's sign is its numerator's, the denominator being positive
     seen: set[str] = set()
-    for bus in buses:
+    for bus in net.buses:
         if bus.id in seen:
             raise ValidationError(f"duplicate bus id {bus.id!r}")
         seen.add(bus.id)
@@ -86,7 +86,7 @@ def _validate(buses: tuple[Bus, ...], lines: tuple[Line, ...]) -> None:
             raise ValidationError(f"bus {bus.id!r}: gen_max must be >= 0")
         if bus.gen_cost.numerator < 0:
             raise ValidationError(f"bus {bus.id!r}: gen_cost must be >= 0")
-    for k, line in enumerate(lines):
+    for k, line in enumerate(net.lines):
         label = f"line {k} ({line.from_bus!r}-{line.to_bus!r})"
         if line.from_bus not in seen:
             raise ValidationError(f"{label}: unknown bus {line.from_bus!r}")
@@ -98,21 +98,19 @@ def _validate(buses: tuple[Bus, ...], lines: tuple[Line, ...]) -> None:
             raise ValidationError(f"{label}: reactance must be > 0")
         if line.capacity.numerator <= 0:
             raise ValidationError(f"{label}: capacity must be > 0")
-    # connectivity over the full graph, switchable lines included
-    adj: dict[str, list[str]] = {bus.id: [] for bus in buses}
-    for line in lines:
-        adj[line.from_bus].append(line.to_bus)
-        adj[line.to_bus].append(line.from_bus)
-    reached = {buses[0].id}
-    stack = [buses[0].id]
+    # connectivity over the full graph, switchable lines included, on the adjacency the graph calls reuse
+    root = net.buses[0].id
+    reached, stack = {root}, [root]
     while stack:
-        for nxt in adj[stack.pop()]:
+        here = stack.pop()
+        for idx in net.adjacency[here]:
+            nxt = net.lines[idx].other(here)
             if nxt not in reached:
                 reached.add(nxt)
                 stack.append(nxt)
-    for bus in buses:
+    for bus in net.buses:
         if bus.id not in reached:
-            raise DisconnectedError(f"bus {bus.id!r} is not connected to bus {buses[0].id!r}")
+            raise DisconnectedError(f"bus {bus.id!r} is not connected to bus {root!r}")
 
 
 def _read_source(source) -> str:
@@ -184,10 +182,9 @@ def load_network(source) -> Network:
         except ValueError as exc:
             raise ParseError(str(exc)) from exc
 
-    buses_t = tuple(buses)
-    lines_t = tuple(lines)
-    _validate(buses_t, lines_t)
-    return Network(buses_t, lines_t)
+    net = Network(tuple(buses), tuple(lines))
+    _validate(net)
+    return net
 
 
 def line_index(key: str, where: str) -> int:

@@ -8,8 +8,10 @@ pruned flow-space search, hull membership as a feasibility LP, and a
 dense-tableau simplex that updates every column of every pivot.  The
 Fraction code the fast paths replaced stays here as their reference:
 ``Fraction``'s own string parser, the label-setting search on Fraction
-weights, the pair bounds built on it, and the two-arc flow-space
-cuts past the cap, each priced by ``cvi_violation``.  The
+weights, the pair bounds built on it, the two-arc flow-space cuts
+past the cap, each priced by ``cvi_violation``, the cycle basis that
+walks both ends of each non-tree line to the root, and the cycle split
+that walks each arc on its own.  The
 helpers only tests call (a Fraction dot product, the LP over a
 polytope, the BFS spanning tree, a network with every line fixed) live
 here too.
@@ -27,8 +29,8 @@ from typing import Mapping, Sequence
 
 from anglecuts.bounds import BoundSource, global_big_m
 from anglecuts.cuts import build_cpvi, build_cvi, cpvi_violation, cvi_violation
-from anglecuts.errors import AngleCutsError, UnboundedError, UnknownBusError
-from anglecuts.graph import _bfs_parents, split_cycle
+from anglecuts.errors import AngleCutsError, BusNotOnCycleError, UnboundedError, UnknownBusError
+from anglecuts.graph import Cycle, CyclePathPair, Path, _bfs_parents, _canonical_cycle, split_cycle
 from anglecuts.network import Network
 from anglecuts.rational import integer_row
 from anglecuts.simplex import LPResult, Row, solve_linear_program
@@ -147,6 +149,76 @@ def brute_cycles(net):
             if reached == set(degree):
                 found.append(subset)
     return sorted(found)
+
+
+def root_walk_cycle_basis(net: Network) -> list[Cycle]:
+    """graph.fundamental_cycle_basis as it was first written: both ends
+    of each non-tree line walked to the root, the meet found by indexing
+    one chain."""
+    parents = _bfs_parents(net)
+    tree = {idx for _, idx in parents.values()}
+    depth = {net.buses[0].id: Fraction(0)}
+    for bus, (parent, idx) in parents.items():
+        depth[bus] = depth[parent] + net.lines[idx].weight
+
+    def chain(bus: str) -> tuple[list[tuple[str, int]], list[str]]:
+        edges = []
+        while bus in parents:
+            parent, idx = parents[bus]
+            edges.append((bus, idx))
+            bus = parent
+        return edges, [child for child, _ in edges] + [bus]
+
+    cycles = []
+    for idx, line in enumerate(net.lines):
+        if idx in tree:
+            continue
+        edges_a, buses_a = chain(line.from_bus)
+        edges_b, buses_b = chain(line.to_bus)
+        pos_a = {bus: k for k, bus in enumerate(buses_a)}
+        meet_b = next(k for k, bus in enumerate(buses_b) if bus in pos_a)
+        meet_a = pos_a[buses_b[meet_b]]
+        bus_seq = [line.from_bus]
+        line_seq = []
+        for child, tidx in edges_a[:meet_a]:
+            line_seq.append(tidx)
+            bus_seq.append(net.lines[tidx].other(child))
+        for child, tidx in reversed(edges_b[:meet_b]):
+            line_seq.append(tidx)
+            bus_seq.append(child)
+        line_seq.append(idx)
+        total = depth[line.from_bus] + depth[line.to_bus] - 2 * depth[buses_b[meet_b]] + line.weight
+        cycles.append(_canonical_cycle(net, line_seq, bus_seq, total))
+    return cycles
+
+
+def _arc_walk(net: Network, cycle: Cycle, start: int, stop: int) -> Path:
+    """The arc walking forward from position start to position stop."""
+    lines = []
+    pos = start
+    while pos != stop:
+        lines.append(cycle.lines[pos])
+        pos = (pos + 1) % len(cycle.buses)
+    return Path(tuple(lines), sum((net.lines[i].weight for i in lines), Fraction(0)))
+
+
+def arc_walk_split_cycle(net: Network, cycle: Cycle, m: str, n: str) -> CyclePathPair:
+    """graph.split_cycle as it was first written: each arc walked on its
+    own, the backward one rebuilt reversed."""
+    if m == n:
+        raise BusNotOnCycleError("pair buses must be distinct")
+    for bus in (m, n):
+        if bus not in cycle.buses:
+            raise BusNotOnCycleError(f"bus {bus!r} is not on the cycle")
+    pos_m, pos_n = cycle.buses.index(m), cycle.buses.index(n)
+    forward = _arc_walk(net, cycle, pos_m, pos_n)
+    backward = _arc_walk(net, cycle, pos_n, pos_m)
+    backward = Path(tuple(reversed(backward.lines)), backward.total_weight)
+    if (forward.total_weight, sorted(forward.lines)) <= (backward.total_weight, sorted(backward.lines)):
+        shorter, longer = forward, backward
+    else:
+        shorter, longer = backward, forward
+    return CyclePathPair(cycle=cycle, pair=(m, n), shorter=shorter, longer=longer)
 
 
 def _lp_terms(tokens: Sequence[str]) -> list[tuple[str, Fraction]]:

@@ -16,7 +16,14 @@ from anglecuts.graph import (
 )
 from anglecuts.network import Bus, Line, Network
 
-from _brute import brute_cycles, brute_shortest_path, fraction_shortest_path_lengths, spanning_tree
+from _brute import (
+    arc_walk_split_cycle,
+    brute_cycles,
+    brute_shortest_path,
+    fraction_shortest_path_lengths,
+    root_walk_cycle_basis,
+    spanning_tree,
+)
 from conftest import make_net, random_net, ring_net
 
 
@@ -159,19 +166,23 @@ def test_all_simple_cycles_match_brute_force_on_random_networks(seed):
         assert cycle.total_weight == sum(net.lines[idx].weight for idx in cycle.lines)
 
 
-def test_all_simple_cycles_on_a_long_chain_of_squares():
-    # 91 buses, 120 lines and 30 cycles: a search that grows paths which cannot close never ends here
+def within_a_second(search, net):
+    """search(net), raising TimeoutError when it takes more than a second."""
     def give_up(signum, frame):
-        raise TimeoutError("all_simple_cycles took more than a second")
+        raise TimeoutError(f"{search.__name__} took more than a second")
 
-    net = square_chain(30)
     previous = signal.signal(signal.SIGALRM, give_up)
     signal.setitimer(signal.ITIMER_REAL, 1)
     try:
-        cycles = all_simple_cycles(net)
+        return search(net)
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
+
+
+def test_all_simple_cycles_on_a_long_chain_of_squares():
+    # 91 buses, 120 lines and 30 cycles: a search that grows paths which cannot close never ends here
+    cycles = within_a_second(all_simple_cycles, square_chain(30))
     assert [sorted(c.lines) for c in cycles] == [list(range(4 * k, 4 * k + 4)) for k in range(30)]
 
 
@@ -262,6 +273,48 @@ def test_basis_cycle_weights_are_their_line_sums(net):
     assert len(cycles) == len(net.lines) - len(net.buses) + 1
     for cycle in cycles:
         assert cycle.total_weight == sum(net.lines[i].weight for i in cycle.lines)
+
+
+def assert_walks_match_the_references(net):
+    basis = fundamental_cycle_basis(net)
+    assert basis == root_walk_cycle_basis(net)
+    for cycle in basis:
+        for m, n in itertools.permutations(cycle.buses, 2):
+            # the same pair and the same shorter and longer lines and weights
+            assert split_cycle(net, cycle, m, n) == arc_walk_split_cycle(net, cycle, m, n)
+
+
+@given(nets_with_parallel_lines())
+def test_basis_and_split_match_the_references(net):
+    assert_walks_match_the_references(net)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_basis_and_split_match_the_references_on_random_networks(seed):
+    assert_walks_match_the_references(random_net(seed, max_buses=12))
+
+
+@pytest.mark.parametrize("weight", [1, F(1, 3)])
+@pytest.mark.parametrize("size", [2, 3, 4, 5, 8, 13])
+def test_basis_and_split_match_the_references_on_equal_weight_rings(size, weight):
+    # every split of an even ring at opposite buses is an exact tie
+    assert_walks_match_the_references(ring_net([weight] * size))
+
+
+def ladder(n):
+    """Two rails of n buses joined by n rungs, rail lines listed first, so
+    that the BFS tree takes one rail and the rungs: n - 1 four-line cycles."""
+    ids = [f"{rail}{k}" for rail in "ab" for k in range(n)]
+    ends = [(f"{rail}{k}", f"{rail}{k + 1}") for rail in "ab" for k in range(n - 1)]
+    ends += [(f"a{k}", f"b{k}") for k in range(n)]
+    return make_net([(bus,) for bus in ids], [(a, b, 1, 1) for a, b in ends])
+
+
+def test_cycle_basis_on_a_long_ladder():
+    # 8,000 buses and 11,998 lines, built outside the timer: a basis that
+    # walks each non-tree line's ends to the root is quadratic here
+    cycles = within_a_second(fundamental_cycle_basis, ladder(4000))
+    assert len(cycles) == 3999 and all(len(cycle.lines) == 4 for cycle in cycles)
 
 
 def assert_search_matches_the_fraction_search(net, active):
