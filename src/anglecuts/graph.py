@@ -1,10 +1,11 @@
 """Pure graph algorithms over a loaded network.
 
-The fundamental cycle basis over a BFS spanning tree, weighted shortest
-paths on line subsets, and splitting a cycle at a bus pair into its two
-complementary arcs.  Everything here is a pure function of immutable
-inputs.  Weights are exact rationals; the shortest-path search runs on
-them scaled to integers by the lcm of their denominators.
+The fundamental cycle basis, grown from `Network.tree` (the BFS spanning
+tree that validation built), weighted shortest paths on line subsets,
+and splitting a cycle at a bus pair into its two complementary arcs.
+Everything here is a pure function of immutable inputs.  Weights are
+exact rationals; the shortest-path search runs on them scaled to
+integers by the lcm of their denominators.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterable, Sequence
 
-from .errors import BusNotOnCycleError, CapExceededError, DisconnectedError, UnknownBusError
+from .errors import BusNotOnCycleError, CapExceededError, UnknownBusError
 from .network import Network
 
 __all__ = [
@@ -71,32 +72,6 @@ def _check_bus(net: Network, bus: str) -> None:
         raise UnknownBusError(f"unknown bus {bus!r}")
 
 
-def _bfs_parents(net: Network) -> dict[str, tuple[str, int]]:
-    """Map each non-root bus to (parent bus, connecting line) in the BFS
-    tree rooted at the lowest-index bus; deterministic.
-
-    Raises DisconnectedError when the search does not reach every bus.
-    """
-    root = net.buses[0].id
-    parents: dict[str, tuple[str, int]] = {}
-    reached = {root}
-    frontier = [root]
-    while frontier:
-        nxt: list[str] = []
-        for bus in frontier:
-            for idx in net.adjacency[bus]:
-                other = net.lines[idx].other(bus)
-                if other not in reached:
-                    reached.add(other)
-                    parents[other] = (bus, idx)
-                    nxt.append(other)
-        frontier = nxt
-    for bus in net.buses:
-        if bus.id not in reached:
-            raise DisconnectedError(f"bus {bus.id!r} unreachable from {root!r}")
-    return parents
-
-
 def _canonical_cycle(net: Network, line_seq: Sequence[int], bus_seq: Sequence[str], total: Fraction) -> Cycle:
     """Rotate/reflect so the lowest-index bus leads and direction is fixed;
     total is the cycle's weight."""
@@ -119,13 +94,14 @@ def fundamental_cycle_basis(net: Network) -> list[Cycle]:
     """One cycle per non-tree line: the line plus the unique tree path.
 
     The list has exactly len(lines) - len(buses) + 1 entries and is
-    deterministic (BFS tree from the lowest-index bus, non-tree lines in
-    index order).  The tree path is found by stepping the end lower in
-    the tree up until the two ends meet, so each cycle costs its own
+    deterministic (the BFS tree `Network.tree` from the lowest-index bus,
+    non-tree lines in index order; a disconnected network raises the
+    tree's DisconnectedError).  The tree path is found by stepping the end lower
+    in the tree up until the two ends meet, so each cycle costs its own
     length.  A cycle's weight is d(a) + d(b) - 2 d(meet) + w(line), from
     the tree's root distances d.
     """
-    parents = _bfs_parents(net)
+    parents = net.tree
     root = net.buses[0].id
     level, depth = {root: 0}, {root: Fraction(0)}
     for bus, (parent, idx) in parents.items():  # in BFS order, so each parent comes first

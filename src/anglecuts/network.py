@@ -3,6 +3,9 @@
 The network is loaded once, validated, and then shared read-only; every
 other module treats it as immutable.  All electrical parameters are exact
 rationals (see the JSON schema in the README: decimal strings or "p/q").
+BUS_VALUES and LINE_VALUES name them for the parse, the sign checks and
+the JSON form.  Validation proves connectivity by building `Network.tree`,
+the spanning tree the cycle basis then grows from.
 """
 
 from __future__ import annotations
@@ -24,6 +27,11 @@ __all__ = [
     "network_to_json",
     "serialize_network",
 ]
+
+# the rational fields of a bus in field order, each 0 when absent and never negative
+BUS_VALUES = ("demand", "gen_max", "gen_cost")
+# the rational fields of a line in field order, each required and positive
+LINE_VALUES = ("reactance", "capacity")
 
 
 @dataclass(frozen=True)
@@ -72,6 +80,26 @@ class Network:
             adj[line.to_bus].append(idx)
         return {bus: tuple(idxs) for bus, idxs in adj.items()}
 
+    @cached_property
+    def tree(self) -> Mapping[str, tuple[str, int]]:
+        """Each bus but the first, in BFS order, mapped to (parent bus,
+        connecting line) in the BFS spanning tree from the first bus over
+        all lines.  Raises DisconnectedError naming the first bus, in bus
+        order, that the search does not reach."""
+        root = self.buses[0].id
+        parents: dict[str, tuple[str, int]] = {}
+        order = [root]
+        for bus in order:  # the list grows as the search goes, so it is walked in BFS order
+            for idx in self.adjacency[bus]:
+                other = self.lines[idx].other(bus)
+                if other not in parents and other != root:
+                    parents[other] = (bus, idx)
+                    order.append(other)
+        for bus in self.buses:
+            if bus.id not in parents and bus.id != root:
+                raise DisconnectedError(f"bus {bus.id!r} is not connected to bus {root!r}")
+        return parents
+
 
 def _validate(net: Network) -> None:
     # a value's sign is its numerator's, the denominator being positive
@@ -80,12 +108,9 @@ def _validate(net: Network) -> None:
         if bus.id in seen:
             raise ValidationError(f"duplicate bus id {bus.id!r}")
         seen.add(bus.id)
-        if bus.demand.numerator < 0:
-            raise ValidationError(f"bus {bus.id!r}: demand must be >= 0")
-        if bus.gen_max.numerator < 0:
-            raise ValidationError(f"bus {bus.id!r}: gen_max must be >= 0")
-        if bus.gen_cost.numerator < 0:
-            raise ValidationError(f"bus {bus.id!r}: gen_cost must be >= 0")
+        for name in BUS_VALUES:
+            if getattr(bus, name).numerator < 0:
+                raise ValidationError(f"bus {bus.id!r}: {name} must be >= 0")
     for k, line in enumerate(net.lines):
         label = f"line {k} ({line.from_bus!r}-{line.to_bus!r})"
         if line.from_bus not in seen:
@@ -94,30 +119,20 @@ def _validate(net: Network) -> None:
             raise ValidationError(f"{label}: unknown bus {line.to_bus!r}")
         if line.from_bus == line.to_bus:
             raise ValidationError(f"{label}: self-loop")
-        if line.reactance.numerator <= 0:
-            raise ValidationError(f"{label}: reactance must be > 0")
-        if line.capacity.numerator <= 0:
-            raise ValidationError(f"{label}: capacity must be > 0")
-    # connectivity over the full graph, switchable lines included, on the adjacency the graph calls reuse
-    root = net.buses[0].id
-    reached, stack = {root}, [root]
-    while stack:
-        here = stack.pop()
-        for idx in net.adjacency[here]:
-            nxt = net.lines[idx].other(here)
-            if nxt not in reached:
-                reached.add(nxt)
-                stack.append(nxt)
-    for bus in net.buses:
-        if bus.id not in reached:
-            raise DisconnectedError(f"bus {bus.id!r} is not connected to bus {root!r}")
+        for name in LINE_VALUES:
+            if getattr(line, name).numerator <= 0:
+                raise ValidationError(f"{label}: {name} must be > 0")
+    net.tree  # connectivity: the tree the cycle basis reuses
 
 
 def _read_source(source) -> str:
-    if hasattr(source, "read"):
-        source = source.read()
-    if isinstance(source, bytes):
-        return source.decode("utf-8")
+    try:
+        if hasattr(source, "read"):
+            source = source.read()
+        if isinstance(source, bytes):
+            return source.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"network document is not UTF-8: {exc}") from exc
     if isinstance(source, str):
         return source
     raise ParseError(f"unsupported network source of type {type(source).__name__}")
@@ -148,16 +163,9 @@ def load_network(source) -> Network:
         if not isinstance(obj, dict) or "id" not in obj or not isinstance(obj["id"], str):
             raise ParseError(f"bus #{i}: expected an object with a string 'id'")
         try:
-            buses.append(
-                Bus(
-                    id=obj["id"],
-                    demand=parse_rational(obj.get("demand", 0), f"bus {obj['id']!r} demand"),
-                    gen_max=parse_rational(obj.get("gen_max", 0), f"bus {obj['id']!r} gen_max"),
-                    gen_cost=parse_rational(obj.get("gen_cost", 0), f"bus {obj['id']!r} gen_cost"),
-                )
-            )
+            buses.append(Bus(obj["id"], *[parse_rational(obj.get(name, 0), name) for name in BUS_VALUES]))
         except ValueError as exc:
-            raise ParseError(str(exc)) from exc
+            raise ParseError(f"bus {obj['id']!r} {exc}") from exc
 
     lines = []
     for k, obj in enumerate(raw_lines):
@@ -170,17 +178,9 @@ def load_network(source) -> Network:
         if not isinstance(switchable, bool):
             raise ParseError(f"line #{k}: 'switchable' must be a boolean")
         try:
-            lines.append(
-                Line(
-                    from_bus=obj["from"],
-                    to_bus=obj["to"],
-                    reactance=parse_rational(obj.get("reactance"), f"line #{k} reactance"),
-                    capacity=parse_rational(obj.get("capacity"), f"line #{k} capacity"),
-                    switchable=switchable,
-                )
-            )
+            lines.append(Line(obj["from"], obj["to"], *[parse_rational(obj.get(name), name) for name in LINE_VALUES], switchable))
         except ValueError as exc:
-            raise ParseError(str(exc)) from exc
+            raise ParseError(f"line #{k} {exc}") from exc
 
     net = Network(tuple(buses), tuple(lines))
     _validate(net)
@@ -199,23 +199,10 @@ def line_index(key: str, where: str) -> int:
 
 def network_to_json(net: Network) -> dict:
     return {
-        "buses": [
-            {
-                "id": bus.id,
-                "demand": format_rational(bus.demand),
-                "gen_max": format_rational(bus.gen_max),
-                "gen_cost": format_rational(bus.gen_cost),
-            }
-            for bus in net.buses
-        ],
+        "buses": [{"id": bus.id, **{name: format_rational(getattr(bus, name)) for name in BUS_VALUES}} for bus in net.buses],
         "lines": [
-            {
-                "from": line.from_bus,
-                "to": line.to_bus,
-                "reactance": format_rational(line.reactance),
-                "capacity": format_rational(line.capacity),
-                "switchable": line.switchable,
-            }
+            {"from": line.from_bus, "to": line.to_bus, **{name: format_rational(getattr(line, name)) for name in LINE_VALUES},
+             "switchable": line.switchable}
             for line in net.lines
         ],
     }

@@ -10,8 +10,10 @@ Fraction code the fast paths replaced stays here as their reference:
 ``Fraction``'s own string parser, the label-setting search on Fraction
 weights, the pair bounds built on it, the two-arc flow-space cuts
 past the cap, each priced by ``cvi_violation``, the cycle basis that
-walks both ends of each non-tree line to the root, and the cycle split
-that walks each arc on its own.  The
+walks both ends of each non-tree line to the root, the cycle split
+that walks each arc on its own, and the level-by-level BFS that
+``Network.tree`` replaced, which the root-walk basis and the spanning
+tree below are built on.  The
 helpers only tests call (a Fraction dot product, the LP over a
 polytope, the BFS spanning tree, a network with every line fixed) live
 here too.
@@ -29,8 +31,8 @@ from typing import Mapping, Sequence
 
 from anglecuts.bounds import BoundSource, global_big_m
 from anglecuts.cuts import build_cpvi, build_cvi, cpvi_violation, cvi_violation
-from anglecuts.errors import AngleCutsError, BusNotOnCycleError, UnboundedError, UnknownBusError
-from anglecuts.graph import Cycle, CyclePathPair, Path, _bfs_parents, _canonical_cycle, split_cycle
+from anglecuts.errors import AngleCutsError, BusNotOnCycleError, DisconnectedError, UnboundedError, UnknownBusError
+from anglecuts.graph import Cycle, CyclePathPair, Path, _canonical_cycle, split_cycle
 from anglecuts.network import Network
 from anglecuts.rational import integer_row
 from anglecuts.simplex import LPResult, Row, solve_linear_program
@@ -151,11 +153,38 @@ def brute_cycles(net):
     return sorted(found)
 
 
+def bfs_parents(net: Network) -> dict[str, tuple[str, int]]:
+    """Network.tree as graph first wrote it, level by level with its own
+    reached set: each non-root bus mapped to (parent bus, connecting line)
+    in the BFS tree rooted at the lowest-index bus.
+
+    Raises DisconnectedError when the search does not reach every bus.
+    """
+    root = net.buses[0].id
+    parents: dict[str, tuple[str, int]] = {}
+    reached = {root}
+    frontier = [root]
+    while frontier:
+        nxt: list[str] = []
+        for bus in frontier:
+            for idx in net.adjacency[bus]:
+                other = net.lines[idx].other(bus)
+                if other not in reached:
+                    reached.add(other)
+                    parents[other] = (bus, idx)
+                    nxt.append(other)
+        frontier = nxt
+    for bus in net.buses:
+        if bus.id not in reached:
+            raise DisconnectedError(f"bus {bus.id!r} unreachable from {root!r}")
+    return parents
+
+
 def root_walk_cycle_basis(net: Network) -> list[Cycle]:
     """graph.fundamental_cycle_basis as it was first written: both ends
     of each non-tree line walked to the root, the meet found by indexing
     one chain."""
-    parents = _bfs_parents(net)
+    parents = bfs_parents(net)
     tree = {idx for _, idx in parents.values()}
     depth = {net.buses[0].id: Fraction(0)}
     for bus, (parent, idx) in parents.items():
@@ -506,7 +535,7 @@ def rational_simplex(p, objective: Sequence[Fraction], sense: str = "min"):
 def spanning_tree(net: Network) -> frozenset[int]:
     """Lines of the BFS spanning tree rooted at the lowest-index bus, the
     tree the fundamental cycle basis is built on."""
-    return frozenset(idx for _, idx in _bfs_parents(net).values())
+    return frozenset(idx for _, idx in bfs_parents(net).values())
 
 
 def with_all_lines_fixed(net: Network) -> Network:

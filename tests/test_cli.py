@@ -82,6 +82,14 @@ def test_validate_integer_literal_too_long_exit_2(capsys, tmp_path):
     assert json.loads(out)["error"] == "parse"
 
 
+def test_validate_not_utf8_exit_2(capsys, tmp_path):
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b"\xff\xfe")
+    code, out, _ = run(capsys, "validate", str(path))
+    assert code == 2
+    assert json.loads(out)["error"] == "parse"
+
+
 def test_missing_file_exit_2(capsys):
     code, _, _ = run(capsys, "validate", "/nonexistent/net.json")
     assert code == 2

@@ -14,10 +14,11 @@ from anglecuts.graph import (
     shortest_path_lengths,
     split_cycle,
 )
-from anglecuts.network import Bus, Line, Network
+from anglecuts.network import Bus, Line, Network, load_network, serialize_network
 
 from _brute import (
     arc_walk_split_cycle,
+    bfs_parents,
     brute_cycles,
     brute_shortest_path,
     fraction_shortest_path_lengths,
@@ -282,6 +283,35 @@ def assert_walks_match_the_references(net):
         for m, n in itertools.permutations(cycle.buses, 2):
             # the same pair and the same shorter and longer lines and weights
             assert split_cycle(net, cycle, m, n) == arc_walk_split_cycle(net, cycle, m, n)
+
+
+@given(nets_with_parallel_lines())
+def test_tree_matches_the_level_by_level_search(net):
+    assert list(net.tree.items()) == list(bfs_parents(net).items())
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_tree_matches_the_level_by_level_search_on_random_networks(seed):
+    net = random_net(seed, max_buses=12)
+    assert list(net.tree.items()) == list(bfs_parents(net).items())
+
+
+def test_tree_and_the_reference_name_the_same_unreached_bus():
+    net = Network(tuple(Bus(b) for b in "adbce"), (Line("a", "b", F(1), F(1)), Line("c", "d", F(1), F(1))))
+    with pytest.raises(DisconnectedError, match="^bus 'd' unreachable from 'a'$"):
+        bfs_parents(net)
+    with pytest.raises(DisconnectedError, match="^bus 'd' is not connected to bus 'a'$"):
+        net.tree
+    with pytest.raises(DisconnectedError, match="^bus 'd' is not connected to bus 'a'$"):
+        fundamental_cycle_basis(net)
+
+
+def test_the_basis_reuses_the_tree_validation_built(fig1):
+    net = load_network(serialize_network(fig1))
+    assert "tree" in vars(net)
+    tree = net.tree
+    fundamental_cycle_basis(net)
+    assert net.tree is tree
 
 
 @given(nets_with_parallel_lines())

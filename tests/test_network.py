@@ -1,10 +1,11 @@
+import io
 import json
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from anglecuts.errors import DisconnectedError, ParseError, ValidationError
+from anglecuts.errors import AngleCutsError, DisconnectedError, ParseError, ValidationError
 from anglecuts.network import Line, load_network, network_to_json, serialize_network
 from anglecuts.rational import parse_rational
 
@@ -138,6 +139,74 @@ def test_parallel_lines_keep_distinct_indices():
     net = make_net([("u",), ("v",)], [("u", "v", 1, 1), ("u", "v", 1, 3)])
     assert len(net.lines) == 2
     assert net.adjacency["u"] == (0, 1)
+
+
+def line_doc(frm, to, reactance="1", capacity="1"):
+    return {"from": frm, "to": to, "reactance": reactance, "capacity": capacity}
+
+
+# documents with several faults, and the one load_network names: a bus's
+# faults in bus order, then each line's in line order, then connectivity;
+# every value is parsed before any is checked
+FIRST_FAULT = [
+    ([{"id": "a"}, {"id": "b", "demand": "-1"}, {"id": "a"}], [],
+     ValidationError, "bus 'b': demand must be >= 0"),
+    ([{"id": "a"}, {"id": "a"}, {"id": "b", "gen_max": "-1"}], [],
+     ValidationError, "duplicate bus id 'a'"),
+    ([{"id": "a"}, {"id": "b"}], [line_doc("a", "z"), line_doc("a", "b", reactance="0")],
+     ValidationError, "line 0 ('a'-'z'): unknown bus 'z'"),
+    ([{"id": "a"}, {"id": "b"}, {"id": "c"}], [line_doc("a", "b", capacity="0")],
+     ValidationError, "line 0 ('a'-'b'): capacity must be > 0"),
+    ([{"id": "a", "demand": "-1"}, {"id": "b"}], [line_doc("a", "b", reactance="x")],
+     ParseError, "line #0 reactance: not a rational string: 'x'"),
+    ([{"id": "a"}, {"id": "d"}, {"id": "b"}, {"id": "c"}], [line_doc("a", "b"), line_doc("c", "d")],
+     DisconnectedError, "bus 'd' is not connected to bus 'a'"),
+]
+
+
+@pytest.mark.parametrize("buses, lines, error, message", FIRST_FAULT, ids=range(len(FIRST_FAULT)))
+def test_the_first_fault_is_named(buses, lines, error, message):
+    with pytest.raises(AngleCutsError) as got:
+        load_network(doc(buses, lines))
+    assert type(got.value) is error and str(got.value) == message
+
+
+@pytest.mark.parametrize("field", ["demand", "gen_max", "gen_cost"])
+def test_bus_value_messages(field):
+    with pytest.raises(ParseError) as got:
+        load_network(doc([{"id": "a", field: "x"}], []))
+    assert str(got.value) == f"bus 'a' {field}: not a rational string: 'x'"
+    with pytest.raises(ValidationError) as got:
+        load_network(doc([{"id": "a", field: "-1/2"}], []))
+    assert str(got.value) == f"bus 'a': {field} must be >= 0"
+
+
+@pytest.mark.parametrize("field", ["reactance", "capacity"])
+def test_line_value_messages(field):
+    buses = [{"id": "a"}, {"id": "b"}]
+    for value, message in [("x", "not a rational string: 'x'"), (None, "expected a rational string or integer, got NoneType")]:
+        line = line_doc("a", "b")
+        if value is None:
+            del line[field]
+        else:
+            line[field] = value
+        with pytest.raises(ParseError) as got:
+            load_network(doc(buses, [line_doc("a", "b"), line]))
+        assert str(got.value) == f"line #1 {field}: {message}"
+    for value in ("0", "-1/2"):
+        with pytest.raises(ValidationError) as got:
+            load_network(doc(buses, [line_doc("a", "b", **{field: value})]))
+        assert str(got.value) == f"line 0 ('a'-'b'): {field} must be > 0"
+
+
+@pytest.mark.parametrize("data", [b"\xff\xfe", b'{"buses": [{"id": "\xe9"}]}'], ids=["bom", "latin-1"])
+def test_a_document_that_is_not_utf8_is_a_parse_error(data, tmp_path):
+    path = tmp_path / "net.json"
+    path.write_bytes(data)
+    with open(path, encoding="utf-8") as text:
+        for source in (data, io.BytesIO(data), text):
+            with pytest.raises(ParseError, match="^network document is not UTF-8: "):
+                load_network(source)
 
 
 def test_round_trip(fig1):
