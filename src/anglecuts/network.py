@@ -112,17 +112,21 @@ def _validate(net: Network) -> None:
             if getattr(bus, name).numerator < 0:
                 raise ValidationError(f"bus {bus.id!r}: {name} must be >= 0")
     for k, line in enumerate(net.lines):
-        label = f"line {k} ({line.from_bus!r}-{line.to_bus!r})"
         if line.from_bus not in seen:
-            raise ValidationError(f"{label}: unknown bus {line.from_bus!r}")
+            raise _line_error(k, line, f"unknown bus {line.from_bus!r}")
         if line.to_bus not in seen:
-            raise ValidationError(f"{label}: unknown bus {line.to_bus!r}")
+            raise _line_error(k, line, f"unknown bus {line.to_bus!r}")
         if line.from_bus == line.to_bus:
-            raise ValidationError(f"{label}: self-loop")
+            raise _line_error(k, line, "self-loop")
         for name in LINE_VALUES:
             if getattr(line, name).numerator <= 0:
-                raise ValidationError(f"{label}: {name} must be > 0")
+                raise _line_error(k, line, f"{name} must be > 0")
     net.tree  # connectivity: the tree the cycle basis reuses
+
+
+def _line_error(k: int, line: Line, fault: str) -> ValidationError:
+    """The fault of line k, labelled by its index and ends; built only once a check fails."""
+    return ValidationError(f"line {k} ({line.from_bus!r}-{line.to_bus!r}): {fault}")
 
 
 def _read_source(source) -> str:

@@ -4,7 +4,7 @@ Every value this package passes between modules is a
 ``fractions.Fraction`` (or an ``int``): arbitrary precision, always in
 lowest terms, positive denominator.  An exact linear row has one form,
 its primitive integer row from ``integer_row``: the model reader emits
-it, ``HPolytope`` keeps it, and the simplex and vertex kernels compute
+it, ``HPolytope`` keeps it, and the simplex, vertex and rank kernels compute
 on it.  Floats are rejected at the boundary so no rounding error can
 enter the polyhedral oracles.
 """
@@ -101,27 +101,21 @@ def integer_row(coeffs: Sequence[Fraction | int], rhs: Fraction | int, where: st
     return row[:-1], row[-1]
 
 
-def matrix_rank(rows: Sequence[Sequence[Fraction]]) -> int:
-    """Rank over the rationals by fraction-exact Gaussian elimination."""
-    work = [list(row) for row in rows]
-    if not work:
-        return 0
-    ncols = len(work[0])
+def matrix_rank(rows: Sequence[Sequence[Fraction | int]]) -> int:
+    """Rank over the rationals by Gaussian elimination over the integers: each
+    row is read as its primitive integer row, and each pivot takes the rows
+    nonzero in its column to a*u - b*v over the gcd of its entries."""
+    work = [integer_row(row, 0, f"row {k}")[0] for k, row in enumerate(rows)]
     rank = 0
-    row = 0
-    for col in range(ncols):
-        pivot = next((r for r in range(row, len(work)) if work[r][col] != 0), None)
-        if pivot is None:
+    while work:
+        pivot = work.pop()
+        col = next((j for j, v in enumerate(pivot) if v), None)
+        if col is None:
             continue
-        work[row], work[pivot] = work[pivot], work[row]
-        inv = work[row][col]
-        work[row] = [v / inv for v in work[row]]
-        for r in range(len(work)):
-            if r != row and work[r][col] != 0:
-                factor = work[r][col]
-                work[r] = [a - factor * b for a, b in zip(work[r], work[row])]
-        row += 1
         rank += 1
-        if row == len(work):
-            break
+        for k, row in enumerate(work):
+            if factor := row[col]:
+                row = [pivot[col] * x - factor * y for x, y in zip(row, pivot)]
+                g = gcd(*row)
+                work[k] = [x // g for x in row] if g > 1 else row
     return rank

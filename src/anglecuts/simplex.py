@@ -5,19 +5,21 @@ a.x <= b and a.x == b.  A maximization is the minimum of the negated
 objective, with the value negated back; a sign constraint x_j >= 0 is
 the row -x_j <= 0.
 
-Dense tableau, Bland's smallest-index pivoting rule, so every run
+Sparse tableau, Bland's smallest-index pivoting rule, so every run
 terminates and every comparison is exact.  A free x is split as x+ - x-, but
 row operations keep each x- column the negated x+ column, so only x+ is stored;
 labels, the basis and Bland's order keep the split numbering (x+, x-, slacks,
 artificials), and with it every pivot.  The tableau is fraction-free:
-each row is a list of integer numerators over one positive row
-denominator, coprime to them all, and a pivot costs integer products
-and one gcd per changed row rather than a Fraction normalization per
-entry.  A constraint enters as its primitive integer row over the
-magnitude of its leading coefficient (1 in an emptied row), the unit of
-its slack and artificial, so its tableau row is that of the row scaled
-to lead with 1 or -1.  The ratio test cross-multiplies, and values turn
-into Fractions only in the result.  Built for desk-scale linear programs
+each row maps its nonzero stored columns, the right-hand side as column
+-1, to integer numerators over one positive row denominator, coprime to
+them all.  A pivot touches only the rows nonzero in its column, and in
+each only the pivot row's nonzero columns: integer products and one gcd
+per changed row rather than a Fraction normalization per entry.  A
+constraint enters as its primitive integer row over the magnitude of
+its leading coefficient (1 in an emptied row), the unit of its slack
+and artificial, so its tableau row is that of the row scaled to lead
+with 1 or -1.  The ratio test cross-multiplies, and values turn into
+Fractions only in the result.  Built for desk-scale linear programs
 (tens of rows); all the polyhedral certificates and the brute-force
 switching enumeration sit on top of it.
 """
@@ -34,8 +36,9 @@ from .rational import integer_row
 __all__ = ["LPResult", "solve_linear_program"]
 
 Row = tuple[Sequence[Fraction | int], Fraction | int]
-# a tableau row: integer numerators over a positive denominator coprime to them all
-IntRow = tuple[list[int], int]
+# a tableau row: {stored column: nonzero integer numerator}, the right-hand side
+# at -1, over a positive denominator coprime to them all
+IntRow = tuple[dict[int, int], int]
 
 
 @dataclass(frozen=True)
@@ -45,20 +48,25 @@ class LPResult:
     point: tuple[Fraction, ...] | None = None
 
 
-def _reduced(nums: list[int], den: int) -> IntRow:
+def _reduced(nums: dict[int, int], den: int) -> IntRow:
     """nums / den in lowest terms; den must be positive."""
-    g = gcd(den, *nums)  # den first: gcd skips the rest once it reaches 1
+    g = gcd(den, *nums.values())  # den first: gcd skips the rest once it reaches 1
     if g == 1:
         return nums, den
-    return [v // g for v in nums], den // g
+    return {k: v // g for k, v in nums.items()}, den // g
 
 
-def _minus(a: IntRow, factor: int, b: IntRow) -> IntRow:
-    """a - factor * b over the least common denominator, not reduced."""
-    (a_nums, a_den), (b_nums, b_den) = a, b
-    den = lcm(a_den, b_den)
-    scale_a, scale_b = den // a_den, factor * (den // b_den)
-    return [x * scale_a - y * scale_b for x, y in zip(a_nums, b_nums)], den
+def _minus(nums: dict[int, int], den: int, scale: int, factor: int, other: dict[int, int]) -> IntRow:
+    """(nums * scale - factor * other) / (den * scale), not reduced, without the
+    entries that cancel; nums itself is updated when scale is 1."""
+    if scale != 1:
+        nums = {k: v * scale for k, v in nums.items()}
+    for k, v in other.items():
+        if new := nums.get(k, 0) - factor * v:
+            nums[k] = new
+        else:
+            del nums[k]
+    return nums, den * scale
 
 
 def _stored(col: int, free: int) -> tuple[int, int]:
@@ -69,43 +77,39 @@ def _stored(col: int, free: int) -> tuple[int, int]:
 def _pivot(tableau: list[IntRow], basis: list[int], row: int, col: int, free: int) -> None:
     """Pivot on (row, col), col split over free variables: the pivot row becomes
     itself over its entry at col, and every row with a nonzero at col subtracts
-    it, updating only the pivot row's nonzero columns at one denominator."""
+    it, scaled by the pivot denominator over its gcd with the row's entry there."""
     j, sign = _stored(col, free)
     nums, _ = tableau[row]
     lead = sign * nums[j]
     if lead < 0:
-        nums, lead = [-v for v in nums], -lead
+        nums, lead = {k: -v for k, v in nums.items()}, -lead
     pivot_nums, pivot_den = tableau[row] = _reduced(nums, lead)
-    nonzero = [(k, v) for k, v in enumerate(pivot_nums) if v]
     for r, (other, den) in enumerate(tableau):
-        factor = sign * other[j]
-        if not factor or r == row:
-            continue
-        if pivot_den != 1:
-            other = [v * pivot_den for v in other]
-            den *= pivot_den
-        for k, v in nonzero:
-            other[k] -= factor * v
-        tableau[r] = _reduced(other, den)
+        if r != row and (factor := sign * other.get(j, 0)):
+            g = gcd(pivot_den, factor)
+            tableau[r] = _reduced(*_minus(other, den, pivot_den // g, factor // g, pivot_nums))
     basis[row] = col
 
 
 def _run(tableau: list[IntRow], basis: list[int], allowed: int, free: int) -> str:
     """Minimize with the cost row last; only split columns < allowed may enter."""
     m = len(tableau) - 1
-    columns = [(col, *_stored(col, free)) for col in range(allowed)]  # in Bland's order
     while True:
-        cost = tableau[m][0]
-        enter, j, sign = next((entry for entry in columns if entry[2] * cost[entry[1]] < 0), (None, 0, 0))
+        # Bland's rule: the least split column < allowed of negative reduced
+        # cost, where a stored x+ entry v is the cost v of x+ and -v of x-
+        negative = (k if k < free and v < 0 else k + free for k, v in tableau[m][0].items()
+                    if k >= 0 and (v < 0 or k < free))
+        enter = min((col for col in negative if col < allowed), default=None)
         if enter is None:
             return "optimal"
+        j, sign = _stored(enter, free)
         leave = None
         for r in range(m):
             nums = tableau[r][0]
-            coeff = sign * nums[j]
+            coeff = sign * nums.get(j, 0)
             if coeff > 0:
                 # the ratio rhs / coeff, in which the row denominator cancels
-                rhs = nums[-1]
+                rhs = nums.get(-1, 0)
                 if leave is None or (order := rhs * best_coeff - best_rhs * coeff) < 0 or (
                         order == 0 and basis[r] < basis[leave]):
                     best_rhs, best_coeff, leave = rhs, coeff, r
@@ -114,15 +118,16 @@ def _run(tableau: list[IntRow], basis: list[int], allowed: int, free: int) -> st
         _pivot(tableau, basis, leave, enter, free)
 
 
-def _cost_row(costs: list[int], den: int, tableau: list[IntRow], basis: list[int], free: int) -> IntRow:
+def _cost_row(costs: dict[int, int], den: int, tableau: list[IntRow], basis: list[int], free: int) -> IntRow:
     """The reduced costs of costs / den (stored) under the basis: costs
     minus each basic row times its column's cost, in lowest terms."""
-    row = (costs, 1)
-    for basic, col in zip(tableau, basis):
+    nums, row_den = dict(costs), 1
+    for (basic, basic_den), col in zip(tableau, basis):
         j, sign = _stored(col, free)
-        if cost := sign * costs[j]:
-            row = _minus(row, cost, basic)
-    return _reduced(row[0], row[1] * den)
+        if cost := sign * costs.get(j, 0):
+            common = lcm(row_den, basic_den)
+            nums, row_den = _minus(nums, row_den, common // row_den, cost * (common // basic_den), basic)
+    return _reduced(nums, row_den * den)
 
 
 def solve_linear_program(
@@ -156,17 +161,18 @@ def solve_linear_program(
         rows.append((*scaled(coeffs, b, where), i < n_slack))
     total_structural = 2 * n_vars + n_slack
     n_art = sum(1 for _, b, is_ineq in rows if b < 0 or not is_ineq)
-    stored = n_vars + n_slack + n_art
     tableau: list[IntRow] = []
     basis: list[int] = []
     next_art = total_structural
     for i, (nums, b, is_ineq) in enumerate(rows):
         unit = next((abs(v) for v in nums if v), 1)  # of the slack and artificial
-        row = nums + [0] * (stored - n_vars) + [b]
+        row = {k: v for k, v in enumerate(nums) if v}
+        if b:
+            row[-1] = b
         if is_ineq:
             row[n_vars + i] = unit
         if b < 0:
-            row = [-v for v in row]
+            row = {k: -v for k, v in row.items()}
         if is_ineq and b >= 0:
             basis.append(2 * n_vars + i)
         else:
@@ -178,15 +184,16 @@ def solve_linear_program(
 
     if n_art:
         # phase 1: drive the artificial sum to zero
-        tableau.append(_cost_row([0] * (n_vars + n_slack) + [1] * n_art + [0], 1, tableau, basis, n_vars))
+        artificials = dict.fromkeys(range(n_vars + n_slack, n_vars + n_slack + n_art), 1)
+        tableau.append(_cost_row(artificials, 1, tableau, basis, n_vars))
         _run(tableau, basis, total_structural, n_vars)  # artificials may not re-enter
-        if tableau[-1][0][-1] != 0:
+        if tableau[-1][0].get(-1):
             return LPResult("infeasible")
         tableau.pop()
         # pivot lingering zero-value artificials out where possible
         for i in range(m):
             if basis[i] >= total_structural:
-                j = next((j for j in range(n_vars + n_slack) if tableau[i][0][j] != 0), None)
+                j = min((j for j in tableau[i][0] if 0 <= j < n_vars + n_slack), default=None)
                 if j is not None:
                     _pivot(tableau, basis, i, j if j < n_vars else j + n_vars, n_vars)
         keep = [i for i in range(m) if basis[i] < total_structural]
@@ -195,7 +202,7 @@ def solve_linear_program(
         m = len(basis)
 
     # phase 2: the real objective, whose numerators sit over obj_den
-    tableau.append(_cost_row(obj + [0] * (stored + 1 - n_vars), obj_den, tableau, basis, n_vars))
+    tableau.append(_cost_row({k: v for k, v in enumerate(obj) if v}, obj_den, tableau, basis, n_vars))
     if _run(tableau, basis, total_structural, n_vars) == "unbounded":
         return LPResult("unbounded")
 
@@ -203,6 +210,6 @@ def solve_linear_program(
     for (nums, den), col in zip(tableau, basis):
         if col < 2 * n_vars:
             j, sign = _stored(col, n_vars)
-            point[j] = Fraction(sign * nums[-1], den)
+            point[j] = Fraction(sign * nums.get(-1, 0), den)
     nums, den = tableau[-1]  # the cost row, whose right-hand side is minus the value
-    return LPResult("optimal", Fraction(-nums[-1], den), tuple(point))
+    return LPResult("optimal", Fraction(-nums.get(-1, 0), den), tuple(point))

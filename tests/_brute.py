@@ -11,9 +11,10 @@ Fraction code the fast paths replaced stays here as their reference:
 weights, the pair bounds built on it, the two-arc flow-space cuts
 past the cap, each priced by ``cvi_violation``, the cycle basis that
 walks both ends of each non-tree line to the root, the cycle split
-that walks each arc on its own, and the level-by-level BFS that
+that walks each arc on its own, the level-by-level BFS that
 ``Network.tree`` replaced, which the root-walk basis and the spanning
-tree below are built on.  The
+tree below are built on, and the Fraction elimination that
+``matrix_rank``'s integer one replaced.  The
 helpers only tests call (a Fraction dot product, the LP over a
 polytope, the BFS spanning tree, a network with every line fixed) live
 here too.
@@ -377,6 +378,32 @@ def _solve(matrix, rhs):
                 factor = work[r][col]
                 work[r] = [a - factor * b for a, b in zip(work[r], work[col])]
     return [work[i][n] for i in range(n)]
+
+
+def fraction_matrix_rank(rows: Sequence[Sequence[Fraction | int]]) -> int:
+    """Rank over the rationals by fraction-exact Gaussian elimination."""
+    work = [[Fraction(v) for v in row] for row in rows]
+    if not work:
+        return 0
+    ncols = len(work[0])
+    rank = 0
+    row = 0
+    for col in range(ncols):
+        pivot = next((r for r in range(row, len(work)) if work[r][col] != 0), None)
+        if pivot is None:
+            continue
+        work[row], work[pivot] = work[pivot], work[row]
+        inv = work[row][col]
+        work[row] = [v / inv for v in work[row]]
+        for r in range(len(work)):
+            if r != row and work[r][col] != 0:
+                factor = work[r][col]
+                work[r] = [a - factor * b for a, b in zip(work[r], work[row])]
+        row += 1
+        rank += 1
+        if row == len(work):
+            break
+    return rank
 
 
 def brute_vertices(rows, dim):

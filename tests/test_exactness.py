@@ -11,7 +11,7 @@ import pytest
 from anglecuts.cuts import FractionalPoint, SeparationConfig
 from anglecuts.milp import MilpConstraint, MilpModel, MilpVariable, lp_text
 from anglecuts.oracle import HPolytope
-from anglecuts.rational import integer_row
+from anglecuts.rational import integer_row, matrix_rank
 from anglecuts.simplex import solve_linear_program
 
 TESTS = Path(__file__).resolve().parent
@@ -56,6 +56,7 @@ def _model_with_objective(value):
 # a position it must check; a new entry point belongs here
 ENTRY_POINTS = {
     "integer_row": lambda v: integer_row([v, 1], 1, "row"),
+    "matrix_rank": lambda v: matrix_rank([[1, 0], [0, v]]),
     "HPolytope": lambda v: HPolytope((((1, v), 1),), 2),
     "solve_linear_program": lambda v: solve_linear_program(1, [([1], 1), ([-1], 0)], [], [v]),
     "FractionalPoint": lambda v: FractionalPoint({"a": v}, {}),

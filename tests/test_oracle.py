@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from anglecuts import simplex
+from anglecuts import oracle, simplex
 from anglecuts.cuts import build_cpvi, cpvi_from_json, cpvi_to_json, cvi_from_json, cvi_to_json
 from anglecuts.errors import AllPatternsInfeasibleError, CapExceededError, UnboundedError
 from anglecuts.extended import build_extended
@@ -36,11 +36,13 @@ from anglecuts.oracle import (
     model_polytope,
     pair_relaxation,
 )
+from anglecuts.rational import matrix_rank
 
 from _brute import (
     InfeasibleError,
     brute_vertices,
     dot,
+    fraction_matrix_rank,
     fraction_vertices,
     model_bounds,
     model_rows,
@@ -273,6 +275,41 @@ def test_vertices_match_the_lp_and_basis_references(case):
         assert fraction_vertices(enumerate_vertices(HPolytope(tuple(rows), dim))) == expected
 
 
+class _Ranked(tuple):
+    """A polytope row that sorts by a rank of its own, so that the double
+    description inserts the rows in an order the test chooses."""
+
+    def __new__(cls, row, rank):
+        ranked = super().__new__(cls, row)
+        ranked.rank = rank
+        return ranked
+
+    def __lt__(self, other):
+        return self.rank < other.rank
+
+
+def _vertices_or_message(poly):
+    try:
+        return enumerate_vertices(poly)
+    except UnboundedError as exc:
+        return str(exc)
+
+
+@settings(max_examples=300, derandomize=True)
+@given(any_polytope(), st.randoms(use_true_random=False))
+def test_vertices_do_not_depend_on_the_row_order(case, rng):
+    # the vertices are sorted by point, and the unbounded coordinate is the
+    # first in the recession cone's support: neither depends on the order the
+    # rows are inserted in, which only shapes the intermediate cones
+    rows, dim = case
+    expected = _vertices_or_message(HPolytope(tuple(rows), dim))
+    shuffled = HPolytope(tuple(rng.sample(rows, len(rows))), dim)
+    assert _vertices_or_message(shuffled) == expected
+    # the same rows inserted in the shuffled order rather than the lexicographic one
+    object.__setattr__(shuffled, "rows", tuple(_Ranked(row, k) for k, row in enumerate(shuffled.rows)))
+    assert _vertices_or_message(shuffled) == expected
+
+
 @st.composite
 def polytope_and_point(draw):
     """Rows with rational coefficients and a rational or integer point,
@@ -340,6 +377,29 @@ def test_extended_vertex_count_pinned(weights, ends, big_m, count):
     assert len(enumerate_vertices(model_polytope(build_extended(pair, big_m)))) == count
 
 
+@pytest.mark.parametrize("weights, ends, big_m, calls", [
+    ([1] * 6, ("r0", "r4"), F(6), 150),
+    ([1, 2, 3, 4, 5, 6], ("r0", "r3"), F(21), 154),
+], ids=["unit-six-ring", "distinct-six-ring"])
+def test_lexicographic_row_order_combination_count_pinned(monkeypatch, weights, ends, big_m, calls):
+    # the lifted model's rows enter the double description in lexicographic
+    # order; in the model's own order the same vertices took 405 and 300 rays
+    net = ring_net(weights)
+    pair = split_cycle(net, fundamental_cycle_basis(net)[0], *ends)
+    poly = model_polytope(build_extended(pair, big_m))
+    count = 0
+    kernel = oracle._combination
+
+    def record(*args):
+        nonlocal count
+        count += 1
+        return kernel(*args)
+
+    monkeypatch.setattr(oracle, "_combination", record)
+    assert len(enumerate_vertices(poly)) == 128
+    assert count == calls
+
+
 # -- affine rank ------------------------------------------------------------
 
 
@@ -355,6 +415,35 @@ def test_affine_rank_examples(fig1_pair, fig1_relax):
         e[j] = F(1)
         points.append(tuple(e))
     assert affine_rank(points) == dim
+
+
+@st.composite
+def matrices(draw):
+    """Rows of int and rational entries, some of them zero rows or combinations
+    of two earlier rows, so often rank-deficient; zero-width rows among them."""
+    width = draw(st.integers(0, 5))
+    entry = st.integers(-3, 3) | RATIONAL
+    rows = []
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(("drawn", "zero", "combination")))
+        if kind == "combination" and rows:
+            u, v, a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows)), draw(entry), draw(entry)
+            rows.append([a * x + b * y for x, y in zip(u, v)])
+        elif kind == "zero":
+            rows.append([0] * width)
+        else:
+            rows.append(draw(st.lists(entry, min_size=width, max_size=width)))
+    return rows
+
+
+@settings(max_examples=300, derandomize=True)
+@given(matrices())
+@example([])  # no rows
+@example([[], []])  # rows of no column
+@example([[0, F(0)], [0, 0]])  # the zero matrix
+@example([[F(1, 2), 1, 0], [1, 2, 0], [0, 0, F(-3, 7)]])  # rank-deficient
+def test_matrix_rank_matches_the_fraction_elimination(rows):
+    assert matrix_rank(rows) == fraction_matrix_rank(rows)
 
 
 # -- certificates -----------------------------------------------------------

@@ -168,13 +168,29 @@ def split_cells(tableau, free):
 
 
 def integer_tableau(tableau):
-    """Each Fraction row as the kernel keeps it: (numerators, denominator),
-    the primitive row of row . x <= 1."""
-    return [integer_row(row, 1, "row") for row in tableau]
+    """Each Fraction row as the kernel keeps it: the primitive row of
+    row . x <= 1 as ({column: nonzero numerator}, denominator), the last
+    column, the right-hand side, at -1."""
+    rows = []
+    for row in tableau:
+        nums, den = integer_row(row, 1, "row")
+        rows.append(({k if k < len(row) - 1 else -1: v for k, v in enumerate(nums) if v}, den))
+    return rows
 
 
-def fraction_tableau(tableau):
-    return [[F(v, den) for v in nums] for nums, den in tableau]
+def dense_row(nums, width):
+    """A kernel row's numerators as a list of width entries, the right-hand side last."""
+    return [nums.get(k, 0) for k in range(width - 1)] + [nums.get(-1, 0)]
+
+
+def fraction_tableau(tableau, width):
+    return [[F(v, den) for v in dense_row(nums, width)] for nums, den in tableau]
+
+
+def stored_width(n_vars, ineqs, eqs):
+    """The width of an LP's stored tableau: x+, one slack per inequality, one
+    artificial per equality or negative right-hand side, the right-hand side."""
+    return n_vars + len(ineqs) + sum(b < 0 for _, b in ineqs) + len(eqs) + 1
 
 
 @given(tableaux())
@@ -186,7 +202,7 @@ def test_sparse_pivot_matches_dense_pivot(case):
     sparse_basis, dense_basis = list(range(len(tableau))), list(range(len(tableau)))
     _pivot(sparse, sparse_basis, row, col, free)
     dense_pivot(dense, dense_basis, row, col)
-    assert (fraction_tableau(sparse), sparse_basis) == (stored_half(dense, free), dense_basis)
+    assert (fraction_tableau(sparse, len(tableau[0])), sparse_basis) == (stored_half(dense, free), dense_basis)
 
 
 @given(tableaux(), st.integers(1, 4))
@@ -196,9 +212,9 @@ def test_pivoted_rows_stay_in_lowest_terms(case, pivots):
     for _ in range(pivots):
         _pivot(work, basis, row, col, free)
         for nums, den in work:
-            assert den > 0 and gcd(den, *nums) == 1
+            assert den > 0 and gcd(den, *nums.values()) == 1 and 0 not in nums.values()
         # pivot next on the first nonzero split cell after (row, col) in row-major order
-        cells = split_cells(fraction_tableau(work), free)
+        cells = split_cells(fraction_tableau(work, len(tableau[0])), free)
         row, col = next((cell for cell in cells if cell > (row, col)), cells[0])
 
 
@@ -244,7 +260,7 @@ def test_stored_tableau_is_the_split_tableau_without_its_negative_parts(lp):
 
     def record_stored(tableau, basis, row, col, free):
         pivot(tableau, basis, row, col, free)
-        stored.append((fraction_tableau(tableau), list(basis)))
+        stored.append((fraction_tableau(tableau, stored_width(lp["n_vars"], lp["ineqs"], lp["eqs"])), list(basis)))
 
     def record_dense(tableau, basis, row, col):
         reference_pivot(tableau, basis, row, col)
@@ -295,10 +311,11 @@ def test_tableau_row_is_the_row_over_its_leading_coefficient(coeffs, rhs, is_ine
     def record(tableau, basis, allowed, free):
         if not built:  # the first run sees the rows as built
             nums, unit = tableau[0]
-            built.append((list(nums), unit))
+            built.append((dense_row(nums, stored_width(len(coeffs), *lp)), unit))
         return run(tableau, basis, allowed, free)
 
     row = [(coeffs, rhs)]
+    lp = (row, []) if is_ineq else ([], row)
     with mock.patch.object(simplex, "_run", record):
-        solve_linear_program(len(coeffs), row if is_ineq else [], [] if is_ineq else row, [0] * len(coeffs))
+        solve_linear_program(len(coeffs), *lp, [0] * len(coeffs))
     assert built[0] == lead_scaled_tableau_row(coeffs, rhs, is_ineq)
