@@ -3,8 +3,9 @@
 Integer-point enumeration for a split cycle, exact vertex enumeration by
 the double description method started from the whole space, affine-rank
 certificates, hull-equality checks, and an exhaustive switching
-enumeration that solves one exact LP per topology.  Hard caps raise
-CapExceededError rather than degrade.
+enumeration that solves one exact LP per topology, its pinned variables made
+constants and its balance rows solved out in integers before the simplex.
+Hard caps raise CapExceededError rather than degrade.
 
 The per-pair relaxation and every hull candidate are models read by
 ``model_polytope``; a candidate's rows are elimination branches of the lifted model.
@@ -31,7 +32,7 @@ from .graph import CyclePathPair
 from .milp import MilpModel, build_dcots, dcots_names, fixed_topology
 from .network import Network
 from .rational import format_rational, integer_row, matrix_rank
-from .simplex import Row, solve_linear_program
+from .simplex import LPResult, Row, solve_linear_program
 
 __all__ = [
     "HPolytope",
@@ -129,8 +130,15 @@ def _point_json(x: Iterable[int], w: int) -> list[str]:
     return [format_rational(Fraction(v, w)) for v in x]
 
 
-def _homogeneous(dtheta: Fraction, bits: Sequence[int]) -> tuple[tuple[int, ...], int]:
-    return (dtheta.numerator, *(b * dtheta.denominator for b in bits)), dtheta.denominator
+def _first_violation(rows: Sequence[tuple[Sequence[int], int]], points: Iterable[tuple[Fraction, tuple[int, ...]]]):
+    """The first point (angle difference, bits) to violate an integer row, with that row's index, or None;
+    each row's y-part is taken once per run of points with the same bits, as integer_points gives them."""
+    for bits, group in itertools.groupby(points, key=lambda point: point[1]):
+        slacks = [(coeffs[0], b - sum(map(mul, coeffs[1:], bits))) for coeffs, b in rows]
+        for point in group:
+            num, den = point[0].numerator, point[0].denominator
+            if (k := next((k for k, (a, s) in enumerate(slacks) if a * num > s * den), None)) is not None:
+                return point, k
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +270,7 @@ def enumerate_vertices(p: HPolytope) -> list[tuple[tuple[int, ...], int]]:
     return sorted(((u[:-1], u[-1]) for u in vertices), key=lambda v: [x * (scale // v[1]) for x in v[0]])
 
 
-def affine_rank(points: Sequence[Sequence[Fraction]]) -> int:
+def affine_rank(points: Sequence[Sequence[Fraction | int]]) -> int:
     """Rank of the differences to the first point, over the rationals."""
     if not points:
         raise ValueError("affine_rank needs at least one point")
@@ -393,13 +401,9 @@ def cpvi_validity_certificate(cut: CutCPVI, points: Iterable[tuple[Fraction, tup
     """Every integer-feasible extreme of the cut's pair relaxation (its ``integer_points``) satisfies the cut."""
     y = [-dict(cut.y_coeffs).get(line, 0) for line in cut.pair.cycle.lines]  # rows +-dtheta - slopes . y <= constant
     rows = HPolytope((((1, *y), cut.constant), ((-1, *y), cut.constant)), 1 + len(y))
-    for dtheta, bits in points:
-        if rows.first_violated(*_homogeneous(dtheta, bits)) is not None:
-            return CertificateReport(
-                Claim.VALIDITY,
-                False,
-                {"integer_point": {"dtheta": format_rational(dtheta), "y": list(bits)}},
-            )
+    if violation := _first_violation(rows.rows, points):
+        (dtheta, bits), _ = violation
+        return CertificateReport(Claim.VALIDITY, False, {"integer_point": {"dtheta": format_rational(dtheta), "y": list(bits)}})
     return CertificateReport(Claim.VALIDITY, True)
 
 
@@ -446,8 +450,8 @@ def facet_certificate(cut: CutCPVI, points: Iterable[tuple[Fraction, tuple[int, 
                 False,
                 {"not_tight": {"dtheta": format_rational(dtheta), "y": list(bits), "rhs": format_rational(rhs)}},
             )
-    flat = [(dtheta, *[Fraction(v) for v in bits]) for dtheta, bits in tight]
-    rank = affine_rank(flat)
+    scale = lcm(*(dtheta.denominator for dtheta, _ in tight))  # the tight points over one denominator, in integers
+    rank = affine_rank([(dtheta.numerator * scale // dtheta.denominator, *(b * scale for b in bits)) for dtheta, bits in tight])
     if rank != len(pair.cycle.lines):
         return CertificateReport(Claim.FACET_RANK, False, {"rank": rank, "expected": len(pair.cycle.lines)})
     full = full_dimension_certificate(relax)
@@ -478,13 +482,13 @@ def hull_equality(points: Iterable[tuple[Fraction, tuple[int, ...]]], relax: HPo
     check_hull_cap(relax.dim - 1)
     if candidate.dim != relax.dim:
         raise ValueError("candidate must live in (angle difference, y) space of the pair")
-    for dtheta, bits in points:
-        if (row := candidate.first_violated(*_homogeneous(dtheta, bits))) is not None:
-            return CertificateReport(
-                Claim.HULL_EQUALITY,
-                False,
-                {"violated_integer_point": {"dtheta": format_rational(dtheta), "y": list(bits)}, "row": row},
-            )
+    if violation := _first_violation(candidate.rows, points):
+        (dtheta, bits), row = violation
+        return CertificateReport(
+            Claim.HULL_EQUALITY,
+            False,
+            {"violated_integer_point": {"dtheta": format_rational(dtheta), "y": list(bits)}, "row": row},
+        )
     for x, w in enumerate_vertices(candidate):
         if any(v != 0 and v != w for v in x[1:]):
             return CertificateReport(Claim.HULL_EQUALITY, False, {"fractional_vertex": _point_json(x, w)})
@@ -506,36 +510,76 @@ class DcotsResult:
     y: dict[int, int]
 
 
+def _solve_eliminated(n: int, ineqs: Sequence[Row], eqs: Sequence[Row], objective: Sequence[Fraction | int]) -> LPResult:
+    """solve_linear_program's minimum over integer rows, each equality solved out first.
+
+    In order, each equality, the columns of those before it gone, is solved for its first
+    nonzero column, which a fraction-free combination with it clears from every other row
+    and the objective, each then over its gcd.  An equality left 0 = c != 0, or an inequality
+    0 <= b < 0, is infeasible.  The simplex sees inequalities only, over the columns left;
+    back-substitution in reverse order recovers the rest, and the value is the objective there."""
+    obj, _ = integer_row(objective, 0, "the objective")
+    rows, pending, solved = [(*a, b) for a, b in ineqs] + [(*obj, 0)], [(*a, b) for a, b in eqs], []
+    while pending:
+        eq = pending.pop(0)
+        if (j := next((j for j, v in enumerate(eq[:-1]) if v), None)) is None:
+            if eq[-1]:
+                return LPResult("infeasible")
+            continue
+        eq = eq if eq[j] > 0 else tuple(-v for v in eq)  # so every inequality keeps its sense
+        for group in (rows, pending):
+            group[:] = [_combination(eq[j] // (g := gcd(eq[j], row[j])), row, row[j] // g, eq) if row[j] else row
+                        for row in group]
+        solved.append((j, eq))
+    left = sorted(set(range(n)) - {j for j, _ in solved})
+    *rows, (obj, _) = [([row[j] for j in left], row[-1]) for row in rows]
+    if any(b < 0 and not any(a) for a, b in rows):
+        return LPResult("infeasible")
+    result = solve_linear_program(len(left), [(a, b) for a, b in rows if any(a)], [], obj)
+    if result.status != "optimal":
+        return result
+    x = dict(zip(left, result.point))
+    for j, eq in reversed(solved):
+        x[j] = (eq[-1] - sum((v * x[k] for k, v in enumerate(eq[:-1]) if v and k != j), Fraction(0))) / eq[j]
+    point = tuple(x[j] for j in range(n))
+    return LPResult("optimal", sum(map(mul, objective, point), Fraction(0)), point)
+
+
 def _pattern_optima(net: Network, cpvis: Sequence[CutCPVI], cvis: Sequence[CutCVI]) -> Iterator[tuple[Fraction, dict, dict]]:
-    """Each switching pattern's optimum, if it has one, as (value, line statuses, column values).
+    """Each switching pattern's optimum, if it has one, as (value, line statuses, column and pinned values).
 
     A pattern's LP is the bound rows, then the rows of the model that emit
-    writes, build_dcots(net, "global", cpvis, cvis), with what the pattern
-    forces substituted; the cut rows are appended only when they bind."""
+    writes, build_dcots(net, "global", cpvis, cvis), with what the pattern forces
+    substituted, each variable its bounds pin included (no column, no bound rows);
+    the cut rows are appended only when they bind.  _solve_eliminated solves its
+    balance rows out, so the simplex sees inequalities only, cut rows or not."""
     switchable = [i for i, line in enumerate(net.lines) if line.switchable]
     if len(switchable) > BRUTE_FORCE_CAP:
         raise CapExceededError(f"{len(switchable)} switchable lines exceed the enumeration cap {BRUTE_FORCE_CAP}")
     model = build_dcots(net, "global", cpvis, cvis)
     names = dcots_names(net)
+    # the g of a bus with gen_max 0 and a fixed line's y; ModelLP drops a substituted
+    # variable's objective term, which is 0 for such a g and absent for y
+    pinned = {var.name: Fraction(var.lower) for var in model.variables if var.lower == var.upper is not None}
     # build_dcots writes the two rows of each cut last
     split = len(model.constraints) - 2 * (len(cpvis) + len(cvis))
     closed = fixed_topology(net, dict.fromkeys(range(len(net.lines)), 1))  # each switch's states override it
     opened = fixed_topology(net, dict.fromkeys(range(len(net.lines)), 0))
     switches = [tuple({var: subst[var] for var in (names.f[i], names.y[i])} for subst in (opened, closed)) for i in switchable]
-    lp = ModelLP(model, closed, switches)
+    lp = ModelLP(model, {**{var: ({}, value) for var, value in pinned.items()}, **closed}, switches)
     for bits in itertools.product((1, 0), repeat=len(switchable)):
         ineqs, eqs = lp.rows(bits, slice(split))
-        result = solve_linear_program(len(lp.columns), lp.bounds + ineqs, eqs, lp.objective)
+        result = _solve_eliminated(len(lp.columns), lp.bounds + ineqs, eqs, lp.objective)
         if result.status == "optimal":
             cuts, _ = lp.rows(bits, slice(split, None))
             x, w = integer_row(result.point, 1, "point")
             if any(sum(map(mul, coeffs, x)) > b * w for coeffs, b in cuts):
                 # the base optimizer violates an appended row, so the rows do
                 # bind for this pattern; re-solve with them in place
-                result = solve_linear_program(len(lp.columns), lp.bounds + ineqs + cuts, eqs, lp.objective)
+                result = _solve_eliminated(len(lp.columns), lp.bounds + ineqs + cuts, eqs, lp.objective)
         if result.status == "optimal":
             active = {**dict.fromkeys(range(len(net.lines)), 1), **dict(zip(switchable, bits))}
-            yield result.value, active, dict(zip(lp.columns, result.point))
+            yield result.value, active, {**pinned, **dict(zip(lp.columns, result.point))}
 
 
 def brute_force_dcots(net: Network, cpvis: Sequence[CutCPVI] = (), cvis: Sequence[CutCVI] = ()) -> DcotsResult:

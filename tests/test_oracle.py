@@ -36,7 +36,7 @@ from anglecuts.oracle import (
     model_polytope,
     pair_relaxation,
 )
-from anglecuts.rational import matrix_rank
+from anglecuts.rational import format_rational, matrix_rank
 
 from _brute import (
     InfeasibleError,
@@ -583,6 +583,56 @@ def test_completed_hull_on_random_cycles():
         assert hull_equality(integer_points(relax), relax, candidate).passed
 
 
+def first_violated_point(poly, points):
+    """The first integer point, made homogeneous, that HPolytope.first_violated
+    finds outside poly, with that row: the reference for the certificates' test."""
+    for dtheta, bits in points:
+        x = (dtheta.numerator, *(b * dtheta.denominator for b in bits))
+        if (row := poly.first_violated(x, dtheta.denominator)) is not None:
+            return (dtheta, bits), row
+    return None
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(st.integers(0, 2**32))
+def test_integer_point_tests_match_first_violated(seed):
+    """On a seeded ring, pair and big-M, hull_equality and the validity
+    certificate find the first violated integer point and row that
+    HPolytope.first_violated finds, and report that witness, for every hull
+    candidate and the cut as built (passing) and with the bound of each
+    angle row lowered (failing at some integer point)."""
+    rng = random.Random(seed)
+    net = ring_net([F(rng.randint(1, 9), rng.randint(1, 3)) for _ in range(rng.randint(3, 5))])
+    cycle = fundamental_cycle_basis(net)[0]
+    pair = split_cycle(net, cycle, *rng.sample(list(cycle.buses), 2))
+    big_m = pair.longer.total_weight + rng.randint(0, 3)
+    relax = pair_relaxation(net, pair, big_m)
+    points, lifted, cut = integer_points(relax), build_extended(pair, big_m), build_cpvi(pair, big_m)
+    found = set()
+    for lower in (0, F(1, 2), rng.randint(1, 3)):
+        for name in HULL_CANDIDATES:
+            hull = candidate_hull(pair, lifted, name)
+            candidate = HPolytope(tuple((c, b - lower if c[0] else b) for c, b in hull.rows), hull.dim)
+            expected = first_violated_point(candidate, points)
+            assert oracle._first_violation(candidate.rows, points) == expected
+            if expected:
+                (dtheta, bits), row = expected
+                witness = {"violated_integer_point": {"dtheta": format_rational(dtheta), "y": list(bits)}, "row": row}
+                assert hull_equality(points, relax, candidate) == CertificateReport(Claim.HULL_EQUALITY, False, witness)
+            found.add(expected is None)
+        y = [-dict(cut.y_coeffs).get(line, 0) for line in pair.cycle.lines]
+        rows = HPolytope((((1, *y), cut.constant - lower), ((-1, *y), cut.constant - lower)), 1 + len(y))
+        expected = first_violated_point(rows, points)
+        report = cpvi_validity_certificate(dataclasses.replace(cut, constant=cut.constant - lower), points)
+        if expected:
+            (dtheta, bits), _ = expected
+            witness = {"integer_point": {"dtheta": format_rational(dtheta), "y": list(bits)}}
+            assert report == CertificateReport(Claim.VALIDITY, False, witness)
+        else:
+            assert lower == 0 and report == CertificateReport(Claim.VALIDITY, True)
+    assert found == {True, False}
+
+
 # -- rational simplex over polytopes ---------------------------------------
 
 
@@ -765,9 +815,9 @@ def test_brute_force_full_result_pinned(request, name):
 # (pivot count, sha256 of the JSON list of (row, col) pivots) over every
 # pattern LP, the path the dense reference kernel in _brute also takes
 PINNED_PIVOTS = {
-    "fig1": (701, "e209fdc6136db7ef57684cfbf257933b52ffa113115b426f9f6c6da23980cf35"),
-    "triangle": (43, "2a27b03c428f0be664f0a219edf7b74664d0ca43c7840f397629204d4cb4702e"),
-    "kite": (252, "dd2930e81f3b9ea30b3be10f5fc73856e63abbe9fe8fa58d289f1f166f96949e"),
+    "fig1": (12, "23eb597f2d01f96fa96f00f261b893582203d3be41ac993987a174e500383dc4"),
+    "triangle": (7, "8703bd7b0f7cd0de46caf474e2d9505db50ca3cfa06a55c51cbc0090a368add5"),
+    "kite": (35, "a8661eb30696324ae094c15bc88b7622a13914fcbd2beb1b8945083fd6357b54"),
 }
 
 
@@ -785,6 +835,95 @@ def test_brute_force_pivot_path_pinned(request, monkeypatch, name):
     brute_force_dcots(request.getfixturevalue(name))
     digest = hashlib.sha256(json.dumps(pivots).encode()).hexdigest()
     assert (len(pivots), digest) == PINNED_PIVOTS[name]
+
+
+def test_brute_force_hands_the_simplex_no_equality_and_no_pinned_column(monkeypatch, fig1):
+    """brute_force_dcots(fig1) gives solve_linear_program no equality row, and
+    no variable its bounds pin (the g of the four buses with gen_max 0) is a
+    column of its LP."""
+    calls, lps = [], []
+    solve = oracle.solve_linear_program
+
+    def record(n, ineqs, eqs, objective):
+        calls.append((n, list(eqs)))
+        return solve(n, ineqs, eqs, objective)
+
+    class Recorded(ModelLP):
+        def __init__(self, *args):
+            super().__init__(*args)
+            lps.append(self)
+
+    monkeypatch.setattr(oracle, "solve_linear_program", record)
+    monkeypatch.setattr(oracle, "ModelLP", Recorded)
+    brute_force_dcots(fig1)
+    pinned = {var.name for var in build_dcots(fig1).variables if var.lower is not None and var.lower == var.upper}
+    assert pinned == {"g_i1", "g_i2", "g_i3", "g_i5"}
+    (lp,) = lps
+    assert not pinned & set(lp.columns)
+    assert calls and all(eqs == [] and n <= len(lp.columns) for n, eqs in calls)
+
+
+def dispatch_net(seed):
+    """random_net's buses and lines with seeded demands, generation limits
+    and costs: about half of the buses get gen_max 0, and a pattern that
+    strands a demand or overloads a line is infeasible."""
+    rng = random.Random(seed)
+    net = random_net(seed, max_buses=5)
+    buses = [(bus.id, rng.randint(0, 3), rng.choice((0, 0, 2, 5)), rng.randint(0, 4)) for bus in net.buses]
+    return make_net(buses, [(ln.from_bus, ln.to_bus, ln.reactance, ln.capacity, ln.switchable) for ln in net.lines])
+
+
+def optimal_face_is_a_point(n, ineqs, eqs, objective, value, rng):
+    """Whether the LP's optimal face is one point: the least and the greatest
+    value over it of a seeded direction of 64-bit integers agree.  A face of
+    more points is flat along such a direction only by a chance near 2**-64."""
+    face = [*ineqs, (objective, value)]
+    direction = [rng.randrange(-2**64, 2**64) for _ in range(n)]
+    low, high = (simplex.solve_linear_program(n, face, eqs, [sign * d for d in direction]) for sign in (1, -1))
+    return low.value == -high.value
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(st.integers(0, 2**32))
+def test_eliminated_solve_matches_the_full_lp(seed):
+    """The reduced solve against the slow exact one, on seeded nets with
+    demands, generators, buses of gen_max 0 and infeasible patterns, plain and
+    with every basis cpvi and cvi.  For every pattern, on the unreduced rows of
+    ModelLP.rows and ModelLP.bounds (every row appended, every pinned variable
+    a column), _solve_eliminated and solve_linear_program agree in status and
+    value, and _pattern_optima, which also substitutes the pinned variables,
+    yields the pattern exactly when it is optimal, with that value.  Both
+    points satisfy every row and equality, and where the optimum is unique
+    they are the simplex's point."""
+    net = dispatch_net(seed)
+    switchable = [idx for idx, line in enumerate(net.lines) if line.switchable]
+    assume(1 <= len(switchable) <= 4)
+    rng = random.Random(seed)
+    names = dcots_names(net)
+    closed = fixed_topology(net, dict.fromkeys(range(len(net.lines)), 1))
+    opened = fixed_topology(net, dict.fromkeys(range(len(net.lines)), 0))
+    switches = [tuple({var: subst[var] for var in (names.f[i], names.y[i])} for subst in (opened, closed))
+                for i in switchable]
+    for cpvis, cvis in (((), ()), basis_cuts(net)):
+        lp = ModelLP(build_dcots(net, "global", cpvis, cvis), closed, switches)
+        n = len(lp.columns)
+        optima = {tuple(active[i] for i in switchable): (value, tuple(values[name] for name in lp.columns))
+                  for value, active, values in oracle._pattern_optima(net, cpvis, cvis)}
+        for bits in itertools.product((1, 0), repeat=len(switchable)):
+            ineqs, eqs = lp.rows(bits)
+            ineqs = lp.bounds + ineqs
+            full = simplex.solve_linear_program(n, ineqs, eqs, lp.objective)
+            reduced = oracle._solve_eliminated(n, ineqs, eqs, lp.objective)
+            assert (reduced.status, reduced.value) == (full.status, full.value)
+            if full.status != "optimal":
+                assert bits not in optima
+                continue
+            value, point = optima[bits]
+            assert value == full.value
+            unique = optimal_face_is_a_point(n, ineqs, eqs, lp.objective, full.value, rng)
+            for point in (reduced.point, point):
+                assert all(dot(a, point) <= b for a, b in ineqs) and all(dot(a, point) == b for a, b in eqs)
+                assert point == full.point or not unique
 
 
 def test_brute_force_all_infeasible():
