@@ -457,7 +457,10 @@ def cpvi_from_json(net: Network, obj: dict) -> CutCPVI:
     ):
         raise ParseError("cpvi cut: 'pair' must list two distinct buses of 'cycle_buses'")
     pair = split_cycle(net, cycle, *ends)
-    cut = build_cpvi(pair, parse_rational(obj["big_m"], "big_m"))
+    try:
+        cut = build_cpvi(pair, parse_rational(obj["big_m"], "big_m"))
+    except InvalidBigMError as exc:  # bad input here, not a library caller's invalid big-M
+        raise ParseError(f"cpvi cut: 'big_m': {exc}") from exc
     _check_stored("cpvi", "y_coeffs", _y_coeffs(obj, "cpvi"), dict(cut.y_coeffs))
     _check_stored("cpvi", "constant", parse_rational(obj["constant"], "constant"), cut.constant)
     # derived fields are optional, but checked when present

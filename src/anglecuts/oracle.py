@@ -4,11 +4,12 @@ Integer-point enumeration for a split cycle, exact vertex enumeration by
 the double description method started from the whole space, affine-rank
 certificates, hull-equality checks, and an exhaustive switching
 enumeration that solves one exact LP per topology, its pinned variables made
-constants and its balance rows solved out in integers before the simplex.
+constants (``solve_linear_program`` solves its balance rows out).
 Hard caps raise CapExceededError rather than degrade.
 
-The per-pair relaxation and every hull candidate are models read by
-``model_polytope``; a candidate's rows are elimination branches of the lifted model.
+The per-pair relaxation and every hull candidate are written as integer rows over
+(angle difference, y), the lifted model's columns; a candidate's rows are elimination
+branches of the lifted model, which ``model_polytope`` reads.
 The certificates take the relaxation and its integer points, built once per pair.
 Every row, from ``ModelLP`` to ``HPolytope`` and the simplex, is a primitive
 integer row (``rational.integer_row``), read once per line state; vertices are
@@ -31,8 +32,8 @@ from .extended import eliminate
 from .graph import CyclePathPair
 from .milp import MilpModel, build_dcots, dcots_names, fixed_topology
 from .network import Network
-from .rational import format_rational, integer_row, matrix_rank
-from .simplex import LPResult, Row, solve_linear_program
+from .rational import _combination, format_rational, integer_row, matrix_rank
+from .simplex import Row, solve_linear_program
 
 __all__ = [
     "HPolytope",
@@ -170,14 +171,6 @@ def integer_points(relax: HPolytope) -> list[tuple[Fraction, tuple[int, ...]]]:
 # exact vertex enumeration by the double description method
 
 
-def _combination(a: int, u: Sequence[int], b: int, v: Sequence[int]) -> tuple[int, ...]:
-    """a*u - b*v over the integers, divided by the gcd of its entries."""
-    point = [a * x - b * y for x, y in zip(u, v)]
-    if (g := gcd(*point)) > 1:
-        point = [x // g for x in point]
-    return tuple(point)
-
-
 def enumerate_vertices(p: HPolytope) -> list[tuple[tuple[int, ...], int]]:
     """All vertices of a bounded polytope as gcd-reduced integers (x, w), w > 0,
     the points x / w, in those points' sorted order; [] when it is empty.
@@ -283,32 +276,28 @@ def affine_rank(points: Sequence[Sequence[Fraction | int]]) -> int:
 # certificates
 
 
-def _pair_model(pair: CyclePathPair) -> MilpModel:
-    """The pair space as a model under the lifted model's names and order:
-    the angle difference (free), then y in cycle-line order, each in [0, 1]."""
-    model = MilpModel()
-    model.add_variable("dtheta", "continuous", None, None)
-    for line in pair.cycle.lines:
-        model.add_variable(f"y_{line}", "continuous", 0, 1)
-    return model
-
-
-def _add_angle_rows(model: MilpModel, name: str, slopes: Mapping[int, Fraction], rhs: Fraction) -> None:
-    """+-dtheta + slopes . y <= rhs as the rows <name>_hi and <name>_lo."""
-    terms = [(f"y_{line}", c) for line, c in slopes.items()]
-    for sign, side in ((1, "hi"), (-1, "lo")):
-        model.add_constraint(f"{name}_{side}", [("dtheta", sign), *terms], "<=", rhs)
+def _pair_polytope(pair: CyclePathPair, angle_rows: Iterable[tuple[Mapping[int, Fraction], Fraction]]) -> HPolytope:
+    """The polytope over the angle difference (free), then y in cycle-line
+    order, the lifted model's column order: for each (slopes, rhs) the rows
+    dtheta + slopes . y <= rhs and -dtheta + slopes . y <= rhs, then the y
+    box, y <= 1 and -y <= 0 for each line."""
+    lines = pair.cycle.lines
+    rows = [((sign, *(slopes.get(line, 0) for line in lines)), rhs) for slopes, rhs in angle_rows for sign in (1, -1)]
+    for k in range(1, len(lines) + 1):
+        unit = [0] * (len(lines) + 1)
+        unit[k] = 1
+        rows += [(unit, 1), ([-v for v in unit], 0)]
+    return HPolytope(tuple(rows), len(lines) + 1)
 
 
 def pair_relaxation(net: Network, pair: CyclePathPair, big_m: Fraction) -> HPolytope:
     """The per-pair relaxation over (angle difference, y): both path rows
     and the fallback big-M row, absolute values expanded, then the y box."""
-    model = _pair_model(pair)
-    for arc, path in (("short", pair.shorter), ("long", pair.longer)):
+    rows = []
+    for path in (pair.shorter, pair.longer):
         slopes = {line: big_m - net.lines[line].weight for line in path.lines}
-        _add_angle_rows(model, arc, slopes, path.total_weight + sum(slopes.values(), Fraction(0)))
-    _add_angle_rows(model, "fallback", {}, big_m)
-    return model_polytope(model)
+        rows.append((slopes, path.total_weight + sum(slopes.values(), Fraction(0))))
+    return _pair_polytope(pair, [*rows, ({}, big_m)])
 
 
 def candidate_hull(pair: CyclePathPair, model: MilpModel, name: str) -> HPolytope:
@@ -324,10 +313,7 @@ def candidate_hull(pair: CyclePathPair, model: MilpModel, name: str) -> HPolytop
     """
     if name not in HULL_CANDIDATES:
         raise ValueError(f"unknown hull candidate {name!r}; expected one of {', '.join(HULL_CANDIDATES)}")
-    hull = _pair_model(pair)
-    for k, linked in enumerate(HULL_CANDIDATES[name]):
-        _add_angle_rows(hull, f"branch_{k}", *eliminate(pair, model, linked))
-    return model_polytope(hull)
+    return _pair_polytope(pair, [eliminate(pair, model, linked) for linked in HULL_CANDIDATES[name]])
 
 
 class ModelLP:
@@ -510,49 +496,14 @@ class DcotsResult:
     y: dict[int, int]
 
 
-def _solve_eliminated(n: int, ineqs: Sequence[Row], eqs: Sequence[Row], objective: Sequence[Fraction | int]) -> LPResult:
-    """solve_linear_program's minimum over integer rows, each equality solved out first.
-
-    In order, each equality, the columns of those before it gone, is solved for its first
-    nonzero column, which a fraction-free combination with it clears from every other row
-    and the objective, each then over its gcd.  An equality left 0 = c != 0, or an inequality
-    0 <= b < 0, is infeasible.  The simplex sees inequalities only, over the columns left;
-    back-substitution in reverse order recovers the rest, and the value is the objective there."""
-    obj, _ = integer_row(objective, 0, "the objective")
-    rows, pending, solved = [(*a, b) for a, b in ineqs] + [(*obj, 0)], [(*a, b) for a, b in eqs], []
-    while pending:
-        eq = pending.pop(0)
-        if (j := next((j for j, v in enumerate(eq[:-1]) if v), None)) is None:
-            if eq[-1]:
-                return LPResult("infeasible")
-            continue
-        eq = eq if eq[j] > 0 else tuple(-v for v in eq)  # so every inequality keeps its sense
-        for group in (rows, pending):
-            group[:] = [_combination(eq[j] // (g := gcd(eq[j], row[j])), row, row[j] // g, eq) if row[j] else row
-                        for row in group]
-        solved.append((j, eq))
-    left = sorted(set(range(n)) - {j for j, _ in solved})
-    *rows, (obj, _) = [([row[j] for j in left], row[-1]) for row in rows]
-    if any(b < 0 and not any(a) for a, b in rows):
-        return LPResult("infeasible")
-    result = solve_linear_program(len(left), [(a, b) for a, b in rows if any(a)], [], obj)
-    if result.status != "optimal":
-        return result
-    x = dict(zip(left, result.point))
-    for j, eq in reversed(solved):
-        x[j] = (eq[-1] - sum((v * x[k] for k, v in enumerate(eq[:-1]) if v and k != j), Fraction(0))) / eq[j]
-    point = tuple(x[j] for j in range(n))
-    return LPResult("optimal", sum(map(mul, objective, point), Fraction(0)), point)
-
-
 def _pattern_optima(net: Network, cpvis: Sequence[CutCPVI], cvis: Sequence[CutCVI]) -> Iterator[tuple[Fraction, dict, dict]]:
     """Each switching pattern's optimum, if it has one, as (value, line statuses, column and pinned values).
 
     A pattern's LP is the bound rows, then the rows of the model that emit
     writes, build_dcots(net, "global", cpvis, cvis), with what the pattern forces
     substituted, each variable its bounds pin included (no column, no bound rows);
-    the cut rows are appended only when they bind.  _solve_eliminated solves its
-    balance rows out, so the simplex sees inequalities only, cut rows or not."""
+    the cut rows are appended only when they bind.  solve_linear_program solves
+    the balance rows out, so its tableau holds inequalities only, cut rows or not."""
     switchable = [i for i, line in enumerate(net.lines) if line.switchable]
     if len(switchable) > BRUTE_FORCE_CAP:
         raise CapExceededError(f"{len(switchable)} switchable lines exceed the enumeration cap {BRUTE_FORCE_CAP}")
@@ -569,14 +520,14 @@ def _pattern_optima(net: Network, cpvis: Sequence[CutCPVI], cvis: Sequence[CutCV
     lp = ModelLP(model, {**{var: ({}, value) for var, value in pinned.items()}, **closed}, switches)
     for bits in itertools.product((1, 0), repeat=len(switchable)):
         ineqs, eqs = lp.rows(bits, slice(split))
-        result = _solve_eliminated(len(lp.columns), lp.bounds + ineqs, eqs, lp.objective)
+        result = solve_linear_program(len(lp.columns), lp.bounds + ineqs, eqs, lp.objective)
         if result.status == "optimal":
             cuts, _ = lp.rows(bits, slice(split, None))
             x, w = integer_row(result.point, 1, "point")
             if any(sum(map(mul, coeffs, x)) > b * w for coeffs, b in cuts):
                 # the base optimizer violates an appended row, so the rows do
                 # bind for this pattern; re-solve with them in place
-                result = _solve_eliminated(len(lp.columns), lp.bounds + ineqs + cuts, eqs, lp.objective)
+                result = solve_linear_program(len(lp.columns), lp.bounds + ineqs + cuts, eqs, lp.objective)
         if result.status == "optimal":
             active = {**dict.fromkeys(range(len(net.lines)), 1), **dict(zip(switchable, bits))}
             yield result.value, active, {**pinned, **dict(zip(lp.columns, result.point))}

@@ -101,6 +101,15 @@ def integer_row(coeffs: Sequence[Fraction | int], rhs: Fraction | int, where: st
     return row[:-1], row[-1]
 
 
+def _combination(a: int, u: Sequence[int], b: int, v: Sequence[int]) -> tuple[int, ...]:
+    """a*u - b*v over the integers, divided by the gcd of its entries: the one
+    fraction-free row step of the rank, the vertex and the simplex kernels."""
+    point = [a * x - b * y for x, y in zip(u, v)]
+    if (g := gcd(*point)) > 1:
+        point = [x // g for x in point]
+    return tuple(point)
+
+
 def matrix_rank(rows: Sequence[Sequence[Fraction | int]]) -> int:
     """Rank over the rationals by Gaussian elimination over the integers: each
     row is read as its primitive integer row, and each pivot takes the rows
@@ -113,9 +122,5 @@ def matrix_rank(rows: Sequence[Sequence[Fraction | int]]) -> int:
         if col is None:
             continue
         rank += 1
-        for k, row in enumerate(work):
-            if factor := row[col]:
-                row = [pivot[col] * x - factor * y for x, y in zip(row, pivot)]
-                g = gcd(*row)
-                work[k] = [x // g for x in row] if g > 1 else row
+        work = [_combination(pivot[col], row, row[col], pivot) if row[col] else row for row in work]
     return rank

@@ -5,6 +5,10 @@ a.x <= b and a.x == b.  A maximization is the minimum of the negated
 objective, with the value negated back; a sign constraint x_j >= 0 is
 the row -x_j <= 0.
 
+The equalities never reach the tableau: they are solved out first, in
+integers (presolve's first step), so every tableau row is an inequality
+with its own slack, and phase 1 runs only when a right-hand side is negative.
+
 Sparse tableau, Bland's smallest-index pivoting rule, so every run
 terminates and every comparison is exact.  A free x is split as x+ - x-, but
 row operations keep each x- column the negated x+ column, so only x+ is stored;
@@ -16,12 +20,12 @@ them all.  A pivot touches only the rows nonzero in its column, and in
 each only the pivot row's nonzero columns: integer products and one gcd
 per changed row rather than a Fraction normalization per entry.  A
 constraint enters as its primitive integer row over the magnitude of
-its leading coefficient (1 in an emptied row), the unit of its slack
-and artificial, so its tableau row is that of the row scaled to lead
-with 1 or -1.  The ratio test cross-multiplies, and values turn into
-Fractions only in the result.  Built for desk-scale linear programs
-(tens of rows); all the polyhedral certificates and the brute-force
-switching enumeration sit on top of it.
+its leading coefficient, the unit of its slack and artificial, so its
+tableau row is that of the row scaled to lead with 1 or -1.  The ratio
+test cross-multiplies, and values turn into Fractions only in the
+result.  Built for desk-scale linear programs (tens of rows); all the
+polyhedral certificates and the brute-force switching enumeration sit
+on top of it.
 """
 
 from __future__ import annotations
@@ -29,9 +33,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 from typing import Sequence
 
-from .rational import integer_row
+from .rational import _combination, integer_row
 
 __all__ = ["LPResult", "solve_linear_program"]
 
@@ -118,8 +123,8 @@ def _run(tableau: list[IntRow], basis: list[int], allowed: int, free: int) -> st
         _pivot(tableau, basis, leave, enter, free)
 
 
-def _cost_row(costs: dict[int, int], den: int, tableau: list[IntRow], basis: list[int], free: int) -> IntRow:
-    """The reduced costs of costs / den (stored) under the basis: costs
+def _cost_row(costs: dict[int, int], tableau: list[IntRow], basis: list[int], free: int) -> IntRow:
+    """The reduced costs of the integer costs (stored) under the basis: costs
     minus each basic row times its column's cost, in lowest terms."""
     nums, row_den = dict(costs), 1
     for (basic, basic_den), col in zip(tableau, basis):
@@ -127,7 +132,7 @@ def _cost_row(costs: dict[int, int], den: int, tableau: list[IntRow], basis: lis
         if cost := sign * costs.get(j, 0):
             common = lcm(row_den, basic_den)
             nums, row_den = _minus(nums, row_den, common // row_den, cost * (common // basic_den), basic)
-    return _reduced(nums, row_den * den)
+    return _reduced(nums, row_den)
 
 
 def solve_linear_program(
@@ -135,81 +140,97 @@ def solve_linear_program(
 ) -> LPResult:
     """Minimize objective . x over free x subject to {a.x <= b} and {a.x == b} rows.
 
-    Each free variable is split internally into two nonnegative columns.
     Every coefficient and right-hand side must be an int or a Fraction; a
     float or bool raises ValueError naming its row and column, and a row
-    or objective not n_vars wide one naming the row.  Each row is read in
-    its primitive integer form, so a row and its positive multiples give
-    the same tableau and pivot path.
+    or objective not n_vars wide one naming the row.  Each row is read once,
+    as its primitive integer row, so a row and its positive multiples give
+    the same tableau and pivot path.  In order, each equality, the columns of
+    those before it gone, is solved for its first nonzero column, taken
+    positive so every inequality keeps its sense: a fraction-free combination
+    clears that column from every other row and the objective.  A row left
+    with no coefficient is dropped, or makes the LP infeasible if it fails.
     Returns an exact optimal value and a witness point, or the
-    infeasible/unbounded status.
+    infeasible/unbounded status.  The point is the vertex Bland's rule reaches
+    on the inequalities left, the eliminated columns back-substituted; at a
+    non-unique optimum a tableau holding the equalities may reach another.
     """
-    def scaled(coeffs: Sequence[Fraction], rhs: Fraction, where: str) -> tuple[list[int], int]:
+    def scaled(coeffs: Sequence[Fraction | int], rhs: Fraction | int, where: str) -> tuple[int, ...]:
         if len(coeffs) != n_vars:
             raise ValueError(f"{where}: width {len(coeffs)}, expected {n_vars}")
-        return integer_row(coeffs, rhs, where)
+        nums, b = integer_row(coeffs, rhs, where)
+        return (*nums, b)
 
-    # the objective's numerators over their least common denominator
-    obj, obj_den = scaled(objective, 1, "the objective")
+    # the objective as the row obj . x - 0, over a positive factor: the value is read from the point
+    obj = scaled(objective, 0, "the objective")
+    rows = [scaled(a, b, f"inequality {i}") for i, (a, b) in enumerate(ineqs)] + [obj]
+    pending = [scaled(a, b, f"equality {i}") for i, (a, b) in enumerate(eqs)]
+    solved = []
+    while pending:
+        eq = pending.pop(0)
+        if (j := next((j for j, v in enumerate(eq[:-1]) if v), None)) is None:
+            if eq[-1]:
+                return LPResult("infeasible")
+            continue
+        eq = eq if eq[j] > 0 else tuple(-v for v in eq)
+        for group in (rows, pending):
+            group[:] = [_combination(eq[j] // (g := gcd(eq[j], row[j])), row, row[j] // g, eq) if row[j] else row
+                        for row in group]
+        solved.append((j, eq))
+    # the eliminated columns are zero in every row left, so each stays primitive
+    left = sorted(set(range(n_vars)) - {j for j, _ in solved})
+    *rows, (obj, _) = [([row[j] for j in left], row[-1]) for row in rows]
+    if any(b < 0 and not any(a) for a, b in rows):
+        return LPResult("infeasible")
+    rows = [(a, b) for a, b in rows if any(a)]
 
-    # columns: x split in two (x- not stored), one slack per inequality, one artificial
-    # per row whose slack cannot start basic (an equality, or a negative rhs)
-    n_slack = len(ineqs)
-    rows = []
-    for i, (coeffs, b) in enumerate((*ineqs, *eqs)):
-        where = f"inequality {i}" if i < n_slack else f"equality {i - n_slack}"
-        rows.append((*scaled(coeffs, b, where), i < n_slack))
-    total_structural = 2 * n_vars + n_slack
-    n_art = sum(1 for _, b, is_ineq in rows if b < 0 or not is_ineq)
+    # columns: x split in two (x- not stored), one slack per row, one artificial
+    # per row whose slack cannot start basic (a negative rhs)
+    n, m = len(left), len(rows)
+    total_structural = 2 * n + m
     tableau: list[IntRow] = []
     basis: list[int] = []
     next_art = total_structural
-    for i, (nums, b, is_ineq) in enumerate(rows):
-        unit = next((abs(v) for v in nums if v), 1)  # of the slack and artificial
+    for i, (nums, b) in enumerate(rows):
+        unit = next(abs(v) for v in nums if v)  # of the slack and artificial
         row = {k: v for k, v in enumerate(nums) if v}
         if b:
             row[-1] = b
-        if is_ineq:
-            row[n_vars + i] = unit
+        row[n + i] = unit
         if b < 0:
             row = {k: -v for k, v in row.items()}
-        if is_ineq and b >= 0:
-            basis.append(2 * n_vars + i)
-        else:
-            row[next_art - n_vars] = unit
+            row[next_art - n] = unit
             basis.append(next_art)
             next_art += 1
+        else:
+            basis.append(2 * n + i)
         tableau.append((row, unit))
-    m = len(rows)
 
-    if n_art:
+    if next_art > total_structural:
         # phase 1: drive the artificial sum to zero
-        artificials = dict.fromkeys(range(n_vars + n_slack, n_vars + n_slack + n_art), 1)
-        tableau.append(_cost_row(artificials, 1, tableau, basis, n_vars))
-        _run(tableau, basis, total_structural, n_vars)  # artificials may not re-enter
+        artificials = dict.fromkeys(range(n + m, next_art - n), 1)
+        tableau.append(_cost_row(artificials, tableau, basis, n))
+        _run(tableau, basis, total_structural, n)  # artificials may not re-enter
         if tableau[-1][0].get(-1):
             return LPResult("infeasible")
         tableau.pop()
-        # pivot lingering zero-value artificials out where possible
+        # a lingering zero-value artificial leaves on the first nonzero x+ or slack
+        # entry of its row, which every row has since each has its own slack
         for i in range(m):
             if basis[i] >= total_structural:
-                j = min((j for j in tableau[i][0] if 0 <= j < n_vars + n_slack), default=None)
-                if j is not None:
-                    _pivot(tableau, basis, i, j if j < n_vars else j + n_vars, n_vars)
-        keep = [i for i in range(m) if basis[i] < total_structural]
-        tableau = [tableau[i] for i in keep]
-        basis = [basis[i] for i in keep]
-        m = len(basis)
+                j = min(j for j in tableau[i][0] if 0 <= j < n + m)
+                _pivot(tableau, basis, i, j if j < n else j + n, n)
 
-    # phase 2: the real objective, whose numerators sit over obj_den
-    tableau.append(_cost_row({k: v for k, v in enumerate(obj) if v}, obj_den, tableau, basis, n_vars))
-    if _run(tableau, basis, total_structural, n_vars) == "unbounded":
+    # phase 2: the real objective
+    tableau.append(_cost_row({k: v for k, v in enumerate(obj) if v}, tableau, basis, n))
+    if _run(tableau, basis, total_structural, n) == "unbounded":
         return LPResult("unbounded")
 
-    point = [Fraction(0)] * n_vars
+    x = dict.fromkeys(left, Fraction(0))
     for (nums, den), col in zip(tableau, basis):
-        if col < 2 * n_vars:
-            j, sign = _stored(col, n_vars)
-            point[j] = Fraction(sign * nums.get(-1, 0), den)
-    nums, den = tableau[-1]  # the cost row, whose right-hand side is minus the value
-    return LPResult("optimal", Fraction(-nums.get(-1, 0), den), tuple(point))
+        if col < 2 * n:
+            j, sign = _stored(col, n)
+            x[left[j]] = Fraction(sign * nums.get(-1, 0), den)
+    for j, eq in reversed(solved):
+        x[j] = Fraction(eq[-1] - sum(v * x[k] for k, v in enumerate(eq[:-1]) if v and k != j), eq[j])
+    point = tuple(x[j] for j in range(n_vars))
+    return LPResult("optimal", sum(map(mul, objective, point), Fraction(0)), point)

@@ -14,7 +14,10 @@ walks both ends of each non-tree line to the root, the cycle split
 that walks each arc on its own, the level-by-level BFS that
 ``Network.tree`` replaced, which the root-walk basis and the spanning
 tree below are built on, and the Fraction elimination that
-``matrix_rank``'s integer one replaced.  The
+``matrix_rank``'s integer one replaced.  The dense simplex keeps its
+artificial column per equality, the reference the equality elimination in
+front of the kernel is checked against; a Fraction mirror of that front
+feeds it the reduced LP.  The
 helpers only tests call (a Fraction dot product, the LP over a
 polytope, the BFS spanning tree, a network with every line fixed) live
 here too.
@@ -693,3 +696,61 @@ def dense_solve_linear_program(
     point = tuple(values[j] - values[n_vars + j] for j in range(n_vars))
     value = sum((c * x for c, x in zip(obj, point)), Fraction(0))
     return LPResult("optimal", value, point)
+
+
+def eliminate_equalities(
+    n_vars: int, ineqs: Sequence[Row], eqs: Sequence[Row], objective: Sequence[Fraction]
+) -> tuple[list[int], list[Row], list[int], list[tuple[int, list[Fraction], Fraction]]] | None:
+    """solve_linear_program's front in Fractions: in order, each equality is
+    divided by its entry at its first nonzero column and substituted into the
+    rows after it, the inequalities and the objective.  Returns the columns
+    left, the inequalities over them that keep a coefficient, the objective
+    over them and each (column, equality) solved, in order; None when an
+    equality 0 = c != 0 or an inequality 0 <= b < 0 is left.  The objective,
+    c . x - d after the substitutions, is returned as the kernel reads it, the
+    primitive integer row of (c, d) without d, a positive multiple of it."""
+    rows = [([Fraction(c) for c in a], Fraction(b)) for a, b in ineqs]
+    pending = [([Fraction(c) for c in a], Fraction(b)) for a, b in eqs]
+    obj = ([Fraction(c) for c in objective], Fraction(0))
+    solved = []
+    while pending:
+        a, b = pending.pop(0)
+        j = next((j for j, v in enumerate(a) if v), None)
+        if j is None:
+            if b:
+                return None
+            continue
+        a, b = [v / a[j] for v in a], b / a[j]
+
+        def substitute(c: list[Fraction], d: Fraction) -> tuple[list[Fraction], Fraction]:
+            return [ck - c[j] * ak for ck, ak in zip(c, a)], d - c[j] * b
+
+        rows, pending = [substitute(*row) for row in rows], [substitute(*row) for row in pending]
+        obj = substitute(*obj)
+        solved.append((j, a, b))
+    left = sorted(set(range(n_vars)) - {j for j, _, _ in solved})
+    rows = [([c[j] for j in left], d) for c, d in rows]
+    if any(d < 0 and not any(c) for c, d in rows):
+        return None
+    objective, _ = integer_row([obj[0][j] for j in left], obj[1], "the objective")
+    return left, [(c, d) for c, d in rows if any(c)], objective, solved
+
+
+def eliminated_solve_linear_program(
+    n_vars: int, ineqs: Sequence[Row], eqs: Sequence[Row], objective: Sequence[Fraction]
+) -> LPResult:
+    """The Fraction mirror of solve_linear_program: eliminate_equalities, the
+    reduced LP on dense_solve_linear_program, then the eliminated columns
+    back-substituted in reverse order; the value is the objective there."""
+    reduced = eliminate_equalities(n_vars, ineqs, eqs, objective)
+    if reduced is None:
+        return LPResult("infeasible")
+    left, rows, obj, solved = reduced
+    result = dense_solve_linear_program(len(left), rows, [], obj)
+    if result.status != "optimal":
+        return result
+    x = dict(zip(left, result.point))
+    for j, a, b in reversed(solved):
+        x[j] = b - sum((a[k] * x[k] for k in range(n_vars) if k != j and a[k]), Fraction(0))
+    point = tuple(x[j] for j in range(n_vars))
+    return LPResult("optimal", sum((Fraction(c) * v for c, v in zip(objective, point)), Fraction(0)), point)

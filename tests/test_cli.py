@@ -271,13 +271,14 @@ def test_cuts_point_missing_entries(capsys, tmp_path, kind, extra, omit, message
     assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
-def fig1_cut(kind, big_m=None, **fields):
+def fig1_cut(kind, big_m=None, ends=("i0", "i3"), **fields):
     """A cut line on fig1's six-cycle with some fields replaced; a cpvi
-    for (i0, i3), built with global M unless big_m is given."""
+    for (i0, i3) unless other ends are given, built with global M unless
+    big_m is given."""
     net = load_network((DATA / "fig1.json").read_bytes())
     cycle = fundamental_cycle_basis(net)[0]
     if kind == "cpvi":
-        obj = cpvi_to_json(build_cpvi(split_cycle(net, cycle, "i0", "i3"), big_m or global_big_m(net)))
+        obj = cpvi_to_json(build_cpvi(split_cycle(net, cycle, *ends), big_m or global_big_m(net)))
     else:
         obj = cvi_to_json(build_cvi(net, cycle, [1, 2, 4, 5]))
     obj.update(fields)
@@ -330,6 +331,9 @@ MALFORMED_CASES = [
     ("emit", "cuts.jsonl", fig1_cut("cpvi", pair=["i0", "zz"]), "'pair'"),
     # the longer arc's weight, below global M and the pair bound (both 6)
     ("emit", "cuts.jsonl", fig1_cut("cpvi", big_m=3), "'big_m' 3 is below the bound 6 on pair i0-i3"),
+    # below the longer arc's weight 4, which build_cpvi refuses for library callers
+    ("emit", "cuts.jsonl", json.dumps({**json.loads(fig1_cut("cpvi", ends=("i0", "i2"))), "big_m": "3"}) + "\n",
+     "cpvi cut: 'big_m': big-M 3 is below the longer-path weight 4 for pair ('i0', 'i2')"),
     ("cuts", "pt.json", '{"theta": {}, "y": {"x": "1"}}', "'y' key 'x'"),
     ("cuts", "pt.json", '{"theta": {}, "y": {"-1": "1"}}', "'y' key '-1'"),
     ("cuts", "pt.json", '{"theta": {}, "y": {"6": "1"}}', "'y' line index 6 out of range"),
@@ -387,6 +391,7 @@ MALFORMED_IDS = [
     "cut-pair-string",
     "cut-pair-off-cycle",
     "cut-big-m-below-pair-bound",
+    "cut-big-m-below-longer-arc",
     "point-y-key-name",
     "point-y-key-negative",
     "point-y-key-out-of-range",

@@ -59,6 +59,8 @@ ENTRY_POINTS = {
     "matrix_rank": lambda v: matrix_rank([[1, 0], [0, v]]),
     "HPolytope": lambda v: HPolytope((((1, v), 1),), 2),
     "solve_linear_program": lambda v: solve_linear_program(1, [([1], 1), ([-1], 0)], [], [v]),
+    # an equality elimination consumes is still read, and refused, as equality 0
+    "solve_linear_program equality": lambda v: solve_linear_program(1, [], [([v], 1)], [0]),
     "FractionalPoint": lambda v: FractionalPoint({"a": v}, {}),
     "SeparationConfig": lambda v: SeparationConfig(tolerance=v),
     "MilpModel.add_variable": lambda v: MilpModel().add_variable("x", "continuous", 0, v),

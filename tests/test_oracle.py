@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from anglecuts import oracle, simplex
 from anglecuts.cuts import build_cpvi, cpvi_from_json, cpvi_to_json, cvi_from_json, cvi_to_json
 from anglecuts.errors import AllPatternsInfeasibleError, CapExceededError, UnboundedError
-from anglecuts.extended import build_extended
+from anglecuts.extended import build_extended, eliminate
 from anglecuts.graph import fundamental_cycle_basis, split_cycle
 from anglecuts.milp import MilpModel, build_dcots, dcots_names, fixed_topology, lp_text
 from anglecuts.oracle import (
@@ -41,6 +41,7 @@ from anglecuts.rational import format_rational, matrix_rank
 from _brute import (
     InfeasibleError,
     brute_vertices,
+    dense_solve_linear_program,
     dot,
     fraction_matrix_rank,
     fraction_vertices,
@@ -543,6 +544,44 @@ def test_candidate_hull_rejects_an_unknown_name(fig1, fig1_pair):
         candidate_hull(fig1_pair, build_extended(fig1_pair, F(6)), "complete")
 
 
+def pair_model(pair, angle_rows):
+    """The pair space as a model, the lifted model's names and order: the
+    angle difference (free), then y in cycle-line order, each in [0, 1],
+    then for each (name, slopes, rhs) the rows +-dtheta + slopes . y <= rhs
+    as <name>_hi and <name>_lo."""
+    model = MilpModel()
+    model.add_variable("dtheta", "continuous", None, None)
+    for line in pair.cycle.lines:
+        model.add_variable(f"y_{line}", "continuous", 0, 1)
+    for name, slopes, rhs in angle_rows:
+        terms = [(f"y_{line}", c) for line, c in slopes.items()]
+        for sign, side in ((1, "hi"), (-1, "lo")):
+            model.add_constraint(f"{name}_{side}", [("dtheta", sign), *terms], "<=", rhs)
+    return model
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(st.integers(0, 2**32))
+def test_pair_polytopes_are_their_models_read_back(seed):
+    """On a seeded net, cycle, pair and big-M, the relaxation and every hull
+    candidate, written as integer rows, equal model_polytope of the model of
+    the same rows, the polytope they were read from before."""
+    rng = random.Random(seed)
+    net = random_net(seed)
+    cycle = rng.choice(fundamental_cycle_basis(net))
+    pair = split_cycle(net, cycle, *rng.sample(list(cycle.buses), 2))
+    big_m = pair.longer.total_weight + rng.choice((0, F(1, 2), rng.randint(1, 5)))
+    rows = []
+    for arc, path in (("short", pair.shorter), ("long", pair.longer)):
+        slopes = {line: big_m - net.lines[line].weight for line in path.lines}
+        rows.append((arc, slopes, path.total_weight + sum(slopes.values(), F(0))))
+    assert pair_relaxation(net, pair, big_m) == model_polytope(pair_model(pair, [*rows, ("fallback", {}, big_m)]))
+    lifted = build_extended(pair, big_m)
+    for name, branches in HULL_CANDIDATES.items():
+        model = pair_model(pair, [(f"branch_{k}", *eliminate(pair, lifted, linked)) for k, linked in enumerate(branches)])
+        assert candidate_hull(pair, lifted, name) == model_polytope(model)
+
+
 def test_hull_equality_trivial_box_fails(fig1_relax):
     size = 6
     rows = []
@@ -838,29 +877,41 @@ def test_brute_force_pivot_path_pinned(request, monkeypatch, name):
 
 
 def test_brute_force_hands_the_simplex_no_equality_and_no_pinned_column(monkeypatch, fig1):
-    """brute_force_dcots(fig1) gives solve_linear_program no equality row, and
-    no variable its bounds pin (the g of the four buses with gen_max 0) is a
-    column of its LP."""
-    calls, lps = [], []
-    solve = oracle.solve_linear_program
+    """No tableau brute_force_dcots(fig1) builds holds an artificial column
+    for an equality: in every run each row has its own slack (the columns
+    that may enter are x+, x- and one slack per row), and as built a row
+    holds an artificial exactly when its slack enters negated, one each.
+    The balance rows are solved out, so fewer columns than the LP's reach
+    the tableau, and no variable its bounds pin (the g of the four buses
+    with gen_max 0) is a column of its LP."""
+    lps, seen, runs = [], [], []
+    run = simplex._run
 
-    def record(n, ineqs, eqs, objective):
-        calls.append((n, list(eqs)))
-        return solve(n, ineqs, eqs, objective)
+    def record(tableau, basis, allowed, free):
+        rows = tableau[:-1]
+        built = not any(t is tableau for t in seen)  # an LP's first run sees its rows as built
+        seen.append(tableau)
+        runs.append((allowed == 2 * free + len(rows), free, [
+            (nums.get(free + i, 0), [k for k in nums if k >= free + len(rows)]) for i, (nums, _) in enumerate(rows)
+        ] if built else []))
+        return run(tableau, basis, allowed, free)
 
     class Recorded(ModelLP):
         def __init__(self, *args):
             super().__init__(*args)
             lps.append(self)
 
-    monkeypatch.setattr(oracle, "solve_linear_program", record)
+    monkeypatch.setattr(simplex, "_run", record)
     monkeypatch.setattr(oracle, "ModelLP", Recorded)
     brute_force_dcots(fig1)
     pinned = {var.name for var in build_dcots(fig1).variables if var.lower is not None and var.lower == var.upper}
     assert pinned == {"g_i1", "g_i2", "g_i3", "g_i5"}
     (lp,) = lps
     assert not pinned & set(lp.columns)
-    assert calls and all(eqs == [] and n <= len(lp.columns) for n, eqs in calls)
+    assert runs and any(built for _, _, built in runs)
+    for own_slacks, free, built in runs:
+        assert own_slacks and free < len(lp.columns)
+        assert all(slack and len(artificials) == (slack < 0) for slack, artificials in built)
 
 
 def dispatch_net(seed):
@@ -890,7 +941,8 @@ def test_eliminated_solve_matches_the_full_lp(seed):
     demands, generators, buses of gen_max 0 and infeasible patterns, plain and
     with every basis cpvi and cvi.  For every pattern, on the unreduced rows of
     ModelLP.rows and ModelLP.bounds (every row appended, every pinned variable
-    a column), _solve_eliminated and solve_linear_program agree in status and
+    a column), solve_linear_program and the dense reference that keeps the
+    equalities as rows, each with its artificial column, agree in status and
     value, and _pattern_optima, which also substitutes the pinned variables,
     yields the pattern exactly when it is optimal, with that value.  Both
     points satisfy every row and equality, and where the optimum is unique
@@ -912,8 +964,8 @@ def test_eliminated_solve_matches_the_full_lp(seed):
         for bits in itertools.product((1, 0), repeat=len(switchable)):
             ineqs, eqs = lp.rows(bits)
             ineqs = lp.bounds + ineqs
-            full = simplex.solve_linear_program(n, ineqs, eqs, lp.objective)
-            reduced = oracle._solve_eliminated(n, ineqs, eqs, lp.objective)
+            full = dense_solve_linear_program(n, ineqs, eqs, lp.objective)
+            reduced = simplex.solve_linear_program(n, ineqs, eqs, lp.objective)
             assert (reduced.status, reduced.value) == (full.status, full.value)
             if full.status != "optimal":
                 assert bits not in optima

@@ -12,7 +12,8 @@ from anglecuts.rational import integer_row
 from anglecuts.simplex import LPResult, _pivot, solve_linear_program
 
 import _brute
-from _brute import dense_pivot, dense_solve_linear_program, dot, fraction_vertices, rational_simplex
+from _brute import (dense_pivot, dense_solve_linear_program, dot, eliminate_equalities, eliminated_solve_linear_program,
+                    fraction_vertices, rational_simplex)
 
 
 def test_min_with_lower_bound():
@@ -77,7 +78,9 @@ def test_exact_fractions_survive():
     (dict(ineqs=[([F(1)], F(1))], eqs=[([F(1)], 1.0)]), "equality 0, the right-hand side"),
     (dict(ineqs=[([True], F(1))]), "inequality 0, column 0"),
     (dict(ineqs=[([F(1)], F(1))], objective=[0.25]), "the objective, column 0"),
-], ids=["float-coefficient", "float-rhs", "bool-coefficient", "float-objective"])
+    # an equality that elimination consumes is read first
+    (dict(ineqs=[], eqs=[([True], F(1))]), "equality 0, column 0"),
+], ids=["float-coefficient", "float-rhs", "bool-coefficient", "float-objective", "bool-equality-coefficient"])
 def test_refuses_inexact_entries(lp, message):
     with pytest.raises(ValueError, match=message):
         solve_linear_program(1, **{"eqs": [], "objective": [F(0)], **lp})
@@ -187,10 +190,10 @@ def fraction_tableau(tableau, width):
     return [[F(v, den) for v in dense_row(nums, width)] for nums, den in tableau]
 
 
-def stored_width(n_vars, ineqs, eqs):
-    """The width of an LP's stored tableau: x+, one slack per inequality, one
-    artificial per equality or negative right-hand side, the right-hand side."""
-    return n_vars + len(ineqs) + sum(b < 0 for _, b in ineqs) + len(eqs) + 1
+def stored_width(n_vars, ineqs):
+    """The width of the stored tableau of inequalities: x+, one slack per row,
+    one artificial per negative right-hand side, the right-hand side."""
+    return n_vars + len(ineqs) + sum(b < 0 for _, b in ineqs) + 1
 
 
 @given(tableaux())
@@ -248,47 +251,57 @@ def linear_programs(draw):
 # the maximum of x0 over x0 - x1 <= 1 and x >= 0
 @example(dict(n_vars=2, ineqs=[([F(1), F(-1)], F(1)), *sign_rows(2)], eqs=[], objective=[F(-1), F(0)]))
 def test_solver_matches_dense_reference(lp):
-    assert solve_linear_program(**lp) == dense_solve_linear_program(**lp)
+    # the kernel is its Fraction mirror, equalities solved out first, to the
+    # point; the artificial-column reference, which keeps the equalities as
+    # rows, may reach another point of a non-unique optimum, but not another
+    # status or value
+    result = solve_linear_program(**lp)
+    assert result == eliminated_solve_linear_program(**lp)
+    reference = dense_solve_linear_program(**lp)
+    assert (result.status, result.value) == (reference.status, reference.value)
 
 
 @settings(max_examples=200)
 @given(linear_programs())
 def test_stored_tableau_is_the_split_tableau_without_its_negative_parts(lp):
-    # after every pivot, the kernel's tableau is the dense reference's split
-    # tableau with the x- block removed, and that block is the negated x+ block
+    # after every pivot, the kernel's tableau is the split tableau of the
+    # dense reference on the mirror's reduced LP with the x- block removed,
+    # and that block is the negated x+ block
     stored, dense = [], []
+    reduced = eliminate_equalities(**lp)
+    left, ineqs = reduced[:2] if reduced else ([], [])
 
     def record_stored(tableau, basis, row, col, free):
         pivot(tableau, basis, row, col, free)
-        stored.append((fraction_tableau(tableau, stored_width(lp["n_vars"], lp["ineqs"], lp["eqs"])), list(basis)))
+        stored.append((fraction_tableau(tableau, stored_width(len(left), ineqs)), list(basis)))
 
     def record_dense(tableau, basis, row, col):
         reference_pivot(tableau, basis, row, col)
-        dense.append((stored_half(tableau, lp["n_vars"]), list(basis)))
+        dense.append((stored_half(tableau, len(left)), list(basis)))
 
     pivot, reference_pivot = simplex._pivot, _brute.dense_pivot
     with mock.patch.object(simplex, "_pivot", record_stored), mock.patch.object(_brute, "dense_pivot", record_dense):
-        assert solve_linear_program(**lp) == dense_solve_linear_program(**lp)
+        result = solve_linear_program(**lp)
+        assert result == eliminated_solve_linear_program(**lp)
     assert stored == dense
+    reference = dense_solve_linear_program(**lp)
+    assert (result.status, result.value) == (reference.status, reference.value)
 
 
 # -- a row enters the tableau over its leading coefficient ---------------------
 
 
-def lead_scaled_tableau_row(coeffs, rhs, is_ineq):
-    """The one-row tableau of coeffs . x <= rhs (or == rhs) over free x,
-    built from the row divided by the magnitude of its leading
-    coefficient: the stored columns of x's positive parts (the negative
-    parts are their negation and not stored), slack, artificial,
-    right-hand side, as integer numerators over their least common
-    denominator.  An emptied row's leading entry is its right-hand
-    side, since its primitive row is (0, ..., 0, +-1)."""
-    lead = abs(next((v for v in (*coeffs, rhs) if v), 1))
+def lead_scaled_tableau_row(coeffs, rhs):
+    """The one-row tableau of coeffs . x <= rhs over free x, built from the
+    row divided by the magnitude of its leading coefficient: the stored
+    columns of x's positive parts (the negative parts are their negation
+    and not stored), slack, artificial, right-hand side, as integer
+    numerators over their least common denominator."""
+    lead = abs(next(v for v in coeffs if v))
     coeffs, rhs = [F(c) / lead for c in coeffs], F(rhs) / lead
-    row = coeffs + ([F(1)] if is_ineq else []) + [rhs]
+    row = coeffs + [F(1), rhs]
     if rhs < 0:
         row = [-v for v in row]
-    if rhs < 0 or not is_ineq:
         row.insert(-1, F(1))  # the artificial
     den = lcm(*(v.denominator for v in row))
     return [int(v * den) for v in row], den
@@ -302,20 +315,25 @@ def lead_scaled_tableau_row(coeffs, rhs, is_ineq):
 @example([F(0)], F(0), True)  # 0 <= 0
 def test_tableau_row_is_the_row_over_its_leading_coefficient(coeffs, rhs, is_ineq):
     # the kernel reads the primitive row and sets its slack and artificial in
-    # units of the leading coefficient, so every positive multiple of a row,
-    # the row scaled to lead with 1 or -1 among them, gives one tableau row
-    # and one pivot path
+    # units of the leading coefficient, so every positive multiple of an
+    # inequality, the row scaled to lead with 1 or -1 among them, gives one
+    # tableau row and one pivot path; an equality is solved out and a row
+    # with no coefficient settles the status, so neither becomes a tableau row
     built = []
     run = simplex._run
 
     def record(tableau, basis, allowed, free):
-        if not built:  # the first run sees the rows as built
-            nums, unit = tableau[0]
-            built.append((dense_row(nums, stored_width(len(coeffs), *lp)), unit))
+        # each run's rows, the cost row aside; the first run sees them as built
+        built.append([(dense_row(nums, stored_width(len(coeffs), row)), den) for nums, den in tableau[:-1]])
         return run(tableau, basis, allowed, free)
 
     row = [(coeffs, rhs)]
     lp = (row, []) if is_ineq else ([], row)
     with mock.patch.object(simplex, "_run", record):
-        solve_linear_program(len(coeffs), *lp, [0] * len(coeffs))
-    assert built[0] == lead_scaled_tableau_row(coeffs, rhs, is_ineq)
+        result = solve_linear_program(len(coeffs), *lp, [0] * len(coeffs))
+    if is_ineq and any(coeffs):
+        assert built[0] == [lead_scaled_tableau_row(coeffs, rhs)]
+    else:
+        assert all(rows == [] for rows in built)
+        fails = not any(coeffs) and (rhs < 0 if is_ineq else rhs != 0)
+        assert result.status == ("infeasible" if fails else "optimal")
