@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import sys
 from fractions import Fraction
@@ -29,7 +30,7 @@ from .errors import AngleCutsError, CapExceededError, ParseError, ValidationErro
 from .extended import build_extended, project_to_cpvi
 from .graph import all_simple_cycles, fundamental_cycle_basis, split_cycle
 from .milp import build_dcots, lp_text, merge_models
-from .network import line_index, load_network
+from .network import line_index, load_network, read_json
 from .oracle import (
     HULL_CANDIDATES,
     candidate_hull,
@@ -71,34 +72,34 @@ def _load_net(path: str):
 
 def _line_values(doc: dict, name: str, net) -> dict[int, Fraction]:
     """A point-file object keyed by line index, such as 'y' or 'f'."""
-    values, where = {}, f"point file: {name!r}"
+    values = {}
     for key, value in doc[name].items():
-        if (line := line_index(key, where)) >= len(net.lines):
-            raise ParseError(f"{where} line index {key} out of range")
+        if (line := line_index(key, repr(name))) >= len(net.lines):
+            raise ParseError(f"{name!r} line index {key} out of range")
         values[line] = parse_rational(value, f"{name}[{key}]")
     return values
 
 
 def _load_point(path: str, net) -> FractionalPoint:
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
-            doc = json.load(handle)
-        except (ValueError, RecursionError) as exc:  # see network.load_network
-            raise ParseError(f"point file: malformed JSON: {exc}") from exc
-    if not isinstance(doc, dict) or "theta" not in doc or "y" not in doc:
-        raise ParseError("point file must be an object with 'theta' and 'y'")
-    for name in ("theta", "y", "f"):
-        value = doc.get(name)
-        if not isinstance(value, dict) and not (name == "f" and value is None):
-            raise ParseError(f"point file: {name!r} must be an object")
-    theta = {}
-    for bus, value in doc["theta"].items():
-        if bus not in net.bus_index:
-            raise ParseError(f"point file: unknown bus {bus!r}")
-        theta[bus] = parse_rational(value, f"theta[{bus}]")
-    y = _line_values(doc, "y", net)
-    flows = None if doc.get("f") is None else _line_values(doc, "f", net)
-    return FractionalPoint(theta=theta, y=y, f=flows)
+    try:
+        with open(path, "rb") as handle:
+            doc = read_json(handle, "point")
+        if not isinstance(doc, dict) or "theta" not in doc or "y" not in doc:
+            raise ParseError("must be an object with 'theta' and 'y'")
+        for name in ("theta", "y", "f"):
+            value = doc.get(name)
+            if not isinstance(value, dict) and not (name == "f" and value is None):
+                raise ParseError(f"{name!r} must be an object")
+        theta = {}
+        for bus, value in doc["theta"].items():
+            if bus not in net.bus_index:
+                raise ParseError(f"unknown bus {bus!r}")
+            theta[bus] = parse_rational(value, f"theta[{bus}]")
+        y = _line_values(doc, "y", net)
+        flows = None if doc.get("f") is None else _line_values(doc, "f", net)
+        return FractionalPoint(theta=theta, y=y, f=flows)
+    except (ParseError, ValueError) as exc:
+        raise ParseError(f"point file: {exc}") from exc
 
 
 def cmd_validate(args) -> int:
@@ -168,17 +169,15 @@ def cmd_emit(args) -> int:
     cpvis, cvis = [], []
     if args.cuts:
         global_m = global_big_m(net)
-        with open(args.cuts, "r", encoding="utf-8") as handle:
-            for number, raw in enumerate(handle, 1):
-                raw = raw.strip()
-                if not raw:
-                    continue
-                try:
-                    obj = json.loads(raw)
-                except (ValueError, RecursionError) as exc:  # see network.load_network
-                    raise ParseError(f"cuts file: line {number}: malformed JSON: {exc}") from exc
+        with open(args.cuts, "rb") as handle:
+            raws = handle.read().splitlines()  # at \n, \r\n and \r, as in text mode
+        for number, raw in enumerate(raws, 1):
+            if not (raw := raw.strip()):
+                continue
+            try:
+                obj = read_json(raw, "cut")
                 if not isinstance(obj, dict):
-                    raise ParseError(f"cuts file: line {number} is not a JSON object")
+                    raise ParseError("not a JSON object")
                 if obj.get("kind") == "cpvi":
                     cut = cpvi_from_json(net, obj)
                     # below the global M, the stored big_m must still bound
@@ -186,24 +185,22 @@ def cmd_emit(args) -> int:
                     if cut.big_m < global_m:
                         floor = pair_bound(net, *cut.pair.pair)[0]
                         if cut.big_m < floor:
-                            raise ParseError(
-                                f"cuts file: line {number}: 'big_m' {format_rational(cut.big_m)} is below "
-                                f"the bound {format_rational(floor)} on pair {'-'.join(cut.pair.pair)}"
-                            )
+                            raise ParseError(f"'big_m' {format_rational(cut.big_m)} is below "
+                                             f"the bound {format_rational(floor)} on pair {'-'.join(cut.pair.pair)}")
                     cpvis.append(cut)
                 elif obj.get("kind") == "cvi":
                     cvis.append(cvi_from_json(net, obj))
                 else:
-                    raise ParseError(f"cuts file: unknown cut kind {obj.get('kind')!r}")
+                    raise ParseError(f"unknown cut kind {obj.get('kind')!r}")
+            except (ParseError, ValueError) as exc:
+                raise ParseError(f"cuts file: line {number}: {exc}") from exc
     model = build_dcots(net, bigm=args.bigm, cpvis=cpvis, cvis=cvis)
     if args.embed_extended:
         big_m = global_big_m(net)
         for c_idx, cycle in enumerate(fundamental_cycle_basis(net)):
-            buses = list(cycle.buses)
-            for i in range(len(buses)):
-                for j in range(i + 1, len(buses)):
-                    pair = split_cycle(net, cycle, buses[i], buses[j])
-                    merge_models(model, build_extended(pair, big_m), f"ext_{c_idx}_{i}_{j}")
+            for (i, m), (j, n) in itertools.combinations(enumerate(cycle.buses), 2):
+                pair = split_cycle(net, cycle, m, n)
+                merge_models(model, build_extended(pair, big_m), f"ext_{c_idx}_{i}_{j}")
     _emit(lp_text(model), args.out)
     _say(f"{len(model.variables)} variables, {len(model.constraints)} rows")
     return EXIT_OK
@@ -219,30 +216,28 @@ def cmd_certify(args) -> int:
     for _, cycle in cycles:  # every run adjudicates hull equality: refuse an over-cap cycle before enumerating
         check_hull_cap(len(cycle.lines))
     for c_idx, cycle in cycles:
-        buses = list(cycle.buses)
-        for i in range(len(buses)):
-            for j in range(i + 1, len(buses)):
-                pair = split_cycle(net, cycle, buses[i], buses[j])
-                model = build_extended(pair, big_m)
-                cut = project_to_cpvi(pair, model)
-                relax = pair_relaxation(net, pair, big_m)
-                points = integer_points(relax)
-                checks = [
-                    (None, cpvi_validity_certificate(cut, points)),
-                    (None, facet_certificate(cut, points, relax)),
-                    (None, full_dimension_certificate(relax)),
-                    (None, local_idealness_certificate(model)),
-                ]
-                for name in names[:1] if args.strict_theorem2 else names[1:]:
-                    checks.append((name, hull_equality(points, relax, candidate_hull(pair, model, name))))
-                for variant, report in checks:
-                    entry = report.to_json()
-                    entry["cycle"] = c_idx
-                    entry["pair"] = list(pair.pair)
-                    if variant:
-                        entry["candidate"] = variant
-                    reports.append(entry)
-                    all_pass = all_pass and report.passed
+        for m, n in itertools.combinations(cycle.buses, 2):
+            pair = split_cycle(net, cycle, m, n)
+            model = build_extended(pair, big_m)
+            cut = project_to_cpvi(pair, model)
+            relax = pair_relaxation(net, pair, big_m)
+            points = integer_points(relax)
+            checks = [
+                (None, cpvi_validity_certificate(cut, points)),
+                (None, facet_certificate(cut, points, relax)),
+                (None, full_dimension_certificate(relax)),
+                (None, local_idealness_certificate(model)),
+            ]
+            for name in names[:1] if args.strict_theorem2 else names[1:]:
+                checks.append((name, hull_equality(points, relax, candidate_hull(pair, model, name))))
+            for variant, report in checks:
+                entry = report.to_json()
+                entry["cycle"] = c_idx
+                entry["pair"] = list(pair.pair)
+                if variant:
+                    entry["candidate"] = variant
+                reports.append(entry)
+                all_pass = all_pass and report.passed
     payload = json.dumps(reports, indent=2)
     _emit(payload, args.report)
     for entry in reports:

@@ -137,8 +137,8 @@ class SeparationConfig:
 
 def check_big_m(pair: CyclePathPair, big_m: Fraction) -> None:
     """Refuse a big-M below the pair's longer arc weight, under which its cut and lifted system are not valid."""
-    if big_m < pair.longer.total_weight:
-        raise InvalidBigMError(f"big-M {big_m} is below the longer-path weight {pair.longer.total_weight} for pair {pair.pair}")
+    if big_m < (weight := pair.longer.total_weight):
+        raise InvalidBigMError(f"big-M {big_m} is below the longer-path weight {weight} for pair {'-'.join(pair.pair)}")
 
 
 def build_cpvi(pair: CyclePathPair, big_m: Fraction) -> CutCPVI:

@@ -178,12 +178,12 @@ def build_dcots(
 
     g_name, t_name, f_name, y_name, tags = dcots_names(net)
     # names map other characters to '_' and join line ends with it, so two elements may get one name
-    line_labels = [f"{k} ({ln.from_bus!r}-{ln.to_bus!r})" for k, ln in enumerate(net.lines)]
-    for kind, labels, names in (("buses", map(repr, g_name), g_name.values()), ("lines", line_labels, f_name)):
-        first: dict[str, str] = {}
-        for label, name in zip(labels, names):
-            if first.setdefault(name, label) != label:
-                raise ValidationError(f"{kind} {first[name]} and {label} share the LP name {name!r}")
+    for kind, names, label in (("buses", list(g_name.values()), lambda i: repr(net.buses[i].id)),
+                               ("lines", f_name, lambda k: f"{k} ({net.lines[k].from_bus!r}-{net.lines[k].to_bus!r})")):
+        first: dict[str, int] = {}
+        for i, name in enumerate(names):
+            if (j := first.setdefault(name, i)) != i:
+                raise ValidationError(f"{kind} {label(j)} and {label(i)} share the LP name {name!r}")
 
     for bus in net.buses:
         model.add_variable(g_name[bus.id], "continuous", 0, bus.gen_max)
@@ -216,15 +216,9 @@ def build_dcots(
     # reference angle: only relative angles matter, pin the first bus
     model.add_constraint(f"ref_{_safe(net.buses[0].id)}", [(t_name[net.buses[0].id], 1)], "=", 0)
 
-    cycle_no: dict[tuple, int] = {}
-
-    def cycle_tag(lines: tuple) -> int:
-        if lines not in cycle_no:
-            cycle_no[lines] = len(cycle_no)
-        return cycle_no[lines]
-
+    cycle_no: dict[tuple, int] = {}  # each cycle's number, in order of first use
     for cut in cpvis:
-        c = cycle_tag(cut.pair.cycle.lines)
+        c = cycle_no.setdefault(cut.pair.cycle.lines, len(cycle_no))
         m, n = cut.pair.pair
         name = f"cpvi_{c}_{_safe(m)}_{_safe(n)}"
         angle = [(t_name[n], 1), (t_name[m], -1)]
@@ -232,7 +226,7 @@ def build_dcots(
         add_two_sided(f"{name}_hi", f"{name}_lo", angle, y_terms, cut.constant)
 
     for cut in cvis:
-        c = cycle_tag(cut.cycle.lines)
+        c = cycle_no.setdefault(cut.cycle.lines, len(cycle_no))
         digest = hashlib.sha256(",".join(map(str, cut.subset)).encode()).hexdigest()[:8]
         flows = [(f_name[line], sign * net.lines[line].reactance) for line, sign in cut.flow_signs]
         y_terms = [(y_name[line], -coeff) for line, coeff in cut.y_coeffs]

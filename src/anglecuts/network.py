@@ -5,7 +5,8 @@ other module treats it as immutable.  All electrical parameters are exact
 rationals (see the JSON schema in the README: decimal strings or "p/q").
 BUS_VALUES and LINE_VALUES name them for the parse, the sign checks and
 the JSON form.  Validation proves connectivity by building `Network.tree`,
-the spanning tree the cycle basis then grows from.
+the spanning tree the cycle basis then grows from.  `read_json` is the
+package's one JSON decoder, for every input document.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ __all__ = [
     "Network",
     "load_network",
     "network_to_json",
+    "read_json",
     "serialize_network",
 ]
 
@@ -129,17 +131,22 @@ def _line_error(k: int, line: Line, fault: str) -> ValidationError:
     return ValidationError(f"line {k} ({line.from_bus!r}-{line.to_bus!r}): {fault}")
 
 
-def _read_source(source) -> str:
+def read_json(source, what: str):
+    """The JSON value of a document of kind ``what`` given as bytes, text or a readable stream; a
+    ParseError for input not UTF-8, malformed JSON, an over-long integer literal or too-deep nesting."""
     try:
         if hasattr(source, "read"):
             source = source.read()
         if isinstance(source, bytes):
-            return source.decode("utf-8")
+            source = source.decode("utf-8")
     except UnicodeDecodeError as exc:
-        raise ParseError(f"network document is not UTF-8: {exc}") from exc
-    if isinstance(source, str):
-        return source
-    raise ParseError(f"unsupported network source of type {type(source).__name__}")
+        raise ParseError(f"{what} document is not UTF-8: {exc}") from exc
+    if not isinstance(source, str):
+        raise ParseError(f"unsupported {what} source of type {type(source).__name__}")
+    try:
+        return json.loads(source)
+    except (ValueError, RecursionError) as exc:
+        raise ParseError(f"malformed JSON: {exc}") from exc
 
 
 def load_network(source) -> Network:
@@ -149,11 +156,7 @@ def load_network(source) -> Network:
     the offending element) for semantic violations, including a
     disconnected graph.
     """
-    text = _read_source(source)
-    try:
-        doc = json.loads(text)
-    except (ValueError, RecursionError) as exc:  # bad JSON, an integer literal too long or nesting too deep
-        raise ParseError(f"malformed JSON: {exc}") from exc
+    doc = read_json(source, "network")
     if not isinstance(doc, dict):
         raise ParseError("top-level document must be an object")
 

@@ -11,9 +11,9 @@ The per-pair relaxation and every hull candidate are written as integer rows ove
 (angle difference, y), the lifted model's columns; a candidate's rows are elimination
 branches of the lifted model, which ``model_polytope`` reads.
 The certificates take the relaxation and its integer points, built once per pair.
-Every row, from ``ModelLP`` to ``HPolytope`` and the simplex, is a primitive
-integer row (``rational.integer_row``), read once per line state; vertices are
-integers (x, w), tested like the integer points in integers: Fractions only in witnesses.
+Every row is an integer row: ``ModelLP`` reads each once per line state and hands out a positive
+multiple, which the simplex, like ``HPolytope``, reads as its primitive row (``rational.integer_row``);
+vertices are integers (x, w), tested like the integer points in integers: Fractions only in witnesses.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import enum
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 from operator import mul
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -324,7 +324,7 @@ class ModelLP:
     closed, a y at 0 and 1), which overrides ``fixed``.  The columns, bound
     rows (q x <= p for a bound p/q, upper then lower), objective and each row
     are read once, a row as an integer vector plus a sparse one per state of
-    each switch it touches, over one denominator: all primitive integer rows."""
+    each switch it touches, over one denominator: all integer rows."""
 
     def __init__(self, model: MilpModel, fixed: Mapping | None = None, switches: Sequence[Sequence[Mapping]] = ()):
         switches = {None: (fixed or {},), **dict(enumerate(switches))}  # fixed: the one state of every read
@@ -358,18 +358,15 @@ class ModelLP:
 
     def rows(self, states: Sequence[int] = (), constraints: slice = slice(None)) -> tuple[list[Row], list[Row]]:
         """The '<=' and '=' rows among the model's rows at the given positions, switch k
-        in state states[k], each its vectors' sum over their gcd.  A row left with no
-        term is dropped when it holds; one that fails stays, so the LP is infeasible."""
+        in state states[k], each the sum of its integer vectors, a positive multiple of
+        the row, kept when left with no term: solve_linear_program settles that row."""
         ineqs, eqs = [], []
         for sense, row, touched in self._rows[constraints]:
             row = list(row)
             for k, parts in touched:
                 for j, v in parts[states[k]]:
                     row[j] += v
-            if any(row[:-1]) or row[-1] < 0 or (row[-1] and sense == "="):
-                if (g := gcd(*row)) > 1:
-                    row = [v // g for v in row]
-                (eqs if sense == "=" else ineqs).append((row[:-1], row[-1]))
+            (eqs if sense == "=" else ineqs).append((row[:-1], row[-1]))
         return ineqs, eqs
 
 

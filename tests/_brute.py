@@ -505,8 +505,8 @@ def model_rows(columns: Mapping[str, int], constraints, subst: Mapping) -> tuple
     """The '<=' rows and the '=' rows among constraints under subst
     (variable -> (terms, constant) over the named columns), each as its
     primitive integer row, read one pattern at a time in Fractions: the
-    reference for ModelLP's rows.  A row left with no term is dropped when
-    it holds; one that fails stays."""
+    reference for ModelLP's rows, up to a positive factor.  A row left with
+    no term stays, as its right-hand side's sign."""
     ineqs, eqs = [], []
     for con in constraints:
         if con.sense not in ("<=", "="):
@@ -522,8 +522,7 @@ def model_rows(columns: Mapping[str, int], constraints, subst: Mapping) -> tuple
                 terms = [(columns[var], c)]
             for j, v in terms:
                 coeffs[j] += v
-        if any(coeffs) or rhs < 0 or (rhs != 0 and con.sense == "="):
-            (eqs if con.sense == "=" else ineqs).append(integer_row(coeffs, rhs, f"row {con.name!r}"))
+        (eqs if con.sense == "=" else ineqs).append(integer_row(coeffs, rhs, f"row {con.name!r}"))
     return ineqs, eqs
 
 
@@ -581,12 +580,15 @@ def dense_pivot(tableau: list[list[Fraction]], basis: list[int], row: int, col: 
     inv = pivot_row[col]
     if inv != 1:
         tableau[row] = pivot_row = [v / inv for v in pivot_row]
+    support = [(j, v) for j, v in enumerate(pivot_row) if v]  # a - factor * 0 is a: only these columns change
     for r, other in enumerate(tableau):
         if r == row:
             continue
         factor = other[col]
         if factor:
-            tableau[r] = [a - factor * b for a, b in zip(other, pivot_row)]
+            tableau[r] = other = list(other)
+            for j, v in support:
+                other[j] -= factor * v
     basis[row] = col
 
 

@@ -333,7 +333,7 @@ MALFORMED_CASES = [
     ("emit", "cuts.jsonl", fig1_cut("cpvi", big_m=3), "'big_m' 3 is below the bound 6 on pair i0-i3"),
     # below the longer arc's weight 4, which build_cpvi refuses for library callers
     ("emit", "cuts.jsonl", json.dumps({**json.loads(fig1_cut("cpvi", ends=("i0", "i2"))), "big_m": "3"}) + "\n",
-     "cpvi cut: 'big_m': big-M 3 is below the longer-path weight 4 for pair ('i0', 'i2')"),
+     "cpvi cut: 'big_m': big-M 3 is below the longer-path weight 4 for pair i0-i2"),
     ("cuts", "pt.json", '{"theta": {}, "y": {"x": "1"}}', "'y' key 'x'"),
     ("cuts", "pt.json", '{"theta": {}, "y": {"-1": "1"}}', "'y' key '-1'"),
     ("cuts", "pt.json", '{"theta": {}, "y": {"6": "1"}}', "'y' line index 6 out of range"),
@@ -365,6 +365,9 @@ MALFORMED_CASES = [
     ("emit", "cuts.jsonl", NESTED + "\n", "cuts file: line 1: malformed JSON"),
     # one line of fig1's six-cycle weighs at most half of it
     ("emit", "cuts.jsonl", fig1_cut("cvi", subset=[1]), "cvi cut: 'subset' weighs at most half the cycle"),
+    ("emit", "cuts.jsonl", '{"kind": "cpvj"}\n', "cuts file: line 1: unknown cut kind 'cpvj'"),
+    ("emit", "cuts.jsonl", json.dumps({**json.loads(fig1_cut("cpvi")), "big_m": "x"}) + "\n",
+     "cuts file: line 1: big_m: not a rational string: 'x'"),
 ]
 MALFORMED_IDS = [
     "cut-line-array",
@@ -411,6 +414,8 @@ MALFORMED_IDS = [
     "point-nested-lists",
     "cut-nested-lists",
     "cut-subset-trivial",
+    "cut-kind-unknown",
+    "cut-big-m-not-rational",
 ]
 
 
@@ -420,11 +425,30 @@ def test_malformed_input_exit_2(capsys, tmp_path, command, name, text, message):
     path.write_text(text)
     if name == "net.json":
         code, _, err = run(capsys, command, str(path))
+        prefix = ""
     else:
-        flag = "--cuts" if command == "emit" else "--point"
+        # a point-file or cuts-file fault names its file first, and its line: each cut here is on line 1
+        flag, prefix = ("--cuts", "cuts file: line 1: ") if command == "emit" else ("--point", "point file: ")
         code, _, err = run(capsys, command, FIG1, flag, str(path))
     assert code == 2
-    assert "input error" in err and message in err
+    assert err.startswith(f"input error: {prefix}") and message in err
+
+
+@pytest.mark.parametrize("flag, content, message", [
+    ("--cuts", (fig1_cut("cpvi") + fig1_cut("cvi", delta_s="12345")).encode(),
+     "cuts file: line 2: cvi cut: 'delta_s' does not match the cut rebuilt from its provenance"),
+    ("--cuts", fig1_cut("cpvi").encode() + b"\n" + fig1_cut("cpvi", pair=["i0", "zz"]).encode(),
+     "cuts file: line 3: cpvi cut: 'pair' must list two distinct buses of 'cycle_buses'"),
+    ("--cuts", fig1_cut("cvi").encode() + b'{"kind": "cpvi", "pair": "\xe9"}\n',
+     "cuts file: line 2: cut document is not UTF-8: 'utf-8' codec can't decode byte 0xe9"),
+    ("--point", b'{"theta": {"\xff": "0"}, "y": {}}', "point file: point document is not UTF-8: "),
+], ids=["provenance-line-2", "after-a-blank-line", "cuts-not-utf8-line-2", "point-not-utf8"])
+def test_a_fault_names_its_file_and_line(capsys, tmp_path, flag, content, message):
+    path = tmp_path / "input"
+    path.write_bytes(content)
+    code, out, err = run(capsys, "emit" if flag == "--cuts" else "cuts", FIG1, flag, str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"input error: {message}")
 
 
 @pytest.mark.parametrize("argv", [

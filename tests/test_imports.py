@@ -1,7 +1,8 @@
 """Import lint: each module of the package uses every name it imports,
 except the names the benchmark's layer tracer wraps in a module that does
 not call them (bench/layers.py), and reads every private helper it
-defines."""
+defines.  Decoder lint: only network.read_json decodes JSON, so every
+input document's decoding faults are named by one rule."""
 
 import ast
 from pathlib import Path
@@ -47,3 +48,27 @@ def test_package_reads_every_private_helper_it_defines():
     found = [(path.stem, name) for path in sorted(PACKAGE.glob("*.py"))
              for name in dead_helpers(ast.parse(path.read_text(encoding="utf-8"), str(path)))]
     assert found == []
+
+
+def json_decodes(tree):
+    """The top-level functions (None outside any) that call json.load or
+    json.loads, or that import load or loads from json, once per call."""
+    found = []
+    for node in tree.body:
+        name = node.name if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) else None
+        for inner in ast.walk(node):
+            if (isinstance(inner, ast.Call) and isinstance(inner.func, ast.Attribute) and inner.func.attr in ("load", "loads")
+                    and isinstance(inner.func.value, ast.Name) and inner.func.value.id == "json"):
+                found.append(name)
+            elif isinstance(inner, ast.ImportFrom) and inner.module == "json":
+                found += [name for alias in inner.names if alias.name in ("load", "loads")]
+    return found
+
+
+def test_only_read_json_decodes_json():
+    sample = ("import json\nfrom json import loads as l\nX = json.loads('1')\n\ndef f(h):\n    return json.load(h)\n\n"
+              "class K:\n    def g(self):\n        return json.dumps(1), json.loads('2')\n")
+    assert json_decodes(ast.parse(sample)) == [None, None, "f", "K"]
+    found = [(path.stem, name) for path in sorted(PACKAGE.glob("*.py"))
+             for name in json_decodes(ast.parse(path.read_text(encoding="utf-8"), str(path)))]
+    assert found == [("network", "read_json")]

@@ -36,7 +36,8 @@ from anglecuts.oracle import (
     model_polytope,
     pair_relaxation,
 )
-from anglecuts.rational import format_rational, matrix_rank
+from anglecuts.rational import format_rational, integer_row, matrix_rank
+from anglecuts.simplex import LPResult, solve_linear_program
 
 from _brute import (
     InfeasibleError,
@@ -696,19 +697,33 @@ def test_model_lp_scales_rows_and_keeps_an_emptied_row_only_when_it_fails():
     model.add_constraint("d", [("y", 1)], "<=", F(0))
     lp = ModelLP(model, switches=[({"y": ({}, F(0))}, {"y": ({}, F(1))})])
     assert lp.bounds == [([-1], 0)]
-    # y = 0: 2x <= 3 is primitive already, and 0 <= 0 is dropped
-    assert lp.rows((0,)) == ([([2], 3)], [])
-    # y = 1: 2x <= 2 is read as x <= 1, and 0 <= -1 stays, so the LP is infeasible
-    assert lp.rows((1,)) == ([([1], 1), ([0], -1)], [])
+    # y = 0: 2x <= 3, and d is left 0 <= 0, which holds, so the simplex drops it
+    ineqs, eqs = lp.rows((0,))
+    assert (ineqs, eqs) == ([([2], 3), ([0], 0)], [])
+    result = solve_linear_program(1, lp.bounds + ineqs, eqs, [-1])
+    assert result == solve_linear_program(1, lp.bounds + ineqs[:1], eqs, [-1]) == LPResult("optimal", F(-3, 2), (F(3, 2),))
+    # y = 1: 2x <= 2, which the simplex reads as x <= 1, and d is left 0 <= -1,
+    # which fails, so the LP is infeasible
+    ineqs, eqs = lp.rows((1,))
+    assert (ineqs, eqs) == ([([2], 2), ([0], -1)], [])
+    assert [integer_row(a, b, "row") for a, b in ineqs] == [([1], 1), ([0], -1)]
+    assert solve_linear_program(1, lp.bounds + ineqs[:1], eqs, [-1]) == LPResult("optimal", F(-1), (F(1),))
+    assert solve_linear_program(1, lp.bounds + ineqs, eqs, [-1]) == LPResult("infeasible")
+
+
+def primitive_rows(rows):
+    return [integer_row(a, b, "row") for a, b in rows]
 
 
 @given(st.integers(0, 2**32))
 @example(0)  # parallel lines, two of them switchable
 def test_row_reader_matches_the_per_pattern_reader(seed):
     """For every pattern of a seeded net, brute force's reader (each row read
-    once as vectors per line state, summed) gives the rows of the reference
-    reader that substitutes each pattern's fixed_topology in Fractions, for
-    every row of the model with all its basis cuts, and for the cut rows alone."""
+    once as vectors per line state, summed) gives, up to a positive factor,
+    the rows of the reference reader that substitutes each pattern's
+    fixed_topology in Fractions, for every row of the model with all its
+    basis cuts, and for the cut rows alone.  The simplex drops every row left
+    with no term that holds, and a failing one makes the pattern infeasible."""
     net = random_net(seed, max_buses=5)
     switchable = [idx for idx, line in enumerate(net.lines) if line.switchable]
     assume(1 <= len(switchable) <= 6)
@@ -716,22 +731,29 @@ def test_row_reader_matches_the_per_pattern_reader(seed):
     model = build_dcots(net, "global", cpvis, cvis)
     split = len(model.constraints) - 2 * (len(cpvis) + len(cvis))
     names = dcots_names(net)
-    # y >= 1 on a switchable line: emptied in every pattern, it holds (and is
-    # dropped) with the line closed and fails (and stays) with it open
+    # y >= 1 on a switchable line: emptied in every pattern, it holds with
+    # the line closed and fails with it open
     model.add_constraint("forced_on", [(names.y[switchable[0]], F(-1))], "<=", F(-1))
     closed = fixed_topology(net, dict.fromkeys(range(len(net.lines)), 1))
     opened = fixed_topology(net, dict.fromkeys(range(len(net.lines)), 0))
     switches = [tuple({var: subst[var] for var in (names.f[i], names.y[i])} for subst in (opened, closed))
                 for i in switchable]
     lp = ModelLP(model, closed, switches)
-    failing = ([0] * len(lp.columns), -1)
+    n = len(lp.columns)
     for bits in itertools.product((1, 0), repeat=len(switchable)):
         fixed = fixed_topology(net, {**dict.fromkeys(range(len(net.lines)), 1), **dict(zip(switchable, bits))})
         ineqs, eqs = lp.rows(bits)
-        assert (ineqs, eqs) == model_rows(lp.columns, model.constraints, fixed)
-        assert (failing in ineqs) == (bits[0] == 0)
-        assert len(ineqs) + len(eqs) < len(model.constraints)  # the reference row, at least, is dropped
-        assert lp.rows(bits, slice(split, -1)) == model_rows(lp.columns, model.constraints[split:-1], fixed)
+        assert (primitive_rows(ineqs), primitive_rows(eqs)) == model_rows(lp.columns, model.constraints, fixed)
+        cut_rows, _ = lp.rows(bits, slice(split, -1))
+        assert (primitive_rows(cut_rows), []) == model_rows(lp.columns, model.constraints[split:-1], fixed)
+        assert primitive_rows(ineqs[-1:]) == [([0] * n, -1 if bits[0] == 0 else 0)]  # forced_on
+        result = solve_linear_program(n, lp.bounds + ineqs, eqs, lp.objective)
+        if bits[0] == 0:
+            assert result == LPResult("infeasible")
+        elif not any(bits[1:]):  # one pattern a seed: dropping every emptied row that holds gives the same result
+            assert not any(eqs[-1][0]) and eqs[-1][1] == 0  # the reference angle's row, 0 = 0
+            assert result == solve_linear_program(n, lp.bounds + [r for r in ineqs if any(r[0]) or r[1] < 0],
+                                                  [r for r in eqs if any(r[0]) or r[1]], lp.objective)
 
 
 def test_model_lp_reads_bounds_as_primitive_rows():
