@@ -11,7 +11,8 @@ import enum
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from math import lcm
+from typing import NamedTuple, Sequence
 
 from .errors import UnknownBusError
 # shortest_path_bound is unused here but stays a module attribute: bench/layers.py wraps it by this name
@@ -27,8 +28,7 @@ class BoundSource(enum.Enum):
     TRIVIAL_M = "trivial_m"
 
 
-@dataclass(frozen=True)
-class PairBound:
+class PairBound(NamedTuple):
     m: str
     n: str
     bound: Fraction
@@ -41,23 +41,24 @@ class BoundReport:
     pairs: tuple[PairBound, ...]
 
     def to_json(self) -> dict:
-        return {
-            "global_M": format_rational(self.global_m),
-            "pairs": [
-                {
-                    "m": pb.m,
-                    "n": pb.n,
-                    "bound": format_rational(pb.bound),
-                    "source": pb.source.value,
-                }
-                for pb in self.pairs
-            ],
-        }
+        # bounds repeat from pair to pair: each distinct one is formatted once, keyed by
+        # numerator and denominator since Fraction's hash is slow
+        texts: dict[tuple[int, int], str] = {}
+        pairs = []
+        for m, n, bound, source in self.pairs:
+            key = (bound.numerator, bound.denominator)
+            if (text := texts.get(key)) is None:
+                text = texts[key] = format_rational(bound)
+            pairs.append({"m": m, "n": n, "bound": text, "source": source.value})
+        return {"global_M": format_rational(self.global_m), "pairs": pairs}
 
 
 def global_big_m(net: Network) -> Fraction:
-    """Sum of all line weights: valid for any pair under any topology."""
-    return sum((line.weight for line in net.lines), Fraction(0))
+    """Sum of all line weights: valid for any pair under any topology.
+    Summed as integers over the weights' least common denominator."""
+    weights = [line.weight for line in net.lines]
+    den = lcm(*[w.denominator for w in weights])
+    return Fraction(sum([w.numerator * (den // w.denominator) for w in weights]), den)
 
 
 def pair_bounds(net: Network, pairs: Sequence[tuple[str, str]]) -> list[tuple[Fraction, BoundSource]]:
@@ -79,14 +80,17 @@ def pair_bounds(net: Network, pairs: Sequence[tuple[str, str]]) -> list[tuple[Fr
             raise ValueError("a pair bound requires two distinct buses")
         by_source.setdefault(m, []).append(k)
     adj, den = scaled_adjacency(net, [i for i, line in enumerate(net.lines) if not line.switchable])
-    big = global_big_m(net)
-    out: dict[int, tuple[Fraction, BoundSource]] = {}
+    trivial = (global_big_m(net), BoundSource.TRIVIAL_M)
+    found: dict[int, tuple[Fraction, BoundSource]] = {}  # per distinct scaled length, its bound, made once
+    out: list = [trivial] * len(pairs)
     for m, ks in by_source.items():
         dist = scaled_lengths(net, adj, m)
         for k in ks:
-            sp = dist.get(pairs[k][1])
-            out[k] = (big, BoundSource.TRIVIAL_M) if sp is None else (Fraction(sp, den), BoundSource.SHORTEST_PATH_ACTIVE)
-    return [out[k] for k in range(len(pairs))]
+            if (sp := dist.get(pairs[k][1])) is not None:
+                if (bound := found.get(sp)) is None:
+                    bound = found[sp] = (Fraction(sp, den), BoundSource.SHORTEST_PATH_ACTIVE)
+                out[k] = bound
+    return out
 
 
 def pair_bound(net: Network, m: str, n: str) -> tuple[Fraction, BoundSource]:
@@ -98,4 +102,4 @@ def bound_report(net: Network) -> BoundReport:
     """Bounds for every unordered bus pair, in network bus order."""
     keys = list(itertools.combinations([bus.id for bus in net.buses], 2))
     bounds = pair_bounds(net, keys)
-    return BoundReport(global_big_m(net), tuple(PairBound(m, n, *b) for (m, n), b in zip(keys, bounds)))
+    return BoundReport(global_big_m(net), tuple([PairBound(m, n, *b) for (m, n), b in zip(keys, bounds)]))

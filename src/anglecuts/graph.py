@@ -236,29 +236,36 @@ def all_simple_cycles(net: Network) -> list[Cycle]:
     Parallel line pairs count as 2-cycles.  Intended for desk-scale
     graphs; raises CapExceededError past SIMPLE_CYCLE_CAP.  A path grows
     only to a bus that still reaches its start through buses off the path
-    and not below the start: no path that closes is lost.
+    and not below the start: no path that closes is lost.  Each state's
+    search for those buses stops once it has reached every bus the state
+    could step to.  A cycle's weight is summed in integers over the lcm of
+    the line weights' denominators.
     """
     found: dict[frozenset[int], Cycle] = {}
+    den = lcm(*[line.weight.denominator for line in net.lines])
+    scaled = [line.weight.numerator * (den // line.weight.denominator) for line in net.lines]
 
     def record(line_seq: list[int], bus_seq: list[str]) -> None:
         key = frozenset(line_seq)
         if key not in found:
-            found[key] = _canonical_cycle(net, line_seq, bus_seq, sum((net.lines[i].weight for i in line_seq), Fraction(0)))
+            found[key] = _canonical_cycle(net, line_seq, bus_seq, Fraction(sum([scaled[i] for i in line_seq]), den))
             if len(found) > SIMPLE_CYCLE_CAP:
                 raise CapExceededError(f"more than {SIMPLE_CYCLE_CAP} simple cycles")
 
     order = net.bus_index
+    # per bus, each of its lines in line order with the bus at its other end
+    steps_from = {bus: [(idx, net.lines[idx].other(bus)) for idx in idxs] for bus, idxs in net.adjacency.items()}
 
-    def returnable(start: str, on_path: set[str]) -> set[str]:
-        """The buses that reach start through buses off the path and not below start."""
+    def returnable(start: str, on_path: set[str], wanted: set[str]) -> set[str]:
+        """The buses that reach start through buses off the path and not below start, as far
+        as the search has gone once it has reached every bus wanted (or all it can)."""
         reached, todo = set(), [start]
-        while todo:
-            here = todo.pop()
-            for idx in net.adjacency[here]:
-                other = net.lines[idx].other(here)
+        while todo and wanted:
+            for _, other in steps_from[todo.pop()]:
                 if other not in reached and other not in on_path and order[other] >= order[start]:
                     reached.add(other)
                     todo.append(other)
+                    wanted.discard(other)
         return reached
 
     # DFS anchored at the smallest-index bus of the cycle; a path never
@@ -267,11 +274,12 @@ def all_simple_cycles(net: Network) -> list[Cycle]:
         stack: list[tuple[str, list[int], list[str]]] = [(start_bus, [], [start_bus])]
         while stack:
             bus, line_seq, bus_seq = stack.pop()
-            reach = returnable(start_bus, set(bus_seq))
-            for idx in net.adjacency[bus]:
-                if idx in line_seq:
-                    continue
-                other = net.lines[idx].other(bus)
+            steps = [(idx, other) for idx, other in steps_from[bus] if idx not in line_seq]
+            on_path = set(bus_seq)
+            # a step goes on only to a bus off the path and above the start: the search needs reach no further
+            reach = returnable(start_bus, on_path, {other for _, other in steps
+                                                    if other not in on_path and order[other] > order[start_bus]})
+            for idx, other in steps:
                 if other == start_bus:
                     record(line_seq + [idx], list(bus_seq))
                 elif other in reach:

@@ -40,32 +40,38 @@ __all__ = [
 MAX_PLAIN_DIGITS = 18
 
 
-@dataclass(frozen=True)
-class MilpVariable:
+class MilpVariable(NamedTuple):
     name: str
     kind: str  # "continuous" or "binary"
     lower: int | Fraction | None
     upper: int | Fraction | None
 
 
-@dataclass(frozen=True)
-class MilpConstraint:
+class MilpConstraint(NamedTuple):
     name: str
     coeffs: tuple[tuple[str, int | Fraction], ...]
     sense: str  # "<=" or "="
     rhs: int | Fraction
 
 
-def _exact(values: Iterable, where: str) -> None:
-    for value in values:
-        if not is_exact(value):
-            raise ValueError(f"{where}: expected an int or Fraction, got {type(value).__name__}")
+# the value types taken by type alone; a subclass (or a bool) is looked at one by one
+_EXACT_TYPES = {int, Fraction}
+_BOUND_TYPES = {int, Fraction, type(None)}
+
+
+def _exact(values: Sequence, where: str, name: str) -> None:
+    """Refuse a value that is not an int or Fraction, the message naming where.format(name)."""
+    if not set(map(type, values)) <= _EXACT_TYPES:
+        for value in values:
+            if not is_exact(value):
+                raise ValueError(f"{where.format(name)}: expected an int or Fraction, got {type(value).__name__}")
 
 
 @dataclass
 class MilpModel:
     """Every value an int or Fraction, kept as given, every sense '<=' or '=', each objective variable declared
-    and named once: add_*, the objective assignment and a list-built model refuse the rest."""
+    and named once: add_*, the objective assignment and a list-built model refuse the rest.  A row is checked
+    by the sets of its value types and variable names, and walked term by term only to name a fault."""
 
     variables: list[MilpVariable] = field(default_factory=list)
     constraints: list[MilpConstraint] = field(default_factory=list)
@@ -84,18 +90,24 @@ class MilpModel:
 
     def __setattr__(self, name: str, value) -> None:
         if name == "objective" and hasattr(self, "_var_names"):  # the generated __init__ sets it before the names
-            value, seen = list(value), set()
-            for var, c in value:
-                _exact([c], f"objective term {var!r}")
-                if var not in self._var_names or var in seen:
-                    raise ValueError(f"objective term {var!r} {'repeats a' if var in seen else 'names an undeclared'} variable")
-                seen.add(var)
+            value = list(value)
+            names = [var for var, _ in value]
+            if not (set(map(type, [c for _, c in value])) <= _EXACT_TYPES and self._var_names.issuperset(names)
+                    and len(set(names)) == len(names)):
+                seen = set()
+                for var, c in value:
+                    _exact([c], "objective term {!r}", var)
+                    if var not in self._var_names or var in seen:
+                        raise ValueError(f"objective term {var!r} "
+                                         f"{'repeats a' if var in seen else 'names an undeclared'} variable")
+                    seen.add(var)
         super().__setattr__(name, value)
 
     def add_variable(self, name: str, kind: str, lower, upper) -> None:
         if kind not in ("continuous", "binary"):
             raise ValueError(f"variable {name!r} has kind {kind!r}; only 'continuous' and 'binary' are allowed")
-        _exact([bound for bound in (lower, upper) if bound is not None], f"variable {name!r} bound")
+        if not {type(lower), type(upper)} <= _BOUND_TYPES:
+            _exact([bound for bound in (lower, upper) if bound is not None], "variable {!r} bound", name)
         if name in self._var_names:
             raise ValueError(f"duplicate variable name {name!r}")
         self._var_names.add(name)
@@ -105,11 +117,14 @@ class MilpModel:
         if sense not in ("<=", "="):
             raise ValueError(f"row {name!r} has sense {sense!r}; only '<=' and '=' rows are allowed")
         pairs = tuple(coeffs)
-        _exact([rhs, *(c for _, c in pairs)], f"row {name!r}")
-        pairs = tuple((var, c) for var, c in pairs if c != 0)
-        for var, _ in pairs:
-            if var not in self._var_names:
-                raise ValueError(f"constraint {name!r} references undeclared variable {var!r}")
+        names, values = zip(*pairs) if pairs else ((), ())
+        _exact((rhs, *values), "row {!r}", name)
+        if not all(values):
+            pairs = tuple((var, c) for var, c in pairs if c != 0)
+            names = [var for var, _ in pairs]
+        if not self._var_names.issuperset(names):
+            var = next(var for var in names if var not in self._var_names)
+            raise ValueError(f"constraint {name!r} references undeclared variable {var!r}")
         if name in self._con_names:
             raise ValueError(f"duplicate constraint name {name!r}")
         self._con_names.add(name)
@@ -202,14 +217,25 @@ def build_dcots(
             coeffs[f_name[idx]] = coeffs.get(f_name[idx], 0) + (1 if net.lines[idx].to_bus == bus.id else -1)
         model.add_constraint(f"kcl_{_safe(bus.id)}", coeffs.items(), "=", bus.demand)
 
+    negations: dict[tuple[int, int], Fraction] = {}  # per distinct Fraction, by numerator and denominator
+
+    def neg(c: int | Fraction) -> int | Fraction:
+        """-c, a Fraction's negation made once per distinct value."""
+        if type(c) is int:
+            return -c
+        key = (c.numerator, c.denominator)
+        if (out := negations.get(key)) is None:
+            out = negations[key] = -c
+        return out
+
     def add_two_sided(hi: str, lo: str, lhs: list[tuple[str, Fraction]],
                       rest: list[tuple[str, Fraction]], rhs: Fraction) -> None:
         """lhs + rest <= rhs as row hi, and -lhs + rest <= rhs as row lo."""
         model.add_constraint(hi, [*lhs, *rest], "<=", rhs)
-        model.add_constraint(lo, [*((var, -c) for var, c in lhs), *rest], "<=", rhs)
+        model.add_constraint(lo, [*[(var, neg(c)) for var, c in lhs], *rest], "<=", rhs)
 
     for idx, (line, tag) in enumerate(zip(net.lines, tags)):
-        add_two_sided(f"cap_hi_{tag}", f"cap_lo_{tag}", [(f_name[idx], 1)], [(y_name[idx], -line.capacity)], 0)
+        add_two_sided(f"cap_hi_{tag}", f"cap_lo_{tag}", [(f_name[idx], 1)], [(y_name[idx], neg(line.capacity))], 0)
         ohm = [(f_name[idx], line.reactance), (t_name[line.from_bus], -1), (t_name[line.to_bus], 1)]
         add_two_sided(f"ohm_hi_{tag}", f"ohm_lo_{tag}", ohm, [(y_name[idx], m_lines[idx])], m_lines[idx])
 
@@ -222,14 +248,15 @@ def build_dcots(
         m, n = cut.pair.pair
         name = f"cpvi_{c}_{_safe(m)}_{_safe(n)}"
         angle = [(t_name[n], 1), (t_name[m], -1)]
-        y_terms = [(y_name[line], -coeff) for line, coeff in cut.y_coeffs]
+        y_terms = [(y_name[line], neg(coeff)) for line, coeff in cut.y_coeffs]
         add_two_sided(f"{name}_hi", f"{name}_lo", angle, y_terms, cut.constant)
 
     for cut in cvis:
         c = cycle_no.setdefault(cut.cycle.lines, len(cycle_no))
         digest = hashlib.sha256(",".join(map(str, cut.subset)).encode()).hexdigest()[:8]
-        flows = [(f_name[line], sign * net.lines[line].reactance) for line, sign in cut.flow_signs]
-        y_terms = [(y_name[line], -coeff) for line, coeff in cut.y_coeffs]
+        flows = [(f_name[line], net.lines[line].reactance if sign > 0 else neg(net.lines[line].reactance))
+                 for line, sign in cut.flow_signs]
+        y_terms = [(y_name[line], neg(coeff)) for line, coeff in cut.y_coeffs]
         add_two_sided(f"cvi_{c}_{digest}_hi", f"cvi_{c}_{digest}_lo", flows, y_terms, cut.constant)
 
     return model
@@ -244,27 +271,39 @@ def merge_models(target: MilpModel, other: MilpModel, prefix: str) -> None:
         target.add_constraint(f"{prefix}_{con.name}", coeffs, con.sense, con.rhs)
 
 
-def _plain(value: Fraction) -> str | None:
-    """The exact decimal of value, or None when it does not terminate."""
-    num, den = value.numerator, value.denominator
+def _plain(num: int, den: int) -> str | None:
+    """The exact decimal of num / den in lowest terms, or None when it does not terminate."""
     if den == 1:
         return str(num)
-    twos = fives = 0
-    while den % 2 == 0:
-        den //= 2
+    rest, twos, fives = den, 0, 0
+    while rest % 2 == 0:
+        rest //= 2
         twos += 1
-    while den % 5 == 0:
-        den //= 5
+    while rest % 5 == 0:
+        rest //= 5
         fives += 1
-    if den != 1:
+    if rest != 1:
         return None
     # a reduced fraction over 2^twos 5^fives has exactly shift decimals
     shift = max(twos, fives)
-    text = str(abs(num * 10**shift // value.denominator)).rjust(shift + 1, "0")
+    text = str(abs(num * 10**shift // den)).rjust(shift + 1, "0")
     return f"{'-' if num < 0 else ''}{text[:-shift]}.{text[-shift:]}"
 
 
-def _render(values: Sequence[Fraction]) -> tuple[list[str], int | None]:
+class _Decimals(dict):
+    """One lp_text call's numbers, each distinct value made once, on first use.  A value is
+    keyed by (numerator, denominator), so an int and an equal Fraction share an entry and
+    Fraction's slow hash is never taken.  The entry is the exact decimal, or None, and the
+    same when it has at most MAX_PLAIN_DIGITS significant digits, or else None."""
+
+    def __missing__(self, key: tuple[int, int]) -> tuple[str | None, str | None]:
+        text = _plain(*key)
+        short = text if text is not None and len(text.lstrip("-").replace(".", "").lstrip("0")) <= MAX_PLAIN_DIGITS else None
+        self[key] = entry = (text, short)
+        return entry
+
+
+def _render(values: Sequence[Fraction], decimals: _Decimals) -> tuple[list[str], int | None]:
     """One linear expression's values as exact LP numbers.
 
     Plain decimals when each has one of at most MAX_PLAIN_DIGITS
@@ -272,40 +311,36 @@ def _render(values: Sequence[Fraction]) -> tuple[list[str], int | None]:
     of the denominators, returned alongside.  Scaling a row or the
     objective by a positive N keeps its feasible set or minimizers.
     """
-    texts = [_plain(v) for v in values]
-    if all(t is not None and len(t.lstrip("-").replace(".", "").lstrip("0")) <= MAX_PLAIN_DIGITS for t in texts):
+    texts = [decimals[v.numerator, v.denominator][1] for v in values]
+    if None not in texts:
         return texts, None
     nums, scale = integer_row(values, 1, "row")  # the values over their least common denominator
     return [str(v) for v in nums], scale
 
 
 def _expr(names: Sequence[str], texts: Sequence[str]) -> str:
-    parts = []
-    for var, text in zip(names, texts):
-        if text.startswith("-"):
-            parts.append(f"- {text[1:]} {var}")
-        elif parts:
-            parts.append(f"+ {text} {var}")
-        else:
-            parts.append(f"{text} {var}")
-    return " ".join(parts) if parts else "0 x"
+    expr = " ".join([f"- {text[1:]} {var}" if text[0] == "-" else f"+ {text} {var}" for var, text in zip(names, texts)])
+    return expr[2:] if expr.startswith("+") else expr or "0 x"
 
 
-def _bound(var: MilpVariable, value: Fraction) -> str:
+def _bound(var: MilpVariable, value: Fraction, decimals: _Decimals) -> str:
     # a bound cannot be scaled, so it is written exactly or not at all
-    text = _plain(value)
+    text = decimals[value.numerator, value.denominator][0]
     if text is None:
         raise ValueError(f"variable {var.name!r} bound {format_rational(value)} has no exact decimal form")
     return text
 
 
 def lp_text(model: MilpModel) -> str:
-    """The model in LP text format; byte-identical for identical models."""
+    """The model in LP text format; byte-identical for identical models.
+    Each distinct value's text is made once per call (see _Decimals); whether
+    a row is scaled is still decided row by row."""
+    decimals = _Decimals()
     out = io.StringIO()
     out.write("Minimize\n")
     terms = [(var, c) for var, c in model.objective if c != 0]
     if terms:
-        texts, scale = _render([c for _, c in terms])
+        texts, scale = _render([c for _, c in terms], decimals)
         if scale is not None:
             out.write(f"\\ objective scaled by {scale}\n")
         out.write(f" obj: {_expr([var for var, _ in terms], texts)}\n")
@@ -313,19 +348,20 @@ def lp_text(model: MilpModel) -> str:
         first = model.variables[0].name if model.variables else "x"
         out.write(f" obj: 0 {first}\n")
     out.write("Subject To\n")
-    for con in model.constraints:
-        texts, scale = _render([c for _, c in con.coeffs] + [con.rhs])
+    for name, coeffs, sense, rhs in model.constraints:
+        names, values = zip(*coeffs) if coeffs else ((), ())
+        texts, scale = _render((*values, rhs), decimals)
         note = "" if scale is None else f"  \\ scaled by {scale}"
-        out.write(f" {con.name}: {_expr([var for var, _ in con.coeffs], texts)} {con.sense} {texts[-1]}{note}\n")
+        out.write(f" {name}: {_expr(names, texts)} {sense} {texts[-1]}{note}\n")
     out.write("Bounds\n")
     for var in model.variables:
         if var.lower is None and var.upper is None:
             out.write(f" {var.name} free\n")
         elif var.lower is not None and var.upper is not None and var.lower == var.upper:
-            out.write(f" {var.name} = {_bound(var, var.lower)}\n")
+            out.write(f" {var.name} = {_bound(var, var.lower, decimals)}\n")
         else:
-            lo = "-inf" if var.lower is None else _bound(var, var.lower)
-            hi = "+inf" if var.upper is None else _bound(var, var.upper)
+            lo = "-inf" if var.lower is None else _bound(var, var.lower, decimals)
+            hi = "+inf" if var.upper is None else _bound(var, var.upper, decimals)
             out.write(f" {lo} <= {var.name} <= {hi}\n")
     binaries = [var.name for var in model.variables if var.kind == "binary"]
     if binaries:

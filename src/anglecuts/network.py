@@ -165,12 +165,24 @@ def load_network(source) -> Network:
     if not isinstance(raw_buses, list) or not raw_buses or not isinstance(raw_lines, list):
         raise ParseError("'buses' must be a nonempty list and 'lines', when present, a list")
 
+    # each distinct raw value is parsed once per document; the key holds its type, since
+    # true, 1 and 1.0 are equal dict keys, and only a value that parses is kept
+    parsed: dict[tuple[type, object], Fraction] = {}
+
+    def parse(raw, name: str) -> Fraction:
+        key = (raw.__class__, raw)
+        try:
+            return parsed[key]
+        except (KeyError, TypeError):  # TypeError: a list or object, which parse_rational refuses
+            value = parsed[key] = parse_rational(raw, name)
+            return value
+
     buses = []
     for i, obj in enumerate(raw_buses):
         if not isinstance(obj, dict) or "id" not in obj or not isinstance(obj["id"], str):
             raise ParseError(f"bus #{i}: expected an object with a string 'id'")
         try:
-            buses.append(Bus(obj["id"], *[parse_rational(obj.get(name, 0), name) for name in BUS_VALUES]))
+            buses.append(Bus(obj["id"], *[parse(obj.get(name, 0), name) for name in BUS_VALUES]))
         except ValueError as exc:
             raise ParseError(f"bus {obj['id']!r} {exc}") from exc
 
@@ -185,7 +197,7 @@ def load_network(source) -> Network:
         if not isinstance(switchable, bool):
             raise ParseError(f"line #{k}: 'switchable' must be a boolean")
         try:
-            lines.append(Line(obj["from"], obj["to"], *[parse_rational(obj.get(name), name) for name in LINE_VALUES], switchable))
+            lines.append(Line(obj["from"], obj["to"], *[parse(obj.get(name), name) for name in LINE_VALUES], switchable))
         except ValueError as exc:
             raise ParseError(f"line #{k} {exc}") from exc
 

@@ -135,57 +135,48 @@ def _cost_row(costs: dict[int, int], tableau: list[IntRow], basis: list[int], fr
     return _reduced(nums, row_den)
 
 
-def solve_linear_program(
-    n_vars: int, ineqs: Sequence[Row], eqs: Sequence[Row], objective: Sequence[Fraction | int]
-) -> LPResult:
-    """Minimize objective . x over free x subject to {a.x <= b} and {a.x == b} rows.
-
-    Every coefficient and right-hand side must be an int or a Fraction; a
-    float or bool raises ValueError naming its row and column, and a row
-    or objective not n_vars wide one naming the row.  Each row is read once,
-    as its primitive integer row, so a row and its positive multiples give
-    the same tableau and pivot path.  In order, each equality, the columns of
-    those before it gone, is solved for its first nonzero column, taken
-    positive so every inequality keeps its sense: a fraction-free combination
-    clears that column from every other row and the objective.  A row left
-    with no coefficient is dropped, or makes the LP infeasible if it fails.
-    Returns an exact optimal value and a witness point, or the
-    infeasible/unbounded status.  The point is the vertex Bland's rule reaches
-    on the inequalities left, the eliminated columns back-substituted; at a
-    non-unique optimum a tableau holding the equalities may reach another.
-    """
-    def scaled(coeffs: Sequence[Fraction | int], rhs: Fraction | int, where: str) -> tuple[int, ...]:
-        if len(coeffs) != n_vars:
-            raise ValueError(f"{where}: width {len(coeffs)}, expected {n_vars}")
-        nums, b = integer_row(coeffs, rhs, where)
-        return (*nums, b)
-
-    # the objective as the row obj . x - 0, over a positive factor: the value is read from the point
-    obj = scaled(objective, 0, "the objective")
-    rows = [scaled(a, b, f"inequality {i}") for i, (a, b) in enumerate(ineqs)] + [obj]
-    pending = [scaled(a, b, f"equality {i}") for i, (a, b) in enumerate(eqs)]
-    solved = []
-    while pending:
-        eq = pending.pop(0)
+def _solve_equalities(eqs: list[tuple[int, ...]]) -> list[tuple[int, tuple[int, ...]]] | None:
+    """Each equality, in order, with the columns of those before it cleared, solved for its
+    first nonzero column, taken positive; then each cleared of the columns solved after it,
+    so it names its own column and the columns left only.  Every step is a fraction-free
+    combination over the gcd, so each row stays primitive.  An equality left with no
+    coefficient is dropped; None when one such is 0 = c != 0."""
+    solved: list[tuple[int, tuple[int, ...]]] = []
+    for eq in eqs:
+        eq = _cleared(eq, solved)
         if (j := next((j for j, v in enumerate(eq[:-1]) if v), None)) is None:
             if eq[-1]:
-                return LPResult("infeasible")
+                return None
             continue
-        eq = eq if eq[j] > 0 else tuple(-v for v in eq)
-        for group in (rows, pending):
-            group[:] = [_combination(eq[j] // (g := gcd(eq[j], row[j])), row, row[j] // g, eq) if row[j] else row
-                        for row in group]
-        solved.append((j, eq))
-    # the eliminated columns are zero in every row left, so each stays primitive
-    left = sorted(set(range(n_vars)) - {j for j, _ in solved})
-    *rows, (obj, _) = [([row[j] for j in left], row[-1]) for row in rows]
+        solved.append((j, eq if eq[j] > 0 else tuple(-v for v in eq)))
+    for k in range(len(solved) - 2, -1, -1):
+        j, eq = solved[k]
+        solved[k] = (j, _cleared(eq, solved[k + 1:]))
+    return solved
+
+
+def _cleared(row: tuple[int, ...], solved: Sequence[tuple[int, tuple[int, ...]]]) -> tuple[int, ...]:
+    """row with each solved column cleared by its equality, which is positive there: a positive
+    multiple of row plus a combination of the equalities, primitive, and for reduced equalities
+    the one such row zero in those columns."""
+    for j, eq in solved:
+        if row[j]:
+            g = gcd(eq[j], row[j])
+            row = _combination(eq[j] // g, row, row[j] // g, eq)
+    return row
+
+
+def _solve_inequalities(rows: list[tuple[list[int], int]], obj: list[int]) -> tuple[str, list[Fraction] | None]:
+    """Minimize obj . x over free x subject to the primitive integer rows a.x <= b: the
+    status and, when optimal, the vertex Bland's rule reaches.  A row with no coefficient
+    is dropped, or makes the LP infeasible if it fails."""
     if any(b < 0 and not any(a) for a, b in rows):
-        return LPResult("infeasible")
+        return "infeasible", None
     rows = [(a, b) for a, b in rows if any(a)]
 
     # columns: x split in two (x- not stored), one slack per row, one artificial
     # per row whose slack cannot start basic (a negative rhs)
-    n, m = len(left), len(rows)
+    n, m = len(obj), len(rows)
     total_structural = 2 * n + m
     tableau: list[IntRow] = []
     basis: list[int] = []
@@ -211,7 +202,7 @@ def solve_linear_program(
         tableau.append(_cost_row(artificials, tableau, basis, n))
         _run(tableau, basis, total_structural, n)  # artificials may not re-enter
         if tableau[-1][0].get(-1):
-            return LPResult("infeasible")
+            return "infeasible", None
         tableau.pop()
         # a lingering zero-value artificial leaves on the first nonzero x+ or slack
         # entry of its row, which every row has since each has its own slack
@@ -223,14 +214,58 @@ def solve_linear_program(
     # phase 2: the real objective
     tableau.append(_cost_row({k: v for k, v in enumerate(obj) if v}, tableau, basis, n))
     if _run(tableau, basis, total_structural, n) == "unbounded":
-        return LPResult("unbounded")
+        return "unbounded", None
 
-    x = dict.fromkeys(left, Fraction(0))
+    x = [Fraction(0)] * n
     for (nums, den), col in zip(tableau, basis):
         if col < 2 * n:
             j, sign = _stored(col, n)
-            x[left[j]] = Fraction(sign * nums.get(-1, 0), den)
-    for j, eq in reversed(solved):
-        x[j] = Fraction(eq[-1] - sum(v * x[k] for k, v in enumerate(eq[:-1]) if v and k != j), eq[j])
+            x[j] = Fraction(sign * nums.get(-1, 0), den)
+    return "optimal", x
+
+
+def solve_linear_program(
+    n_vars: int, ineqs: Sequence[Row], eqs: Sequence[Row], objective: Sequence[Fraction | int]
+) -> LPResult:
+    """Minimize objective . x over free x subject to {a.x <= b} and {a.x == b} rows.
+
+    Every coefficient and right-hand side must be an int or a Fraction; a
+    float or bool raises ValueError naming its row and column, and a row
+    or objective not n_vars wide one naming the row.  Each row is read once,
+    as its primitive integer row, so a row and its positive multiples give
+    the same tableau and pivot path.  In order, each equality, the columns of
+    those before it gone, is solved for its first nonzero column, taken
+    positive so every inequality keeps its sense; the equalities are then
+    reduced among themselves, each naming its own column and the columns
+    left, and every inequality and the objective is cleared of the solved
+    columns in one pass, a fraction-free combination per column.  A row left
+    with no coefficient is dropped, or makes the LP infeasible if it fails.
+    Returns an exact optimal value and a witness point, or the
+    infeasible/unbounded status.  The point is the vertex Bland's rule reaches
+    on the inequalities left, each eliminated column read off its reduced
+    equality; at a non-unique optimum a tableau holding the equalities may
+    reach another.
+    """
+    def scaled(coeffs: Sequence[Fraction | int], rhs: Fraction | int, where: str) -> tuple[int, ...]:
+        if len(coeffs) != n_vars:
+            raise ValueError(f"{where}: width {len(coeffs)}, expected {n_vars}")
+        nums, b = integer_row(coeffs, rhs, where)
+        return (*nums, b)
+
+    # the objective as the row obj . x - 0, over a positive factor: the value is read from the point
+    obj = scaled(objective, 0, "the objective")
+    rows = [scaled(a, b, f"inequality {i}") for i, (a, b) in enumerate(ineqs)] + [obj]
+    solved = _solve_equalities([scaled(a, b, f"equality {i}") for i, (a, b) in enumerate(eqs)])
+    if solved is None:
+        return LPResult("infeasible")
+    # the reduced rows are the positive multiples the sequential elimination gives, both primitive
+    left = sorted(set(range(n_vars)) - {j for j, _ in solved})
+    *rows, (obj, _) = [([row[j] for j in left], row[-1]) for row in (_cleared(row, solved) for row in rows)]
+    status, values = _solve_inequalities(rows, obj)
+    if values is None:
+        return LPResult(status)
+    x = dict(zip(left, values))
+    for j, eq in solved:
+        x[j] = Fraction(eq[-1] - sum(eq[k] * x[k] for k in left if eq[k]), eq[j])
     point = tuple(x[j] for j in range(n_vars))
     return LPResult("optimal", sum(map(mul, objective, point), Fraction(0)), point)

@@ -17,7 +17,12 @@ tree below are built on, and the Fraction elimination that
 ``matrix_rank``'s integer one replaced.  The dense simplex keeps its
 artificial column per equality, the reference the equality elimination in
 front of the kernel is checked against; a Fraction mirror of that front
-feeds it the reduced LP.  The
+feeds it the reduced LP.  The sequential integer front that the reduced
+equalities replaced, each equality cleared from every row as it is
+solved and the eliminated columns back-substituted in reverse order,
+stays as the reference for the one-pass front, and the simple-cycle DFS
+that searched its whole returnable set at every state as the reference
+for the one that stops once a state's steps are settled.  The
 helpers only tests call (a Fraction dot product, the LP over a
 polytope, the BFS spanning tree, a network with every line fixed) live
 here too.
@@ -28,6 +33,7 @@ from __future__ import annotations
 import dataclasses
 import heapq
 import itertools
+import math
 import re
 import sys
 from fractions import Fraction
@@ -38,8 +44,8 @@ from anglecuts.cuts import build_cpvi, build_cvi, cpvi_violation, cvi_violation
 from anglecuts.errors import AngleCutsError, BusNotOnCycleError, DisconnectedError, UnboundedError, UnknownBusError
 from anglecuts.graph import Cycle, CyclePathPair, Path, _canonical_cycle, split_cycle
 from anglecuts.network import Network
-from anglecuts.rational import integer_row
-from anglecuts.simplex import LPResult, Row, solve_linear_program
+from anglecuts.rational import _combination, integer_row
+from anglecuts.simplex import LPResult, Row, _solve_inequalities, solve_linear_program
 
 
 def brute_shortest_path(net, m, n, active=None):
@@ -756,3 +762,77 @@ def eliminated_solve_linear_program(
         x[j] = b - sum((a[k] * x[k] for k in range(n_vars) if k != j and a[k]), Fraction(0))
     point = tuple(x[j] for j in range(n_vars))
     return LPResult("optimal", sum((Fraction(c) * v for c, v in zip(objective, point)), Fraction(0)), point)
+
+
+def sequential_front_solve_linear_program(
+    n_vars: int, ineqs: Sequence[Row], eqs: Sequence[Row], objective: Sequence[Fraction]
+) -> LPResult:
+    """solve_linear_program with its sequential integer front: in order, each
+    equality is solved for its first nonzero column, taken positive, and that
+    column is cleared from every other row, the equalities still pending and the
+    objective at once, by one fraction-free combination each; the reduced LP goes
+    to the same tableau kernel, and the eliminated columns are back-substituted in
+    reverse order."""
+    def scaled(coeffs, rhs, where):
+        if len(coeffs) != n_vars:
+            raise ValueError(f"{where}: width {len(coeffs)}, expected {n_vars}")
+        nums, b = integer_row(coeffs, rhs, where)
+        return (*nums, b)
+
+    rows = [scaled(a, b, f"inequality {i}") for i, (a, b) in enumerate(ineqs)] + [scaled(objective, 0, "the objective")]
+    pending = [scaled(a, b, f"equality {i}") for i, (a, b) in enumerate(eqs)]
+    solved = []
+    while pending:
+        eq = pending.pop(0)
+        if (j := next((j for j, v in enumerate(eq[:-1]) if v), None)) is None:
+            if eq[-1]:
+                return LPResult("infeasible")
+            continue
+        eq = eq if eq[j] > 0 else tuple(-v for v in eq)
+        for group in (rows, pending):
+            group[:] = [_combination(eq[j] // (g := math.gcd(eq[j], row[j])), row, row[j] // g, eq) if row[j] else row
+                        for row in group]
+        solved.append((j, eq))
+    left = sorted(set(range(n_vars)) - {j for j, _ in solved})
+    *rows, (obj, _) = [([row[j] for j in left], row[-1]) for row in rows]
+    status, values = _solve_inequalities(rows, obj)
+    if values is None:
+        return LPResult(status)
+    x = dict(zip(left, values))
+    for j, eq in reversed(solved):
+        x[j] = Fraction(eq[-1] - sum(v * x[k] for k, v in enumerate(eq[:-1]) if v and k != j), eq[j])
+    point = tuple(x[j] for j in range(n_vars))
+    return LPResult("optimal", sum((Fraction(c) * v for c, v in zip(objective, point)), Fraction(0)), point)
+
+
+def full_search_cycle_order(net: Network) -> list[tuple[int, ...]]:
+    """The line sequence of each simple cycle in the order all_simple_cycles
+    first closes it, by the same DFS with a full reachability search from the
+    start bus at every state, the search the stopped one replaced."""
+    order, found = net.bus_index, {}
+
+    def returnable(start: str, on_path: set[str]) -> set[str]:
+        reached, todo = set(), [start]
+        while todo:
+            here = todo.pop()
+            for idx in net.adjacency[here]:
+                other = net.lines[idx].other(here)
+                if other not in reached and other not in on_path and order[other] >= order[start]:
+                    reached.add(other)
+                    todo.append(other)
+        return reached
+
+    for start_bus in [b.id for b in net.buses]:
+        stack = [(start_bus, [], [start_bus])]
+        while stack:
+            bus, line_seq, bus_seq = stack.pop()
+            reach = returnable(start_bus, set(bus_seq))
+            for idx in net.adjacency[bus]:
+                if idx in line_seq:
+                    continue
+                other = net.lines[idx].other(bus)
+                if other == start_bus:
+                    found.setdefault(frozenset(line_seq + [idx]), tuple(line_seq + [idx]))
+                elif other in reach:
+                    stack.append((other, line_seq + [idx], bus_seq + [other]))
+    return list(found.values())

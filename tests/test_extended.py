@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import random
 from fractions import Fraction as F
@@ -67,7 +66,7 @@ def test_projection_matches_on_random_cycles():
 
 def _with_row(model, name, **change):
     """A copy of model whose row name has the given fields replaced."""
-    rows = [dataclasses.replace(con, **change) if con.name == name else con for con in model.constraints]
+    rows = [con._replace(**change) if con.name == name else con for con in model.constraints]
     return MilpModel(list(model.variables), rows)
 
 

@@ -3,8 +3,9 @@ import signal
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from anglecuts import graph
 from anglecuts.errors import BusNotOnCycleError, DisconnectedError, UnknownBusError
 from anglecuts.graph import (
     all_simple_cycles,
@@ -22,6 +23,7 @@ from _brute import (
     brute_cycles,
     brute_shortest_path,
     fraction_shortest_path_lengths,
+    full_search_cycle_order,
     root_walk_cycle_basis,
     spanning_tree,
 )
@@ -266,6 +268,35 @@ def nets_with_parallel_lines(draw):
     ends += draw(st.lists(st.sampled_from(ends), min_size=1, max_size=3))  # parallel lines
     rat = st.fractions(min_value=F(1, 6), max_value=5, max_denominator=6)
     return make_net([(b,) for b in ids], [(a, b, draw(rat), draw(rat)) for a, b in draw(st.permutations(ends))])
+
+
+def assert_cycles_match_the_full_search(net, monkeypatch):
+    # the same cycles as every line subset gives, closed in the same DFS order
+    # as the search that explored every state's returnable set in full, so the
+    # list and the point where SIMPLE_CYCLE_CAP raises stay the same
+    closed = []
+    canonical = graph._canonical_cycle
+
+    def record(net, line_seq, bus_seq, total):
+        closed.append(tuple(line_seq))
+        return canonical(net, line_seq, bus_seq, total)
+
+    monkeypatch.setattr(graph, "_canonical_cycle", record)
+    cycles = all_simple_cycles(net)
+    assert closed == full_search_cycle_order(net)
+    assert [tuple(sorted(c.lines)) for c in cycles] == brute_cycles(net)
+
+
+@settings(max_examples=100, derandomize=True)
+@given(nets_with_parallel_lines())
+def test_all_simple_cycles_match_the_full_search(net):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        assert_cycles_match_the_full_search(net, monkeypatch)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_all_simple_cycles_match_the_full_search_on_random_networks(seed, monkeypatch):
+    assert_cycles_match_the_full_search(random_net(seed, max_buses=9), monkeypatch)
 
 
 @given(nets_with_parallel_lines())

@@ -50,6 +50,7 @@ from _brute import (
     model_rows,
     point_in_hull,
     rational_simplex,
+    sequential_front_solve_linear_program,
     with_all_lines_fixed,
 )
 from conftest import basis_cuts, make_net, random_net, ring_net
@@ -530,7 +531,7 @@ def test_candidates_are_read_off_the_given_model(fig1_pair):
     every branch row of every candidate by 1 (the cut, |angle| <= M and
     the single-arc rows: 14, 6, 10 and 12 at M = 6) and leaves the y box."""
     lifted = build_extended(fig1_pair, F(6))
-    shifted = MilpModel(list(lifted.variables), [dataclasses.replace(con, rhs=con.rhs + 1) if con.name == "angle_hi"
+    shifted = MilpModel(list(lifted.variables), [con._replace(rhs=con.rhs + 1) if con.name == "angle_hi"
                                                  else con for con in lifted.constraints])
     for name, branches in HULL_CANDIDATES.items():
         rows = candidate_hull(fig1_pair, lifted, name).rows
@@ -781,8 +782,8 @@ def _as_fractions(model: MilpModel) -> MilpModel:
     def wrap(value):
         return None if value is None else F(value)
 
-    return MilpModel([dataclasses.replace(var, lower=wrap(var.lower), upper=wrap(var.upper)) for var in model.variables],
-                     [dataclasses.replace(con, coeffs=tuple((var, F(c)) for var, c in con.coeffs), rhs=F(con.rhs))
+    return MilpModel([var._replace(lower=wrap(var.lower), upper=wrap(var.upper)) for var in model.variables],
+                     [con._replace(coeffs=tuple((var, F(c)) for var, c in con.coeffs), rhs=F(con.rhs))
                       for con in model.constraints],
                      [(var, F(c)) for var, c in model.objective])
 
@@ -896,6 +897,23 @@ def test_brute_force_pivot_path_pinned(request, monkeypatch, name):
     brute_force_dcots(request.getfixturevalue(name))
     digest = hashlib.sha256(json.dumps(pivots).encode()).hexdigest()
     assert (len(pivots), digest) == PINNED_PIVOTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_PIVOTS))
+def test_brute_force_pattern_lps_match_the_sequential_front(request, monkeypatch, name):
+    # every switching pattern's LP, cut re-solves included, gives the result
+    # the sequential equality front gives, point and value alike
+    solved = []
+
+    def both(*lp):
+        result = solve_linear_program(*lp)
+        assert result == sequential_front_solve_linear_program(*lp)
+        solved.append(result.status)
+        return result
+
+    monkeypatch.setattr(oracle, "solve_linear_program", both)
+    brute_force_dcots(request.getfixturevalue(name))
+    assert "optimal" in solved
 
 
 def test_brute_force_hands_the_simplex_no_equality_and_no_pinned_column(monkeypatch, fig1):

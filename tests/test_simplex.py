@@ -13,7 +13,7 @@ from anglecuts.simplex import LPResult, _pivot, solve_linear_program
 
 import _brute
 from _brute import (dense_pivot, dense_solve_linear_program, dot, eliminate_equalities, eliminated_solve_linear_program,
-                    fraction_vertices, rational_simplex)
+                    fraction_vertices, rational_simplex, sequential_front_solve_linear_program)
 
 
 def test_min_with_lower_bound():
@@ -259,6 +259,31 @@ def test_solver_matches_dense_reference(lp):
     assert result == eliminated_solve_linear_program(**lp)
     reference = dense_solve_linear_program(**lp)
     assert (result.status, result.value) == (reference.status, reference.value)
+
+
+@st.composite
+def equality_heavy_programs(draw):
+    """LPs with up to five columns and as many equalities, redundant and
+    contradictory ones among them (a row repeated, scaled or summed)."""
+    n = draw(st.integers(1, 5))
+    rhs = st.integers(-3, 6).map(F)
+    row = st.tuples(st.lists(ENTRY, min_size=n, max_size=n), rhs)
+    eqs = draw(st.lists(row, min_size=1, max_size=n))
+    for _ in range(draw(st.integers(0, 2))):
+        (a, b), (c, d) = draw(st.sampled_from(eqs)), draw(st.sampled_from(eqs))
+        k = draw(st.sampled_from([F(1), F(-2), F(3, 2)]))
+        eqs.append(([x + k * y for x, y in zip(a, c)], b + k * d + draw(st.sampled_from([0, 0, 1]))))
+    ineqs = draw(st.lists(row, max_size=5)) + (sign_rows(n) if draw(st.booleans()) else [])
+    return dict(n_vars=n, ineqs=ineqs, eqs=eqs, objective=draw(st.lists(ENTRY, min_size=n, max_size=n)))
+
+
+@settings(max_examples=300, derandomize=True)
+@given(linear_programs() | equality_heavy_programs())
+def test_one_pass_front_matches_the_sequential_front(lp):
+    # the reduced equalities clear each row in one pass; the rows they leave
+    # are the primitive ones the sequential elimination leaves, so the
+    # tableau, the pivots and the whole result are the same
+    assert solve_linear_program(**lp) == sequential_front_solve_linear_program(**lp)
 
 
 @settings(max_examples=200)
