@@ -82,7 +82,7 @@ def pair_bounds(net: Network, pairs: Sequence[tuple[str, str]]) -> list[tuple[Fr
     adj, den = scaled_adjacency(net, [i for i, line in enumerate(net.lines) if not line.switchable])
     trivial = (global_big_m(net), BoundSource.TRIVIAL_M)
     found: dict[int, tuple[Fraction, BoundSource]] = {}  # per distinct scaled length, its bound, made once
-    out: list = [trivial] * len(pairs)
+    out = [trivial] * len(pairs)
     for m, ks in by_source.items():
         dist = scaled_lengths(net, adj, m)
         for k in ks:

@@ -173,9 +173,10 @@ def load_network(source) -> Network:
         key = (raw.__class__, raw)
         try:
             return parsed[key]
-        except (KeyError, TypeError):  # TypeError: a list or object, which parse_rational refuses
-            value = parsed[key] = parse_rational(raw, name)
-            return value
+        except (KeyError, TypeError):  # not parsed yet, or a list or object, which parse_rational refuses
+            pass
+        value = parsed[key] = parse_rational(raw, name)
+        return value
 
     buses = []
     for i, obj in enumerate(raw_buses):

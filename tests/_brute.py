@@ -33,10 +33,10 @@ from __future__ import annotations
 import dataclasses
 import heapq
 import itertools
-import math
 import re
 import sys
 from fractions import Fraction
+from math import gcd
 from typing import Mapping, Sequence
 
 from anglecuts.bounds import BoundSource, global_big_m
@@ -790,7 +790,7 @@ def sequential_front_solve_linear_program(
             continue
         eq = eq if eq[j] > 0 else tuple(-v for v in eq)
         for group in (rows, pending):
-            group[:] = [_combination(eq[j] // (g := math.gcd(eq[j], row[j])), row, row[j] // g, eq) if row[j] else row
+            group[:] = [_combination(eq[j] // (g := gcd(eq[j], row[j])), row, row[j] // g, eq) if row[j] else row
                         for row in group]
         solved.append((j, eq))
     left = sorted(set(range(n_vars)) - {j for j, _ in solved})

@@ -168,3 +168,21 @@ def test_pair_bounds_match_the_fraction_search(seed):
     got = pair_bounds(net, pairs)
     assert got == fraction_pair_bounds(net, pairs)
     assert all(type(bound) is F for bound, _ in got)
+
+
+def test_report_with_repeated_distances_and_unreachable_pairs():
+    # bounds 1 and 2 repeat over fixed paths, every pair across the switchable
+    # lines takes the global M, and 5/2 is a bound of its own: each is written
+    # as it was before the report formatted each distinct bound once
+    net = make_net([(b,) for b in "abcdef"], [
+        ("a", "b", F(1, 2), 2, False), ("b", "c", 1, 1, False), ("c", "d", F(1, 3), 3, False),
+        ("d", "e", 1, F(5, 2)), ("e", "f", 1, F(5, 2), False), ("a", "f", 2, 1),
+    ])
+    report = bound_report(net)
+    assert (report.global_m, report.pairs) == reference_report(net)
+    sp, m = BoundSource.SHORTEST_PATH_ACTIVE.value, BoundSource.TRIVIAL_M.value
+    expected = [("a", "b", "1", sp), ("a", "c", "2", sp), ("a", "d", "3", sp), ("a", "e", "10", m), ("a", "f", "10", m),
+                ("b", "c", "1", sp), ("b", "d", "2", sp), ("b", "e", "10", m), ("b", "f", "10", m),
+                ("c", "d", "1", sp), ("c", "e", "10", m), ("c", "f", "10", m),
+                ("d", "e", "10", m), ("d", "f", "10", m), ("e", "f", "5/2", sp)]
+    assert report.to_json() == {"global_M": "10", "pairs": [dict(zip(("m", "n", "bound", "source"), p)) for p in expected]}

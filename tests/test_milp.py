@@ -446,3 +446,52 @@ def test_model_refuses_an_objective_lp_text_and_model_lp_read_apart(objective, m
     model.objective = [("x", 2)]
     assert model == MilpModel(model.variables, [], [("x", 2)])
     assert ModelLP(model).objective == [2]
+
+
+def mixed_value_model() -> MilpModel:
+    """Rows whose values fall on both sides of MAX_PLAIN_DIGITS, with 1/3 and
+    2 in scaled and plain rows, 2 both as an int and as a Fraction, and a
+    bound past the row digit limit, which a bound writes plainly."""
+    model = MilpModel()
+    model.add_variable("x", "continuous", None, 1234567890123456789)
+    model.add_variable("y", "continuous", F(-1, 4), F(1, 2))
+    model.add_variable("z", "binary", 0, 1)
+    model.objective = [("x", F(1, 3)), ("y", 2)]
+    model.add_constraint("third", [("x", F(1, 3)), ("y", 2)], "<=", F(1, 2))
+    model.add_constraint("halves", [("x", 2), ("y", F(1, 2))], "<=", 1)
+    model.add_constraint("equal", [("x", F(2)), ("y", -1), ("z", F(-5, 4))], "=", F(1, 2))
+    model.add_constraint("digits18", [("x", 123456789012345678), ("y", F(-1, 8))], "<=", F(3, 8))
+    model.add_constraint("digits19", [("x", 1234567890123456789), ("y", F(-1, 8))], "<=", F(3, 8))
+    model.add_constraint("long_decimal", [("x", F(1234567890123456789, 10**19)), ("z", F(1, 2))], "<=", 2)
+    model.add_constraint("again", [("x", F(1, 3)), ("z", 2)], "<=", F(1, 3))
+    return model
+
+
+# the text each value's per-occurrence rendering wrote; lp_text now makes each distinct value's text once per call
+MIXED_VALUE_LP = r"""Minimize
+\ objective scaled by 3
+ obj: 1 x + 6 y
+Subject To
+ third: 2 x + 12 y <= 3  \ scaled by 6
+ halves: 2 x + 0.5 y <= 1
+ equal: 2 x - 1 y - 1.25 z = 0.5
+ digits18: 123456789012345678 x - 0.125 y <= 0.375
+ digits19: 9876543120987654312 x - 1 y <= 3  \ scaled by 8
+ long_decimal: 1234567890123456789 x + 5000000000000000000 z <= 20000000000000000000  \ scaled by 10000000000000000000
+ again: 1 x + 6 z <= 1  \ scaled by 3
+Bounds
+ -inf <= x <= 1234567890123456789
+ -0.25 <= y <= 0.5
+ 0 <= z <= 1
+Binary
+ z
+End
+"""
+
+
+def test_lp_text_renders_each_distinct_value_as_before():
+    model = mixed_value_model()
+    assert lp_text(model) == MIXED_VALUE_LP
+    # the same values in another first-seen order give the same rows
+    model.constraints.reverse()
+    assert lp_text(model).splitlines()[4:11] == MIXED_VALUE_LP.splitlines()[4:11][::-1]

@@ -181,6 +181,42 @@ def test_bus_value_messages(field):
     assert str(got.value) == f"bus 'a': {field} must be >= 0"
 
 
+# each distinct raw value is parsed once per document, so a later value
+# equal to one parsed before must not take its parse: true, 1 and 1.0 are
+# equal dict keys, and a memo keyed by the raw value alone would give bus
+# 'b' the 1 bus 'a' parsed
+LATER_VALUES = [
+    (True, "bus 'b' demand: expected a rational, got a boolean"),
+    (1.0, "bus 'b' demand: floats are not exact; use a decimal or p/q string"),
+    ("1/0", "bus 'b' demand: not a rational string: '1/0'"),
+]
+
+
+@pytest.mark.parametrize("later, message", LATER_VALUES, ids=[repr(v) for v, _ in LATER_VALUES])
+def test_a_value_equal_to_an_earlier_one_keeps_its_type_and_message(later, message):
+    with pytest.raises(ParseError) as got:
+        load_network(doc([{"id": "a", "demand": 1}, {"id": "b", "demand": later}], []))
+    assert str(got.value) == message
+    # the other way round the 1 parses, and so does every value of the kind it stands for
+    net = load_network(doc([{"id": "a", "gen_max": 1, "demand": "1"}, {"id": "b", "demand": 1}], [line_doc("a", "b")]))
+    assert [(bus.demand, bus.gen_max) for bus in net.buses] == [(1, 1), (1, 0)]
+    assert all(type(bus.demand) is F for bus in net.buses)
+
+
+def test_the_same_bad_value_names_the_first_bus():
+    for bad, message in [("x", "not a rational string: 'x'"), (True, "expected a rational, got a boolean")]:
+        with pytest.raises(ParseError) as got:
+            load_network(doc([{"id": "a"}, {"id": "b", "gen_cost": bad}, {"id": "c", "gen_cost": bad}], []))
+        assert str(got.value) == f"bus 'b' gen_cost: {message}"
+
+
+def test_a_list_or_object_value_is_refused_as_before():
+    for bad, kind in [([1], "list"), ({"p": 1}, "dict")]:
+        with pytest.raises(ParseError) as got:
+            load_network(doc([{"id": "a", "demand": 1}, {"id": "b", "demand": bad}], []))
+        assert str(got.value) == f"bus 'b' demand: expected a rational string or integer, got {kind}"
+
+
 @pytest.mark.parametrize("field", ["reactance", "capacity"])
 def test_line_value_messages(field):
     buses = [{"id": "a"}, {"id": "b"}]
