@@ -156,9 +156,9 @@ def _solve_equalities(eqs: list[tuple[int, ...]]) -> list[tuple[int, tuple[int, 
 
 
 def _cleared(row: tuple[int, ...], solved: Sequence[tuple[int, tuple[int, ...]]]) -> tuple[int, ...]:
-    """row with each solved column cleared by its equality, which is positive there: a positive
-    multiple of row plus a combination of the equalities, primitive, and for reduced equalities
-    the one such row zero in those columns."""
+    """row with each solved column cleared by its equality (positive there), one fraction-free
+    combination over the gcd per column.  The result is the one primitive row that is a positive
+    multiple of row plus a combination of the equalities and is zero in those columns."""
     for j, eq in solved:
         if row[j]:
             g = gcd(eq[j], row[j])
@@ -258,7 +258,7 @@ def solve_linear_program(
     solved = _solve_equalities([scaled(a, b, f"equality {i}") for i, (a, b) in enumerate(eqs)])
     if solved is None:
         return LPResult("infeasible")
-    # the reduced rows are the positive multiples the sequential elimination gives, both primitive
+    # so each row is the one a sequential elimination leaves, and the tableau is the same
     left = sorted(set(range(n_vars)) - {j for j, _ in solved})
     *rows, (obj, _) = [([row[j] for j in left], row[-1]) for row in (_cleared(row, solved) for row in rows)]
     status, values = _solve_inequalities(rows, obj)
