@@ -22,7 +22,6 @@ from .graph import (
     all_simple_cycles,
     fundamental_cycle_basis,
     shortest_path_bound,
-    shortest_path_lengths,
     split_cycle,
 )
 from .milp import MilpModel, build_dcots, lp_text

@@ -2,7 +2,8 @@
 
 Two sources: the telescoped shortest-path bound over always-active
 (non-switchable) lines, and the trivial network-wide fallback M equal to
-the sum of all line weights.
+the sum of all line weights, both over `graph.scaled_weights`' integers;
+paths come from `graph.scaled_lengths`, the one shortest-path search.
 """
 
 from __future__ import annotations
@@ -11,12 +12,11 @@ import enum
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import NamedTuple, Sequence
 
 from .errors import UnknownBusError
 # shortest_path_bound is unused here but stays a module attribute: bench/layers.py wraps it by this name
-from .graph import scaled_adjacency, scaled_lengths, shortest_path_bound  # noqa: F401
+from .graph import scaled_adjacency, scaled_lengths, scaled_weights, shortest_path_bound  # noqa: F401
 from .network import Network
 from .rational import format_rational
 
@@ -41,24 +41,16 @@ class BoundReport:
     pairs: tuple[PairBound, ...]
 
     def to_json(self) -> dict:
-        # bounds repeat from pair to pair: each distinct one is formatted once, keyed by
-        # numerator and denominator since Fraction's hash is slow
-        texts: dict[tuple[int, int], str] = {}
-        pairs = []
-        for m, n, bound, source in self.pairs:
-            key = (bound.numerator, bound.denominator)
-            if (text := texts.get(key)) is None:
-                text = texts[key] = format_rational(bound)
-            pairs.append({"m": m, "n": n, "bound": text, "source": source.value})
-        return {"global_M": format_rational(self.global_m), "pairs": pairs}
+        return {"global_M": format_rational(self.global_m),
+                "pairs": [{"m": m, "n": n, "bound": format_rational(bound), "source": source.value}
+                          for m, n, bound, source in self.pairs]}
 
 
 def global_big_m(net: Network) -> Fraction:
     """Sum of all line weights: valid for any pair under any topology.
-    Summed as integers over the weights' least common denominator."""
-    weights = [line.weight for line in net.lines]
-    den = lcm(*[w.denominator for w in weights])
-    return Fraction(sum([w.numerator * (den // w.denominator) for w in weights]), den)
+    Summed over scaled_weights' integers."""
+    weights, den = scaled_weights(net)
+    return Fraction(sum(weights), den)
 
 
 def pair_bounds(net: Network, pairs: Sequence[tuple[str, str]]) -> list[tuple[Fraction, BoundSource]]:
@@ -67,29 +59,26 @@ def pair_bounds(net: Network, pairs: Sequence[tuple[str, str]]) -> list[tuple[Fr
     Uses the shortest path over non-switchable lines when one exists;
     such a path is active under every switching decision, so the
     telescoped bound always applies.  Otherwise falls back to the global M.
-    Every pair is checked before any search; then one search over the
-    fixed lines, their weights scaled to integers once per call, runs
-    per distinct first bus and answers all its pairs.
+    Every pair is checked before any search (its first bus, its second,
+    then that they differ); then one scaled_lengths search over the fixed
+    lines per distinct first bus answers all its pairs.
     """
-    by_source: dict[str, list[int]] = {}
+    bus_index, by_source = net.bus_index, {}
     for k, (m, n) in enumerate(pairs):
-        for bus in (m, n):
-            if bus not in net.bus_index:
-                raise UnknownBusError(f"unknown bus {bus!r}")
+        if m not in bus_index:
+            raise UnknownBusError(f"unknown bus {m!r}")
+        if n not in bus_index:
+            raise UnknownBusError(f"unknown bus {n!r}")
         if m == n:
             raise ValueError("a pair bound requires two distinct buses")
         by_source.setdefault(m, []).append(k)
     adj, den = scaled_adjacency(net, [i for i, line in enumerate(net.lines) if not line.switchable])
-    trivial = (global_big_m(net), BoundSource.TRIVIAL_M)
-    found: dict[int, tuple[Fraction, BoundSource]] = {}  # per distinct scaled length, its bound, made once
-    out = [trivial] * len(pairs)
+    out = [(global_big_m(net), BoundSource.TRIVIAL_M)] * len(pairs)
     for m, ks in by_source.items():
         dist = scaled_lengths(net, adj, m)
         for k in ks:
             if (sp := dist.get(pairs[k][1])) is not None:
-                if (bound := found.get(sp)) is None:
-                    bound = found[sp] = (Fraction(sp, den), BoundSource.SHORTEST_PATH_ACTIVE)
-                out[k] = bound
+                out[k] = (Fraction(sp, den), BoundSource.SHORTEST_PATH_ACTIVE)
     return out
 
 

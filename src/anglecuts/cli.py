@@ -15,7 +15,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .bounds import bound_report, global_big_m, pair_bound
+from .bounds import BoundReport, BoundSource, bound_report, global_big_m, pair_bound
 from .cuts import (
     FractionalPoint,
     SeparationConfig,
@@ -125,22 +125,27 @@ def cmd_validate(args) -> int:
     return EXIT_OK
 
 
-def _bounds_text(doc: dict) -> str:
-    """The bytes of json.dumps(doc, indent=2) for a bound report, with each
-    string through the C encoder instead of the pure-Python indenting one."""
-    s = functools.cache(json.dumps)  # bus ids, bounds and sources repeat from pair to pair
+def _bounds_text(report: BoundReport) -> str:
+    """json.dumps(report.to_json(), indent=2), written from the records in one
+    pass through the C string encoder: each bus id's JSON and each distinct
+    bound's text (keyed by numerator and denominator, Fraction's hash being
+    slow) made once per call, a source's JSON picked by identity."""
+    ids = functools.cache(json.dumps)
+    bounds = functools.cache(lambda num, den: json.dumps(format_rational(Fraction(num, den))))
+    shortest, trivial = json.dumps(BoundSource.SHORTEST_PATH_ACTIVE.value), json.dumps(BoundSource.TRIVIAL_M.value)
     pairs = ",\n".join(
-        f'    {{\n      "m": {s(p["m"])},\n      "n": {s(p["n"])},\n      "bound": {s(p["bound"])},\n'
-        f'      "source": {s(p["source"])}\n    }}' for p in doc["pairs"])
+        f'    {{\n      "m": {ids(m)},\n      "n": {ids(n)},\n      "bound": {bounds(b.numerator, b.denominator)},\n'
+        f'      "source": {shortest if source is BoundSource.SHORTEST_PATH_ACTIVE else trivial}\n    }}'
+        for m, n, b, source in report.pairs)
     pairs = f"[\n{pairs}\n  ]" if pairs else "[]"
-    return f'{{\n  "global_M": {s(doc["global_M"])},\n  "pairs": {pairs}\n}}'
+    return f'{{\n  "global_M": {json.dumps(format_rational(report.global_m))},\n  "pairs": {pairs}\n}}'
 
 
 def cmd_bounds(args) -> int:
     net = _load_net(args.network)
-    doc = bound_report(net).to_json()
-    _emit(_bounds_text(doc), args.out)
-    _say(f"global M = {doc['global_M']}; {len(doc['pairs'])} pair bounds")
+    report = bound_report(net)
+    _emit(_bounds_text(report), args.out)
+    _say(f"global M = {report.global_m}; {len(report.pairs)} pair bounds")  # str of a Fraction is format_rational's text
     return EXIT_OK
 
 

@@ -144,8 +144,10 @@ def check_big_m(pair: CyclePathPair, big_m: Fraction) -> None:
 def build_cpvi(pair: CyclePathPair, big_m: Fraction) -> CutCPVI:
     """Assemble the path-based cut for a split cycle under the given big-M.
 
-    Requires big_m >= the longer arc's weight, so both slope coefficients
-    are nonnegative and the inequality is valid.
+    Requires big_m >= the longer arc's weight, which only keeps both slope
+    coefficients nonnegative.  The inequality is valid when big_m also
+    bounds |theta_n - theta_m| under every topology: the global M, or the
+    pair's bounds.pair_bound, the floor `emit --cuts` enforces.
     """
     check_big_m(pair, big_m)
     w_short = pair.shorter.total_weight

@@ -3,9 +3,10 @@
 The fundamental cycle basis, grown from `Network.tree` (the BFS spanning
 tree that validation built), weighted shortest paths on line subsets,
 and splitting a cycle at a bus pair into its two complementary arcs.
-Everything here is a pure function of immutable inputs.  Weights are
-exact rationals; the shortest-path search runs on them scaled to
-integers by the lcm of their denominators.
+Everything here is a pure function of immutable inputs.  `scaled_weights`
+gives every line weight (capacity * reactance) as an integer over one
+denominator; the one shortest-path search, `scaled_lengths`, and the
+simple-cycle sums run on those integers.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ __all__ = [
     "Cycle",
     "CyclePathPair",
     "fundamental_cycle_basis",
-    "shortest_path_lengths",
     "shortest_path_bound",
     "split_cycle",
     "all_simple_cycles",
@@ -65,11 +65,6 @@ class CyclePathPair:
     pair: tuple[str, str]
     shorter: Path
     longer: Path
-
-
-def _check_bus(net: Network, bus: str) -> None:
-    if bus not in net.bus_index:
-        raise UnknownBusError(f"unknown bus {bus!r}")
 
 
 def _canonical_cycle(net: Network, line_seq: Sequence[int], bus_seq: Sequence[str], total: Fraction) -> Cycle:
@@ -129,19 +124,26 @@ def fundamental_cycle_basis(net: Network) -> list[Cycle]:
     return cycles
 
 
+def scaled_weights(net: Network) -> tuple[list[int], int]:
+    """Each line's weight, capacity * reactance, as an integer over den, the
+    lcm of the products of their denominators: no Fraction per line."""
+    dens = [line.capacity.denominator * line.reactance.denominator for line in net.lines]
+    den = lcm(*dens)
+    return [line.capacity.numerator * line.reactance.numerator * (den // d) for line, d in zip(net.lines, dens)], den
+
+
 def scaled_adjacency(net: Network, active_lines: Iterable[int] | None = None) -> tuple[dict[str, list], int]:
-    """Per bus, (neighbour, weight * den) over the given lines in line
-    order, and den, the lcm of the line weights' denominators.  A
-    positive scale keeps every comparison, so a search on these integers
-    settles the buses in the order a search on the Fractions would."""
+    """Per bus, (neighbour, scaled weight) over the given lines in line
+    order, and scaled_weights' den.  A positive scale keeps every
+    comparison, so a search on these integers settles the buses in the
+    order a search on the Fractions would."""
     active = range(len(net.lines)) if active_lines is None else frozenset(active_lines)
-    den = lcm(*[line.weight.denominator for line in net.lines])
+    weights, den = scaled_weights(net)
     adj: dict[str, list[tuple[str, int]]] = {bus.id: [] for bus in net.buses}
     for idx, line in enumerate(net.lines):
         if idx in active:
-            weight = line.weight.numerator * (den // line.weight.denominator)
-            adj[line.from_bus].append((line.to_bus, weight))
-            adj[line.to_bus].append((line.from_bus, weight))
+            adj[line.from_bus].append((line.to_bus, weights[idx]))
+            adj[line.to_bus].append((line.from_bus, weights[idx]))
     return adj, den
 
 
@@ -165,31 +167,21 @@ def scaled_lengths(net: Network, adj: dict[str, list], source: str) -> dict[str,
     return done
 
 
-def shortest_path_lengths(
-    net: Network, source: str, active_lines: Iterable[int] | None = None
-) -> dict[str, Fraction]:
-    """Minimum total weight from source to every bus it reaches inside
-    the given line subset, source itself at 0.
-
-    With active_lines None the whole line set is used.  Label-setting
-    search on the weights scaled to integers; comparisons are exact.
-    """
-    _check_bus(net, source)
-    adj, den = scaled_adjacency(net, active_lines)
-    return {bus: Fraction(d, den) for bus, d in scaled_lengths(net, adj, source).items()}
-
-
 def shortest_path_bound(net: Network, m: str, n: str, active_lines: Iterable[int] | None = None):
     """Minimum total weight over paths m..n inside the given line subset.
 
     Returns None when the pair is unreachable in that subgraph.  With
-    active_lines None the whole line set is used.
+    active_lines None the whole line set is used.  One scaled_lengths
+    search from m; comparisons are exact.
     """
-    _check_bus(net, m)
-    _check_bus(net, n)
+    for bus in (m, n):
+        if bus not in net.bus_index:
+            raise UnknownBusError(f"unknown bus {bus!r}")
     if m == n:
         raise ValueError("shortest_path_bound requires two distinct buses")
-    return shortest_path_lengths(net, m, active_lines).get(n)
+    adj, den = scaled_adjacency(net, active_lines)
+    d = scaled_lengths(net, adj, m).get(n)
+    return None if d is None else Fraction(d, den)
 
 
 def split_cycle(net: Network, cycle: Cycle, m: str, n: str) -> CyclePathPair:
@@ -238,12 +230,10 @@ def all_simple_cycles(net: Network) -> list[Cycle]:
     only to a bus that still reaches its start through buses off the path
     and not below the start: no path that closes is lost.  Each state's
     search for those buses stops once it has reached every bus the state
-    could step to.  A cycle's weight is summed in integers over the lcm of
-    the line weights' denominators.
+    could step to.  A cycle's weight is summed over scaled_weights.
     """
     found: dict[frozenset[int], Cycle] = {}
-    den = lcm(*[line.weight.denominator for line in net.lines])
-    scaled = [line.weight.numerator * (den // line.weight.denominator) for line in net.lines]
+    scaled, den = scaled_weights(net)
 
     def record(line_seq: list[int], bus_seq: list[str]) -> None:
         key = frozenset(line_seq)

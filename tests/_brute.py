@@ -100,8 +100,9 @@ def fraction_parse_rational(value: object, where: str = "value") -> Fraction:
 
 
 def fraction_shortest_path_lengths(net, source, active_lines=None):
-    """graph.shortest_path_lengths with Fraction heap keys: each bus source
-    reaches inside the line subset, in the order it is settled."""
+    """graph.scaled_lengths over graph.scaled_adjacency, with the Fraction
+    weights as heap keys: each bus source reaches inside the line subset,
+    in the order it is settled, with its distance."""
     if source not in net.bus_index:
         raise UnknownBusError(f"unknown bus {source!r}")
     active = None if active_lines is None else frozenset(active_lines)

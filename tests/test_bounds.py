@@ -48,6 +48,21 @@ def test_pair_bound_unknown_bus(fig1):
         pair_bound(fig1, "i0", "i0")
 
 
+@pytest.mark.parametrize("pairs, error, message", [
+    ([("i0", "i1"), ("zz", "yy"), ("i0", "i0")], UnknownBusError, "unknown bus 'zz'"),
+    ([("i0", "i1"), ("i0", "zz"), ("i2", "i2")], UnknownBusError, "unknown bus 'zz'"),
+    ([("i0", "i1"), ("i2", "i2"), ("zz", "i0")], ValueError, "a pair bound requires two distinct buses"),
+    ([("i1", "i1"), ("i0", "zz")], ValueError, "a pair bound requires two distinct buses"),
+    ([("zz", "zz")], UnknownBusError, "unknown bus 'zz'"),
+    ([("i0", "zz"), ("yy", "i0")], UnknownBusError, "unknown bus 'zz'"),
+])
+def test_pair_bounds_names_the_first_fault_in_pair_order(fig1, pairs, error, message):
+    # pair by pair: its first bus, its second bus, then the two equal
+    with pytest.raises(Exception) as caught:
+        pair_bounds(fig1, pairs)
+    assert type(caught.value) is error and str(caught.value) == message
+
+
 def reference_report(net):
     """Pair by pair: exhaustive paths over the fixed lines, else the line-weight sum."""
     fixed = [i for i, line in enumerate(net.lines) if not line.switchable]
@@ -172,8 +187,7 @@ def test_pair_bounds_match_the_fraction_search(seed):
 
 def test_report_with_repeated_distances_and_unreachable_pairs():
     # bounds 1 and 2 repeat over fixed paths, every pair across the switchable
-    # lines takes the global M, and 5/2 is a bound of its own: each is written
-    # as it was before the report formatted each distinct bound once
+    # lines takes the global M, and 5/2 is a bound of its own
     net = make_net([(b,) for b in "abcdef"], [
         ("a", "b", F(1, 2), 2, False), ("b", "c", 1, 1, False), ("c", "d", F(1, 3), 3, False),
         ("d", "e", 1, F(5, 2)), ("e", "f", 1, F(5, 2), False), ("a", "f", 2, 1),

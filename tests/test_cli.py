@@ -1,10 +1,12 @@
 import contextlib
 import io
+import itertools
 import json
 import os
 import subprocess
 import sys
 import tempfile
+from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
@@ -12,7 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import anglecuts
 from anglecuts import cli, oracle
-from anglecuts.bounds import bound_report, global_big_m
+from anglecuts.bounds import BoundReport, BoundSource, PairBound, bound_report, global_big_m
 from anglecuts.cli import main
 from anglecuts.cuts import build_cpvi, build_cvi, cpvi_to_json, cvi_to_json
 from anglecuts.graph import Cycle, fundamental_cycle_basis, split_cycle
@@ -138,10 +140,15 @@ def test_bounds_writes_the_bytes_of_json_dumps(capsys, tmp_path):
     assert out.endswith('"pairs": []\n}\n')
 
 
-@given(st.text(), st.lists(st.tuples(st.text(), st.text(), st.text(), st.text()), max_size=3))
+@given(st.fractions(), st.lists(st.tuples(st.text(), st.text(), st.fractions(), st.sampled_from(BoundSource)), max_size=6))
+@example(F(10), [])
+@example(F(-7, 3), [(ODD_IDS[k], ODD_IDS[k + 1], F(k % 3, 2), source)
+                    for k, source in zip(range(6), itertools.cycle(BoundSource))])
+@example(F(0), [("", "", F(1), BoundSource.TRIVIAL_M), ("", 'q"', F(2, 2), BoundSource.SHORTEST_PATH_ACTIVE)])
 def test_bounds_text_is_json_dumps_with_indent(global_m, rows):
-    doc = {"global_M": global_m, "pairs": [dict(zip(("m", "n", "bound", "source"), row)) for row in rows]}
-    assert cli._bounds_text(doc) == json.dumps(doc, indent=2)
+    # free-text bus ids, repeated and distinct bounds, both sources
+    report = BoundReport(global_m, tuple(PairBound(*row) for row in rows))
+    assert cli._bounds_text(report) == json.dumps(report.to_json(), indent=2)
 
 
 # -- cuts ---------------------------------------------------------------------

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import Phase, example, given, settings, strategies as st
 
 import anglecuts.cuts
-from anglecuts.bounds import global_big_m
+from anglecuts.bounds import BoundSource, global_big_m, pair_bound
 from anglecuts.cuts import (
     FractionalPoint,
     SeparationConfig,
@@ -24,6 +24,7 @@ from anglecuts.cuts import (
 )
 from anglecuts.errors import InvalidBigMError, MissingVariableError, SubsetNotInCycleError
 from anglecuts.graph import all_simple_cycles, fundamental_cycle_basis, split_cycle
+from anglecuts.milp import build_dcots, dcots_names
 
 from _brute import exhaustive_cpvi, exhaustive_cvi, two_arc_cvi
 from conftest import make_net, ring_net
@@ -67,6 +68,33 @@ def test_cpvi_requires_big_m_at_least_longer_weight(fig1_pair):
         build_cpvi(fig1_pair, F(3))
     boundary = build_cpvi(fig1_pair, F(4))  # equal to the longer weight
     assert boundary.delta_m == 0
+
+
+def test_a_big_m_above_the_longer_arc_but_below_the_pair_bound_cuts_off_a_feasible_point():
+    # a unit 4-cycle a-b-c-d (lines 0-3, switchable) with an always-on path
+    # a-e-f-c (lines 4-6): with lines 0 and 2 open, theta_a - theta_c reaches
+    # 3, the pair's bound, while the longer arc of a..c weighs only 2
+    net = make_net([("a", 0, 1), ("b",), ("c", 1), ("d",), ("e",), ("f",)],
+                   [("a", "b", 1, 1), ("b", "c", 1, 1), ("c", "d", 1, 1), ("d", "a", 1, 1),
+                    ("a", "e", 1, 1, False), ("e", "f", 1, 1, False), ("f", "c", 1, 1, False)])
+    theta = {"a": F(0), "b": F(-3), "c": F(-3), "d": F(0), "e": F(-1), "f": F(-2)}
+    y = {0: F(0), 1: F(1), 2: F(0), 3: F(1), 4: F(1), 5: F(1), 6: F(1)}
+    f = {0: F(0), 1: F(0), 2: F(0), 3: F(0), 4: F(1), 5: F(1), 6: F(1)}
+    names = dcots_names(net)
+    value = {names.g["a"]: F(1), **{names.g[b]: F(0) for b in "bcdef"}, **{names.theta[b]: t for b, t in theta.items()},
+             **{names.f[k]: v for k, v in f.items()}, **{names.y[k]: v for k, v in y.items()}}
+    model = build_dcots(net, "global")
+    for var in model.variables:
+        assert (var.lower is None or var.lower <= value[var.name]) and (var.upper is None or value[var.name] <= var.upper)
+    for con in model.constraints:
+        lhs = sum(c * value[name] for name, c in con.coeffs)
+        assert lhs == con.rhs if con.sense == "=" else lhs <= con.rhs, con.name
+    cycle = next(cycle for cycle in all_simple_cycles(net) if sorted(cycle.lines) == [0, 1, 2, 3])
+    pair = split_cycle(net, cycle, "a", "c")
+    assert pair.longer.total_weight == 2 and pair_bound(net, "a", "c") == (3, BoundSource.SHORTEST_PATH_ACTIVE)
+    point = FractionalPoint(theta=theta, y=y, f=f)
+    assert cpvi_violation(build_cpvi(pair, F(2)), point) == 1
+    assert cpvi_violation(build_cpvi(pair, F(3)), point) == 0
 
 
 def test_cpvi_tie_drops_shorter_term():

@@ -12,7 +12,6 @@ from anglecuts.graph import (
     cycle_orientation_signs,
     fundamental_cycle_basis,
     shortest_path_bound,
-    shortest_path_lengths,
     split_cycle,
 )
 from anglecuts.network import Bus, Line, Network, load_network, serialize_network
@@ -239,20 +238,23 @@ def test_shortest_path_lengths_match_brute_force_on_random_networks(seed):
     ids = [b.id for b in net.buses]
     fixed = [i for i, line in enumerate(net.lines) if not line.switchable]
     for active in (None, fixed):
+        adj, den = graph.scaled_adjacency(net, active)
         for source in ids:
             brute = {t: brute_shortest_path(net, source, t, active) for t in ids}
             expect = {t: d for t, d in brute.items() if d is not None}
-            assert shortest_path_lengths(net, source, active) == expect
+            assert {t: F(d, den) for t, d in graph.scaled_lengths(net, adj, source).items()} == expect
             for target in ids:
                 if target != source:
                     assert shortest_path_bound(net, source, target, active) == brute[target]
 
 
 def test_shortest_path_lengths_checks(fig1):
-    assert shortest_path_lengths(fig1, "i0", active_lines=[0, 1]) == {"i0": 0, "i1": 1, "i2": 2}
-    with pytest.raises(UnknownBusError):
-        shortest_path_lengths(fig1, "nope")
-    with pytest.raises(ValueError):
+    # lines 0 and 1 join i0-i1-i2, and the rest of the ring is off
+    assert [shortest_path_bound(fig1, "i0", bus, active_lines=[0, 1]) for bus in ("i1", "i2", "i3")] == [1, 2, None]
+    for m, n in (("nope", "i0"), ("i0", "nope"), ("nope", "nope")):
+        with pytest.raises(UnknownBusError, match="^unknown bus 'nope'$"):
+            shortest_path_bound(fig1, m, n)
+    with pytest.raises(ValueError, match="^shortest_path_bound requires two distinct buses$"):
         shortest_path_bound(fig1, "i0", "i0")
 
 
@@ -379,11 +381,12 @@ def test_cycle_basis_on_a_long_ladder():
 
 
 def assert_search_matches_the_fraction_search(net, active):
+    adj, den = graph.scaled_adjacency(net, active)
     for source in [bus.id for bus in net.buses]:
-        got = shortest_path_lengths(net, source, active)
+        got = graph.scaled_lengths(net, adj, source)
+        assert all(type(d) is int for d in got.values())
         # the same Fractions, settled in the same order
-        assert list(got.items()) == list(fraction_shortest_path_lengths(net, source, active).items())
-        assert all(type(d) is F for d in got.values())
+        assert [(bus, F(d, den)) for bus, d in got.items()] == list(fraction_shortest_path_lengths(net, source, active).items())
 
 
 @given(nets_with_parallel_lines(), st.data())

@@ -1,8 +1,10 @@
 """Deterministic work counts on the benchmark's generated grids: the
-network reader parses each distinct raw value once per document, and
-lp_text formats each distinct value once per call.  Counts do not vary
-between machines, so a change that goes back to per-occurrence work
-fails here whatever the host's speed.
+network reader parses each distinct raw value once per document, lp_text
+formats each distinct value once per call, the bounds command formats
+each distinct bound once, and the bound and model paths read the line
+weights without making a Fraction per line.  Counts do not vary between
+machines, so a change that goes back to per-occurrence work fails here
+whatever the host's speed.
 
 The grid generator is read from bench/; nothing there is written.
 """
@@ -14,7 +16,8 @@ from pathlib import Path
 
 import pytest
 
-from anglecuts import milp, network
+from anglecuts import bounds, cli, milp, network
+from anglecuts.bounds import bound_report
 from anglecuts.milp import build_dcots, lp_text
 from anglecuts.network import BUS_VALUES, LINE_VALUES, load_network
 
@@ -70,3 +73,24 @@ def test_each_distinct_value_is_parsed_and_formatted_once(monkeypatch, size, see
         assert len(plain) == len(model_values(model))
         counts.append(len(plain))
     assert tuple(counts) == PINNED[size, seed]
+
+
+@pytest.mark.parametrize("size, seed", sorted(PINNED))
+def test_the_bound_and_model_paths_make_no_line_weight(size, seed):
+    # Line.weight caches its Fraction product on the line when read
+    net = load_network(json.dumps(gen.grid(size, seed)))
+    bound_report(net)
+    for bigm in ("global", "bounds"):
+        lp_text(build_dcots(net, bigm))
+    assert [k for k, line in enumerate(net.lines) if "weight" in vars(line)] == []
+
+
+@pytest.mark.parametrize("size, seed", sorted(PINNED))
+def test_the_bounds_command_formats_each_distinct_bound_once(monkeypatch, tmp_path, size, seed):
+    path = tmp_path / "net.json"
+    path.write_text(json.dumps(gen.grid(size, seed)))
+    distinct = {(pb.bound.numerator, pb.bound.denominator) for pb in bound_report(load_network(path.read_bytes())).pairs}
+    # counted where the writer formats (cli) and where to_json would (bounds)
+    formatted = [counted(monkeypatch, module, "format_rational") for module in (cli, bounds)]
+    assert cli.main(["bounds", str(path), "--out", str(tmp_path / "bounds.json")]) == 0
+    assert sum(map(len, formatted)) == len(distinct) + 1
